@@ -18,7 +18,6 @@ from attnreg import metrics as mt
 from attnreg import synthdata as sd
 from attnreg import trainer as tr
 from attnreg import vit
-from attnreg.autodiff import Tape, Tensor
 from attnreg.gridtransform import FLIP_H, FLIP_V, GridShape, ROT90, ROT180, ROT270
 from attnreg.regularizer import LossWeights
 
@@ -52,28 +51,17 @@ print(f"training on {len(samples)} images for {cfg.epochs} epochs ...")
 result = tr.train(cfg, samples)
 print(f"final per-image loss: {result.log[-1]['total']:.4f}")
 
-# freeze the weights: map extraction should never touch parameter grads
-params = {name: Tensor(p.data, requires_grad=False)
-          for name, p in result.params.items()}
-
 sample = samples[3]
 present = [k for k in range(cfg.vit.num_classes) if sample.labels[k]]
 print(f"\nimage 3 contains classes {present} "
       f"(labels vector {sample.labels.astype(int)})")
 
-# one forward + backward per present class; the attention matrices are
-# identical across classes, so keep them from the first pass
-maps = []
-attentions = None
-for k in present:
-    with Tape() as tape:
-        res = vit.forward(sample.image, params, cfg.vit)
-        logit = vit.class_logit(res, k)
-    tape.backward(logit)
-    adjoints = vit.attention_adjoints(res, k)
-    maps.append(lc.grad_localization(adjoints, res.grid, k))
-    if attentions is None:
-        attentions = [rec.matrix.data.copy() for rec in res.attentions]
+# one forward on one tape, then one backward per present class seeded at
+# that class's logit; parameters are read through no-grad views, so map
+# extraction never touches their grads
+data = tr.image_localization_data(sample.image, present, result.params, cfg.vit)
+maps = [lc.grad_localization(data.adjoints_by_class[k], cfg.vit.grid, k) for k in present]
+attentions = data.attentions
 
 for m in maps:
     print(f"\nclass {m.class_index} map on the 8x8 patch grid "

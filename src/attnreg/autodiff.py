@@ -141,10 +141,10 @@ class Tape:
             loss = ...            # ops executed here are recorded
         tape.backward(loss)       # adjoints land in .grad buffers
 
-    A tape is single-use: after backward() it refuses further work
-    until reset(). Nodes are stored in execution order, which is a
-    topological order of the graph, so the reverse sweep sees every
-    consumer before its producer and visits each node exactly once.
+    A tape is single-use: after backward() it refuses further work until
+    reset(); only a seeded backward leaves it usable. Nodes are stored in
+    execution order, a topological order of the graph, so the reverse
+    sweep sees every consumer before its producer and each node once.
     """
 
     def __init__(self):
@@ -170,22 +170,29 @@ class Tape:
             raise StateError("tape already consumed by backward(); call reset() first")
         self.nodes.append(node)
 
-    def backward(self, loss: Tensor) -> None:
+    def backward(self, loss: Tensor, seed: Array | None = None) -> None:
         """Accumulate d(loss)/d(x) into x.grad for every recorded tensor x
-        that requires grad or was marked retain_grad()."""
+        that requires grad or was marked retain_grad().
+
+        With ``seed``, an adjoint shaped like ``loss`` (then not necessarily
+        a scalar), the sweep starts from it instead of ones and leaves the
+        tape usable: one recorded forward can be swept once per seed."""
         if self._spent:
             raise StateError("tape already consumed by backward(); call reset() first")
-        if loss.size != 1:
+        if seed is None and loss.size != 1:
             raise ContractError(f"backward() needs a scalar loss, got shape {loss.shape}")
+        if seed is not None and np.shape(seed) != loss.shape:
+            raise DimensionError(f"seed shape {np.shape(seed)} != loss shape {loss.shape}")
         if self.nodes and loss is not self.nodes[-1].output:
             produced = any(loss is n.output for n in self.nodes)
             if not produced:
                 raise ContractError("loss tensor was not produced on this tape")
         if not self.nodes:
             raise ContractError("tape is empty; nothing was recorded")
-        self._spent = True
+        self._spent = seed is None
 
-        acc: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
+        acc: dict[int, Array] = {id(loss): np.ones_like(loss.data) if seed is None
+                                 else np.asarray(seed, dtype=np.float64)}
         holders: dict[int, Tensor] = {id(loss): loss}
 
         def flush(t: Tensor, g: Array) -> None:
@@ -223,11 +230,6 @@ class Tape:
             raise StateError("cannot reset a tape that is still active")
         self.nodes.clear()
         self._spent = False
-
-
-def backward(tape: Tape, loss: Tensor) -> None:
-    """Free-function spelling of tape.backward(loss)."""
-    tape.backward(loss)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from . import regularizer as reg
 from . import synthdata as sd
 from . import trainer as tr
 from . import vit
-from .autodiff import Tape, Tensor
+from .autodiff import Tensor
 from .errors import AttnRegError, ContractError, NumericalError
 
 log = logging.getLogger("attnreg")
@@ -117,12 +117,8 @@ def _cmd_eval(args) -> int:
     samples, _ = sd.load_dataset(args.data)
     summary = tr.evaluate(params, cfg, samples, map_layers=_parse_layers(args.layers),
                           jobs=args.jobs, sweep_layers=args.sweep_layers)
-    selected = dict(summary)
-    if args.refined == "on":
-        selected.pop("unrefined", None)
-    else:
-        selected.pop("refined", None)
-    _emit(selected, args.pretty)
+    summary.pop("unrefined" if args.refined == "on" else "refined")
+    _emit(summary, args.pretty)
     return 0
 
 
@@ -138,16 +134,10 @@ def _cmd_seeds(args) -> int:
     if not 0 <= args.class_index < cfg.num_classes:
         raise ContractError(f"--class {args.class_index} out of range "
                             f"0..{cfg.num_classes - 1}")
-    frozen = {k: Tensor(p.data, requires_grad=False) for k, p in params.items()}
-    with Tape() as tape:
-        res = vit.forward(image, frozen, cfg)
-        y = vit.class_logit(res, args.class_index)
-    tape.backward(y)
-    adjoints = vit.attention_adjoints(res, args.class_index)
-    attentions = [rec.matrix.data for rec in res.attentions]
+    data = tr.image_localization_data(image, [args.class_index], params, cfg)
+    grid = gt.GridShape(image.shape[1] // cfg.patch_size, image.shape[2] // cfg.patch_size)
     layers = _parse_layers(args.layers)
-    plain = lc.grad_localization(adjoints, res.grid, args.class_index, layers)
-    refined = lc.affinity_refine(plain, attentions, layers)
+    plain, refined = (lc.build_maps(data, grid, layers, refine)[0] for refine in (False, True))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -166,12 +166,12 @@ def export_attention_csv(path, matrix: np.ndarray) -> None:
 
 @dataclass
 class ImageLocalizationData:
-    """Per-image inputs for seed evaluation: per-class adjoint stacks,
-    the recorded attention matrices, and pixel ground truth."""
+    """Per-image inputs for seed evaluation: per-class adjoint stacks, the
+    recorded attention matrices, and pixel ground truth (None if unknown)."""
 
     adjoints_by_class: dict[int, list[np.ndarray]]
     attentions: list[np.ndarray]
-    gt_mask: np.ndarray
+    gt_mask: np.ndarray | None
 
 
 def build_maps(data: ImageLocalizationData, grid: GridShape,
@@ -183,34 +183,3 @@ def build_maps(data: ImageLocalizationData, grid: GridShape,
             loc = affinity_refine(loc, data.attentions, layer_range)
         maps.append(loc)
     return maps
-
-
-def layer_sweep(images: Sequence[ImageLocalizationData], grid: GridShape,
-                num_layers: int, num_classes: int,
-                start_layers: Sequence[int] | None = None, refine: bool = True,
-                thresholds: Sequence[float] | None = None) -> list[dict]:
-    """For each starting layer s, fuse layers [s, num_layers), evaluate
-    seeds against ground truth over the best background threshold, and
-    report one row per s: start_layer, threshold, miou, fp_rate, fn_rate."""
-    from . import metrics  # deferred: metrics imports this module
-
-    if start_layers is None:
-        start_layers = range(num_layers)
-    rows = []
-    for s in start_layers:
-        per_image = [build_maps(d, grid, (s, num_layers), refine) for d in images]
-        gt = [d.gt_mask for d in images]
-        theta, best = metrics.best_threshold_miou(per_image, gt, num_classes + 1,
-                                                  thresholds)
-        if theta is None:
-            rows.append({"start_layer": s, "threshold": None, "miou": None,
-                         "fp_rate": None, "fn_rate": None})
-            continue
-        acc = metrics.ConfusionAccumulator(num_classes + 1)
-        for maps, mask in zip(per_image, gt):
-            seed = seed_from_maps(maps, theta)
-            pred = upsample_nearest(seed.labels, mask.shape[0], mask.shape[1])
-            acc.add(pred, mask)
-        rows.append({"start_layer": int(s), "threshold": theta, "miou": best,
-                     "fp_rate": acc.fp_rate(), "fn_rate": acc.fn_rate()})
-    return rows

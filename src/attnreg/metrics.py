@@ -2,11 +2,20 @@
 
 Counts are pooled over the whole dataset before any ratio is taken
 (VOC convention), so results are independent of image order and
-partial accumulators merge associatively. Class 0 is background.
+partial accumulators merge associatively. Class 0 is background. Every
+score is read from a confusion matrix (``matrix[truth, pred]`` pixel
+counts) by :func:`scores`.
 
 Rate definitions (documented because the choice is a convention):
   fp_rate = pixels predicted foreground where truth is background / all pixels
   fn_rate = pixels predicted background where truth is foreground / all pixels
+
+The threshold sweep is one pass over the pixels. A seed pixel is
+background at threshold t when all class maps, i.e. their max, lie below
+t; otherwise it takes the argmax class, which does not depend on t. So
+each pixel is binned once by (number of thresholds <= its max, truth,
+argmax label); cumulative sums over the bins give every threshold's
+confusion matrix.
 """
 
 from __future__ import annotations
@@ -19,72 +28,82 @@ from .localization import seed_from_maps, upsample_nearest
 DEFAULT_THRESHOLDS = tuple(np.round(np.arange(0.05, 1.0, 0.05), 2))
 
 
-class ConfusionAccumulator:
-    """Pooled per-class intersection/union/FP/FN pixel counts."""
+def scores(matrix: np.ndarray) -> dict:
+    """Per-class IoU (None for classes absent from both pred and truth),
+    their mean, the FP/FN rates and the pixel total of a confusion matrix."""
+    inter = np.diagonal(matrix)
+    union = matrix.sum(axis=0) + matrix.sum(axis=1) - inter
+    per_class = [i / u if u > 0 else None for i, u in zip(inter, union)]
+    present = [v for v in per_class if v is not None]
+    total = int(matrix.sum())
+    return {"per_class_iou": per_class,
+            "miou": float(np.mean(present)) if present else None,
+            "fp_rate": int(matrix[0, 1:].sum()) / total if total else None,
+            "fn_rate": int(matrix[1:, 0].sum()) / total if total else None,
+            "total_pixels": total}
 
-    def __init__(self, num_classes: int):
+
+class ConfusionAccumulator:
+    """Pooled confusion counts, ``counts[level, truth, pred]``. One level
+    (the default) is a plain K x K confusion matrix; the threshold sweep
+    bins pixels into one level per threshold interval."""
+
+    def __init__(self, num_classes: int, levels: int = 1):
         if num_classes < 1:
             raise ContractError("num_classes (including background) must be >= 1")
         self.num_classes = num_classes
-        self.intersection = np.zeros(num_classes, dtype=np.int64)
-        self.union = np.zeros(num_classes, dtype=np.int64)
-        self.false_positive = np.zeros(num_classes, dtype=np.int64)
-        self.false_negative = np.zeros(num_classes, dtype=np.int64)
-        self.over_activation = 0   # pred fg, gt bg
-        self.under_activation = 0  # pred bg, gt fg
-        self.total_pixels = 0
+        self.counts = np.zeros((levels, num_classes, num_classes), dtype=np.int64)
 
-    def add(self, pred: np.ndarray, gt: np.ndarray) -> None:
-        pred = np.asarray(pred)
-        gt = np.asarray(gt)
+    def add(self, pred: np.ndarray, gt: np.ndarray, level=0) -> None:
+        """Count pixel pairs; ``level`` is an int or an int array shaped
+        like ``pred``."""
+        pred, gt, level = (np.asarray(a, dtype=np.int64) for a in (pred, gt, level))
         if pred.shape != gt.shape:
             raise DimensionError(f"pred shape {pred.shape} != gt shape {gt.shape}")
-        if pred.size and (pred.min() < 0 or pred.max() >= self.num_classes):
-            raise ContractError(f"pred labels outside 0..{self.num_classes - 1}")
-        if gt.size and (gt.min() < 0 or gt.max() >= self.num_classes):
-            raise ContractError(f"gt labels outside 0..{self.num_classes - 1}")
-        for k in range(self.num_classes):
-            p, g = pred == k, gt == k
-            self.intersection[k] += int((p & g).sum())
-            self.union[k] += int((p | g).sum())
-            self.false_positive[k] += int((p & ~g).sum())
-            self.false_negative[k] += int((g & ~p).sum())
-        self.over_activation += int(((pred != 0) & (gt == 0)).sum())
-        self.under_activation += int(((pred == 0) & (gt != 0)).sum())
-        self.total_pixels += pred.size
+        k = self.num_classes
+        for name, labels, top in (("pred", pred, k), ("gt", gt, k),
+                                  ("level", level, len(self.counts))):
+            if labels.size and (labels.min() < 0 or labels.max() >= top):
+                raise ContractError(f"{name} labels outside 0..{top - 1}")
+        code = (level * k + gt) * k + pred
+        self.counts += np.bincount(code.ravel(), minlength=self.counts.size
+                                   ).reshape(self.counts.shape)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.counts.sum(axis=0)
+
+    # per-class and pooled pixel counts, read off the matrix
+    intersection = property(lambda self: np.diagonal(self.matrix).copy())
+    union = property(lambda self: self.matrix.sum(0) + self.matrix.sum(1) - self.intersection)
+    false_positive = property(lambda self: self.matrix.sum(axis=0) - self.intersection)
+    false_negative = property(lambda self: self.matrix.sum(axis=1) - self.intersection)
+    over_activation = property(lambda self: int(self.matrix[0, 1:].sum()))   # pred fg, gt bg
+    under_activation = property(lambda self: int(self.matrix[1:, 0].sum()))  # pred bg, gt fg
+    total_pixels = property(lambda self: int(self.counts.sum()))
 
     def merge(self, other: "ConfusionAccumulator") -> "ConfusionAccumulator":
-        if other.num_classes != self.num_classes:
+        if other.counts.shape != self.counts.shape:
             raise ContractError("cannot merge accumulators with different class counts")
-        out = ConfusionAccumulator(self.num_classes)
-        out.intersection = self.intersection + other.intersection
-        out.union = self.union + other.union
-        out.false_positive = self.false_positive + other.false_positive
-        out.false_negative = self.false_negative + other.false_negative
-        out.over_activation = self.over_activation + other.over_activation
-        out.under_activation = self.under_activation + other.under_activation
-        out.total_pixels = self.total_pixels + other.total_pixels
+        out = ConfusionAccumulator(self.num_classes, len(self.counts))
+        out.counts = self.counts + other.counts
         return out
 
     def per_class_iou(self) -> list[float | None]:
         """IoU per class; None for classes absent from both pred and gt."""
-        return [self.intersection[k] / self.union[k] if self.union[k] > 0 else None
-                for k in range(self.num_classes)]
+        return self.summary()["per_class_iou"]
 
     def miou(self) -> float | None:
-        present = [v for v in self.per_class_iou() if v is not None]
-        return float(np.mean(present)) if present else None
+        return self.summary()["miou"]
 
     def fp_rate(self) -> float | None:
-        return self.over_activation / self.total_pixels if self.total_pixels else None
+        return self.summary()["fp_rate"]
 
     def fn_rate(self) -> float | None:
-        return self.under_activation / self.total_pixels if self.total_pixels else None
+        return self.summary()["fn_rate"]
 
     def summary(self) -> dict:
-        return {"per_class_iou": self.per_class_iou(), "miou": self.miou(),
-                "fp_rate": self.fp_rate(), "fn_rate": self.fn_rate(),
-                "total_pixels": self.total_pixels}
+        return scores(self.matrix)
 
 
 def miou(pred_masks, gt_masks, num_classes: int) -> tuple[list[float | None], float | None]:
@@ -97,48 +116,42 @@ def miou(pred_masks, gt_masks, num_classes: int) -> tuple[list[float | None], fl
     return acc.per_class_iou(), acc.miou()
 
 
-def fp_fn_rates(pred_masks, gt_masks) -> tuple[float | None, float | None]:
-    """Dataset-pooled over-activation and under-activation pixel rates."""
-    if len(pred_masks) != len(gt_masks):
-        raise DimensionError(f"{len(pred_masks)} predictions vs {len(gt_masks)} truths")
-    over = under = total = 0
-    for p, g in zip(pred_masks, gt_masks):
-        p, g = np.asarray(p), np.asarray(g)
-        if p.shape != g.shape:
-            raise DimensionError(f"pred shape {p.shape} != gt shape {g.shape}")
-        over += int(((p != 0) & (g == 0)).sum())
-        under += int(((p == 0) & (g != 0)).sum())
-        total += p.size
-    if total == 0:
-        return None, None
-    return over / total, under / total
-
-
 def best_threshold_miou(maps_per_image, gt_masks, num_classes: int,
-                        thresholds=None) -> tuple[float | None, float | None]:
+                        thresholds=None) -> dict:
     """Sweep the background threshold over a grid (default 0.05 .. 0.95,
-    step 0.05); return (best threshold, best mIoU). Ties go to the
-    smaller threshold. Seeds are upsampled nearest-neighbor to each
-    ground-truth mask's size. Empty input -> (None, None)."""
+    step 0.05); return the best threshold and its miou, fp_rate, fn_rate
+    and per_class_iou. Ties go to the smaller threshold. Seeds are
+    upsampled nearest-neighbor to each ground-truth mask's size; an image
+    without maps is all background. Empty input -> all values None."""
     if thresholds is None:
         thresholds = DEFAULT_THRESHOLDS
-    thresholds = [float(t) for t in thresholds]
+    thresholds = sorted(float(t) for t in thresholds)
     if not thresholds:
         raise ContractError("threshold grid is empty")
     if any(not 0.0 <= t <= 1.0 for t in thresholds):
         raise ContractError("thresholds must lie in [0, 1]")
     if len(maps_per_image) != len(gt_masks):
         raise DimensionError(f"{len(maps_per_image)} map sets vs {len(gt_masks)} truths")
-    if len(gt_masks) == 0:
-        return None, None
-    best_theta, best = None, None
-    for theta in sorted(thresholds):
-        acc = ConfusionAccumulator(num_classes)
-        for maps, gt in zip(maps_per_image, gt_masks):
-            seed = seed_from_maps(maps, theta)
-            pred = upsample_nearest(seed.labels, gt.shape[0], gt.shape[1])
-            acc.add(pred, gt)
-        score = acc.miou()
+    grid = np.asarray(thresholds)
+    hist = ConfusionAccumulator(num_classes, levels=len(thresholds) + 1)
+    for maps, gt in zip(maps_per_image, gt_masks):
+        h, w = gt.shape[0], gt.shape[1]
+        pred = level = np.zeros(gt.shape, dtype=np.int64)
+        if maps:
+            # no map value lies below -inf, so this seed is the argmax label
+            pred = upsample_nearest(seed_from_maps(maps, -np.inf).labels, h, w)
+            peak = np.max([m.values for m in maps], axis=0)
+            level = upsample_nearest(np.searchsorted(grid, peak, side="right"), h, w)
+        hist.add(pred, gt, level)
+
+    best_theta, best, best_matrix = None, None, None
+    below = np.cumsum(hist.counts, axis=0)   # [i]: background at thresholds[i]
+    for theta, background in zip(thresholds, below):
+        matrix = below[-1] - background
+        matrix[:, 0] += background.sum(axis=1)
+        score = scores(matrix)["miou"]
         if score is not None and (best is None or score > best):
-            best_theta, best = theta, score
-    return best_theta, best
+            best_theta, best, best_matrix = theta, score, matrix
+    at_best = scores(best_matrix) if best_matrix is not None else {}
+    return {"threshold": best_theta, "miou": best,
+            **{key: at_best.get(key) for key in ("fp_rate", "fn_rate", "per_class_iou")}}

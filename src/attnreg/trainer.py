@@ -7,10 +7,12 @@ one (optionally momentum / polynomial-decay / norm-clipped) SGD update.
 Determinism: all randomness flows from two seed-derived generators, one
 for init and one for the sampling loop.
 
-Evaluation builds per-class localization maps (fresh forward + backward
-per class so adjoints never mix), sweeps background thresholds, and can
-fan image processing out over threads: parameters are wrapped in
-no-grad views, so worker tapes never write shared state.
+Evaluation runs one forward per image on one tape, then one seeded
+reverse sweep per present class (clearing the retained attention grads
+in between, so adjoints never mix). It builds per-class localization
+maps, scores every background threshold in one pass, and can fan image
+processing out over threads: parameters are wrapped in no-grad views,
+so worker tapes never write shared state.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from . import synthdata as sd
 from . import vit
 from .autodiff import Tape, Tensor
 from .errors import ContractError, NumericalError
-from .gridtransform import FLIP_H, SpatialTransform
+from .gridtransform import FLIP_H, GridShape, SpatialTransform
 from .regularizer import LossWeights
 from .vit import ViTConfig
 
@@ -103,7 +105,6 @@ def parse_train_config(text: str) -> TrainConfig:
     """Parse `key = value` lines (# comments, blank lines ignored).
     Dotted keys set nested fields: vit.*, weights.*. Unknown keys are
     rejected so typos cannot silently fall back to defaults."""
-    from .gridtransform import GridShape
 
     vit_kw: dict = {}
     weight_kw: dict = {}
@@ -339,24 +340,26 @@ def train(config: TrainConfig, samples: list[sd.SyntheticSample],
 
 # -- evaluation -----------------------------------------------------------------
 
-def _image_localization_data(sample: sd.SyntheticSample, params: dict[str, Tensor],
-                             cfg: ViTConfig) -> lc.ImageLocalizationData:
-    """Fresh forward + backward per present class; parameters are wrapped
-    as no-grad views so nothing shared is written."""
+def image_localization_data(image: np.ndarray, classes, params: dict[str, Tensor],
+                            cfg: ViTConfig, gt_mask=None) -> lc.ImageLocalizationData:
+    """One forward on one tape, then per class in `classes` one reverse
+    sweep seeded with its one-hot logit adjoint, after clearing the head
+    grads. Parameters are wrapped as no-grad views: nothing shared is written."""
+    if any(not 0 <= k < cfg.num_classes for k in classes):
+        raise ContractError(f"classes {list(classes)} outside 0..{cfg.num_classes - 1}")
     frozen = {name: Tensor(p.data, requires_grad=False) for name, p in params.items()}
-    present = [k for k in range(cfg.num_classes) if sample.labels[k]]
+    with Tape() as tape:
+        res = vit.forward(image, frozen, cfg)
     adjoints_by_class: dict[int, list[np.ndarray]] = {}
-    attentions: list[np.ndarray] | None = None
-    for k in present:
-        with Tape() as tape:
-            res = vit.forward(sample.image, frozen, cfg)
-            y = vit.class_logit(res, k)
-        tape.backward(y)
+    for k in classes:
+        for rec in res.attentions:
+            for head in rec.heads:
+                head.zero_grad()
+        tape.backward(res.logits, seed=np.eye(cfg.num_classes)[k])
         adjoints_by_class[k] = vit.attention_adjoints(res, k)
-        if attentions is None:
-            attentions = [rec.matrix.data.copy() for rec in res.attentions]
     return lc.ImageLocalizationData(adjoints_by_class=adjoints_by_class,
-                                    attentions=attentions or [], gt_mask=sample.mask)
+                                    attentions=[rec.matrix.data for rec in res.attentions],
+                                    gt_mask=gt_mask)
 
 
 def evaluate(params: dict[str, Tensor], cfg: ViTConfig,
@@ -364,39 +367,49 @@ def evaluate(params: dict[str, Tensor], cfg: ViTConfig,
              thresholds=None, jobs: int = 1, sweep_layers: bool = False) -> dict:
     """Seed quality of gradient maps against pixel ground truth: best
     background threshold, mIoU, FP/FN rates, for both unrefined and
-    affinity-refined maps; optionally the start-layer sweep table."""
+    affinity-refined maps; optionally the start-layer sweep table. An
+    image with no present class is scored as all background."""
     if not samples:
         raise ContractError("evaluation needs a nonempty dataset")
     if jobs < 1:
         raise ContractError("jobs must be >= 1")
     grid = cfg.grid
+
+    def localize(s: sd.SyntheticSample) -> lc.ImageLocalizationData:
+        present = np.flatnonzero(s.labels).tolist()
+        return image_localization_data(s.image, present, params, cfg, s.mask)
+
     if jobs == 1:
-        data = [_image_localization_data(s, params, cfg) for s in samples]
+        data = [localize(s) for s in samples]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            data = list(pool.map(lambda s: _image_localization_data(s, params, cfg),
-                                 samples))
+            data = list(pool.map(localize, samples))
 
     gt = [d.gt_mask for d in data]
     result: dict = {"num_images": len(samples), "num_classes": cfg.num_classes}
     for refine, key in ((False, "unrefined"), (True, "refined")):
         maps_per_image = [lc.build_maps(d, grid, map_layers, refine) for d in data]
-        theta, best = mt.best_threshold_miou(maps_per_image, gt, cfg.num_classes + 1,
+        result[key] = mt.best_threshold_miou(maps_per_image, gt, cfg.num_classes + 1,
                                              thresholds)
-        entry: dict = {"threshold": theta, "miou": best}
-        if theta is not None:
-            acc = mt.ConfusionAccumulator(cfg.num_classes + 1)
-            for maps, mask in zip(maps_per_image, gt):
-                seed = lc.seed_from_maps(maps, theta)
-                pred = lc.upsample_nearest(seed.labels, mask.shape[0], mask.shape[1])
-                acc.add(pred, mask)
-            entry.update({"fp_rate": acc.fp_rate(), "fn_rate": acc.fn_rate(),
-                          "per_class_iou": acc.per_class_iou()})
-        result[key] = entry
     if sweep_layers:
-        result["layer_sweep"] = lc.layer_sweep(data, grid, cfg.num_layers,
-                                               cfg.num_classes, thresholds=thresholds)
+        result["layer_sweep"] = layer_sweep(data, grid, cfg.num_layers, cfg.num_classes,
+                                            thresholds=thresholds)
     return result
+
+
+def layer_sweep(images: list[lc.ImageLocalizationData], grid: GridShape, num_layers: int,
+                num_classes: int, thresholds=None) -> list[dict]:
+    """For each start layer s, fuse and refine layers [s, num_layers) and
+    score the seeds at their best background threshold; one row per s:
+    start_layer, threshold, miou, fp_rate, fn_rate."""
+    gt = [d.gt_mask for d in images]
+    rows = []
+    for s in range(num_layers):
+        per_image = [lc.build_maps(d, grid, (s, num_layers), True) for d in images]
+        entry = mt.best_threshold_miou(per_image, gt, num_classes + 1, thresholds)
+        del entry["per_class_iou"]
+        rows.append({"start_layer": s, **entry})
+    return rows
 
 
 # -- ablation harness ------------------------------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field, asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -240,8 +241,8 @@ def class_logit(result: ForwardResult, class_index: int) -> Tensor:
 
 def attention_adjoints(result: ForwardResult, class_index: int) -> list[np.ndarray]:
     """Per-layer d(y^c)/d(attention) buffers. Requires that the caller
-    already ran backward on class_logit(result, class_index) for this
-    forward's tape; raises StateError otherwise."""
+    already ran backward from class_logit(result, class_index), or from the
+    logits seeded with its one-hot row; raises StateError otherwise."""
     if not 0 <= class_index < result.logits.shape[0]:
         raise ContractError(f"class index {class_index} out of range")
     adjoints = []
@@ -280,29 +281,44 @@ def save_checkpoint(path, params: dict[str, Tensor], config: ViTConfig) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict[str, Tensor], ViTConfig]:
-    with open(path, "rb") as f:
-        if f.read(8) != CHECKPOINT_MAGIC:
-            raise ContractError(f"{path}: not a checkpoint (bad magic)")
-        (version,) = struct.unpack("<I", f.read(4))
-        if version != CHECKPOINT_VERSION:
-            raise ContractError(f"{path}: unsupported checkpoint version {version}")
-        (cfg_len,) = struct.unpack("<I", f.read(4))
-        config = ViTConfig.from_dict(json.loads(f.read(cfg_len).decode("utf-8")))
-        (count,) = struct.unpack("<I", f.read(4))
+    """Inverse of save_checkpoint. A malformed file -- short, with a bad
+    config blob, or with a tensor missing, extra or shaped unlike the
+    layout its config implies -- raises ContractError."""
+    raw = Path(path).read_bytes()
+    pos = 0
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        pos += n
+        if pos > len(raw):
+            raise ContractError(f"{path}: truncated checkpoint")
+        return raw[pos - n:pos]
+
+    def u32() -> int:
+        return struct.unpack("<I", take(4))[0]
+
+    if take(8) != CHECKPOINT_MAGIC:
+        raise ContractError(f"{path}: not a checkpoint (bad magic)")
+    if (version := u32()) != CHECKPOINT_VERSION:
+        raise ContractError(f"{path}: unsupported checkpoint version {version}")
+    try:
+        config = ViTConfig.from_dict(json.loads(take(u32()).decode("utf-8")))
+        layout = {n: t.shape for n, t in init_params(config, np.random.default_rng(0)).items()}
         params: dict[str, Tensor] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", f.read(4))
-            name = f.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", f.read(1))
-            shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim)) if ndim else ()
-            size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            payload = f.read(8 * size)
-            if len(payload) != 8 * size:
-                raise ContractError(f"{path}: truncated tensor payload for {name!r}")
-            arr = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
-            params[name] = Tensor(arr, requires_grad=True)
-        if f.read(1):
-            raise ContractError(f"{path}: trailing bytes after last tensor")
+        for _ in range(u32()):
+            name = take(u32()).decode("utf-8")
+            ndim = take(1)[0]
+            shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+            if layout.get(name) != shape or name in params:
+                raise ContractError(f"{path}: unexpected tensor {name!r} of shape {shape}")
+            data = np.frombuffer(take(8 * int(np.prod(shape, dtype=np.int64))), dtype="<f8")
+            params[name] = Tensor(data.astype(np.float64).reshape(shape), requires_grad=True)
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ContractError(f"{path}: malformed checkpoint: {exc}") from exc
+    if params.keys() != layout.keys():
+        raise ContractError(f"{path}: missing tensors {sorted(layout.keys() - params.keys())}")
+    if pos != len(raw):
+        raise ContractError(f"{path}: trailing bytes after last tensor")
     return params, config
 
 
@@ -314,7 +330,3 @@ def load_params_into(params: dict[str, Tensor], source: dict[str, Tensor]) -> No
         if source[name].shape != tensor.shape:
             raise DimensionError(f"{name}: shape {source[name].shape} != {tensor.shape}")
         tensor.data = source[name].data.copy()
-
-
-def parameter_count(params: dict[str, Tensor]) -> int:
-    return sum(t.size for t in params.values())

@@ -332,3 +332,47 @@ class TestGradCheckContract:
     def test_non_scalar_f_rejected(self):
         with pytest.raises(ContractError):
             ad.grad_check(lambda t: ad.mul(t, 2.0), Tensor([1.0, 2.0]))
+
+
+class TestSeededBackward:
+    """backward(loss, seed): one recorded forward, one sweep per seed."""
+
+    def record(self):
+        x = Tensor([[0.3, -1.2, 0.7]], requires_grad=True)
+        w = Tensor(RNG(40).normal(size=(3, 4)), requires_grad=True)
+        with Tape() as tape:
+            y = ad.reshape(ad.gelu(ad.matmul(x, w)), (4,))
+        return x, w, tape, y
+
+    def test_matches_a_fresh_tape_per_component_and_stays_usable(self):
+        x, w, tape, y = self.record()
+        for k in range(4):
+            x.zero_grad()
+            tape.backward(y, seed=np.eye(4)[k])
+            fresh_x = Tensor(x.data, requires_grad=True)
+            with Tape() as fresh:
+                yk = ad.pick(ad.reshape(ad.gelu(ad.matmul(fresh_x, w)), (4,)), k)
+            fresh.backward(yk)
+            assert np.array_equal(x.grad, fresh_x.grad)
+        tape.backward(y, seed=np.ones(4))  # still usable after four sweeps
+
+    def test_grads_accumulate_across_sweeps(self):
+        x, _, tape, y = self.record()
+        tape.backward(y, seed=np.eye(4)[0])
+        first = x.grad.copy()
+        tape.backward(y, seed=np.eye(4)[0])
+        np.testing.assert_allclose(x.grad, 2 * first)
+
+    def test_seed_shape_must_match_loss(self):
+        _, _, tape, y = self.record()
+        with pytest.raises(DimensionError):
+            tape.backward(y, seed=np.ones(3))
+
+    def test_unseeded_sweep_still_consumes_the_tape(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Tape() as tape:
+            y = ad.mean(ad.mul(x, x))
+        tape.backward(y, seed=np.ones(()))
+        tape.backward(y)
+        with pytest.raises(StateError):
+            tape.backward(y, seed=np.ones(()))

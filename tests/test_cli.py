@@ -164,6 +164,14 @@ class TestEval:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    def test_truncated_checkpoint_exits_1(self, trained_dir, dataset_dir, tmp_path, capsys):
+        whole = (trained_dir / "checkpoint.ckpt").read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes(whole[:len(whole) // 2])
+        rc = cli.main(["eval", "--checkpoint", str(cut), "--data", str(dataset_dir)])
+        assert rc == 1
+        assert "truncated" in capsys.readouterr().err
+
 
 class TestSeeds:
     def test_writes_both_maps_with_sidecars(self, trained_dir, dataset_dir,

@@ -8,6 +8,7 @@ import pytest
 
 from attnreg import localization as loc
 from attnreg import netpbm
+from attnreg import trainer as tr
 from attnreg.errors import ContractError, DimensionError
 from attnreg.gridtransform import GridShape
 
@@ -277,8 +278,8 @@ class TestLayerSweep:
         grid = GridShape(2, 2)
         rng = np.random.default_rng(11)
         images = self.build_images(grid, layers=3, classes=2, rng=rng)
-        rows = loc.layer_sweep(images, grid, num_layers=3, num_classes=2,
-                               thresholds=[0.2, 0.5])
+        rows = tr.layer_sweep(images, grid, num_layers=3, num_classes=2,
+                              thresholds=[0.2, 0.5])
         assert [r["start_layer"] for r in rows] == [0, 1, 2]
         for r in rows:
             assert 0.0 <= r["miou"] <= 1.0

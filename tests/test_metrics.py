@@ -54,8 +54,9 @@ class TestConfusionAccumulator:
         assert per_class[0] == 0.5
         assert per_class[1] == 0.0
         assert mean == 0.25
-        fp, fn = metrics.fp_fn_rates([pred], [gt])
-        assert fp == 0.0 and fn == 0.5
+        acc = metrics.ConfusionAccumulator(2)
+        acc.add(pred, gt)
+        assert acc.fp_rate() == 0.0 and acc.fn_rate() == 0.5
 
     def test_matches_brute_force_on_random_pairs(self):
         rng = np.random.default_rng(1)
@@ -113,7 +114,6 @@ class TestConfusionAccumulator:
         per_class, mean = metrics.miou([], [], 3)
         assert per_class == [None, None, None]
         assert mean is None
-        assert metrics.fp_fn_rates([], []) == (None, None)
         acc = metrics.ConfusionAccumulator(3)
         assert acc.miou() is None and acc.fp_rate() is None and acc.fn_rate() is None
 
@@ -151,7 +151,8 @@ class TestBestThreshold:
             maps_per_image.append([flat_map(0, rng.random(4), grid),
                                    flat_map(1, rng.random(4), grid)])
             gts.append(rng.integers(0, 3, size=(2, 2)))
-        theta, best = metrics.best_threshold_miou(maps_per_image, gts, 3)
+        found = metrics.best_threshold_miou(maps_per_image, gts, 3)
+        theta, best = found["threshold"], found["miou"]
         assert theta in metrics.DEFAULT_THRESHOLDS
         for t in metrics.DEFAULT_THRESHOLDS:
             acc = metrics.ConfusionAccumulator(3)
@@ -165,7 +166,8 @@ class TestBestThreshold:
         # 0/1-valued map: every threshold in (0, 1] yields the same seed
         maps = [[flat_map(0, [1.0, 0.0, 0.0, 1.0], grid)]]
         gts = [np.array([[1, 0], [0, 1]])]
-        theta, best = metrics.best_threshold_miou(maps, gts, 2)
+        found = metrics.best_threshold_miou(maps, gts, 2)
+        theta, best = found["threshold"], found["miou"]
         assert best == 1.0
         assert theta == metrics.DEFAULT_THRESHOLDS[0]
 
@@ -173,11 +175,13 @@ class TestBestThreshold:
         grid = GridShape(1, 2)
         maps = [[flat_map(0, [1.0, 0.0], grid)]]
         gts = [np.array([[1, 1, 0, 0], [1, 1, 0, 0]])]
-        theta, best = metrics.best_threshold_miou(maps, gts, 2)
+        found = metrics.best_threshold_miou(maps, gts, 2)
+        theta, best = found["threshold"], found["miou"]
         assert best == 1.0
 
     def test_empty_dataset(self):
-        assert metrics.best_threshold_miou([], [], 3) == (None, None)
+        assert metrics.best_threshold_miou([], [], 3) == dict.fromkeys(
+            ("threshold", "miou", "fp_rate", "fn_rate", "per_class_iou"))
 
     def test_bad_threshold_grid(self):
         with pytest.raises(ContractError):

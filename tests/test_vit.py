@@ -1,6 +1,8 @@
 """Mini ViT: shapes, attention records, adjoints, checkpoint format,
 and the attention-equivariance property that the whole method rests on."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,46 @@ class TestCheckpoint:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
+        with pytest.raises(ContractError):
+            vit.load_checkpoint(path)
+
+    def small_checkpoint(self, tmp_path, params=None):
+        cfg = tiny_config(grid=GridShape(1, 2), embed_dim=2, num_layers=1, num_heads=1,
+                          mlp_ratio=1.0, in_channels=1)
+        params = params or vit.init_params(cfg, np.random.default_rng(3))
+        path = tmp_path / "small.ckpt"
+        vit.save_checkpoint(path, params, cfg)
+        return path, params, cfg
+
+    def test_every_truncation_is_a_contract_error(self, tmp_path):
+        path, _, _ = self.small_checkpoint(tmp_path)
+        whole = path.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for size in range(len(whole)):
+            cut.write_bytes(whole[:size])
+            with pytest.raises(ContractError):
+                vit.load_checkpoint(cut)
+
+    @pytest.mark.parametrize("change", ["missing", "extra", "misshaped"])
+    def test_tensor_layout_checked_at_load(self, tmp_path, change):
+        path, params, cfg = self.small_checkpoint(tmp_path)
+        params = dict(params)
+        if change == "missing":
+            del params["head.bias"]
+        elif change == "extra":
+            params["head.extra"] = Tensor(np.zeros((1, 2)))
+        else:
+            params["head.bias"] = Tensor(np.zeros((2, 1)))
+        vit.save_checkpoint(path, params, cfg)
+        with pytest.raises(ContractError):
+            vit.load_checkpoint(path)
+
+    @pytest.mark.parametrize("blob", [b"{not json", b"\xff\xfe", b"[1, 2]", b'{"patch_size": 2}'])
+    def test_bad_config_blob_is_a_contract_error(self, tmp_path, blob):
+        path, _, _ = self.small_checkpoint(tmp_path)
+        whole = path.read_bytes()
+        (old,) = struct.unpack("<I", whole[12:16])
+        path.write_bytes(whole[:12] + struct.pack("<I", len(blob)) + blob + whole[16 + old:])
         with pytest.raises(ContractError):
             vit.load_checkpoint(path)
 
