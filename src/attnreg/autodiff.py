@@ -11,7 +11,15 @@ Conventions:
 
 * float64 everywhere, row-major (C-order) storage;
 * a "scalar" is a tensor with exactly one element (usually shape ());
-* binary elementwise ops broadcast only scalar-vs-tensor; any other
+* matrix ops (matmul, transpose, add_bias, layer_norm, softmax_rows,
+  slice2d, concat) act on the last two axes and accept leading batch
+  axes, e.g. (views, tokens, dim) or (views, heads, tokens, tokens). A
+  parameter without those axes (a weight, a bias, the class token) is
+  shared across them, and its gradient sums over all leading axes.
+  split_heads / merge_heads move column blocks onto and off a head
+  axis, and mean(x, axis) averages over one;
+* binary elementwise ops broadcast a scalar, or an operand shaped like
+  the other's trailing axes (a shared table over a batch); any other
   shape mismatch raises DimensionError. Fused ops (layer_norm,
   add_bias, scale_rows, ...) own their internal broadcasting;
 * every op output is checked for NaN/Inf and rejected with
@@ -49,7 +57,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         # note: order="C" (not ascontiguousarray) so 0-d scalars stay 0-d
         arr = np.asarray(data, dtype=np.float64, order="C")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericalError("tensor data contains NaN or Inf")
         self.data: Array = arr
         self.requires_grad = bool(requires_grad)
@@ -259,18 +267,34 @@ def _apply(op: str, inputs: tuple[Tensor, ...], out_data: Array,
     return out
 
 
+def _trails(big: tuple[int, ...], small: tuple[int, ...]) -> bool:
+    """small is big without some of its leading axes."""
+    return len(small) < len(big) and big[len(big) - len(small):] == small
+
+
 def _check_pair(op: str, a: Tensor, b: Tensor) -> None:
     if a.shape == b.shape or a.size == 1 or b.size == 1:
         return
+    if _trails(a.shape, b.shape) or _trails(b.shape, a.shape):
+        return
     raise DimensionError(f"{op}: incompatible shapes {a.shape} and {b.shape}; only "
-                         "identical shapes or scalar-vs-tensor broadcast are supported")
+                         "identical shapes, scalar-vs-tensor or leading-axis "
+                         "broadcast are supported")
 
 
 def _reduce_to(g: Array, shape: tuple[int, ...]) -> Array:
-    """Undo scalar broadcasting: collapse g onto a size-1 target shape."""
+    """Undo broadcasting: collapse g onto a size-1 target shape, or sum it
+    over the leading axes the target lacks."""
     if g.shape == shape:
         return g
-    return np.sum(g).reshape(shape)
+    if math.prod(shape) == 1:
+        return np.sum(g).reshape(shape)
+    return g.reshape(-1, *shape).sum(axis=0)
+
+
+def _sum_rows_of(g: Array, width: int) -> Array:
+    """Gradient of a shared (1, width) row: g summed over every leading axis."""
+    return g.reshape(-1, width).sum(axis=0, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -335,38 +359,47 @@ def neg(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Product over the last two axes. a (..., m, k) meets either a 2-d
+    b (k, n), shared across a's leading axes, or b (..., k, n) with the
+    same leading axes, one product per batch entry."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul: needs 2-d operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.ndim < 2 or b.ndim < 2:
+        raise DimensionError(f"matmul: needs operands of at least 2 dims, got {a.shape} @ {b.shape}")
+    if b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
+        raise DimensionError(f"matmul: batch axes disagree: {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul: inner dimensions disagree: {a.shape} @ {b.shape}")
     ad, bd = a.data, b.data
 
     def bw(g: Array):
-        return g @ bd.T, ad.T @ g
+        ga = g @ np.swapaxes(bd, -1, -2)
+        if bd.ndim == 2:  # one product over all rows of all batch entries
+            return ga, ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        return ga, np.swapaxes(ad, -1, -2) @ g
 
     return _apply("matmul", (a, b), ad @ bd, bw)
 
 
 def transpose(a) -> Tensor:
+    """Swap the last two axes."""
     a = _as_tensor(a)
-    if a.ndim != 2:
-        raise DimensionError(f"transpose: needs a 2-d tensor, got shape {a.shape}")
+    if a.ndim < 2:
+        raise DimensionError(f"transpose: needs at least 2 dims, got shape {a.shape}")
 
     def bw(g: Array):
-        return (np.ascontiguousarray(g.T),)
+        return (np.ascontiguousarray(np.swapaxes(g, -1, -2)),)
 
-    return _apply("transpose", (a,), a.data.T, bw)
+    return _apply("transpose", (a,), np.swapaxes(a.data, -1, -2), bw)
 
 
 def add_bias(x, b) -> Tensor:
-    """x: (m, d), b: (1, d). Adds b to every row of x."""
+    """x: (..., m, d), b: (1, d). Adds b to every row of x."""
     x, b = _as_tensor(x), _as_tensor(b)
-    if x.ndim != 2 or b.shape != (1, x.shape[1]):
-        raise DimensionError(f"add_bias: expected x (m,d) and b (1,d), got {x.shape} and {b.shape}")
+    if x.ndim < 2 or b.shape != (1, x.shape[-1]):
+        raise DimensionError(f"add_bias: expected x (...,m,d) and b (1,d), got {x.shape} and {b.shape}")
 
     def bw(g: Array):
-        return g, g.sum(axis=0, keepdims=True)
+        return g, _sum_rows_of(g, g.shape[-1])
 
     return _apply("add_bias", (x, b), x.data + b.data, bw)
 
@@ -457,41 +490,45 @@ def _stable_sigmoid(z: Array) -> Array:
 
 
 def softmax_rows(x) -> Tensor:
-    """Row-wise softmax of a 2-d tensor, stabilized by the row max."""
+    """Softmax over the last axis of a tensor of at least 2 dims,
+    stabilized by the row max."""
     x = _as_tensor(x)
-    if x.ndim != 2:
-        raise DimensionError(f"softmax_rows: needs a 2-d tensor, got shape {x.shape}")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
+    if x.ndim < 2:
+        raise DimensionError(f"softmax_rows: needs at least 2 dims, got shape {x.shape}")
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def bw(g: Array):
-        dot = (g * y).sum(axis=1, keepdims=True)
+        dot = (g * y).sum(axis=-1, keepdims=True)
         return (y * (g - dot),)
 
     return _apply("softmax_rows", (x,), y, bw)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Per-row layer normalization of a 2-d tensor with affine (1, d) params."""
+    """Per-row layer normalization over the last axis of a (..., m, d)
+    tensor with affine (1, d) params."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    if x.ndim != 2:
-        raise DimensionError(f"layer_norm: needs a 2-d input, got shape {x.shape}")
-    d = x.shape[1]
+    if x.ndim < 2:
+        raise DimensionError(f"layer_norm: needs at least 2 dims, got shape {x.shape}")
+    d = x.shape[-1]
     if gain.shape != (1, d) or bias.shape != (1, d):
         raise DimensionError(f"layer_norm: gain/bias must be (1,{d}), got {gain.shape} and {bias.shape}")
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
+    # row means as sum / d, the arithmetic of ndarray.mean and .var
+    # without their per-call Python overhead
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    var = (centered * centered).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = centered * inv
     gd = gain.data
 
     def bw(g: Array):
-        ggain = (g * xhat).sum(axis=0, keepdims=True)
-        gbias = g.sum(axis=0, keepdims=True)
+        ggain = _sum_rows_of(g * xhat, d)
+        gbias = _sum_rows_of(g, d)
         gg = g * gd
-        gx = inv * (gg - gg.mean(axis=1, keepdims=True)
-                    - xhat * (gg * xhat).mean(axis=1, keepdims=True))
+        gx = inv * (gg - gg.sum(axis=-1, keepdims=True) / d
+                    - xhat * (gg * xhat).sum(axis=-1, keepdims=True) / d)
         return gx, ggain, gbias
 
     return _apply("layer_norm", (x, gain, bias), xhat * gd + bias.data, bw)
@@ -510,15 +547,26 @@ def sum_rows(x) -> Tensor:
     return _apply("sum_rows", (x,), x.data.sum(axis=1, keepdims=True), bw)
 
 
-def mean(x) -> Tensor:
+def mean(x, axis: int | None = None) -> Tensor:
+    """Mean of all elements (a scalar), or over one axis, which is dropped
+    (the head average of a (..., heads, m, m) attention stack)."""
     x = _as_tensor(x)
-    n = float(x.size)
     shape = x.shape
+    if axis is None:
+        n = float(x.size)
 
-    def bw(g: Array):
-        return (np.full(shape, float(g) / n),)
+        def bw(g: Array):
+            return (np.full(shape, float(g) / n),)
 
-    return _apply("mean", (x,), np.asarray(x.data.mean()), bw)
+        return _apply("mean", (x,), np.asarray(x.data.mean()), bw)
+    if not -x.ndim <= axis < x.ndim:
+        raise DimensionError(f"mean: axis {axis} out of range for shape {shape}")
+    k = shape[axis]
+
+    def bw_axis(g: Array):
+        return (np.ascontiguousarray(np.broadcast_to(np.expand_dims(g / k, axis), shape)),)
+
+    return _apply("mean", (x,), x.data.mean(axis=axis), bw_axis)
 
 
 def abs_mean(a, b) -> Tensor:
@@ -593,49 +641,62 @@ def reshape(x, shape) -> Tensor:
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
+    """Join matrices along their rows (axis 0) or columns (axis 1), the
+    last two axes. Parts may carry the same leading batch axes; a 2-d part
+    among batched ones (the class token) is broadcast over them, and its
+    gradient sums over the batch."""
     parts = tuple(_as_tensor(p) for p in parts)
     if not parts:
         raise ContractError("concat: needs at least one part")
     if axis not in (0, 1):
         raise ContractError(f"concat: axis must be 0 or 1, got {axis}")
-    if any(p.ndim != 2 for p in parts):
-        raise DimensionError("concat: all parts must be 2-d")
-    other = 1 - axis
+    if any(p.ndim < 2 for p in parts):
+        raise DimensionError("concat: all parts must have at least 2 dims")
+    batch = max((p.shape[:-2] for p in parts), key=len)
+    if any(p.shape[:-2] not in ((), batch) for p in parts):
+        raise DimensionError(f"concat: parts disagree on batch axes: {[p.shape for p in parts]}")
+    other = -1 - axis
     if len({p.shape[other] for p in parts}) != 1:
-        raise DimensionError(f"concat: parts disagree on axis {other}: {[p.shape for p in parts]}")
-    sizes = [p.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
+        raise DimensionError(f"concat: parts disagree on axis {1 - axis}: {[p.shape for p in parts]}")
+    along = axis - 2
+    splits = np.cumsum([p.shape[along] for p in parts])[:-1]
 
     def bw(g: Array):
-        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=axis))
+        pieces = np.split(g, splits, axis=along)
+        return tuple(_reduce_to(np.ascontiguousarray(piece), p.shape)
+                     for piece, p in zip(pieces, parts))
 
-    return _apply("concat", parts, np.concatenate([p.data for p in parts], axis=axis), bw)
+    out = np.concatenate([np.broadcast_to(p.data, batch + p.shape[-2:]) for p in parts],
+                         axis=along)
+    return _apply("concat", parts, out, bw)
 
 
 def slice2d(x, row_start=None, row_stop=None, col_start=None, col_stop=None) -> Tensor:
+    """Rows and columns of the last two axes; leading axes are kept."""
     x = _as_tensor(x)
-    if x.ndim != 2:
-        raise DimensionError(f"slice2d: needs a 2-d tensor, got shape {x.shape}")
+    if x.ndim < 2:
+        raise DimensionError(f"slice2d: needs at least 2 dims, got shape {x.shape}")
     rs = slice(row_start, row_stop)
     cs = slice(col_start, col_stop)
-    out = x.data[rs, cs]
+    out = x.data[..., rs, cs]
     if out.size == 0:
         raise DimensionError(f"slice2d: empty slice of {x.shape}")
     shape = x.shape
 
     def bw(g: Array):
         gx = np.zeros(shape)
-        gx[rs, cs] = g
+        gx[..., rs, cs] = g
         return (gx,)
 
     return _apply("slice2d", (x,), np.ascontiguousarray(out), bw)
 
 
 def pick(x, index: int) -> Tensor:
-    """Scalar element of a 1-d tensor."""
+    """Entry `index` of the first axis: an element of a 1-d tensor (a
+    scalar), or one view of a stack."""
     x = _as_tensor(x)
-    if x.ndim != 1:
-        raise DimensionError(f"pick: needs a 1-d tensor, got shape {x.shape}")
+    if x.ndim < 1:
+        raise DimensionError(f"pick: needs at least 1 dim, got shape {x.shape}")
     index = int(index)
     if not 0 <= index < x.shape[0]:
         raise ContractError(f"pick: index {index} out of range for length {x.shape[0]}")
@@ -643,14 +704,47 @@ def pick(x, index: int) -> Tensor:
 
     def bw(g: Array):
         gx = np.zeros(shape)
-        gx[index] = float(g)
+        gx[index] = g
         return (gx,)
 
     return _apply("pick", (x,), np.asarray(x.data[index]), bw)
 
 
+def split_heads(x, heads: int) -> Tensor:
+    """(..., m, heads * k) -> (..., heads, m, k): column block j becomes
+    head j, one reshape and axis move in one op."""
+    x = _as_tensor(x)
+    if x.ndim < 2 or heads < 1 or x.shape[-1] % heads:
+        raise DimensionError(f"split_heads: cannot split {x.shape} into {heads} heads")
+    shape = x.shape
+    split = x.data.reshape(*shape[:-1], heads, shape[-1] // heads)
+
+    def bw(g: Array):
+        return (np.ascontiguousarray(np.swapaxes(g, -3, -2)).reshape(shape),)
+
+    return _apply("split_heads", (x,), np.swapaxes(split, -2, -3), bw)
+
+
+def merge_heads(x) -> Tensor:
+    """(..., heads, m, k) -> (..., m, heads * k), the inverse of
+    split_heads: head outputs side by side in head order."""
+    x = _as_tensor(x)
+    if x.ndim < 3:
+        raise DimensionError(f"merge_heads: needs (..., heads, m, k), got shape {x.shape}")
+    shape = x.shape
+    heads, m, k = shape[-3:]
+    merged = np.ascontiguousarray(np.swapaxes(x.data, -3, -2)).reshape(*shape[:-3], m, heads * k)
+
+    def bw(g: Array):
+        return (np.ascontiguousarray(np.swapaxes(g.reshape(*shape[:-3], m, heads, k), -2, -3)),)
+
+    return _apply("merge_heads", (x,), merged, bw)
+
+
 def permute_rc(x, row_index, col_index) -> Tensor:
-    """Differentiable gather out[i, j] = x[row_index[i], col_index[j]]."""
+    """Differentiable gather out[i, j] = x[row_index[i], col_index[j]] with
+    distinct row and distinct column indices (a re-indexing, such as a
+    token permutation, so the backward scatter is an assignment)."""
     x = _as_tensor(x)
     if x.ndim != 2:
         raise DimensionError(f"permute_rc: needs a 2-d tensor, got shape {x.shape}")
@@ -662,11 +756,13 @@ def permute_rc(x, row_index, col_index) -> Tensor:
         raise ContractError(f"permute_rc: row indices out of range for {x.shape}")
     if ci.size and (ci.min() < 0 or ci.max() >= x.shape[1]):
         raise ContractError(f"permute_rc: column indices out of range for {x.shape}")
+    if np.bincount(ri).max(initial=0) > 1 or np.bincount(ci).max(initial=0) > 1:
+        raise ContractError("permute_rc: row or column indices repeat")
     shape = x.shape
 
     def bw(g: Array):
         gx = np.zeros(shape)
-        np.add.at(gx, np.ix_(ri, ci), g)
+        gx[np.ix_(ri, ci)] = g
         return (gx,)
 
     return _apply("permute_rc", (x,), np.ascontiguousarray(x.data[np.ix_(ri, ci)]), bw)

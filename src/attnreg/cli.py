@@ -213,8 +213,12 @@ def _cmd_grad_check(args) -> int:
     params = vit.init_params(cfg, rng)
     image = rng.random(size=(cfg.in_channels, cfg.grid.h * cfg.patch_size,
                              cfg.grid.w * cfg.patch_size))
-    view = sd.augment(image, gt.FLIP_H)
-    targets = Tensor((rng.random(cfg.num_classes) < 0.5).astype(np.float64))
+    labels = (rng.random(cfg.num_classes) < 0.5).astype(np.float64)
+    sample = sd.SyntheticSample(image=image, labels=labels,
+                                mask=np.zeros(image.shape[1:], dtype=np.int64),
+                                seed=(args.seed, 0))
+    # the consistency terms are checked even where the config weighs them 0
+    both_terms = replace(config, weights=replace(config.weights, alpha=1.0, beta=1.0))
 
     def with_param(name, build):
         def f(probe):
@@ -226,28 +230,20 @@ def _cmd_grad_check(args) -> int:
                             rng=np.random.default_rng(args.seed + 1))
         return float(err)
 
+    def training_loss(patched, train_config):
+        return tr._two_view_loss(sample, gt.FLIP_H, patched, train_config)
+
     def logit(patched):
         return vit.class_logit(vit.forward(image, patched, cfg), 0)
 
     def activation(patched):
-        ra, rb = vit.forward(image, patched, cfg), vit.forward(view, patched, cfg)
-        return reg.region_activation_loss([r.matrix for r in ra.attentions],
-                                          [r.matrix for r in rb.attentions],
-                                          gt.FLIP_H, cfg.grid, config.weights.distance)
+        return training_loss(patched, both_terms).l_act
 
     def affinity(patched):
-        ra, rb = vit.forward(image, patched, cfg), vit.forward(view, patched, cfg)
-        return reg.region_affinity_loss([r.matrix for r in ra.attentions],
-                                        [r.matrix for r in rb.attentions],
-                                        gt.FLIP_H, cfg.grid, config.weights.distance)
+        return training_loss(patched, both_terms).l_aff
 
     def total(patched):
-        ra, rb = vit.forward(image, patched, cfg), vit.forward(view, patched, cfg)
-        a = [r.matrix for r in ra.attentions]
-        b = [r.matrix for r in rb.attentions]
-        act = reg.region_activation_loss(a, b, gt.FLIP_H, cfg.grid, config.weights.distance)
-        aff = reg.region_affinity_loss(a, b, gt.FLIP_H, cfg.grid, config.weights.distance)
-        return reg.total_loss(ra.logits, rb.logits, targets, act, aff, config.weights).total
+        return training_loss(patched, config).total
 
     checks = {
         "class_logit/patch_embed.weight": with_param("patch_embed.weight", logit),

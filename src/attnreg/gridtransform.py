@@ -192,11 +192,10 @@ def token_permutation(transform: SpatialTransform, grid: GridShape) -> TokenPerm
     h, w = grid.h, grid.w
     coord = _COORD_MAPS[transform.kind]
     target = transform.target_grid(grid)
+    ii, jj = np.indices((h, w), dtype=np.intp)
+    ti, tj = coord(ii, jj, h, w)
     sigma = np.empty(grid.n, dtype=np.intp)
-    for i in range(h):
-        for j in range(w):
-            ti, tj = coord(i, j, h, w)
-            sigma[ti * target.w + tj] = i * w + j
+    sigma[(ti * target.w + tj).ravel()] = (ii * w + jj).ravel()
     return TokenPermutation(sigma, grid, target)
 
 

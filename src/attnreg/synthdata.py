@@ -272,23 +272,36 @@ def save_dataset(directory: os.PathLike | str, samples: list[SyntheticSample],
 
 
 def load_dataset(directory: os.PathLike | str) -> tuple[list[SyntheticSample], DatasetConfig]:
-    """Read a saved dataset; images come back uint8-quantized to [0, 1]."""
+    """Read a saved dataset; images come back uint8-quantized to [0, 1].
+    A malformed meta.json or index line -- bad JSON, a missing key, labels
+    not a 0/1 list of the dataset's num_classes -- raises ContractError."""
     root = Path(directory)
     meta = root / "meta.json"
     index = root / "index.jsonl"
     if not meta.is_file() or not index.is_file():
         raise ContractError(f"{root} is not a dataset directory "
                             "(missing meta.json or index.jsonl)")
-    config = DatasetConfig.from_dict(json.loads(meta.read_text()))
+    try:
+        config = DatasetConfig.from_dict(json.loads(meta.read_text()))
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ContractError(f"{meta}: malformed dataset metadata: {exc}") from exc
     samples = []
-    for line in index.read_text().splitlines():
-        rec = json.loads(line)
-        raw = netpbm.read_netpbm(root / rec["image"])
+    for lineno, line in enumerate(index.read_text().splitlines(), 1):
+        where = f"{index} line {lineno}"
+        try:
+            rec = json.loads(line)
+            image_path, mask_path = root / rec["image"], root / rec["mask"]
+            labels = np.asarray(rec["labels"], dtype=np.float64)
+            seed = tuple(int(v) for v in rec["seed"])
+        except (ValueError, TypeError, KeyError) as exc:
+            raise ContractError(f"{where}: malformed index record: {exc!r}") from exc
+        if labels.shape != (config.num_classes,) or not np.all((labels == 0) | (labels == 1)):
+            raise ContractError(f"{where}: labels must be {config.num_classes} values "
+                                f"in {{0, 1}}, got {rec['labels']!r}")
+        raw = netpbm.read_netpbm(image_path)
         if raw.ndim == 2:
             raw = raw[None, :, :]
         image = raw.astype(np.float64) / 255.0
-        mask = netpbm.read_netpbm(root / rec["mask"]).astype(np.int64)
-        labels = np.asarray(rec["labels"], dtype=np.float64)
-        samples.append(SyntheticSample(image=image, labels=labels, mask=mask,
-                                       seed=tuple(rec["seed"])))
+        mask = netpbm.read_netpbm(mask_path).astype(np.int64)
+        samples.append(SyntheticSample(image=image, labels=labels, mask=mask, seed=seed))
     return samples, config

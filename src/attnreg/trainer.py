@@ -4,6 +4,10 @@ Each step draws one sample and one augmentation, runs both views
 through the shared parameters on a fresh tape, backpropagates the
 weighted objective, and accumulates gradients across the batch before
 one (optionally momentum / polynomial-decay / norm-clipped) SGD update.
+When the augmented view keeps the sample's patch grid (flips, square
+rotations) both views run as one forward on a view axis; a view on
+another grid (resize, rot90 of a non-square grid) runs as a forward of
+its own.
 Determinism: all randomness flows from two seed-derived generators, one
 for init and one for the sampling loop.
 
@@ -208,26 +212,29 @@ def _two_view_loss(sample: sd.SyntheticSample, transform: SpatialTransform,
     view_b = sd.augment(sample.image, transform, cell_pixels=cfg.patch_size)
     if snapshot is not None:
         snapshot["view_a"], snapshot["view_b"] = sample.image, view_b
-    res_a = vit.forward(sample.image, params, cfg)
-    if snapshot is not None:
-        snapshot.update({f"attention_a_{r.layer}": r.matrix.data for r in res_a.attentions})
-    res_b = vit.forward(view_b, params, cfg)
-    if snapshot is not None:
-        snapshot.update({f"attention_b_{r.layer}": r.matrix.data for r in res_b.attentions})
     lo, hi = _loss_layer_slice(config)
-    zero = Tensor(0.0)
-    act = aff = zero
-    if config.weights.alpha != 0.0 or config.weights.beta != 0.0:
-        a = [rec.matrix for rec in res_a.attentions[lo:hi]]
-        ap = [rec.matrix for rec in res_b.attentions[lo:hi]]
-        if config.weights.alpha != 0.0:
-            act = reg.region_activation_loss(a, ap, transform, res_a.grid,
-                                             config.weights.distance)
-        if config.weights.beta != 0.0:
-            aff = reg.region_affinity_loss(a, ap, transform, res_a.grid,
-                                           config.weights.distance)
-    return reg.total_loss(res_a.logits, res_b.logits, sample.labels, act, aff,
-                          config.weights)
+    consistency = config.weights.alpha != 0.0 or config.weights.beta != 0.0
+    # per view: logits, loss-layer attention tensors, every layer's attention values
+    if view_b.shape == sample.image.shape:
+        # same grid: both views in one forward, on a leading view axis
+        res = vit.forward(np.stack([sample.image, view_b]), params, cfg)
+        views = [(ad.pick(res.logits, v),
+                  [ad.pick(r.matrix, v) for r in res.attentions[lo:hi]] if consistency else [],
+                  [r.matrix.data[v] for r in res.attentions]) for v in (0, 1)]
+    else:
+        res, res_b = (vit.forward(image, params, cfg) for image in (sample.image, view_b))
+        views = [(r.logits, [rec.matrix for rec in r.attentions[lo:hi]],
+                  [rec.matrix.data for rec in r.attentions]) for r in (res, res_b)]
+    if snapshot is not None:
+        for tag, (_, _, matrices) in zip("ab", views):
+            snapshot.update({f"attention_{tag}_{i}": m for i, m in enumerate(matrices)})
+    (logits_a, a, _), (logits_b, ap, _) = views
+    act = aff = Tensor(0.0)
+    if config.weights.alpha != 0.0:
+        act = reg.region_activation_loss(a, ap, transform, res.grid, config.weights.distance)
+    if config.weights.beta != 0.0:
+        aff = reg.region_affinity_loss(a, ap, transform, res.grid, config.weights.distance)
+    return reg.total_loss(logits_a, logits_b, sample.labels, act, aff, config.weights)
 
 
 def _dump_divergence(out_dir: Path | None, epoch: int, step: int,
@@ -353,8 +360,7 @@ def image_localization_data(image: np.ndarray, classes, params: dict[str, Tensor
     adjoints_by_class: dict[int, list[np.ndarray]] = {}
     for k in classes:
         for rec in res.attentions:
-            for head in rec.heads:
-                head.zero_grad()
+            rec.heads.zero_grad()
         tape.backward(res.logits, seed=np.eye(cfg.num_classes)[k])
         adjoints_by_class[k] = vit.attention_adjoints(res, k)
     return lc.ImageLocalizationData(adjoints_by_class=adjoints_by_class,

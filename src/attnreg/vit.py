@@ -1,15 +1,24 @@
 """A mini vision transformer built on the tape engine.
 
 Pre-norm blocks: x += Attn(LN(x)); x += MLP(LN(x)). Attention per head
-is softmax(Q K^T / sqrt(d_head)); the per-layer record holds the
-head-averaged post-softmax matrix as a live tape node, so consistency
-losses computed on it propagate exact gradients back into the heads.
-The record's ``adjoint`` is the summed per-head gradient -- the
-sensitivity of the loss to a common additive shift of all heads, i.e.
-the total derivative with respect to the average when each head is
-written as average + offset. That is what the gradient-based
-localization maps consume (their max-normalization makes any constant
-factor irrelevant).
+is softmax(Q K^T / sqrt(d_head)).
+
+One forward runs one (C, H, W) image, or a (V, C, H, W) stack of views
+that share a patch grid (the two views of a training sample), through
+the same ops: tokens are (n+1, d), or (V, n+1, d) with a leading view
+axis, and every layer splits its queries, keys and values onto a head
+axis, so all heads of all views run as one (V, H, n+1, n+1) attention
+stack. Outputs keep the view axis: logits (V, classes) and attention
+records (V, n+1, n+1); a single image has neither axis.
+
+The per-layer record holds the head-averaged post-softmax matrix as a
+live tape node, so consistency losses computed on it propagate exact
+gradients back into the heads. The record's ``adjoint`` is the sum over
+the head axis of the retained per-head gradient -- the sensitivity of
+the loss to a common additive shift of all heads, i.e. the total
+derivative with respect to the average when each head is written as
+average + offset. That is what the gradient-based localization maps
+consume (their max-normalization makes any constant factor irrelevant).
 
 Parameters live in a plain ordered dict name -> Tensor, which is also
 the checkpoint serialization unit.
@@ -85,46 +94,46 @@ class ViTConfig:
 
 @dataclass
 class AttentionRecord:
-    """Head-averaged post-softmax attention of one layer, (n+1) x (n+1).
+    """Head-averaged post-softmax attention of one layer, (n+1) x (n+1),
+    with a leading view axis when the forward ran a stack of views.
 
-    ``matrix`` is a tape node (losses on it reach the parameters).
-    After a backward pass on this record's tape, ``adjoint`` carries the
-    summed per-head gradient: d(loss)/d(common shift of all heads)."""
+    ``matrix`` is a tape node (losses on it reach the parameters);
+    ``heads`` is the per-head stack it averages, (..., H, n+1, n+1),
+    retained by backward. After a backward pass on this record's tape,
+    ``adjoint`` is its gradient summed over the head axis:
+    d(loss)/d(common shift of all heads)."""
 
     layer: int
     matrix: Tensor
-    heads: tuple[Tensor, ...]
+    heads: Tensor
 
     @property
     def adjoint(self) -> np.ndarray | None:
-        grads = [h.grad for h in self.heads]
-        if any(g is None for g in grads):
-            return None
-        total = grads[0].copy()
-        for g in grads[1:]:
-            total += g
-        return total
+        grad = self.heads.grad
+        return None if grad is None else grad.sum(axis=-3)
 
 
 @dataclass
 class ForwardResult:
-    logits: Tensor  # (num_classes,)
+    logits: Tensor  # (num_classes,), or (V, num_classes) for a stack of views
     attentions: list[AttentionRecord]
     grid: GridShape  # grid the image was patchified on
 
 
 def patchify(image: np.ndarray, patch_size: int) -> np.ndarray:
-    """(C, H, W) image -> (n, C*p*p) rows of flattened patches, row-major
-    patch order; channel-major layout inside each row."""
+    """(..., C, H, W) image -> (..., n, C*p*p) rows of flattened patches,
+    row-major patch order; channel-major layout inside each row."""
     image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 3:
+    if image.ndim < 3:
         raise DimensionError(f"expected a (C, H, W) image, got shape {image.shape}")
-    c, h, w = image.shape
+    *lead, c, h, w = image.shape
     if h % patch_size or w % patch_size:
         raise DimensionError(f"image {h}x{w} not divisible by patch size {patch_size}")
     gh, gw = h // patch_size, w // patch_size
-    tiles = image.reshape(c, gh, patch_size, gw, patch_size)
-    return np.ascontiguousarray(tiles.transpose(1, 3, 0, 2, 4).reshape(gh * gw, -1))
+    tiles = image.reshape(*lead, c, gh, patch_size, gw, patch_size)
+    b = len(lead)
+    order = (*range(b), b + 1, b + 3, b, b + 2, b + 4)
+    return np.ascontiguousarray(tiles.transpose(order).reshape(*lead, gh * gw, -1))
 
 
 def init_params(config: ViTConfig, rng: np.random.Generator) -> dict[str, Tensor]:
@@ -178,59 +187,50 @@ def _positional_rows(params: dict[str, Tensor], config: ViTConfig, grid: GridSha
     return ad.concat([cls_row, patch_rows], axis=0)
 
 
-def forward(image: np.ndarray, params: dict[str, Tensor], config: ViTConfig) -> ForwardResult:
-    """Run the model on one (C, H, W) image. Record ops on the active tape
-    if there is one; otherwise this is a pure inference pass."""
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 3 or image.shape[0] != config.in_channels:
-        raise DimensionError(f"expected ({config.in_channels}, H, W) image, got {image.shape}")
-    grid = GridShape(image.shape[1] // config.patch_size, image.shape[2] // config.patch_size)
-    patches = Tensor(patchify(image, config.patch_size))
+def forward(images: np.ndarray, params: dict[str, Tensor], config: ViTConfig) -> ForwardResult:
+    """Run the model on one (C, H, W) image, or on a (V, C, H, W) stack of
+    views on one grid in a single pass. Record ops on the active tape if
+    there is one; otherwise this is a pure inference pass."""
+    images = np.asarray(images, dtype=np.float64)
+    if images.ndim not in (3, 4) or images.shape[-3] != config.in_channels:
+        raise DimensionError(f"expected a ({config.in_channels}, H, W) image or a stack of "
+                             f"them, got {images.shape}")
+    grid = GridShape(images.shape[-2] // config.patch_size, images.shape[-1] // config.patch_size)
+    patches = Tensor(patchify(images, config.patch_size))
 
-    x = ad.add_bias(ad.matmul(patches, params["patch_embed.weight"]), params["patch_embed.bias"])
-    x = ad.concat([params["cls_token"], x], axis=0)  # (n+1, d)
+    def linear(x: Tensor, name: str, bias: str) -> Tensor:
+        return ad.add_bias(ad.matmul(x, params[name]), params[bias])
+
+    x = linear(patches, "patch_embed.weight", "patch_embed.bias")
+    x = ad.concat([params["cls_token"], x], axis=0)  # (..., n+1, d)
     if config.use_positional_embedding:
         x = ad.add(x, _positional_rows(params, config, grid))
 
-    heads, dh = config.num_heads, config.head_dim
-    scale = 1.0 / np.sqrt(dh)
+    heads = config.num_heads
+    scale = 1.0 / np.sqrt(config.head_dim)
     records: list[AttentionRecord] = []
 
     for i in range(config.num_layers):
         p = f"blocks.{i}."
         h = ad.layer_norm(x, params[p + "ln1.gain"], params[p + "ln1.bias"])
-        q = ad.add_bias(ad.matmul(h, params[p + "attn.wq"]), params[p + "attn.bq"])
-        k = ad.add_bias(ad.matmul(h, params[p + "attn.wk"]), params[p + "attn.bk"])
-        v = ad.add_bias(ad.matmul(h, params[p + "attn.wv"]), params[p + "attn.bv"])
-        per_head = []
-        values = []
-        for j in range(heads):
-            qj = ad.slice2d(q, None, None, j * dh, (j + 1) * dh)
-            kj = ad.slice2d(k, None, None, j * dh, (j + 1) * dh)
-            values.append(ad.slice2d(v, None, None, j * dh, (j + 1) * dh))
-            attn_j = ad.softmax_rows(ad.mul(ad.matmul(qj, ad.transpose(kj)), scale))
-            attn_j.retain_grad()
-            per_head.append(attn_j)
-        if heads == 1:
-            averaged = per_head[0]
-        else:
-            acc = per_head[0]
-            for j in range(1, heads):
-                acc = ad.add(acc, per_head[j])
-            averaged = ad.mul(acc, 1.0 / heads)
-        records.append(AttentionRecord(layer=i, matrix=averaged, heads=tuple(per_head)))
-        outs = [ad.matmul(per_head[j], values[j]) for j in range(heads)]
-        merged = outs[0] if heads == 1 else ad.concat(outs, axis=1)
-        x = ad.add(x, ad.add_bias(ad.matmul(merged, params[p + "attn.wo"]), params[p + "attn.bo"]))
+        # the 1/sqrt(d_head) scale goes on the queries, not the (n+1)^2 scores
+        q = ad.split_heads(ad.mul(linear(h, p + "attn.wq", p + "attn.bq"), scale), heads)
+        k_t = ad.transpose(ad.split_heads(linear(h, p + "attn.wk", p + "attn.bk"), heads))
+        v = ad.split_heads(linear(h, p + "attn.wv", p + "attn.bv"), heads)
+        per_head = ad.softmax_rows(ad.matmul(q, k_t))  # (..., H, n+1, n+1)
+        per_head.retain_grad()
+        records.append(AttentionRecord(layer=i, matrix=ad.mean(per_head, axis=-3),
+                                       heads=per_head))
+        merged = ad.merge_heads(ad.matmul(per_head, v))
+        x = ad.add(x, linear(merged, p + "attn.wo", p + "attn.bo"))
         h2 = ad.layer_norm(x, params[p + "ln2.gain"], params[p + "ln2.bias"])
-        m = ad.gelu(ad.add_bias(ad.matmul(h2, params[p + "mlp.w1"]), params[p + "mlp.b1"]))
-        m = ad.add_bias(ad.matmul(m, params[p + "mlp.w2"]), params[p + "mlp.b2"])
+        m = linear(ad.gelu(linear(h2, p + "mlp.w1", p + "mlp.b1")), p + "mlp.w2", p + "mlp.b2")
         x = ad.add(x, m)
 
     x = ad.layer_norm(x, params["final_ln.gain"], params["final_ln.bias"])
     cls = ad.slice2d(x, 0, 1, None, None)
-    logits = ad.reshape(ad.add_bias(ad.matmul(cls, params["head.weight"]), params["head.bias"]),
-                        (config.num_classes,))
+    logits = ad.reshape(linear(cls, "head.weight", "head.bias"),
+                        images.shape[:-3] + (config.num_classes,))
     return ForwardResult(logits=logits, attentions=records, grid=grid)
 
 
@@ -243,7 +243,7 @@ def attention_adjoints(result: ForwardResult, class_index: int) -> list[np.ndarr
     """Per-layer d(y^c)/d(attention) buffers. Requires that the caller
     already ran backward from class_logit(result, class_index), or from the
     logits seeded with its one-hot row; raises StateError otherwise."""
-    if not 0 <= class_index < result.logits.shape[0]:
+    if not 0 <= class_index < result.logits.shape[-1]:
         raise ContractError(f"class index {class_index} out of range")
     adjoints = []
     for rec in result.attentions:
@@ -282,8 +282,8 @@ def save_checkpoint(path, params: dict[str, Tensor], config: ViTConfig) -> None:
 
 def load_checkpoint(path) -> tuple[dict[str, Tensor], ViTConfig]:
     """Inverse of save_checkpoint. A malformed file -- short, with a bad
-    config blob, or with a tensor missing, extra or shaped unlike the
-    layout its config implies -- raises ContractError."""
+    config blob, with a tensor missing, extra or shaped unlike the layout
+    its config implies, or holding NaN or Inf -- raises ContractError."""
     raw = Path(path).read_bytes()
     pos = 0
 
@@ -312,6 +312,8 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], ViTConfig]:
             if layout.get(name) != shape or name in params:
                 raise ContractError(f"{path}: unexpected tensor {name!r} of shape {shape}")
             data = np.frombuffer(take(8 * int(np.prod(shape, dtype=np.int64))), dtype="<f8")
+            if not np.all(np.isfinite(data)):
+                raise ContractError(f"{path}: tensor {name!r} holds NaN or Inf")
             params[name] = Tensor(data.astype(np.float64).reshape(shape), requires_grad=True)
     except (ValueError, TypeError, KeyError) as exc:
         raise ContractError(f"{path}: malformed checkpoint: {exc}") from exc

@@ -217,6 +217,12 @@ class TestShapeContracts:
         with pytest.raises(DimensionError):
             ad.concat([Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4)))], axis=0)
 
+    def test_permute_rc_rejects_repeated_indices(self):
+        x = Tensor(np.ones((3, 3)))
+        for rows, cols in (([0, 0], [1, 2]), ([0, 1], [2, 2, 0])):
+            with pytest.raises(ContractError):
+                ad.permute_rc(x, rows, cols)
+
     def test_pick_bounds(self):
         with pytest.raises(ContractError):
             ad.pick(Tensor([1.0, 2.0]), 2)

@@ -2,6 +2,8 @@
 main() with argv lists, JSON captured from stdout, exit codes asserted."""
 
 import json
+import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -171,6 +173,32 @@ class TestEval:
         rc = cli.main(["eval", "--checkpoint", str(cut), "--data", str(dataset_dir)])
         assert rc == 1
         assert "truncated" in capsys.readouterr().err
+
+    def test_nan_in_checkpoint_exits_1(self, trained_dir, dataset_dir, tmp_path, capsys):
+        whole = (trained_dir / "checkpoint.ckpt").read_bytes()
+        bad = tmp_path / "nan.ckpt"
+        bad.write_bytes(whole[:-8] + struct.pack("<d", float("nan")))
+        rc = cli.main(["eval", "--checkpoint", str(bad), "--data", str(dataset_dir)])
+        assert rc == 1
+        assert "NaN or Inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cut", ["short_index", "long_labels"])
+    def test_malformed_dataset_exits_1(self, trained_dir, dataset_dir, tmp_path, capsys, cut):
+        data = tmp_path / "ds"
+        shutil.copytree(dataset_dir, data)
+        index = data / "index.jsonl"
+        if cut == "short_index":
+            index.write_bytes(index.read_bytes()[:-30])
+        else:
+            lines = index.read_text().splitlines()
+            rec = json.loads(lines[0])
+            rec["labels"] = rec["labels"] + [1]
+            index.write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
+        rc = cli.main(["eval", "--checkpoint", str(trained_dir / "checkpoint.ckpt"),
+                       "--data", str(data)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "attnreg: error:" in err and "Traceback" not in err
 
 
 class TestSeeds:

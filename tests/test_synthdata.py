@@ -1,6 +1,8 @@
 """Synthetic dataset: determinism, label/mask consistency, augmentation
 exactness against per-pixel coordinate oracles, and disk roundtrips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -235,3 +237,53 @@ class TestPersistence:
     def test_non_dataset_dir_rejected(self, tmp_path):
         with pytest.raises(ContractError):
             sd.load_dataset(tmp_path)
+
+
+class TestMalformedIndex:
+    """Every malformed index record or metadata file is a ContractError."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        cfg = sd.DatasetConfig(num_samples=3, num_classes=3, seed=16, height=16, width=16)
+        sd.save_dataset(tmp_path / "ds", sd.generate(cfg), cfg)
+        return tmp_path / "ds"
+
+    def rewrite_first(self, root, change):
+        index = root / "index.jsonl"
+        lines = index.read_text().splitlines()
+        lines[0] = change(json.loads(lines[0]))
+        index.write_text("\n".join(lines) + "\n")
+
+    def test_index_cut_short(self, saved):
+        index = saved / "index.jsonl"
+        index.write_bytes(index.read_bytes()[:-30])
+        with pytest.raises(ContractError, match="line 3"):
+            sd.load_dataset(saved)
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '"text"', "7", "{}"])
+    def test_record_not_an_object_with_keys(self, saved, line):
+        self.rewrite_first(saved, lambda rec: line)
+        with pytest.raises(ContractError, match="line 1"):
+            sd.load_dataset(saved)
+
+    @pytest.mark.parametrize("key", ["image", "mask", "labels", "seed"])
+    def test_missing_key(self, saved, key):
+        self.rewrite_first(saved, lambda rec: json.dumps({k: v for k, v in rec.items()
+                                                          if k != key}))
+        with pytest.raises(ContractError, match="line 1"):
+            sd.load_dataset(saved)
+
+    @pytest.mark.parametrize("labels", [[1, 0], [1, 0, 1, 0], [1, 2, 0], [0.5, 0, 1],
+                                        "abc", [[1, 0, 1]]])
+    def test_labels_checked_against_num_classes(self, saved, labels):
+        self.rewrite_first(saved, lambda rec: json.dumps({**rec, "labels": labels}))
+        with pytest.raises(ContractError):
+            sd.load_dataset(saved)
+
+    def test_bad_meta(self, saved):
+        (saved / "meta.json").write_text('{"num_samples": 3, "colour": 1}')
+        with pytest.raises(ContractError):
+            sd.load_dataset(saved)
+        (saved / "meta.json").write_text("{not json")
+        with pytest.raises(ContractError):
+            sd.load_dataset(saved)

@@ -259,6 +259,14 @@ class TestCheckpoint:
         with pytest.raises(ContractError):
             vit.load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_is_a_contract_error(self, tmp_path, value):
+        path, _, _ = self.small_checkpoint(tmp_path)
+        whole = path.read_bytes()
+        path.write_bytes(whole[:-8] + struct.pack("<d", value))
+        with pytest.raises(ContractError, match="NaN or Inf"):
+            vit.load_checkpoint(path)
+
     def test_load_params_into_checks_shapes(self):
         cfg = tiny_config()
         params = vit.init_params(cfg, np.random.default_rng(0))
