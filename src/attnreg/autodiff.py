@@ -21,9 +21,18 @@ Conventions:
 * binary elementwise ops broadcast a scalar, or an operand shaped like
   the other's trailing axes (a shared table over a batch); any other
   shape mismatch raises DimensionError. Fused ops (layer_norm,
-  add_bias, scale_rows, ...) own their internal broadcasting;
+  add_bias, scale_rows_to_sums, ...) own their internal broadcasting;
 * every op output is checked for NaN/Inf and rejected with
   NumericalError;
+* an op output requires grad when any of its inputs does. The reverse
+  sweep computes a gradient only for tensors that require grad: an op
+  returns None for an operand that does not, and a node none of whose
+  inputs requires grad is not swept at all;
+* backward stores ``.grad`` only in leaves (tensors no op on the tape
+  produced) that require grad, and in tensors marked ``retain_grad()``;
+  every other intermediate keeps ``.grad is None``. ``retain_grad()``
+  also sets ``requires_grad``, so ops recorded after it carry its
+  gradient even when no trainable leaf sits below it;
 * gradients accumulate: running backward twice (on two tapes) adds
   into ``.grad``; callers zero grads between optimizer steps.
 
@@ -77,8 +86,12 @@ class Tensor:
         return self.data.size
 
     def retain_grad(self) -> "Tensor":
-        """Ask backward() to populate .grad even though this is an intermediate."""
+        """Ask backward() to store this tensor's gradient in .grad even though
+        it is an intermediate. Also sets requires_grad, so ops recorded after
+        this call carry the gradient back to it; call it before the tensor
+        is used."""
         self._retain = True
+        self.requires_grad = True
         return self
 
     def zero_grad(self) -> None:
@@ -179,8 +192,10 @@ class Tape:
         self.nodes.append(node)
 
     def backward(self, loss: Tensor, seed: Array | None = None) -> None:
-        """Accumulate d(loss)/d(x) into x.grad for every recorded tensor x
-        that requires grad or was marked retain_grad().
+        """Accumulate d(loss)/d(x) into x.grad for every leaf x that requires
+        grad and every tensor x marked retain_grad(). No other tensor gets a
+        .grad, and no gradient is computed for a tensor that does not
+        require grad.
 
         With ``seed``, an adjoint shaped like ``loss`` (then not necessarily
         a scalar), the sweep starts from it instead of ones and leaves the
@@ -204,14 +219,16 @@ class Tape:
         holders: dict[int, Tensor] = {id(loss): loss}
 
         def flush(t: Tensor, g: Array) -> None:
-            if t.requires_grad or t._retain:
-                t.grad = g.copy() if t.grad is None else t.grad + g
+            t.grad = g.copy() if t.grad is None else t.grad + g
 
         for node in reversed(self.nodes):
             g = acc.pop(id(node.output), None)
             if g is None:
                 continue
-            flush(node.output, g)
+            if node.output._retain:
+                flush(node.output, g)
+            if not any(inp.requires_grad for inp in node.inputs):
+                continue
             grads = node.backward(g)
             if len(grads) != len(node.inputs):
                 raise ContractError(f"{node.op}: backward returned {len(grads)} grads "
@@ -229,7 +246,8 @@ class Tape:
                     acc[key] = gi
                     holders[key] = inp
 
-        # whatever is left never appears as a node output: these are the leaves
+        # whatever is left never appears as a node output: these are the
+        # leaves, and only those that require grad got a gradient
         for key, g in acc.items():
             flush(holders[key], g)
 
@@ -306,7 +324,8 @@ def add(a, b) -> Tensor:
     _check_pair("add", a, b)
 
     def bw(g: Array):
-        return _reduce_to(g, a.shape), _reduce_to(g, b.shape)
+        return (_reduce_to(g, a.shape) if a.requires_grad else None,
+                _reduce_to(g, b.shape) if b.requires_grad else None)
 
     return _apply("add", (a, b), a.data + b.data, bw)
 
@@ -316,7 +335,8 @@ def sub(a, b) -> Tensor:
     _check_pair("sub", a, b)
 
     def bw(g: Array):
-        return _reduce_to(g, a.shape), _reduce_to(-g, b.shape)
+        return (_reduce_to(g, a.shape) if a.requires_grad else None,
+                _reduce_to(-g, b.shape) if b.requires_grad else None)
 
     return _apply("sub", (a, b), a.data - b.data, bw)
 
@@ -327,7 +347,8 @@ def mul(a, b) -> Tensor:
     ad, bd = a.data, b.data
 
     def bw(g: Array):
-        return _reduce_to(g * bd, a.shape), _reduce_to(g * ad, b.shape)
+        return (_reduce_to(g * bd, a.shape) if a.requires_grad else None,
+                _reduce_to(g * ad, b.shape) if b.requires_grad else None)
 
     return _apply("mul", (a, b), ad * bd, bw)
 
@@ -340,7 +361,8 @@ def div(a, b) -> Tensor:
         out = ad / bd  # zeros in b surface as NumericalError via the output check
 
     def bw(g: Array):
-        return _reduce_to(g / bd, a.shape), _reduce_to(-g * ad / (bd * bd), b.shape)
+        return (_reduce_to(g / bd, a.shape) if a.requires_grad else None,
+                _reduce_to(-g * ad / (bd * bd), b.shape) if b.requires_grad else None)
 
     return _apply("div", (a, b), out, bw)
 
@@ -372,7 +394,9 @@ def matmul(a, b) -> Tensor:
     ad, bd = a.data, b.data
 
     def bw(g: Array):
-        ga = g @ np.swapaxes(bd, -1, -2)
+        ga = g @ np.swapaxes(bd, -1, -2) if a.requires_grad else None
+        if not b.requires_grad:
+            return ga, None
         if bd.ndim == 2:  # one product over all rows of all batch entries
             return ga, ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
         return ga, np.swapaxes(ad, -1, -2) @ g
@@ -399,22 +423,10 @@ def add_bias(x, b) -> Tensor:
         raise DimensionError(f"add_bias: expected x (...,m,d) and b (1,d), got {x.shape} and {b.shape}")
 
     def bw(g: Array):
-        return g, _sum_rows_of(g, g.shape[-1])
+        return (g if x.requires_grad else None,
+                _sum_rows_of(g, g.shape[-1]) if b.requires_grad else None)
 
     return _apply("add_bias", (x, b), x.data + b.data, bw)
-
-
-def scale_rows(x, s) -> Tensor:
-    """x: (m, k), s: (m, 1). Multiplies row i of x by s[i]."""
-    x, s = _as_tensor(x), _as_tensor(s)
-    if x.ndim != 2 or s.shape != (x.shape[0], 1):
-        raise DimensionError(f"scale_rows: expected x (m,k) and s (m,1), got {x.shape} and {s.shape}")
-    xd, sd = x.data, s.data
-
-    def bw(g: Array):
-        return g * sd, (g * xd).sum(axis=1, keepdims=True)
-
-    return _apply("scale_rows", (x, s), xd * sd, bw)
 
 
 def scale_rows_to_sums(x, target, eps: float = 1e-12) -> Tensor:
@@ -432,8 +444,9 @@ def scale_rows_to_sums(x, target, eps: float = 1e-12) -> Tensor:
 
     def bw(g: Array):
         inner = (g * xd).sum(axis=1, keepdims=True)
-        gx = g * factor - np.where(live, td / (safe_r * safe_r), 0.0) * inner
-        gt = np.where(live, inner / safe_r, 0.0)
+        gx = (g * factor - np.where(live, td / (safe_r * safe_r), 0.0) * inner
+              if x.requires_grad else None)
+        gt = np.where(live, inner / safe_r, 0.0) if target.requires_grad else None
         return gx, gt
 
     return _apply("scale_rows_to_sums", (x, target), xd * factor, bw)
@@ -441,16 +454,6 @@ def scale_rows_to_sums(x, target, eps: float = 1e-12) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # unary nonlinearities
-
-
-def relu(x) -> Tensor:
-    x = _as_tensor(x)
-    mask = x.data > 0.0
-
-    def bw(g: Array):
-        return (g * mask,)
-
-    return _apply("relu", (x,), np.where(mask, x.data, 0.0), bw)
 
 
 def gelu(x) -> Tensor:
@@ -524,11 +527,13 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     gd = gain.data
 
     def bw(g: Array):
-        ggain = _sum_rows_of(g * xhat, d)
-        gbias = _sum_rows_of(g, d)
-        gg = g * gd
-        gx = inv * (gg - gg.sum(axis=-1, keepdims=True) / d
-                    - xhat * (gg * xhat).sum(axis=-1, keepdims=True) / d)
+        ggain = _sum_rows_of(g * xhat, d) if gain.requires_grad else None
+        gbias = _sum_rows_of(g, d) if bias.requires_grad else None
+        gx = None
+        if x.requires_grad:
+            gg = g * gd
+            gx = inv * (gg - gg.sum(axis=-1, keepdims=True) / d
+                        - xhat * (gg * xhat).sum(axis=-1, keepdims=True) / d)
         return gx, ggain, gbias
 
     return _apply("layer_norm", (x, gain, bias), xhat * gd + bias.data, bw)
@@ -579,7 +584,8 @@ def abs_mean(a, b) -> Tensor:
 
     def bw(g: Array):
         ga = float(g) / n * sign
-        return _reduce_to(ga, a.shape), _reduce_to(-ga, b.shape)
+        return (_reduce_to(ga, a.shape) if a.requires_grad else None,
+                _reduce_to(-ga, b.shape) if b.requires_grad else None)
 
     return _apply("abs_mean", (a, b), np.asarray(np.abs(d).mean()), bw)
 
@@ -600,7 +606,8 @@ def smooth_l1_mean(a, b, delta: float = 1.0) -> Tensor:
     def bw(g: Array):
         slope = np.where(inside, d, delta * np.sign(d))
         ga = float(g) / n * slope
-        return _reduce_to(ga, a.shape), _reduce_to(-ga, b.shape)
+        return (_reduce_to(ga, a.shape) if a.requires_grad else None,
+                _reduce_to(-ga, b.shape) if b.requires_grad else None)
 
     return _apply("smooth_l1_mean", (a, b), np.asarray(elems.mean()), bw)
 
@@ -616,7 +623,8 @@ def bce_with_logits(logits, targets) -> Tensor:
     s = _stable_sigmoid(zd)
 
     def bw(g: Array):
-        return float(g) / n * (s - td), float(g) / n * (-zd)
+        return (float(g) / n * (s - td) if z.requires_grad else None,
+                float(g) / n * (-zd) if t.requires_grad else None)
 
     return _apply("bce_with_logits", (z, t), np.asarray(elems.mean()), bw)
 
@@ -663,8 +671,8 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
 
     def bw(g: Array):
         pieces = np.split(g, splits, axis=along)
-        return tuple(_reduce_to(np.ascontiguousarray(piece), p.shape)
-                     for piece, p in zip(pieces, parts))
+        return tuple(_reduce_to(np.ascontiguousarray(piece), p.shape) if p.requires_grad
+                     else None for piece, p in zip(pieces, parts))
 
     out = np.concatenate([np.broadcast_to(p.data, batch + p.shape[-2:]) for p in parts],
                          axis=along)
@@ -782,10 +790,10 @@ def grad_check(f, x: Tensor, step: float = 1e-5, max_coords: int | None = None,
     by absolute finite-difference noise instead of blowing up the ratio.
 
     f must be deterministic and smooth at x; coordinates sitting on kinks
-    (relu, |.|) should be excluded by the caller via the boolean mask
-    `exclude` or by sampling x away from them. `max_coords` limits the
-    check to a random coordinate subset (seeded through `rng`) for big
-    tensors.
+    (abs_mean where a == b) should be excluded by the caller via the
+    boolean mask `exclude` or by sampling x away from them. `max_coords`
+    limits the check to a random coordinate subset (seeded through `rng`)
+    for big tensors.
     """
     base = np.array(x.data, dtype=np.float64, copy=True)
     probe = Tensor(base.copy(), requires_grad=True)

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import netpbm
+from .atomicio import write_text_atomic
 from .errors import ContractError, DimensionError
 from .gridtransform import SpatialTransform, TransformKind, bilinear_matrix
 
@@ -249,7 +250,8 @@ def _quantize(image: np.ndarray) -> np.ndarray:
 
 def save_dataset(directory: os.PathLike | str, samples: list[SyntheticSample],
                  config: DatasetConfig) -> None:
-    """Write images (P6/P5), masks (P5) and a JSON-lines index."""
+    """Write images (P6/P5), masks (P5), a JSON-lines index and meta.json;
+    the index and meta.json are replaced atomically."""
     root = Path(directory)
     (root / "images").mkdir(parents=True, exist_ok=True)
     (root / "masks").mkdir(parents=True, exist_ok=True)
@@ -267,8 +269,9 @@ def save_dataset(directory: os.PathLike | str, samples: list[SyntheticSample],
         lines.append(json.dumps({"index": i, "image": img_rel, "mask": mask_rel,
                                  "labels": [int(v) for v in s.labels],
                                  "seed": list(s.seed)}, sort_keys=True))
-    (root / "index.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""))
-    (root / "meta.json").write_text(json.dumps(config.to_dict(), sort_keys=True, indent=2) + "\n")
+    write_text_atomic(root / "index.jsonl", "\n".join(lines) + ("\n" if lines else ""))
+    write_text_atomic(root / "meta.json",
+                      json.dumps(config.to_dict(), sort_keys=True, indent=2) + "\n")
 
 
 def load_dataset(directory: os.PathLike | str) -> tuple[list[SyntheticSample], DatasetConfig]:

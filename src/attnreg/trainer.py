@@ -11,12 +11,19 @@ its own.
 Determinism: all randomness flows from two seed-derived generators, one
 for init and one for the sampling loop.
 
+A training backward stores ``.grad`` in the parameters (the leaves that
+require grad) and in the retained per-head attention stacks, and in no
+other tensor of the two-view loss.
+
 Evaluation runs one forward per image on one tape, then one seeded
 reverse sweep per present class (clearing the retained attention grads
-in between, so adjoints never mix). It builds per-class localization
-maps, scores every background threshold in one pass, and can fan image
-processing out over threads: parameters are wrapped in no-grad views,
-so worker tapes never write shared state.
+in between, so adjoints never mix). The parameters are wrapped once per
+call in no-grad views, so worker tapes never write shared state and a
+sweep computes no parameter gradient: it stores only the retained heads'
+gradients and stops at the first layer's attention, below which nothing
+requires grad. It builds per-class localization maps, scores every
+background threshold in one pass, and can fan image processing out over
+threads.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from . import metrics as mt
 from . import regularizer as reg
 from . import synthdata as sd
 from . import vit
+from .atomicio import write_text_atomic
 from .autodiff import Tape, Tensor
 from .errors import ContractError, NumericalError
 from .gridtransform import FLIP_H, GridShape, SpatialTransform
@@ -256,7 +264,8 @@ def _global_norm(grads: list[np.ndarray]) -> float:
 def train(config: TrainConfig, samples: list[sd.SyntheticSample],
           out_dir=None) -> TrainResult:
     """Run the Siamese loop; returns trained parameters and the per-epoch
-    log. With out_dir set, writes checkpoint.ckpt and log.jsonl there."""
+    log. With out_dir set, writes checkpoint.ckpt, log.jsonl and
+    train_config.txt there, each replaced atomically."""
     if not samples:
         raise ContractError("training needs a nonempty dataset")
     if any(s.labels.shape != (config.vit.num_classes,) for s in samples):
@@ -339,22 +348,29 @@ def train(config: TrainConfig, samples: list[sd.SyntheticSample],
         checkpoint_path = out_path / "checkpoint.ckpt"
         log_path = out_path / "log.jsonl"
         vit.save_checkpoint(checkpoint_path, params, config.vit)
-        log_path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in log))
-        (out_path / "train_config.txt").write_text(format_train_config(config))
+        write_text_atomic(log_path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in log))
+        write_text_atomic(out_path / "train_config.txt", format_train_config(config))
     return TrainResult(params=params, config=config, log=log,
                        checkpoint_path=checkpoint_path, log_path=log_path)
 
 
 # -- evaluation -----------------------------------------------------------------
 
+def _no_grad_views(params: dict[str, Tensor]) -> dict[str, Tensor]:
+    """Parameters that require grad wrapped as no-grad views of the same
+    data; the others are passed through as they are."""
+    return {name: Tensor(p.data) if p.requires_grad else p for name, p in params.items()}
+
+
 def image_localization_data(image: np.ndarray, classes, params: dict[str, Tensor],
                             cfg: ViTConfig, gt_mask=None) -> lc.ImageLocalizationData:
     """One forward on one tape, then per class in `classes` one reverse
     sweep seeded with its one-hot logit adjoint, after clearing the head
-    grads. Parameters are wrapped as no-grad views: nothing shared is written."""
+    grads. Parameters that require grad are wrapped as no-grad views:
+    nothing shared is written."""
     if any(not 0 <= k < cfg.num_classes for k in classes):
         raise ContractError(f"classes {list(classes)} outside 0..{cfg.num_classes - 1}")
-    frozen = {name: Tensor(p.data, requires_grad=False) for name, p in params.items()}
+    frozen = _no_grad_views(params)
     with Tape() as tape:
         res = vit.forward(image, frozen, cfg)
     adjoints_by_class: dict[int, list[np.ndarray]] = {}
@@ -380,10 +396,11 @@ def evaluate(params: dict[str, Tensor], cfg: ViTConfig,
     if jobs < 1:
         raise ContractError("jobs must be >= 1")
     grid = cfg.grid
+    frozen = _no_grad_views(params)  # once per call, not once per image
 
     def localize(s: sd.SyntheticSample) -> lc.ImageLocalizationData:
         present = np.flatnonzero(s.labels).tolist()
-        return image_localization_data(s.image, present, params, cfg, s.mask)
+        return image_localization_data(s.image, present, frozen, cfg, s.mask)
 
     if jobs == 1:
         data = [localize(s) for s in samples]

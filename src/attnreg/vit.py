@@ -34,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from .atomicio import atomic_open
 from .autodiff import Tensor
 from .errors import ContractError, DimensionError, StateError
 from .gridtransform import GridShape, grid_interp_matrix
@@ -262,9 +263,9 @@ def save_checkpoint(path, params: dict[str, Tensor], config: ViTConfig) -> None:
     """Layout: magic (8 bytes), version (u32), config JSON (u32 length +
     utf-8 bytes), tensor count (u32), then per tensor: name (u32 length +
     utf-8), ndim (u8), dims (u32 each), row-major float64 payload.
-    All integers little-endian."""
+    All integers little-endian. The file is replaced atomically."""
     blob = json.dumps(config.to_dict(), sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
+    with atomic_open(path) as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
         f.write(struct.pack("<I", len(blob)))

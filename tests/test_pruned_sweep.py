@@ -1,0 +1,220 @@
+"""The reverse sweep computes and stores only the gradients someone reads.
+
+Oracle: the same forward recorded twice, the second time with
+requires_grad set on every node input afterwards, so that its sweep
+computes every gradient of every node. Parameter gradients and retained
+attention gradients must be equal (``==``) between the two: pruning may
+only drop work whose result nobody reads. Beside the oracle: which
+tensors get ``.grad``, what each multi-input op returns for a constant
+operand, and retain_grad in a graph without a trainable leaf.
+"""
+
+import numpy as np
+import pytest
+
+from attnreg import autodiff as ad
+from attnreg import synthdata as sd
+from attnreg import trainer as tr
+from attnreg import vit
+from attnreg.autodiff import Tape, Tensor
+from attnreg.gridtransform import GridShape, SpatialTransform
+from attnreg.regularizer import LossWeights
+from attnreg.vit import ViTConfig
+
+_WEIGHTS = LossWeights(alpha=2.0, beta=0.25, distance="l1")
+# the benchmark's two training configurations
+CONSISTENCY = tr.TrainConfig(
+    vit=ViTConfig(patch_size=4, grid=GridShape(8, 8), embed_dim=16, num_layers=2,
+                  num_heads=2, num_classes=3, use_positional_embedding=False),
+    weights=_WEIGHTS,
+    augmentations=tuple(SpatialTransform.parse(t) for t in ("fliph", "rot90")))
+RESIZE_WIDE = tr.TrainConfig(
+    vit=ViTConfig(), weights=_WEIGHTS,
+    augmentations=tuple(SpatialTransform.parse(t) for t in ("resize:6x6", "resize:10x10")))
+
+
+def sample_for(cfg, seed):
+    rng = np.random.default_rng(seed)
+    image = rng.random((cfg.in_channels, cfg.grid.h * cfg.patch_size,
+                        cfg.grid.w * cfg.patch_size))
+    return sd.SyntheticSample(image=image, labels=np.array([1.0, 0.0, 1.0]),
+                              mask=np.zeros(image.shape[1:], dtype=np.int64), seed=(seed, 0))
+
+
+def unprune(tape):
+    """Make every node input require grad: the sweep then computes all."""
+    for node in tape.nodes:
+        for t in node.inputs:
+            t.requires_grad = True
+
+
+def retained(tape):
+    return [n.output for n in tape.nodes if n.output._retain]
+
+
+def train_sweep(config, transform, full):
+    params = vit.init_params(config.vit, np.random.default_rng(3))
+    sample = sample_for(config.vit, 11)
+    with Tape() as tape:
+        loss = tr._two_view_loss(sample, transform, params, config).total
+    if full:
+        unprune(tape)
+    tape.backward(loss)
+    return tape, params
+
+
+def eval_sweeps(full):
+    """One eval forward on no-grad parameter views, one seeded sweep per
+    class; returns the retained grads of every sweep."""
+    cfg = CONSISTENCY.vit
+    params = vit.init_params(cfg, np.random.default_rng(4))
+    frozen = {k: Tensor(p.data) for k, p in params.items()}
+    with Tape() as tape:
+        res = vit.forward(sample_for(cfg, 12).image, frozen, cfg)
+    if full:
+        unprune(tape)
+    grads = []
+    for k in range(cfg.num_classes):
+        for rec in res.attentions:
+            rec.heads.zero_grad()
+        tape.backward(res.logits, seed=np.eye(cfg.num_classes)[k])
+        grads.append([rec.heads.grad.copy() for rec in res.attentions])
+    return tape, frozen, grads
+
+
+class TestNothingPrunedOracle:
+    @pytest.mark.parametrize("config,transform", [
+        (CONSISTENCY, "fliph"),          # stacked views
+        (CONSISTENCY, "rot90"),          # stacked views, permuted back
+        (RESIZE_WIDE, "resize:6x6"),     # a view of its own, interpolated back
+        (RESIZE_WIDE, "resize:10x10"),
+    ], ids=["consistency-fliph", "consistency-rot90", "resize_wide-6x6",
+            "resize_wide-10x10"])
+    def test_training_sweep(self, config, transform):
+        transform = SpatialTransform.parse(transform)
+        pruned_tape, pruned = train_sweep(config, transform, full=False)
+        full_tape, full = train_sweep(config, transform, full=True)
+        for name, p in pruned.items():
+            assert p.grad is not None and np.array_equal(p.grad, full[name].grad), name
+        heads, full_heads = retained(pruned_tape), retained(full_tape)
+        forwards = 2 if transform.kind.value == "resize" else 1
+        assert len(heads) == forwards * config.vit.num_layers
+        for h, fh in zip(heads, full_heads, strict=True):
+            assert np.array_equal(h.grad, fh.grad)
+
+    def test_seeded_eval_sweep_on_no_grad_parameters(self):
+        _, frozen, grads = eval_sweeps(full=False)
+        _, _, full_grads = eval_sweeps(full=True)
+        for per_class, full_per_class in zip(grads, full_grads, strict=True):
+            for g, fg in zip(per_class, full_per_class, strict=True):
+                assert np.array_equal(g, fg)
+        assert all(p.grad is None for p in frozen.values())
+
+
+class TestWhereGradientsLand:
+    def test_training_intermediates_get_no_grad(self):
+        tape, params = train_sweep(CONSISTENCY, SpatialTransform.parse("fliph"), full=False)
+        for node in tape.nodes:
+            if not node.output._retain:
+                assert node.output.grad is None, node.op
+        assert all(p.grad is not None for p in params.values())
+
+    def test_eval_intermediates_get_no_grad(self):
+        tape, _, _ = eval_sweeps(full=False)
+        outputs = [n.output for n in tape.nodes]
+        assert any(t._retain for t in outputs)
+        assert all(t.grad is None for t in outputs if not t._retain)
+
+    def test_eval_sweep_skips_layer_zero_below_its_attention(self, monkeypatch):
+        """A node none of whose inputs requires grad is not swept: on no-grad
+        parameters that is everything up to and including layer 0's softmax
+        (the patch embedding, layer 0's projections), and the head averages,
+        which the logits do not read."""
+        swept = []
+        real = ad._Node.__init__
+
+        def spy(self, op, inputs, output, backward):
+            def counted(g, _op=op):
+                swept.append(_op)
+                return backward(g)
+            real(self, op, inputs, output, counted)
+
+        monkeypatch.setattr(ad._Node, "__init__", spy)
+        cfg = CONSISTENCY.vit
+        params = {k: Tensor(p.data) for k, p in
+                  vit.init_params(cfg, np.random.default_rng(4)).items()}
+        with Tape() as tape:
+            res = vit.forward(sample_for(cfg, 12).image, params, cfg)
+        recorded = [n.op for n in tape.nodes]
+        tape.backward(res.logits, seed=np.eye(cfg.num_classes)[0])
+        first_softmax = recorded.index("softmax_rows")
+        expected = [op for op in recorded[first_softmax + 1:] if op != "mean"]
+        assert sorted(swept) == sorted(expected)
+        assert swept.count("softmax_rows") == cfg.num_layers - 1
+
+
+def _multi_input_cases():
+    """(name, op, operand arrays); every op with more than one input."""
+    rng = np.random.default_rng(30)
+    m = rng.normal(size=(3, 4))
+    return [
+        ("add", ad.add, [m, rng.normal(size=(3, 4))]),
+        ("add_broadcast", ad.add, [rng.normal(size=(2, 3, 4)), m]),
+        ("sub", ad.sub, [m, rng.normal(size=(3, 4))]),
+        ("mul", ad.mul, [m, rng.normal(size=(3, 4))]),
+        ("div", ad.div, [m, rng.random(size=(3, 4)) + 0.5]),
+        ("matmul_shared", ad.matmul, [rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5))]),
+        ("matmul_batched", ad.matmul, [rng.normal(size=(2, 3, 4)),
+                                       rng.normal(size=(2, 4, 5))]),
+        ("add_bias", ad.add_bias, [rng.normal(size=(2, 3, 4)), rng.normal(size=(1, 4))]),
+        ("layer_norm", ad.layer_norm, [rng.normal(size=(2, 3, 4)), rng.normal(size=(1, 4)),
+                                       rng.normal(size=(1, 4))]),
+        ("concat", lambda *parts: ad.concat(parts, axis=0),
+         [rng.normal(size=(1, 4)), m, rng.normal(size=(2, 4))]),
+        ("scale_rows_to_sums", ad.scale_rows_to_sums, [rng.random(size=(3, 4)) + 0.1,
+                                                       rng.random(size=(3, 1))]),
+        ("abs_mean", ad.abs_mean, [m, rng.normal(size=(3, 4))]),
+        ("smooth_l1_mean", ad.smooth_l1_mean, [m, rng.normal(size=(3, 4))]),
+        ("bce_with_logits", ad.bce_with_logits, [m, (rng.random(size=(3, 4)) > 0.5) * 1.0]),
+    ]
+
+
+class TestSkippedOperands:
+    @pytest.mark.parametrize("name,op,arrays", _multi_input_cases(),
+                             ids=[c[0] for c in _multi_input_cases()])
+    def test_constant_operand_gets_none(self, name, op, arrays):
+        def node_grads(trainable):
+            inputs = [Tensor(a, requires_grad=t) for a, t in zip(arrays, trainable)]
+            with Tape() as tape:
+                out = op(*inputs)
+            node = tape.nodes[-1]
+            return node.backward(np.random.default_rng(1).normal(size=out.shape))
+
+        everything = node_grads([True] * len(arrays))
+        assert all(g is not None for g in everything)
+        for const in range(len(arrays)):
+            grads = node_grads([i != const for i in range(len(arrays))])
+            assert grads[const] is None, f"{name}: operand {const}"
+            for i, (g, ref) in enumerate(zip(grads, everything)):
+                if i != const:
+                    assert np.array_equal(g, ref), f"{name}: operand {i}"
+
+
+class TestRetainGrad:
+    def test_retained_intermediate_without_trainable_leaves(self):
+        x = Tensor([[0.0, 1.0]])
+        with Tape() as tape:
+            h = ad.softmax_rows(x)
+            h.retain_grad()
+            y = ad.mean(ad.mul(h, 3.0))
+        tape.backward(y)
+        assert h.requires_grad and y.requires_grad
+        np.testing.assert_allclose(h.grad, [[1.5, 1.5]])
+        assert x.grad is None
+
+    def test_retained_leaf_is_a_trainable_leaf(self):
+        x = Tensor([1.0, 2.0]).retain_grad()
+        with Tape() as tape:
+            y = ad.mean(ad.mul(x, x))
+        tape.backward(y)
+        np.testing.assert_allclose(x.grad, [1.0, 2.0])
