@@ -54,8 +54,7 @@ def main() -> None:
     for name, alpha, beta in (("plain", 0.0, 0.0), ("consistent", 2.0, 0.25)):
         result = tr.train(make_config(alpha, beta), samples)
         show_log(name, result.log)
-        results[name] = tr.evaluate(result.params, result.config.vit, samples,
-                                    jobs=2)
+        results[name] = tr.evaluate(result.params, result.config.vit, samples)
 
     print("\nseed quality against the pixel ground truth:")
     for name, summary in results.items():

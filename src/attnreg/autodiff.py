@@ -11,17 +11,26 @@ Conventions:
 
 * float64 everywhere, row-major (C-order) storage;
 * a "scalar" is a tensor with exactly one element (usually shape ());
-* matrix ops (matmul, transpose, add_bias, layer_norm, softmax_rows,
-  slice2d, concat) act on the last two axes and accept leading batch
-  axes, e.g. (views, tokens, dim) or (views, heads, tokens, tokens). A
-  parameter without those axes (a weight, a bias, the class token) is
-  shared across them, and its gradient sums over all leading axes.
-  split_heads / merge_heads move column blocks onto and off a head
-  axis, and mean(x, axis) averages over one;
+* matrix ops (matmul, transpose, layer_norm, softmax_rows, slice2d,
+  concat) act on the last two axes and accept leading batch axes, e.g.
+  (views, tokens, dim) or (views, heads, tokens, tokens). A parameter
+  without those axes (a weight, a bias, the class token) is shared
+  across them, and its gradient sums over all leading axes. mean(x,
+  axis) averages over one axis (the head axis);
+* fused transformer ops record one node for a chain that would
+  otherwise take several, and evaluate the same numpy expressions on
+  the same contiguous operands as that chain, so their outputs are
+  bit-identical to it: linear is x @ w + b; attention_scores projects
+  tokens (..., m, d) to queries and keys, splits their columns onto a
+  head axis and returns the scaled scores (..., heads, m, m);
+  attend projects the values, applies per-head attention
+  probabilities and merges the heads back to (..., m, d'). Their
+  weights and biases are 2-d and shared over the token tensor's
+  leading axes;
 * binary elementwise ops broadcast a scalar, or an operand shaped like
   the other's trailing axes (a shared table over a batch); any other
-  shape mismatch raises DimensionError. Fused ops (layer_norm,
-  add_bias, scale_rows_to_sums, ...) own their internal broadcasting;
+  shape mismatch raises DimensionError. Fused ops (layer_norm, linear,
+  scale_rows_to_sums, ...) own their internal broadcasting;
 * every op output is checked for NaN/Inf and rejected with
   NumericalError;
 * an op output requires grad when any of its inputs does. The reverse
@@ -37,8 +46,8 @@ Conventions:
   into ``.grad``; callers zero grads between optimizer steps.
 
 A tape and the tensors recorded on it are confined to one thread;
-the active-tape slot is thread-local so parallel evaluation workers
-can each run their own tape.
+the active-tape slot is thread-local, so a tape active on one thread
+does not record ops run on another.
 """
 
 from __future__ import annotations
@@ -416,17 +425,112 @@ def transpose(a) -> Tensor:
     return _apply("transpose", (a,), np.swapaxes(a.data, -1, -2), bw)
 
 
-def add_bias(x, b) -> Tensor:
-    """x: (..., m, d), b: (1, d). Adds b to every row of x."""
-    x, b = _as_tensor(x), _as_tensor(b)
-    if x.ndim < 2 or b.shape != (1, x.shape[-1]):
-        raise DimensionError(f"add_bias: expected x (...,m,d) and b (1,d), got {x.shape} and {b.shape}")
+# ---------------------------------------------------------------------------
+# fused transformer ops: one node each for an affine map and for the two
+# halves of multi-head attention around its softmax
+
+
+def _check_affine(op: str, x: Tensor, w: Tensor, b: Tensor) -> None:
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != (1, w.shape[1]):
+        raise DimensionError(f"{op}: expected x (..., m, k), w (k, n) and b (1, n), "
+                             f"got {x.shape}, {w.shape} and {b.shape}")
+
+
+def _check_heads(op: str, width: int, heads: int) -> None:
+    if heads < 1 or width % heads:
+        raise DimensionError(f"{op}: cannot split width {width} into {heads} heads")
+
+
+def _affine(x: Array, w: Array, b: Array) -> Array:
+    """x @ w + b: a (..., m, k) x, a (k, n) w shared over x's leading axes,
+    and a (1, n) b added to every row."""
+    return x @ w + b
+
+
+def _affine_grads(g: Array, x: Tensor, w: Tensor, b: Tensor):
+    """Gradients of _affine for the output adjoint g; None for an operand
+    that does not require grad. The shared w and b sum over every row of
+    every leading axis."""
+    gx = g @ w.data.T if x.requires_grad else None
+    gw = (x.data.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+          if w.requires_grad else None)
+    gb = _sum_rows_of(g, g.shape[-1]) if b.requires_grad else None
+    return gx, gw, gb
+
+
+def _split_heads(a: Array, heads: int) -> Array:
+    """(..., m, heads * k) -> contiguous (..., heads, m, k): column block j
+    becomes head j."""
+    *lead, m, width = a.shape
+    return np.ascontiguousarray(np.swapaxes(a.reshape(*lead, m, heads, width // heads), -2, -3))
+
+
+def _merge_heads(a: Array) -> Array:
+    """(..., heads, m, k) -> (..., m, heads * k), the inverse of
+    _split_heads: head blocks side by side in head order."""
+    *lead, heads, m, k = a.shape
+    return np.ascontiguousarray(np.swapaxes(a, -3, -2)).reshape(*lead, m, heads * k)
+
+
+def linear(x, w, b) -> Tensor:
+    """x @ w + b as one node: x (..., m, k), w (k, n) and b (1, n) shared
+    over x's leading axes."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    _check_affine("linear", x, w, b)
 
     def bw(g: Array):
-        return (g if x.requires_grad else None,
-                _sum_rows_of(g, g.shape[-1]) if b.requires_grad else None)
+        return _affine_grads(g, x, w, b)
 
-    return _apply("add_bias", (x, b), x.data + b.data, bw)
+    return _apply("linear", (x, w, b), _affine(x.data, w.data, b.data), bw)
+
+
+def attention_scores(h, wq, bq, wk, bk, heads: int, scale: float) -> Tensor:
+    """Pre-softmax scores of multi-head attention, (..., heads, m, m), from
+    tokens h (..., m, d): per head, ((h wq + bq) * scale) @ (h wk + bk)^T
+    over that head's column block of the projections."""
+    h, wq, bq, wk, bk = (_as_tensor(t) for t in (h, wq, bq, wk, bk))
+    _check_affine("attention_scores", h, wq, bq)
+    _check_affine("attention_scores", h, wk, bk)
+    if wq.shape != wk.shape:
+        raise DimensionError(f"attention_scores: wq {wq.shape} and wk {wk.shape} differ")
+    _check_heads("attention_scores", wq.shape[1], heads)
+    q = _split_heads(_affine(h.data, wq.data, bq.data) * scale, heads)
+    kt = np.ascontiguousarray(np.swapaxes(_split_heads(_affine(h.data, wk.data, bk.data),
+                                                       heads), -1, -2))
+
+    def bw(g: Array):
+        ghq, gwq, gbq = _affine_grads(_merge_heads(g @ np.swapaxes(kt, -1, -2)) * scale,
+                                      h, wq, bq)
+        ghk, gwk, gbk = _affine_grads(_merge_heads(np.swapaxes(np.swapaxes(q, -1, -2) @ g,
+                                                               -1, -2)), h, wk, bk)
+        return None if ghq is None else ghq + ghk, gwq, gbq, gwk, gbk
+
+    return _apply("attention_scores", (h, wq, bq, wk, bk), q @ kt, bw)
+
+
+def attend(probs, h, wv, bv) -> Tensor:
+    """Attention output with heads merged, (..., m, d'): per head,
+    probs @ (h wv + bv) over that head's column block, for probs
+    (..., heads, m, m) and tokens h (..., m, d)."""
+    probs, h, wv, bv = (_as_tensor(t) for t in (probs, h, wv, bv))
+    _check_affine("attend", h, wv, bv)
+    m = h.shape[-2]
+    if probs.ndim != h.ndim + 1 or probs.shape[:-3] != h.shape[:-2] \
+            or probs.shape[-2:] != (m, m):
+        raise DimensionError(f"attend: probs {probs.shape} do not match tokens {h.shape}")
+    heads = probs.shape[-3]
+    _check_heads("attend", wv.shape[1], heads)
+    pd = probs.data
+    v = _split_heads(_affine(h.data, wv.data, bv.data), heads)
+
+    def bw(g: Array):
+        gpv = _split_heads(g, heads)
+        gp = gpv @ np.swapaxes(v, -1, -2) if probs.requires_grad else None
+        if not (h.requires_grad or wv.requires_grad or bv.requires_grad):
+            return gp, None, None, None
+        return (gp, *_affine_grads(_merge_heads(np.swapaxes(pd, -1, -2) @ gpv), h, wv, bv))
+
+    return _apply("attend", (probs, h, wv, bv), _merge_heads(pd @ v), bw)
 
 
 def scale_rows_to_sums(x, target, eps: float = 1e-12) -> Tensor:
@@ -716,37 +820,6 @@ def pick(x, index: int) -> Tensor:
         return (gx,)
 
     return _apply("pick", (x,), np.asarray(x.data[index]), bw)
-
-
-def split_heads(x, heads: int) -> Tensor:
-    """(..., m, heads * k) -> (..., heads, m, k): column block j becomes
-    head j, one reshape and axis move in one op."""
-    x = _as_tensor(x)
-    if x.ndim < 2 or heads < 1 or x.shape[-1] % heads:
-        raise DimensionError(f"split_heads: cannot split {x.shape} into {heads} heads")
-    shape = x.shape
-    split = x.data.reshape(*shape[:-1], heads, shape[-1] // heads)
-
-    def bw(g: Array):
-        return (np.ascontiguousarray(np.swapaxes(g, -3, -2)).reshape(shape),)
-
-    return _apply("split_heads", (x,), np.swapaxes(split, -2, -3), bw)
-
-
-def merge_heads(x) -> Tensor:
-    """(..., heads, m, k) -> (..., m, heads * k), the inverse of
-    split_heads: head outputs side by side in head order."""
-    x = _as_tensor(x)
-    if x.ndim < 3:
-        raise DimensionError(f"merge_heads: needs (..., heads, m, k), got shape {x.shape}")
-    shape = x.shape
-    heads, m, k = shape[-3:]
-    merged = np.ascontiguousarray(np.swapaxes(x.data, -3, -2)).reshape(*shape[:-3], m, heads * k)
-
-    def bw(g: Array):
-        return (np.ascontiguousarray(np.swapaxes(g.reshape(*shape[:-3], m, heads, k), -2, -3)),)
-
-    return _apply("merge_heads", (x,), merged, bw)
 
 
 def permute_rc(x, row_index, col_index) -> Tensor:

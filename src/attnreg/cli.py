@@ -116,7 +116,7 @@ def _cmd_eval(args) -> int:
     params, cfg = vit.load_checkpoint(args.checkpoint)
     samples, _ = sd.load_dataset(args.data)
     summary = tr.evaluate(params, cfg, samples, map_layers=_parse_layers(args.layers),
-                          jobs=args.jobs, sweep_layers=args.sweep_layers)
+                          sweep_layers=args.sweep_layers)
     summary.pop("unrefined" if args.refined == "on" else "refined")
     _emit(summary, args.pretty)
     return 0
@@ -189,13 +189,10 @@ def _cmd_ablate(args) -> int:
         eval_samples, _ = sd.load_dataset(args.eval_data)
     log.info("ablations on %d samples", len(samples))
     tables = {
-        "regularizer_grid": tr.run_regularizer_grid(config, samples, eval_samples,
-                                                    jobs=args.jobs),
-        "distance_sweep": tr.run_distance_sweep(config, samples, eval_samples,
-                                                jobs=args.jobs),
+        "regularizer_grid": tr.run_regularizer_grid(config, samples, eval_samples),
+        "distance_sweep": tr.run_distance_sweep(config, samples, eval_samples),
         "augmentation_sweep": tr.run_augmentation_sweep(config, samples,
-                                                        eval_samples=eval_samples,
-                                                        jobs=args.jobs),
+                                                        eval_samples=eval_samples),
     }
     if args.out is not None:
         out = Path(args.out)
@@ -305,7 +302,6 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--refined", choices=["on", "off"], default="on")
     p.add_argument("--layers", default="default", help="A..B, or 'default' (last two)")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--sweep-layers", action="store_true")
 
     p = add("seeds", _cmd_seeds, "localization maps for one image")
@@ -331,7 +327,6 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--eval-data")
     p.add_argument("--out")
-    p.add_argument("--jobs", type=int, default=1)
 
     p = add("grad-check", _cmd_grad_check, "finite-difference gradient audit")
     p.add_argument("--config")

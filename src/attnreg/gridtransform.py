@@ -26,6 +26,7 @@ a commutation matrix.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,10 +213,20 @@ def invert_attention_fast(a_prime, transform: SpatialTransform, grid: GridShape)
     n = grid.n
     if a_prime.shape != (n + 1, n + 1):
         raise DimensionError(f"attention must be {(n + 1, n + 1)} for grid {grid}, got {a_prime.shape}")
-    perm = token_permutation(transform, grid)
-    inv = perm.inverse().sigma  # inv[source_token] = target_token
-    idx = np.concatenate(([0], inv + 1))
+    idx = _inverse_token_index(transform, grid)
     return ad.permute_rc(a_prime, idx, idx)
+
+
+@functools.lru_cache(maxsize=256)
+def _inverse_token_index(transform: SpatialTransform, grid: GridShape) -> np.ndarray:
+    """Row and column gather index of invert_attention_fast: the class
+    token stays at 0 and source token s reads target token inv[s] + 1.
+    Built, with the permutation's validation, once per (transform, grid);
+    the cached array is read-only."""
+    inv = token_permutation(transform, grid).inverse().sigma  # inv[source_token] = target_token
+    idx = np.concatenate(([0], inv + 1))
+    idx.flags.writeable = False
+    return idx
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Given per-layer attention matrices A (plain view) and A' (transformed
 view), each A' is first mapped back into the plain view's token order
-(`invert_attention`), then compared block-wise:
+(`invert_attention`, once per layer through `invert_layers` when both
+terms are computed), then compared block-wise:
 
   * activation loss  -- class-to-patch rows  A[0, 1:]
   * affinity loss    -- patch-to-patch block A[1:, 1:]
@@ -72,10 +73,35 @@ def _distance(x: Tensor, y: Tensor, distance: str) -> Tensor:
     raise ContractError(f"distance must be one of {DISTANCES}, got {distance!r}")
 
 
-def _check_layers(a_layers, a_prime_layers, grid: GridShape) -> int:
-    if len(a_layers) == 0 or len(a_layers) != len(a_prime_layers):
+@dataclass(frozen=True)
+class InvertedLayers:
+    """Augmented-view attention matrices already mapped back into the plain
+    view's token order by `transform` on `grid`. Passed as
+    ``a_prime_layers`` to both region losses, it lets them share one
+    inversion per layer."""
+
+    layers: tuple[Tensor, ...]
+    transform: SpatialTransform
+    grid: GridShape
+
+
+def invert_layers(a_prime_layers: Sequence[Tensor] | InvertedLayers,
+                  transform: SpatialTransform, grid: GridShape) -> InvertedLayers:
+    """Invert every layer's A' once. An InvertedLayers for the same
+    transform and grid is returned as it is; one for another is rejected."""
+    if isinstance(a_prime_layers, InvertedLayers):
+        if (a_prime_layers.transform, a_prime_layers.grid) != (transform, grid):
+            raise ContractError(f"layers were inverted for {a_prime_layers.transform} on "
+                                f"{a_prime_layers.grid}, not {transform} on {grid}")
+        return a_prime_layers
+    return InvertedLayers(tuple(invert_attention(ap, transform, grid) for ap in a_prime_layers),
+                          transform, grid)
+
+
+def _check_layers(a_layers, back_layers, grid: GridShape) -> int:
+    if len(a_layers) == 0 or len(a_layers) != len(back_layers):
         raise DimensionError(f"need equal nonzero layer counts, got {len(a_layers)} "
-                             f"and {len(a_prime_layers)}")
+                             f"and {len(back_layers)}")
     m = grid.n + 1
     for i, a in enumerate(a_layers):
         if a.shape != (m, m):
@@ -84,16 +110,16 @@ def _check_layers(a_layers, a_prime_layers, grid: GridShape) -> int:
     return len(a_layers)
 
 
-def _block_loss(a_layers: Sequence[Tensor], a_prime_layers: Sequence[Tensor],
+def _block_loss(a_layers: Sequence[Tensor], a_prime_layers: Sequence[Tensor] | InvertedLayers,
                 transform: SpatialTransform, grid: GridShape, distance: str,
                 r0: int, c0: int) -> Tensor:
     """Mean distance between a block of A and the same block of the
     back-transformed A', averaged over layers. (r0, c0) selects the
     block corner: (0, 1) = class-to-patch row, (1, 1) = patch block."""
-    layers = _check_layers(a_layers, a_prime_layers, grid)
+    back_layers = invert_layers(a_prime_layers, transform, grid).layers
+    layers = _check_layers(a_layers, back_layers, grid)
     total = None
-    for a, ap in zip(a_layers, a_prime_layers):
-        back = invert_attention(ap, transform, grid)
+    for a, back in zip(a_layers, back_layers):
         lhs = ad.slice2d(a, r0, 1 if r0 == 0 else None, c0, None)
         rhs = ad.slice2d(back, r0, 1 if r0 == 0 else None, c0, None)
         term = _distance(lhs, rhs, distance)
@@ -101,19 +127,23 @@ def _block_loss(a_layers: Sequence[Tensor], a_prime_layers: Sequence[Tensor],
     return total if layers == 1 else ad.mul(total, 1.0 / layers)
 
 
-def region_activation_loss(a_layers: Sequence[Tensor], a_prime_layers: Sequence[Tensor],
+def region_activation_loss(a_layers: Sequence[Tensor],
+                           a_prime_layers: Sequence[Tensor] | InvertedLayers,
                            transform: SpatialTransform, grid: GridShape,
                            distance: str = "l1") -> Tensor:
     """Consistency of the class token's attention over patches: compares
-    A[0, 1:] against the back-transformed A'[0, 1:] per layer."""
+    A[0, 1:] against the back-transformed A'[0, 1:] per layer. A' may come
+    already inverted, from invert_layers."""
     return _block_loss(a_layers, a_prime_layers, transform, grid, distance, 0, 1)
 
 
-def region_affinity_loss(a_layers: Sequence[Tensor], a_prime_layers: Sequence[Tensor],
+def region_affinity_loss(a_layers: Sequence[Tensor],
+                         a_prime_layers: Sequence[Tensor] | InvertedLayers,
                          transform: SpatialTransform, grid: GridShape,
                          distance: str = "l1") -> Tensor:
     """Consistency of patch-to-patch affinities: compares A[1:, 1:]
-    against the back-transformed A'[1:, 1:] per layer."""
+    against the back-transformed A'[1:, 1:] per layer. A' may come already
+    inverted, from invert_layers."""
     return _block_loss(a_layers, a_prime_layers, transform, grid, distance, 1, 1)
 
 

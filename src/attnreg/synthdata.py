@@ -277,7 +277,9 @@ def save_dataset(directory: os.PathLike | str, samples: list[SyntheticSample],
 def load_dataset(directory: os.PathLike | str) -> tuple[list[SyntheticSample], DatasetConfig]:
     """Read a saved dataset; images come back uint8-quantized to [0, 1].
     A malformed meta.json or index line -- bad JSON, a missing key, labels
-    not a 0/1 list of the dataset's num_classes -- raises ContractError."""
+    not a 0/1 list of the dataset's num_classes, a mask whose shape is not
+    its image's (H, W) or whose value exceeds num_classes -- raises
+    ContractError."""
     root = Path(directory)
     meta = root / "meta.json"
     index = root / "index.jsonl"
@@ -306,5 +308,11 @@ def load_dataset(directory: os.PathLike | str) -> tuple[list[SyntheticSample], D
             raw = raw[None, :, :]
         image = raw.astype(np.float64) / 255.0
         mask = netpbm.read_netpbm(mask_path).astype(np.int64)
+        if mask.shape != image.shape[1:]:
+            raise ContractError(f"{where}: mask {rec['mask']!r} has shape {mask.shape}, "
+                                f"not its image's (H, W) {image.shape[1:]}")
+        if mask.max(initial=0) > config.num_classes:
+            raise ContractError(f"{where}: mask {rec['mask']!r} holds class value "
+                                f"{mask.max()}, above num_classes {config.num_classes}")
         samples.append(SyntheticSample(image=image, labels=labels, mask=mask, seed=seed))
     return samples, config

@@ -18,18 +18,16 @@ other tensor of the two-view loss.
 Evaluation runs one forward per image on one tape, then one seeded
 reverse sweep per present class (clearing the retained attention grads
 in between, so adjoints never mix). The parameters are wrapped once per
-call in no-grad views, so worker tapes never write shared state and a
-sweep computes no parameter gradient: it stores only the retained heads'
-gradients and stops at the first layer's attention, below which nothing
-requires grad. It builds per-class localization maps, scores every
-background threshold in one pass, and can fan image processing out over
-threads.
+call in no-grad views, so evaluation never writes the caller's
+parameters and a sweep computes no parameter gradient: it stores only
+the retained heads' gradients and stops at the first layer's attention,
+below which nothing requires grad. It builds per-class localization
+maps and scores every background threshold in one pass.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -237,6 +235,8 @@ def _two_view_loss(sample: sd.SyntheticSample, transform: SpatialTransform,
         for tag, (_, _, matrices) in zip("ab", views):
             snapshot.update({f"attention_{tag}_{i}": m for i, m in enumerate(matrices)})
     (logits_a, a, _), (logits_b, ap, _) = views
+    if consistency:  # one inversion per layer, shared by both terms
+        ap = reg.invert_layers(ap, transform, res.grid)
     act = aff = Tensor(0.0)
     if config.weights.alpha != 0.0:
         act = reg.region_activation_loss(a, ap, transform, res.grid, config.weights.distance)
@@ -386,27 +386,17 @@ def image_localization_data(image: np.ndarray, classes, params: dict[str, Tensor
 
 def evaluate(params: dict[str, Tensor], cfg: ViTConfig,
              samples: list[sd.SyntheticSample], map_layers=None,
-             thresholds=None, jobs: int = 1, sweep_layers: bool = False) -> dict:
+             thresholds=None, sweep_layers: bool = False) -> dict:
     """Seed quality of gradient maps against pixel ground truth: best
     background threshold, mIoU, FP/FN rates, for both unrefined and
     affinity-refined maps; optionally the start-layer sweep table. An
     image with no present class is scored as all background."""
     if not samples:
         raise ContractError("evaluation needs a nonempty dataset")
-    if jobs < 1:
-        raise ContractError("jobs must be >= 1")
     grid = cfg.grid
     frozen = _no_grad_views(params)  # once per call, not once per image
-
-    def localize(s: sd.SyntheticSample) -> lc.ImageLocalizationData:
-        present = np.flatnonzero(s.labels).tolist()
-        return image_localization_data(s.image, present, frozen, cfg, s.mask)
-
-    if jobs == 1:
-        data = [localize(s) for s in samples]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            data = list(pool.map(localize, samples))
+    data = [image_localization_data(s.image, np.flatnonzero(s.labels).tolist(), frozen, cfg,
+                                    s.mask) for s in samples]
 
     gt = [d.gt_mask for d in data]
     result: dict = {"num_images": len(samples), "num_classes": cfg.num_classes}
@@ -442,8 +432,7 @@ REGULARIZER_GRID = (("baseline", 0.0, 0.0), ("act_only", 1.0, 0.0),
 
 
 def run_regularizer_grid(config: TrainConfig, samples: list[sd.SyntheticSample],
-                         eval_samples: list[sd.SyntheticSample] | None = None,
-                         jobs: int = 1) -> list[dict]:
+                         eval_samples: list[sd.SyntheticSample] | None = None) -> list[dict]:
     """The 2x2 {activation on/off} x {affinity on/off} table. Cells reuse
     config's alpha/beta as the 'on' magnitudes."""
     rows = []
@@ -453,7 +442,7 @@ def run_regularizer_grid(config: TrainConfig, samples: list[sd.SyntheticSample],
         cell_cfg = replace(config, weights=weights)
         result = train(cell_cfg, samples)
         summary = evaluate(result.params, config.vit, eval_samples or samples,
-                           map_layers=config.map_layers, jobs=jobs)
+                           map_layers=config.map_layers)
         rows.append({"cell": name, "alpha": weights.alpha, "beta": weights.beta,
                      "unrefined_miou": summary["unrefined"]["miou"],
                      "refined_miou": summary["refined"]["miou"],
@@ -463,14 +452,13 @@ def run_regularizer_grid(config: TrainConfig, samples: list[sd.SyntheticSample],
 
 
 def run_distance_sweep(config: TrainConfig, samples: list[sd.SyntheticSample],
-                       eval_samples: list[sd.SyntheticSample] | None = None,
-                       jobs: int = 1) -> list[dict]:
+                       eval_samples: list[sd.SyntheticSample] | None = None) -> list[dict]:
     rows = []
     for distance in reg.DISTANCES:
         cell_cfg = replace(config, weights=replace(config.weights, distance=distance))
         result = train(cell_cfg, samples)
         summary = evaluate(result.params, config.vit, eval_samples or samples,
-                           map_layers=config.map_layers, jobs=jobs)
+                           map_layers=config.map_layers)
         rows.append({"distance": distance, "refined_miou": summary["refined"]["miou"],
                      "unrefined_miou": summary["unrefined"]["miou"],
                      "final_loss": result.log[-1]["total"]})
@@ -479,8 +467,7 @@ def run_distance_sweep(config: TrainConfig, samples: list[sd.SyntheticSample],
 
 def run_augmentation_sweep(config: TrainConfig, samples: list[sd.SyntheticSample],
                            choices: tuple[tuple[str, tuple[SpatialTransform, ...]], ...] | None = None,
-                           eval_samples: list[sd.SyntheticSample] | None = None,
-                           jobs: int = 1) -> list[dict]:
+                           eval_samples: list[sd.SyntheticSample] | None = None) -> list[dict]:
     from .gridtransform import FLIP_V, ROT90, ROT180, ROT270
     if choices is None:
         choices = (("fliph", (FLIP_H,)), ("flipv", (FLIP_V,)),
@@ -491,7 +478,7 @@ def run_augmentation_sweep(config: TrainConfig, samples: list[sd.SyntheticSample
         cell_cfg = replace(config, augmentations=tuple(augs))
         result = train(cell_cfg, samples)
         summary = evaluate(result.params, config.vit, eval_samples or samples,
-                           map_layers=config.map_layers, jobs=jobs)
+                           map_layers=config.map_layers)
         rows.append({"augmentation": name, "refined_miou": summary["refined"]["miou"],
                      "unrefined_miou": summary["unrefined"]["miou"],
                      "final_loss": result.log[-1]["total"]})

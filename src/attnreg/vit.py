@@ -6,10 +6,22 @@ is softmax(Q K^T / sqrt(d_head)).
 One forward runs one (C, H, W) image, or a (V, C, H, W) stack of views
 that share a patch grid (the two views of a training sample), through
 the same ops: tokens are (n+1, d), or (V, n+1, d) with a leading view
-axis, and every layer splits its queries, keys and values onto a head
-axis, so all heads of all views run as one (V, H, n+1, n+1) attention
-stack. Outputs keep the view axis: logits (V, classes) and attention
-records (V, n+1, n+1); a single image has neither axis.
+axis, and every layer puts its heads on a head axis, so all heads of
+all views run as one (V, H, n+1, n+1) attention stack. Outputs keep the
+view axis: logits (V, classes) and attention records (V, n+1, n+1); a
+single image has neither axis.
+
+Each layer records 12 tape nodes, built from the engine's fused ops:
+
+  layer_norm -> attention_scores (q/k projections, head split, scaled
+  q k^T) -> softmax_rows (the retained per-head stack) -> mean (the
+  head average, the record's matrix) -> attend (v projection, per-head
+  probs @ v, head merge) -> linear (wo) -> add (residual) ->
+  layer_norm -> linear -> gelu -> linear -> add (residual).
+
+Around the layers: linear (patch embedding), concat (class token), add
+(positional rows, when enabled); then layer_norm, slice2d (class
+token), linear (head) and reshape.
 
 The per-layer record holds the head-averaged post-softmax matrix as a
 live tape node, so consistency losses computed on it propagate exact
@@ -200,7 +212,7 @@ def forward(images: np.ndarray, params: dict[str, Tensor], config: ViTConfig) ->
     patches = Tensor(patchify(images, config.patch_size))
 
     def linear(x: Tensor, name: str, bias: str) -> Tensor:
-        return ad.add_bias(ad.matmul(x, params[name]), params[bias])
+        return ad.linear(x, params[name], params[bias])
 
     x = linear(patches, "patch_embed.weight", "patch_embed.bias")
     x = ad.concat([params["cls_token"], x], axis=0)  # (..., n+1, d)
@@ -215,14 +227,13 @@ def forward(images: np.ndarray, params: dict[str, Tensor], config: ViTConfig) ->
         p = f"blocks.{i}."
         h = ad.layer_norm(x, params[p + "ln1.gain"], params[p + "ln1.bias"])
         # the 1/sqrt(d_head) scale goes on the queries, not the (n+1)^2 scores
-        q = ad.split_heads(ad.mul(linear(h, p + "attn.wq", p + "attn.bq"), scale), heads)
-        k_t = ad.transpose(ad.split_heads(linear(h, p + "attn.wk", p + "attn.bk"), heads))
-        v = ad.split_heads(linear(h, p + "attn.wv", p + "attn.bv"), heads)
-        per_head = ad.softmax_rows(ad.matmul(q, k_t))  # (..., H, n+1, n+1)
+        scores = ad.attention_scores(h, params[p + "attn.wq"], params[p + "attn.bq"],
+                                     params[p + "attn.wk"], params[p + "attn.bk"], heads, scale)
+        per_head = ad.softmax_rows(scores)  # (..., H, n+1, n+1)
         per_head.retain_grad()
         records.append(AttentionRecord(layer=i, matrix=ad.mean(per_head, axis=-3),
                                        heads=per_head))
-        merged = ad.merge_heads(ad.matmul(per_head, v))
+        merged = ad.attend(per_head, h, params[p + "attn.wv"], params[p + "attn.bv"])
         x = ad.add(x, linear(merged, p + "attn.wo", p + "attn.bo"))
         h2 = ad.layer_norm(x, params[p + "ln2.gain"], params[p + "ln2.bias"])
         m = linear(ad.gelu(linear(h2, p + "mlp.w1", p + "mlp.b1")), p + "mlp.w2", p + "mlp.b2")

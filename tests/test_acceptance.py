@@ -223,8 +223,7 @@ class TestAcceptance:
         unrefined = {name: [] for name, _, _ in tr.REGULARIZER_GRID}
         for seed in (0, 1, 2):
             t0 = time.perf_counter()
-            rows = tr.run_regularizer_grid(replace(base, seed=seed), samples,
-                                           jobs=4)
+            rows = tr.run_regularizer_grid(replace(base, seed=seed), samples)
             elapsed = time.perf_counter() - t0
             assert elapsed < 4 * 600.0, f"seed {seed} over budget: {elapsed:.0f}s"
             for row in rows:

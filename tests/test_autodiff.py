@@ -245,6 +245,12 @@ def _fd_cases():
     sums = rng.random(size=(2, 1)) + 0.5
     rows = np.array([1, 0])
     cols = np.array([2, 0, 1])
+    w34 = rng.normal(size=(3, 4))
+    k34 = rng.normal(size=(3, 4))
+    b4 = rng.normal(size=(1, 4))
+    probs = rng.random(size=(2, 2, 2)) + 0.1
+    scores_out = rng.normal(size=(2, 2, 2))
+    attend_out = rng.normal(size=(2, 4))
     return [
         ("matmul_left", lambda x: ad.mean(ad.matmul(x, Tensor(v)))),
         ("matmul_right", lambda x: ad.mean(ad.matmul(Tensor(w), ad.transpose(x)))),
@@ -264,7 +270,11 @@ def _fd_cases():
         ("smooth_l1_inside", lambda x: ad.smooth_l1_mean(ad.mul(x, 0.05), Tensor(other * 0.05))),
         ("smooth_l1_outside", lambda x: ad.smooth_l1_mean(ad.mul(x, 40.0), Tensor(other))),
         ("bce_with_logits", lambda x: ad.bce_with_logits(x, Tensor(tgt))),
-        ("add_bias", lambda x: ad.mean(ad.mul(ad.add_bias(x, Tensor(b1)), Tensor(other)))),
+        ("linear", lambda x: ad.mean(ad.mul(ad.linear(x, Tensor(w34), Tensor(b4)), Tensor(attend_out)))),
+        ("attention_scores", lambda x: ad.mean(ad.mul(ad.attention_scores(
+            x, Tensor(w34), Tensor(b4), Tensor(k34), Tensor(-b4), 2, 0.5), Tensor(scores_out)))),
+        ("attend", lambda x: ad.mean(ad.mul(ad.attend(Tensor(probs), x, Tensor(w34), Tensor(b4)),
+                                            Tensor(attend_out)))),
         ("sum_rows", lambda x: ad.mean(ad.mul(ad.sum_rows(x), Tensor(sums)))),
         ("scale_rows_to_sums", lambda x: ad.mean(ad.mul(ad.scale_rows_to_sums(x, Tensor(sums)), Tensor(other)))),
         ("reshape", lambda x: ad.mean(ad.mul(ad.reshape(x, (3, 2)), ad.reshape(x, (3, 2))))),

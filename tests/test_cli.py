@@ -141,7 +141,7 @@ class TestEval:
     def test_refined_off_and_layer_range(self, trained_dir, dataset_dir, capsys):
         argv = ["eval", "--checkpoint", str(trained_dir / "checkpoint.ckpt"),
                 "--data", str(dataset_dir), "--refined", "off",
-                "--layers", "0..2", "--jobs", "2"]
+                "--layers", "0..2"]
         rc, payload = run_json(capsys, argv)
         assert rc == 0
         assert "unrefined" in payload and "refined" not in payload
@@ -181,6 +181,17 @@ class TestEval:
         rc = cli.main(["eval", "--checkpoint", str(bad), "--data", str(dataset_dir)])
         assert rc == 1
         assert "NaN or Inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape", [(5, 7), (32, 32)])
+    def test_misshaped_mask_exits_1(self, trained_dir, dataset_dir, tmp_path, capsys, shape):
+        data = tmp_path / "ds"
+        shutil.copytree(dataset_dir, data)
+        netpbm.write_pgm(data / "masks" / "00000.pgm", np.zeros(shape, dtype=np.uint8))
+        rc = cli.main(["eval", "--checkpoint", str(trained_dir / "checkpoint.ckpt"),
+                       "--data", str(data)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "line 1" in err and "mask" in err
 
     @pytest.mark.parametrize("cut", ["short_index", "long_labels"])
     def test_malformed_dataset_exits_1(self, trained_dir, dataset_dir, tmp_path, capsys, cut):

@@ -169,7 +169,7 @@ class TestEvaluateMatchesReference:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_whole_summary(self, seed):
         params, cfg, data = trained(seed)
-        fast = tr.evaluate(params, cfg, data, sweep_layers=True, jobs=3)
+        fast = tr.evaluate(params, cfg, data, sweep_layers=True)
         exact_same(fast, reference_evaluate(params, cfg, data, sweep_layers=True))
 
     def test_unsorted_custom_grid(self):

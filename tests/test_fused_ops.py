@@ -1,0 +1,209 @@
+"""The fused transformer ops: linear, attention_scores and attend.
+
+Each op is checked three ways: central differences with respect to every
+input, on a single (m, d) token matrix and on a (V, m, d) stack, with one
+and with two heads; its value and every input gradient against the chain
+of primitive ops it fuses (matmul, add, transpose, slice2d, concat,
+reshape), to 1e-12; and its shape contract. A pin on the node mix of the
+forward built from them closes the file.
+"""
+
+import numpy as np
+import pytest
+
+from attnreg import autodiff as ad
+from attnreg import synthdata as sd
+from attnreg import trainer as tr
+from attnreg import vit
+from attnreg.autodiff import Tape, Tensor
+from attnreg.errors import DimensionError
+from attnreg.gridtransform import FLIP_H, GridShape
+from attnreg.regularizer import LossWeights
+from attnreg.vit import ViTConfig
+
+M, D, WIDTH = 3, 4, 4  # tokens, token width, projection width
+SCALE = 0.7
+LEADS = {"2d": (), "stacked": (2,)}
+
+
+def operands(op, lead, heads, seed=0):
+    """Input arrays of `op` in call order (the probabilities of attend are
+    row-stochastic)."""
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=lead + (M, D))
+    w = lambda: rng.normal(size=(D, WIDTH))  # noqa: E731
+    b = lambda: rng.normal(size=(1, WIDTH))  # noqa: E731
+    if op == "linear":
+        return [h, w(), b()]
+    if op == "attention_scores":
+        return [h, w(), b(), w(), b()]
+    logits = rng.normal(size=lead + (heads, M, M))
+    probs = np.exp(logits) / np.exp(logits).sum(axis=-1, keepdims=True)
+    return [probs, h, w(), b()]
+
+
+def fused(op, heads):
+    if op == "linear":
+        return ad.linear
+    if op == "attention_scores":
+        return lambda h, wq, bq, wk, bk: ad.attention_scores(h, wq, bq, wk, bk, heads, SCALE)
+    return ad.attend
+
+
+def affine(x, w, b):
+    return ad.add(ad.matmul(x, w), ad.reshape(b, (b.shape[-1],)))
+
+
+def head_cols(x, j, heads):
+    k = x.shape[-1] // heads
+    return ad.slice2d(x, None, None, j * k, (j + 1) * k)
+
+
+def chained(op, heads):
+    """The primitive chain each fused op replaces."""
+    if op == "linear":
+        return affine
+
+    def scores(h, wq, bq, wk, bk):
+        q = ad.mul(affine(h, wq, bq), SCALE)
+        k = affine(h, wk, bk)
+        per_head = [ad.matmul(head_cols(q, j, heads), ad.transpose(head_cols(k, j, heads)))
+                    for j in range(heads)]
+        stacked = ad.concat(per_head, axis=0)  # (..., heads * m, m)
+        return ad.reshape(stacked, stacked.shape[:-2] + (heads, M, M))
+
+    def attend(probs, h, wv, bv):
+        v = affine(h, wv, bv)
+        rows = ad.reshape(probs, probs.shape[:-3] + (heads * M, M))
+        outs = [ad.matmul(ad.slice2d(rows, j * M, (j + 1) * M, None, None),
+                          head_cols(v, j, heads)) for j in range(heads)]
+        return outs[0] if heads == 1 else ad.concat(outs, axis=1)
+
+    return scores if op == "attention_scores" else attend
+
+
+CASES = [(op, lead, heads, i)
+         for op, arity in (("linear", 3), ("attention_scores", 5), ("attend", 4))
+         for lead in LEADS
+         for heads in ((1,) if op == "linear" else (1, 2))
+         for i in range(arity)]
+
+
+def case_id(case):
+    op, lead, heads, i = case
+    return f"{op}-{lead}-{heads}h-input{i}"
+
+
+class TestGradCheck:
+    @pytest.mark.parametrize("case", CASES, ids=[case_id(c) for c in CASES])
+    def test_input_gradient(self, case):
+        op, lead, heads, i = case
+        arrays = operands(op, LEADS[lead], heads)
+        fn = fused(op, heads)
+        out_shape = fn(*map(Tensor, arrays)).shape
+        weight = Tensor(np.random.default_rng(1).normal(size=out_shape))
+
+        def f(probe):
+            inputs = [probe if j == i else Tensor(a) for j, a in enumerate(arrays)]
+            return ad.mean(ad.mul(fn(*inputs), weight))
+
+        err = ad.grad_check(f, Tensor(arrays[i]), step=1e-5)
+        assert err < 1e-6, f"{case_id(case)}: finite-difference mismatch {err:.3e}"
+
+
+ORACLE_CASES = [(op, lead, heads) for op in ("linear", "attention_scores", "attend")
+                for lead in LEADS for heads in ((1,) if op == "linear" else (1, 2, 4))]
+
+
+class TestMatchesPrimitiveChain:
+    @pytest.mark.parametrize("op,lead,heads", ORACLE_CASES,
+                             ids=[f"{o}-{lead}-{h}h" for o, lead, h in ORACLE_CASES])
+    def test_value_and_every_gradient(self, op, lead, heads):
+        arrays = operands(op, LEADS[lead], heads, seed=2)
+        results = []
+        for build in (fused(op, heads), chained(op, heads)):
+            inputs = [Tensor(a, requires_grad=True) for a in arrays]
+            with Tape() as tape:
+                out = build(*inputs)
+            seed = np.random.default_rng(3).normal(size=out.shape)
+            tape.backward(out, seed=seed)
+            results.append((out.data, [t.grad for t in inputs]))
+        (value, grads), (ref_value, ref_grads) = results
+        assert value.shape == ref_value.shape
+        assert np.max(np.abs(value - ref_value)) <= 1e-12
+        for i, (g, ref) in enumerate(zip(grads, ref_grads, strict=True)):
+            assert g.shape == ref.shape and np.max(np.abs(g - ref)) <= 1e-12, f"input {i}"
+
+
+class TestShapeContracts:
+    def test_linear(self):
+        x, w, b = (Tensor(a) for a in operands("linear", (2,), 1))
+        for bad in ((x, Tensor(np.ones((D + 1, WIDTH))), b),    # inner widths disagree
+                    (x, w, Tensor(np.ones((WIDTH,)))),           # bias not (1, n)
+                    (x, w, Tensor(np.ones((1, WIDTH + 1)))),
+                    (x, Tensor(np.ones((2, D, WIDTH))), b),      # batched weight
+                    (Tensor(np.ones(D)), w, b)):                 # x not a matrix
+            with pytest.raises(DimensionError):
+                ad.linear(*bad)
+
+    def test_attention_scores(self):
+        h, wq, bq, wk, bk = (Tensor(a) for a in operands("attention_scores", (2,), 2))
+        with pytest.raises(DimensionError):
+            ad.attention_scores(h, Tensor(np.ones((D + 1, WIDTH))), bq, wk, bk, 2, SCALE)
+        with pytest.raises(DimensionError):
+            ad.attention_scores(h, wq, bq, wk, Tensor(np.ones((1, WIDTH + 1))), 2, SCALE)
+        with pytest.raises(DimensionError):  # q and k widths differ
+            ad.attention_scores(h, wq, bq, Tensor(np.ones((D, 2))), Tensor(np.ones((1, 2))),
+                                2, SCALE)
+        for heads in (3, 0):  # does not divide the width, or no head at all
+            with pytest.raises(DimensionError):
+                ad.attention_scores(h, wq, bq, wk, bk, heads, SCALE)
+
+    def test_attend(self):
+        probs, h, wv, bv = (Tensor(a) for a in operands("attend", (2,), 2))
+        with pytest.raises(DimensionError):
+            ad.attend(probs, h, Tensor(np.ones((D + 1, WIDTH))), bv)
+        with pytest.raises(DimensionError):
+            ad.attend(probs, h, wv, Tensor(np.ones((1, 2))))
+        with pytest.raises(DimensionError):  # 3 heads do not divide the width 4
+            ad.attend(Tensor(np.ones((2, 3, M, M))), h, wv, bv)
+        with pytest.raises(DimensionError):  # stack axes disagree
+            ad.attend(Tensor(np.ones((3, 2, M, M))), h, wv, bv)
+        with pytest.raises(DimensionError):  # token counts disagree
+            ad.attend(Tensor(np.ones((2, 2, M + 1, M + 1))), h, wv, bv)
+        with pytest.raises(DimensionError):  # no head axis
+            ad.attend(Tensor(np.ones((2, M, M))), h, wv, bv)
+
+
+# the criterion-07 model
+C07 = tr.TrainConfig(
+    vit=ViTConfig(patch_size=4, grid=GridShape(8, 8), embed_dim=16, num_layers=2, num_heads=2,
+                  num_classes=3, use_positional_embedding=False),
+    weights=LossWeights(alpha=2.0, beta=0.25, distance="l1"), augmentations=(FLIP_H,))
+
+
+class TestNodeMix:
+    """Tape nodes are the unit of dispatch cost; these counts pin it."""
+
+    def test_stacked_training_sample(self):
+        cfg = C07.vit
+        params = vit.init_params(cfg, np.random.default_rng(0))
+        image = np.random.default_rng(1).random((3, 32, 32))
+        sample = sd.SyntheticSample(image=image, labels=np.array([1.0, 0.0, 1.0]),
+                                    mask=np.zeros((32, 32), dtype=np.int64), seed=(0, 0))
+        with Tape() as tape:
+            tr._two_view_loss(sample, FLIP_H, params, C07)
+        ops = [n.op for n in tape.nodes]
+        assert len(ops) == 62
+        for gone in ("matmul", "add_bias", "split_heads", "merge_heads", "transpose"):
+            assert gone not in ops
+        assert ops.count("permute_rc") == 2  # one inversion per loss layer
+        assert ops.count("attention_scores") == ops.count("attend") == cfg.num_layers
+
+    def test_eval_forward(self):
+        cfg = C07.vit
+        params = {k: Tensor(p.data) for k, p in
+                  vit.init_params(cfg, np.random.default_rng(0)).items()}
+        with Tape() as tape:
+            vit.forward(np.random.default_rng(2).random((3, 32, 32)), params, cfg)
+        assert len(tape.nodes) == 30

@@ -209,6 +209,23 @@ class TestInversionFastVsOracle:
         with pytest.raises(DimensionError):
             gt.invert_attention_fast(np.zeros((4, 4)), FLIP_H, GridShape(2, 2))
 
+    def test_index_built_once_per_transform_and_grid(self, monkeypatch):
+        grid = GridShape(3, 5)
+        gt._inverse_token_index.cache_clear()
+        built = []
+        real = gt.token_permutation
+        monkeypatch.setattr(gt, "token_permutation",
+                            lambda *args: built.append(args) or real(*args))
+        a = np.random.default_rng(4).normal(size=(grid.n + 1, grid.n + 1))
+        first = gt.invert_attention_fast(a, ROT90, grid).data
+        again = gt.invert_attention_fast(a, ROT90, grid).data
+        gt.invert_attention_fast(a, FLIP_V, grid)
+        assert built == [(ROT90, grid), (FLIP_V, grid)]
+        assert np.array_equal(first, again)
+        index = gt._inverse_token_index(ROT90, grid)
+        with pytest.raises(ValueError):
+            index[0] = 1  # the cached index is read-only
+
 
 def scalar_bilinear(field, th, tw):
     """Independent bilinear kernel: per-output-pixel scalar interpolation

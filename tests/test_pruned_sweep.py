@@ -166,7 +166,14 @@ def _multi_input_cases():
         ("matmul_shared", ad.matmul, [rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5))]),
         ("matmul_batched", ad.matmul, [rng.normal(size=(2, 3, 4)),
                                        rng.normal(size=(2, 4, 5))]),
-        ("add_bias", ad.add_bias, [rng.normal(size=(2, 3, 4)), rng.normal(size=(1, 4))]),
+        ("linear", ad.linear, [rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 6)),
+                               rng.normal(size=(1, 6))]),
+        ("attention_scores", lambda h, wq, bq, wk, bk: ad.attention_scores(h, wq, bq, wk, bk,
+                                                                           2, 0.5),
+         [rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 6)), rng.normal(size=(1, 6)),
+          rng.normal(size=(4, 6)), rng.normal(size=(1, 6))]),
+        ("attend", ad.attend, [rng.random(size=(2, 2, 3, 3)), rng.normal(size=(2, 3, 4)),
+                               rng.normal(size=(4, 6)), rng.normal(size=(1, 6))]),
         ("layer_norm", ad.layer_norm, [rng.normal(size=(2, 3, 4)), rng.normal(size=(1, 4)),
                                        rng.normal(size=(1, 4))]),
         ("concat", lambda *parts: ad.concat(parts, axis=0),

@@ -161,6 +161,59 @@ class TestContracts:
             reg.region_activation_loss(a, a, IDENTITY, g)
 
 
+class TestSharedInversion:
+    """Both terms read one inversion per layer through invert_layers."""
+
+    @pytest.mark.parametrize("transform", [FLIP_H, ROT90, gt.SpatialTransform.parse("resize:3x3")],
+                             ids=str)
+    def test_same_losses_and_gradients_as_inverting_per_term(self, transform):
+        grid = GridShape(2, 2)
+        rng = np.random.default_rng(12)
+        n_prime = transform.target_grid(grid).n + 1
+        a_data = [random_attention(rng, grid.n + 1).data for _ in range(2)]
+        ap_data = [random_attention(rng, n_prime).data for _ in range(2)]
+        results = []
+        for share in (False, True):
+            a = [Tensor(x, requires_grad=True) for x in a_data]
+            ap = [Tensor(x, requires_grad=True) for x in ap_data]
+            with Tape() as tape:
+                back = reg.invert_layers(ap, transform, grid) if share else ap
+                act = reg.region_activation_loss(a, back, transform, grid)
+                aff = reg.region_affinity_loss(a, back, transform, grid)
+                total = ad.add(act, aff)
+            tape.backward(total)
+            results.append((act.data, aff.data, [t.grad for t in a + ap]))
+        (act, aff, grads), (s_act, s_aff, s_grads) = results
+        assert act == s_act and aff == s_aff
+        for g, sg in zip(grads, s_grads, strict=True):
+            assert np.array_equal(g, sg)
+
+    def test_inverts_each_layer_once(self, monkeypatch):
+        calls = []
+        real = reg.invert_attention
+        monkeypatch.setattr(reg, "invert_attention",
+                            lambda *args: calls.append(1) or real(*args))
+        grid = GridShape(2, 3)
+        rng = np.random.default_rng(13)
+        a = [random_attention(rng, grid.n + 1) for _ in range(3)]
+        back = reg.invert_layers([random_attention(rng, grid.n + 1) for _ in range(3)],
+                                 ROT90, grid)
+        reg.region_activation_loss(a, back, ROT90, grid)
+        reg.region_affinity_loss(a, back, ROT90, grid)
+        assert len(calls) == 3
+        assert reg.invert_layers(back, ROT90, grid) is back
+
+    def test_inverted_for_another_transform_or_grid_is_rejected(self):
+        grid = GridShape(2, 2)
+        rng = np.random.default_rng(14)
+        a = [random_attention(rng, grid.n + 1)]
+        back = reg.invert_layers([random_attention(rng, grid.n + 1)], FLIP_H, grid)
+        with pytest.raises(ContractError):
+            reg.region_activation_loss(a, back, gt.FLIP_V, grid)
+        with pytest.raises(ContractError):
+            reg.region_affinity_loss(a, back, FLIP_H, GridShape(1, 4))
+
+
 def tiny_vit():
     cfg = vit.ViTConfig(patch_size=2, grid=GridShape(2, 2), embed_dim=8, num_layers=2,
                         num_heads=2, mlp_ratio=2.0, num_classes=2,

@@ -280,6 +280,22 @@ class TestMalformedIndex:
         with pytest.raises(ContractError):
             sd.load_dataset(saved)
 
+    @pytest.mark.parametrize("shape", [(5, 7), (16, 15), (32, 32)])
+    def test_mask_shape_must_match_its_image(self, saved, shape):
+        netpbm.write_pgm(saved / "masks" / "00001.pgm", np.zeros(shape, dtype=np.uint8))
+        with pytest.raises(ContractError, match="line 2"):
+            sd.load_dataset(saved)
+
+    def test_mask_value_above_num_classes(self, saved):
+        mask = netpbm.read_netpbm(saved / "masks" / "00002.pgm")
+        mask[3, 4] = 4  # classes 1..3 are 1..3, background 0
+        netpbm.write_pgm(saved / "masks" / "00002.pgm", mask)
+        with pytest.raises(ContractError, match="line 3"):
+            sd.load_dataset(saved)
+        mask[3, 4] = 3
+        netpbm.write_pgm(saved / "masks" / "00002.pgm", mask)
+        sd.load_dataset(saved)
+
     def test_bad_meta(self, saved):
         (saved / "meta.json").write_text('{"num_samples": 3, "colour": 1}')
         with pytest.raises(ContractError):
