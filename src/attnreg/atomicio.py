@@ -6,7 +6,6 @@ from __future__ import annotations
 import contextlib
 import os
 import secrets
-from pathlib import Path
 from typing import BinaryIO, Iterator
 
 
@@ -16,8 +15,8 @@ def atomic_open(path) -> Iterator[BinaryIO]:
     exits normally. The bytes go to a temporary file in the same directory,
     which os.replace moves over `path`; if the block raises, the temporary
     file is removed and `path` is left as it was."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
     try:
         with open(tmp, "xb") as f:
             yield f

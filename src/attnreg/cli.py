@@ -28,6 +28,7 @@ from . import regularizer as reg
 from . import synthdata as sd
 from . import trainer as tr
 from . import vit
+from .atomicio import write_text_atomic
 from .autodiff import Tensor
 from .errors import AttnRegError, ContractError, NumericalError
 
@@ -198,7 +199,8 @@ def _cmd_ablate(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         for name, rows in tables.items():
-            (out / f"{name}.json").write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
+            write_text_atomic(out / f"{name}.json",
+                              json.dumps(rows, indent=2, sort_keys=True) + "\n")
     _emit(tables, args.pretty)
     return 0
 

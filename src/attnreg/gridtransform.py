@@ -335,10 +335,26 @@ def bilinear_matrix(src: int, dst: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=64)
 def grid_interp_matrix(source: GridShape, target: GridShape) -> np.ndarray:
     """(target.n, source.n) bilinear weights over row-major token fields:
-    kron of the per-axis matrices."""
-    return np.kron(bilinear_matrix(source.h, target.h), bilinear_matrix(source.w, target.w))
+    kron of the per-axis matrices. Built once per (source, target); the
+    cached array is read-only."""
+    weights = np.kron(bilinear_matrix(source.h, target.h), bilinear_matrix(source.w, target.w))
+    weights.flags.writeable = False
+    return weights
+
+
+@functools.lru_cache(maxsize=64)
+def nearest_index(src: int, dst: int) -> np.ndarray:
+    """(dst,) source index of each output cell of a nearest-neighbour
+    resize from src to dst cells (half-pixel centers; exact block
+    replication for integer factors). Built once per (src, dst); the
+    cached array is read-only."""
+    u = (np.arange(dst) + 0.5) * (src / dst) - 0.5
+    index = np.clip(np.rint(u).astype(np.int64), 0, src - 1)
+    index.flags.writeable = False
+    return index
 
 
 def resize_attention(a_prime, source: GridShape, target: GridShape) -> Tensor:

@@ -10,6 +10,12 @@ attention block, then clamp-normalizes again.
 Seeds: a pixel is background when every class map sits below the
 threshold, otherwise the argmax class wins, ties to the lowest class
 index. Stored labels are class_index + 1, 0 = background.
+
+The array kernels (``fuse_rows``, ``patch_affinity``, ``refine_maps``,
+``argmax_seed``) take any number of leading axes, so evaluation builds
+the maps of a whole stack of images in one call; the per-map functions
+below are their one-map case and only add validation and the
+``LocalizationMap`` wrapper.
 """
 
 from __future__ import annotations
@@ -22,8 +28,9 @@ from typing import Sequence
 import numpy as np
 
 from . import netpbm
+from .atomicio import write_text_atomic
 from .errors import ContractError, DimensionError
-from .gridtransform import GridShape
+from .gridtransform import GridShape, nearest_index
 
 
 @dataclass
@@ -40,7 +47,7 @@ class SeedMask:
     threshold: float
 
 
-def _resolve_layers(layer_range: tuple[int, int] | None, num_layers: int) -> tuple[int, int]:
+def resolve_layers(layer_range: tuple[int, int] | None, num_layers: int) -> tuple[int, int]:
     if layer_range is None:
         layer_range = (max(0, num_layers - 2), num_layers)
     start, stop = layer_range
@@ -50,11 +57,44 @@ def _resolve_layers(layer_range: tuple[int, int] | None, num_layers: int) -> tup
 
 
 def _clamp_normalize(values: np.ndarray) -> np.ndarray:
+    """Clamp negatives to zero and divide each map (the last axis) by its
+    max; all-zero maps stay all-zero."""
     values = np.maximum(values, 0.0)
-    peak = values.max()
-    if peak > 0.0:
-        values = values / peak
-    return values
+    peak = values.max(axis=-1, keepdims=True)
+    return values / np.where(peak > 0.0, peak, 1.0)
+
+
+def fuse_rows(rows: np.ndarray, layer_range: tuple[int, int]) -> np.ndarray:
+    """Class maps from class-token adjoint rows: (..., L, n) rows -> their
+    clamp-normalized mean over layers [start, stop), (..., n)."""
+    start, stop = layer_range
+    return _clamp_normalize(rows[..., start:stop, :].mean(axis=-2))
+
+
+def patch_affinity(blocks: np.ndarray, layer_range: tuple[int, int]) -> np.ndarray:
+    """(..., L, n, n) patch-to-patch attention blocks -> their mean over
+    layers [start, stop), (..., n, n)."""
+    start, stop = layer_range
+    return blocks[..., start:stop, :, :].mean(axis=-3)
+
+
+def refine_maps(values: np.ndarray, affinity: np.ndarray) -> np.ndarray:
+    """(..., c, n) maps, each as a row vector times its image's (..., n, n)
+    affinity, then clamp-normalized. Every product is a (1, n) @ (n, n)
+    one, as for a single map, so stacking changes no bit."""
+    spread = values[..., None, :] @ affinity[..., None, :, :]
+    return _clamp_normalize(spread[..., 0, :])
+
+
+def argmax_seed(values: np.ndarray, classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(..., c, h, w) maps of the ascending class indices (..., c) ->
+    (labels, peak), both (..., h, w): labels is the argmax map's class + 1
+    (the first max wins, so ties go to the lowest class) and peak the max
+    over the maps."""
+    winner = np.argmax(values, axis=-3)
+    labels = np.take_along_axis(np.asarray(classes, dtype=np.int64)[..., None, None],
+                                winner[..., None, :, :], axis=-3)[..., 0, :, :] + 1
+    return labels, values.max(axis=-3)
 
 
 def grad_localization(adjoints: Sequence[np.ndarray], grid: GridShape, class_index: int,
@@ -66,17 +106,17 @@ def grad_localization(adjoints: Sequence[np.ndarray], grid: GridShape, class_ind
     to the last two layers."""
     if len(adjoints) == 0:
         raise ContractError("no adjoints given")
-    start, stop = _resolve_layers(layer_range, len(adjoints))
+    start, stop = resolve_layers(layer_range, len(adjoints))
     m = grid.n + 1
-    rows = []
+    rows = np.empty((len(adjoints), grid.n))
     for i in range(start, stop):
         adj = np.asarray(adjoints[i], dtype=np.float64)
         if adj.shape != (m, m):
             raise DimensionError(f"layer {i}: adjoint shape {adj.shape} does not "
                                  f"match grid {grid}")
-        rows.append(adj[0, 1:])
-    fused = np.mean(rows, axis=0).reshape(grid.h, grid.w)
-    return LocalizationMap(class_index=class_index, values=_clamp_normalize(fused),
+        rows[i] = adj[0, 1:]
+    return LocalizationMap(class_index=class_index,
+                           values=fuse_rows(rows, (start, stop)).reshape(grid.h, grid.w),
                            layers_fused=(start, stop), refined=False)
 
 
@@ -88,21 +128,19 @@ def affinity_refine(loc_map: LocalizationMap, attentions: Sequence[np.ndarray],
         raise ContractError("map is already affinity-refined")
     if len(attentions) == 0:
         raise ContractError("no attention matrices given")
-    start, stop = _resolve_layers(layer_range if layer_range is not None
-                                  else loc_map.layers_fused, len(attentions))
+    start, stop = resolve_layers(layer_range if layer_range is not None
+                                 else loc_map.layers_fused, len(attentions))
     h, w = loc_map.values.shape
     n = h * w
-    blocks = []
+    blocks = np.empty((len(attentions), n, n))
     for i in range(start, stop):
         a = np.asarray(attentions[i], dtype=np.float64)
         if a.shape != (n + 1, n + 1):
             raise DimensionError(f"layer {i}: attention shape {a.shape} does not "
                                  f"match a {h}x{w} map")
-        blocks.append(a[1:, 1:])
-    affinity = np.mean(blocks, axis=0)
-    spread = loc_map.values.reshape(1, n) @ affinity
-    return LocalizationMap(class_index=loc_map.class_index,
-                           values=_clamp_normalize(spread.reshape(h, w)),
+        blocks[i] = a[1:, 1:]
+    spread = refine_maps(loc_map.values.reshape(1, n), patch_affinity(blocks, (start, stop)))
+    return LocalizationMap(class_index=loc_map.class_index, values=spread.reshape(h, w),
                            layers_fused=(start, stop), refined=True)
 
 
@@ -119,49 +157,35 @@ def seed_from_maps(maps: Sequence[LocalizationMap], threshold: float) -> SeedMas
     shape = maps[0].values.shape
     if any(m.values.shape != shape for m in maps):
         raise DimensionError("all maps must share one grid shape")
-    stack = np.stack([m.values for m in maps])          # (k, h, w)
-    winner = np.argmax(stack, axis=0)                    # first max wins = lowest class
-    labels = np.asarray(classes, dtype=np.int64)[winner] + 1
-    background = np.all(stack < threshold, axis=0)
-    labels[background] = 0
+    labels, peak = argmax_seed(np.stack([m.values for m in maps]), classes)
+    labels[peak < threshold] = 0
     return SeedMask(labels=labels, threshold=float(threshold))
 
 
 def upsample_nearest(labels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Nearest-neighbor upsample of an integer label grid (half-pixel
-    centers; exact block replication for integer factors)."""
+    """Nearest-neighbor upsample of an integer label grid, (..., h, w) ->
+    (..., out_h, out_w) (half-pixel centers; exact block replication for
+    integer factors)."""
     labels = np.asarray(labels)
-    if labels.ndim != 2:
-        raise DimensionError(f"expected (h, w) labels, got shape {labels.shape}")
+    if labels.ndim < 2:
+        raise DimensionError(f"expected (..., h, w) labels, got shape {labels.shape}")
     if out_h < 1 or out_w < 1:
         raise ContractError("output size must be positive")
-
-    def indices(src: int, dst: int) -> np.ndarray:
-        u = (np.arange(dst) + 0.5) * (src / dst) - 0.5
-        return np.clip(np.rint(u).astype(np.int64), 0, src - 1)
-
-    return labels[indices(labels.shape[0], out_h)[:, None],
-                  indices(labels.shape[1], out_w)[None, :]]
+    return labels[..., nearest_index(labels.shape[-2], out_h)[:, None],
+                  nearest_index(labels.shape[-1], out_w)[None, :]]
 
 
 def export_map(path_base, loc_map: LocalizationMap) -> tuple[Path, Path]:
-    """Write `<base>.pgm` (values x255) and `<base>.json` sidecar."""
+    """Write `<base>.pgm` (values x255) and `<base>.json` sidecar, each
+    replaced atomically."""
     base = Path(path_base)
     pgm = base.with_suffix(".pgm")
     meta = base.with_suffix(".json")
     netpbm.write_pgm(pgm, np.rint(loc_map.values * 255.0).astype(np.uint8))
-    meta.write_text(json.dumps({"class_index": loc_map.class_index,
-                                "layers_fused": list(loc_map.layers_fused),
-                                "refined": loc_map.refined}, sort_keys=True) + "\n")
+    write_text_atomic(meta, json.dumps({"class_index": loc_map.class_index,
+                                        "layers_fused": list(loc_map.layers_fused),
+                                        "refined": loc_map.refined}, sort_keys=True) + "\n")
     return pgm, meta
-
-
-def export_attention_csv(path, matrix: np.ndarray) -> None:
-    """Attention matrix as plain CSV for inspection."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise DimensionError(f"expected a matrix, got shape {matrix.shape}")
-    np.savetxt(path, matrix, delimiter=",", fmt="%.17g")
 
 
 @dataclass

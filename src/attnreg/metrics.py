@@ -1,8 +1,8 @@
 """Segmentation metrics over integer label masks.
 
 Counts are pooled over the whole dataset before any ratio is taken
-(VOC convention), so results are independent of image order and
-partial accumulators merge associatively. Class 0 is background. Every
+(VOC convention), so results are independent of image order and of how
+images are grouped into ``add`` calls. Class 0 is background. Every
 score is read from a confusion matrix (``matrix[truth, pred]`` pixel
 counts) by :func:`scores`.
 
@@ -15,7 +15,9 @@ background at threshold t when all class maps, i.e. their max, lie below
 t; otherwise it takes the argmax class, which does not depend on t. So
 each pixel is binned once by (number of thresholds <= its max, truth,
 argmax label); cumulative sums over the bins give every threshold's
-confusion matrix.
+confusion matrix. The sweep has two halves: :func:`add_seeds` bins
+images into a leveled :class:`ConfusionAccumulator` as they come, and
+:func:`best_threshold` picks the threshold from it once all are in.
 """
 
 from __future__ import annotations
@@ -73,22 +75,6 @@ class ConfusionAccumulator:
     def matrix(self) -> np.ndarray:
         return self.counts.sum(axis=0)
 
-    # per-class and pooled pixel counts, read off the matrix
-    intersection = property(lambda self: np.diagonal(self.matrix).copy())
-    union = property(lambda self: self.matrix.sum(0) + self.matrix.sum(1) - self.intersection)
-    false_positive = property(lambda self: self.matrix.sum(axis=0) - self.intersection)
-    false_negative = property(lambda self: self.matrix.sum(axis=1) - self.intersection)
-    over_activation = property(lambda self: int(self.matrix[0, 1:].sum()))   # pred fg, gt bg
-    under_activation = property(lambda self: int(self.matrix[1:, 0].sum()))  # pred bg, gt fg
-    total_pixels = property(lambda self: int(self.counts.sum()))
-
-    def merge(self, other: "ConfusionAccumulator") -> "ConfusionAccumulator":
-        if other.counts.shape != self.counts.shape:
-            raise ContractError("cannot merge accumulators with different class counts")
-        out = ConfusionAccumulator(self.num_classes, len(self.counts))
-        out.counts = self.counts + other.counts
-        return out
-
     def per_class_iou(self) -> list[float | None]:
         """IoU per class; None for classes absent from both pred and gt."""
         return self.summary()["per_class_iou"]
@@ -116,13 +102,9 @@ def miou(pred_masks, gt_masks, num_classes: int) -> tuple[list[float | None], fl
     return acc.per_class_iou(), acc.miou()
 
 
-def best_threshold_miou(maps_per_image, gt_masks, num_classes: int,
-                        thresholds=None) -> dict:
-    """Sweep the background threshold over a grid (default 0.05 .. 0.95,
-    step 0.05); return the best threshold and its miou, fp_rate, fn_rate
-    and per_class_iou. Ties go to the smaller threshold. Seeds are
-    upsampled nearest-neighbor to each ground-truth mask's size; an image
-    without maps is all background. Empty input -> all values None."""
+def threshold_grid(thresholds=None) -> np.ndarray:
+    """The background thresholds, sorted (default 0.05 .. 0.95, step
+    0.05); an empty grid or one outside [0, 1] is a ContractError."""
     if thresholds is None:
         thresholds = DEFAULT_THRESHOLDS
     thresholds = sorted(float(t) for t in thresholds)
@@ -130,23 +112,31 @@ def best_threshold_miou(maps_per_image, gt_masks, num_classes: int,
         raise ContractError("threshold grid is empty")
     if any(not 0.0 <= t <= 1.0 for t in thresholds):
         raise ContractError("thresholds must lie in [0, 1]")
-    if len(maps_per_image) != len(gt_masks):
-        raise DimensionError(f"{len(maps_per_image)} map sets vs {len(gt_masks)} truths")
-    grid = np.asarray(thresholds)
-    hist = ConfusionAccumulator(num_classes, levels=len(thresholds) + 1)
-    for maps, gt in zip(maps_per_image, gt_masks):
-        h, w = gt.shape[0], gt.shape[1]
-        pred = level = np.zeros(gt.shape, dtype=np.int64)
-        if maps:
-            # no map value lies below -inf, so this seed is the argmax label
-            pred = upsample_nearest(seed_from_maps(maps, -np.inf).labels, h, w)
-            peak = np.max([m.values for m in maps], axis=0)
-            level = upsample_nearest(np.searchsorted(grid, peak, side="right"), h, w)
-        hist.add(pred, gt, level)
+    return np.asarray(thresholds)
 
+
+def add_seeds(hist: ConfusionAccumulator, grid: np.ndarray, gt: np.ndarray,
+              labels: np.ndarray | None = None, peak: np.ndarray | None = None) -> None:
+    """Bin one image, or a stack of them, into the leveled histogram of
+    the sorted threshold grid (``len(grid) + 1`` levels): each pixel by
+    (number of thresholds <= its peak, truth, argmax label). ``labels``
+    and ``peak`` are (..., h, w) and are upsampled nearest-neighbor to
+    gt's (..., H, W); without them every pixel is background."""
+    if labels is None:
+        hist.add(np.zeros_like(gt), gt)
+        return
+    h, w = gt.shape[-2:]
+    level = np.searchsorted(grid, peak, side="right")
+    hist.add(upsample_nearest(labels, h, w), gt, upsample_nearest(level, h, w))
+
+
+def best_threshold(hist: ConfusionAccumulator, grid: np.ndarray) -> dict:
+    """The threshold of the grid with the best mIoU (ties go to the
+    smaller threshold) and its miou, fp_rate, fn_rate and per_class_iou,
+    read from a histogram filled by add_seeds. No pixels -> all None."""
     best_theta, best, best_matrix = None, None, None
-    below = np.cumsum(hist.counts, axis=0)   # [i]: background at thresholds[i]
-    for theta, background in zip(thresholds, below):
+    below = np.cumsum(hist.counts, axis=0)   # [i]: background at grid[i]
+    for theta, background in zip(grid.tolist(), below):
         matrix = below[-1] - background
         matrix[:, 0] += background.sum(axis=1)
         score = scores(matrix)["miou"]
@@ -155,3 +145,24 @@ def best_threshold_miou(maps_per_image, gt_masks, num_classes: int,
     at_best = scores(best_matrix) if best_matrix is not None else {}
     return {"threshold": best_theta, "miou": best,
             **{key: at_best.get(key) for key in ("fp_rate", "fn_rate", "per_class_iou")}}
+
+
+def best_threshold_miou(maps_per_image, gt_masks, num_classes: int,
+                        thresholds=None) -> dict:
+    """Sweep the background threshold over a grid (default 0.05 .. 0.95,
+    step 0.05); return the best threshold and its miou, fp_rate, fn_rate
+    and per_class_iou. Ties go to the smaller threshold. Seeds are
+    upsampled nearest-neighbor to each ground-truth mask's size; an image
+    without maps is all background. Empty input -> all values None."""
+    grid = threshold_grid(thresholds)
+    if len(maps_per_image) != len(gt_masks):
+        raise DimensionError(f"{len(maps_per_image)} map sets vs {len(gt_masks)} truths")
+    hist = ConfusionAccumulator(num_classes, levels=len(grid) + 1)
+    for maps, gt in zip(maps_per_image, gt_masks):
+        if not maps:
+            add_seeds(hist, grid, gt)
+            continue
+        # no map value lies below -inf, so this seed is the argmax label
+        labels = seed_from_maps(maps, -np.inf).labels
+        add_seeds(hist, grid, gt, labels, np.max([m.values for m in maps], axis=0))
+    return best_threshold(hist, grid)

@@ -10,6 +10,7 @@ import os
 
 import numpy as np
 
+from .atomicio import atomic_open
 from .errors import ContractError, DimensionError
 
 
@@ -18,27 +19,28 @@ def _header(kind: bytes, w: int, h: int) -> bytes:
 
 
 def write_pgm(path: os.PathLike | str, gray: np.ndarray) -> None:
-    """(H, W) uint8 array -> binary P5 file."""
+    """(H, W) uint8 array -> binary P5 file, replaced atomically."""
     gray = np.asarray(gray)
     if gray.ndim != 2:
         raise DimensionError(f"P5 wants (H, W), got shape {gray.shape}")
     if gray.dtype != np.uint8:
         raise ContractError(f"P5 wants uint8 pixels, got {gray.dtype}")
     h, w = gray.shape
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(_header(b"P5", w, h))
         fh.write(gray.tobytes())
 
 
 def write_ppm(path: os.PathLike | str, rgb: np.ndarray) -> None:
-    """(3, H, W) uint8 array -> binary P6 file (interleaved on disk)."""
+    """(3, H, W) uint8 array -> binary P6 file (interleaved on disk),
+    replaced atomically."""
     rgb = np.asarray(rgb)
     if rgb.ndim != 3 or rgb.shape[0] != 3:
         raise DimensionError(f"P6 wants (3, H, W), got shape {rgb.shape}")
     if rgb.dtype != np.uint8:
         raise ContractError(f"P6 wants uint8 pixels, got {rgb.dtype}")
     _, h, w = rgb.shape
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(_header(b"P6", w, h))
         fh.write(np.ascontiguousarray(rgb.transpose(1, 2, 0)).tobytes())
 

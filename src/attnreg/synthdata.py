@@ -13,6 +13,7 @@ Per-sample randomness derives from ``default_rng([master_seed, index])``
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ import numpy as np
 from . import netpbm
 from .atomicio import write_text_atomic
 from .errors import ContractError, DimensionError
-from .gridtransform import SpatialTransform, TransformKind, bilinear_matrix
+from .gridtransform import SpatialTransform, TransformKind, bilinear_matrix, nearest_index
 
 CLASS_NAMES = ("disk", "square", "triangle", "ring", "cross")
 
@@ -94,9 +95,17 @@ class AugmentedPair:
 
 # -- shape footprints ---------------------------------------------------------
 
+@functools.lru_cache(maxsize=16)
+def _pixel_grid(h: int, w: int) -> np.ndarray:
+    """(2, h, w) float row and column coordinates; cached read-only."""
+    grid = np.mgrid[0:h, 0:w].astype(np.float64)
+    grid.flags.writeable = False
+    return grid
+
+
 def _footprint(class_index: int, h: int, w: int, cy: float, cx: float,
                size: float) -> np.ndarray:
-    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+    yy, xx = _pixel_grid(h, w)
     dy, dx = yy - cy, xx - cx
     name = CLASS_NAMES[class_index - 1]
     if name == "disk":
@@ -205,11 +214,6 @@ def augment(image: np.ndarray, transform: SpatialTransform,
     return np.stack([_resize_pixels(ch, out_h, out_w) for ch in image])
 
 
-def _nearest_index(src: int, dst: int) -> np.ndarray:
-    u = (np.arange(dst) + 0.5) * (src / dst) - 0.5
-    return np.clip(np.rint(u).astype(np.int64), 0, src - 1)
-
-
 def augment_mask(mask: np.ndarray, transform: SpatialTransform,
                  cell_pixels: int = 1) -> np.ndarray:
     """Same transform on an (H, W) integer mask; resize uses nearest
@@ -230,8 +234,8 @@ def augment_mask(mask: np.ndarray, transform: SpatialTransform,
         return np.ascontiguousarray(np.rot90(mask, 1))
     if k is TransformKind.ROT270:
         return np.ascontiguousarray(np.rot90(mask, 3))
-    iy = _nearest_index(mask.shape[0], transform.resize_target.h * cell_pixels)
-    ix = _nearest_index(mask.shape[1], transform.resize_target.w * cell_pixels)
+    iy = nearest_index(mask.shape[0], transform.resize_target.h * cell_pixels)
+    ix = nearest_index(mask.shape[1], transform.resize_target.w * cell_pixels)
     return mask[iy[:, None], ix[None, :]]
 
 

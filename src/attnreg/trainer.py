@@ -15,14 +15,23 @@ A training backward stores ``.grad`` in the parameters (the leaves that
 require grad) and in the retained per-head attention stacks, and in no
 other tensor of the two-view loss.
 
-Evaluation runs one forward per image on one tape, then one seeded
-reverse sweep per present class (clearing the retained attention grads
-in between, so adjoints never mix). The parameters are wrapped once per
-call in no-grad views, so evaluation never writes the caller's
+Evaluation is one streaming pass over stacks of images. Images are
+grouped by (image shape, mask shape, number of present classes) and each
+group is cut into stacks bounded by TAPE_BYTE_BUDGET, a fixed byte
+budget for the forward's tape worked out from the model config (tokens,
+width, layers, heads). A stack runs one forward on the view axis, then
+one seeded reverse sweep per class rank: sweep r seeds logits row v
+with the one-hot of image v's r-th present class in ascending order,
+after clearing the retained attention grads (so adjoints never mix). A
+stack of c-class images thus takes c sweeps, the per-image backward
+work of one sweep per present class. The parameters are wrapped once
+per call in no-grad views, so evaluation never writes the caller's
 parameters and a sweep computes no parameter gradient: it stores only
 the retained heads' gradients and stops at the first layer's attention,
-below which nothing requires grad. It builds per-class localization
-maps and scores every background threshold in one pass.
+below which nothing requires grad. Every reported cell -- unrefined,
+refined and each layer-sweep row -- then builds the whole stack's maps
+at once and bins them into its threshold histogram, and the stack is
+dropped, so memory does not grow with the number of images.
 """
 
 from __future__ import annotations
@@ -39,9 +48,9 @@ from . import metrics as mt
 from . import regularizer as reg
 from . import synthdata as sd
 from . import vit
-from .atomicio import write_text_atomic
+from .atomicio import atomic_open, write_text_atomic
 from .autodiff import Tape, Tensor
-from .errors import ContractError, NumericalError
+from .errors import ContractError, DimensionError, NumericalError
 from .gridtransform import FLIP_H, GridShape, SpatialTransform
 from .regularizer import LossWeights
 from .vit import ViTConfig
@@ -253,7 +262,8 @@ def _dump_divergence(out_dir: Path | None, epoch: int, step: int,
         return "no output directory, nothing dumped"
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"divergence_epoch{epoch}_step{step}.npz"
-    np.savez(path, labels=sample.labels, mask=sample.mask, **snapshot)
+    with atomic_open(path) as f:
+        np.savez(f, labels=sample.labels, mask=sample.mask, **snapshot)
     return str(path)
 
 
@@ -356,6 +366,50 @@ def train(config: TrainConfig, samples: list[sd.SyntheticSample],
 
 # -- evaluation -----------------------------------------------------------------
 
+# A stack's forward records about this many bytes of node outputs; see
+# _tape_bytes_per_image. Stacking buys speed up to a few images per
+# stack and only memory beyond, so the bound is a constant, not a knob:
+# the criterion-07 model (8x8 grid, embed 16, 2 layers) fits 7 images,
+# the default model (embed 64, 4 layers) 1.
+TAPE_BYTE_BUDGET = 4 * 2**20
+
+
+def _tape_bytes_per_image(cfg: ViTConfig) -> int:
+    """Node-output bytes of one image's forward: per layer two per-head
+    (t, t) stacks (scores, softmax), the head average, seven (t, d) and
+    two (t, mlp) activations; around the layers a few (t, d) rows
+    (t = tokens, d = width)."""
+    t, d = cfg.grid.n + 1, cfg.embed_dim
+    per_layer = 2 * cfg.num_heads * t * t + t * t + 7 * t * d + 2 * t * cfg.mlp_dim
+    return 8 * (cfg.num_layers * per_layer + 4 * t * d)
+
+
+def _stack_forward(images: np.ndarray, classes: np.ndarray, params: dict[str, Tensor],
+                   cfg: ViTConfig):
+    """Record one forward of an (S, C, H, W) image stack on one tape and
+    return (result, sweep). ``sweep(r)`` clears the retained head grads and
+    runs one reverse sweep seeded on logits row v with the one-hot of
+    image v's class ``classes[v, r]``, so afterwards the heads hold the
+    gradients of that sweep only. Nothing shared is written: pass no-grad
+    parameter views (_no_grad_views) and no parameter gradient is
+    computed either."""
+    if classes.size and (classes.min() < 0 or classes.max() >= cfg.num_classes):
+        raise ContractError(f"classes {sorted(set(classes.ravel().tolist()))} outside "
+                            f"0..{cfg.num_classes - 1}")
+    with Tape() as tape:
+        res = vit.forward(images, params, cfg)
+    views = np.arange(len(images))
+
+    def sweep(r: int) -> None:
+        for rec in res.attentions:
+            rec.heads.zero_grad()
+        seed = np.zeros(res.logits.shape)
+        seed[views, classes[:, r]] = 1.0
+        tape.backward(res.logits, seed=seed)
+
+    return res, sweep
+
+
 def _no_grad_views(params: dict[str, Tensor]) -> dict[str, Tensor]:
     """Parameters that require grad wrapped as no-grad views of the same
     data; the others are passed through as they are."""
@@ -364,24 +418,56 @@ def _no_grad_views(params: dict[str, Tensor]) -> dict[str, Tensor]:
 
 def image_localization_data(image: np.ndarray, classes, params: dict[str, Tensor],
                             cfg: ViTConfig, gt_mask=None) -> lc.ImageLocalizationData:
-    """One forward on one tape, then per class in `classes` one reverse
-    sweep seeded with its one-hot logit adjoint, after clearing the head
-    grads. Parameters that require grad are wrapped as no-grad views:
+    """The one-image stack of evaluation's sweep: one forward, then per
+    class in `classes` one reverse sweep seeded with its one-hot logit
+    adjoint. Parameters that require grad are wrapped as no-grad views:
     nothing shared is written."""
-    if any(not 0 <= k < cfg.num_classes for k in classes):
-        raise ContractError(f"classes {list(classes)} outside 0..{cfg.num_classes - 1}")
-    frozen = _no_grad_views(params)
-    with Tape() as tape:
-        res = vit.forward(image, frozen, cfg)
+    classes = [int(k) for k in classes]
+    res, sweep = _stack_forward(np.asarray(image)[None], np.array([classes], dtype=np.int64),
+                                _no_grad_views(params), cfg)
     adjoints_by_class: dict[int, list[np.ndarray]] = {}
-    for k in classes:
-        for rec in res.attentions:
-            rec.heads.zero_grad()
-        tape.backward(res.logits, seed=np.eye(cfg.num_classes)[k])
-        adjoints_by_class[k] = vit.attention_adjoints(res, k)
+    for r, k in enumerate(classes):
+        sweep(r)
+        adjoints_by_class[k] = [adj[0] for adj in vit.attention_adjoints(res, k)]
     return lc.ImageLocalizationData(adjoints_by_class=adjoints_by_class,
-                                    attentions=[rec.matrix.data for rec in res.attentions],
+                                    attentions=[rec.matrix.data[0] for rec in res.attentions],
                                     gt_mask=gt_mask)
+
+
+def _stacks(samples: list[sd.SyntheticSample], cfg: ViTConfig):
+    """Yield (stack, classes): the samples grouped by (image shape, mask
+    shape, number of present classes), in order of first appearance, and
+    each group cut into stacks of at most TAPE_BYTE_BUDGET forward bytes;
+    classes is the (S, c) array of each image's present classes in
+    ascending order."""
+    groups: dict[tuple, list[sd.SyntheticSample]] = {}
+    for s in samples:
+        key = (s.image.shape, s.mask.shape, int(np.count_nonzero(s.labels)))
+        groups.setdefault(key, []).append(s)
+    size = max(1, TAPE_BYTE_BUDGET // _tape_bytes_per_image(cfg))
+    for group in groups.values():
+        for i in range(0, len(group), size):
+            stack = group[i:i + size]
+            yield stack, np.array([np.flatnonzero(s.labels) for s in stack], dtype=np.int64)
+
+
+def _stack_adjoint_rows(stack: list[sd.SyntheticSample], classes: np.ndarray,
+                        params: dict[str, Tensor], cfg: ViTConfig):
+    """One forward and one sweep per class rank for a stack: the
+    class-token adjoint rows (S, c, L, n), [v, r, l] of image v's r-th
+    class at layer l, and the patch-to-patch attention blocks (S, L, n, n).
+    The tape is dropped on return."""
+    grid = GridShape(*(d // cfg.patch_size for d in stack[0].image.shape[-2:]))
+    if grid != cfg.grid:
+        raise DimensionError(f"image grid {grid} does not match the model's grid {cfg.grid}")
+    res, sweep = _stack_forward(np.stack([s.image for s in stack]), classes, params, cfg)
+    rows = np.empty(classes.shape + (cfg.num_layers, grid.n))
+    for r in range(classes.shape[1]):
+        sweep(r)
+        for i, rec in enumerate(res.attentions):
+            rows[:, r, i] = rec.adjoint[:, 0, 1:]
+    blocks = np.stack([rec.matrix.data[:, 1:, 1:] for rec in res.attentions], axis=1)
+    return rows, blocks
 
 
 def evaluate(params: dict[str, Tensor], cfg: ViTConfig,
@@ -389,40 +475,52 @@ def evaluate(params: dict[str, Tensor], cfg: ViTConfig,
              thresholds=None, sweep_layers: bool = False) -> dict:
     """Seed quality of gradient maps against pixel ground truth: best
     background threshold, mIoU, FP/FN rates, for both unrefined and
-    affinity-refined maps; optionally the start-layer sweep table. An
-    image with no present class is scored as all background."""
+    affinity-refined maps; optionally the start-layer sweep table, whose
+    row s fuses and refines layers [s, num_layers). An image with no
+    present class is scored as all background.
+
+    One streaming pass over stacks of images (see _stacks): each stack
+    runs one forward on the view axis and one seeded sweep per class
+    rank, then every reported cell -- (layer range, refined) -- builds
+    the stack's maps at once and bins them into the cell's threshold
+    histogram; the stack is dropped before the next one. Memory is
+    bounded by TAPE_BYTE_BUDGET, not by the number of images, and the
+    counts, so the summary, do not depend on how images are stacked."""
     if not samples:
         raise ContractError("evaluation needs a nonempty dataset")
-    grid = cfg.grid
-    frozen = _no_grad_views(params)  # once per call, not once per image
-    data = [image_localization_data(s.image, np.flatnonzero(s.labels).tolist(), frozen, cfg,
-                                    s.mask) for s in samples]
+    grid = mt.threshold_grid(thresholds)
+    layers = cfg.num_layers
+    map_range = lc.resolve_layers(map_layers, layers)
+    reported = {"unrefined": (map_range, False), "refined": (map_range, True)}
+    sweep_rows = [((s, layers), True) for s in range(layers)] if sweep_layers else []
+    hists = {cell: mt.ConfusionAccumulator(cfg.num_classes + 1, levels=len(grid) + 1)
+             for cell in [*reported.values(), *sweep_rows]}
+    frozen = _no_grad_views(params)  # once per call, not once per stack
+    h, w = cfg.grid.h, cfg.grid.w
+    for stack, classes in _stacks(samples, cfg):
+        gt = np.stack([s.mask for s in stack])
+        if classes.shape[1] == 0:
+            for hist in hists.values():
+                mt.add_seeds(hist, grid, gt)
+            continue
+        rows, blocks = _stack_adjoint_rows(stack, classes, frozen, cfg)
+        for (layer_range, refine), hist in hists.items():
+            values = lc.fuse_rows(rows, layer_range)
+            if refine:
+                values = lc.refine_maps(values, lc.patch_affinity(blocks, layer_range))
+            labels, peak = lc.argmax_seed(values.reshape(classes.shape + (h, w)), classes)
+            mt.add_seeds(hist, grid, gt, labels, peak)
 
-    gt = [d.gt_mask for d in data]
     result: dict = {"num_images": len(samples), "num_classes": cfg.num_classes}
-    for refine, key in ((False, "unrefined"), (True, "refined")):
-        maps_per_image = [lc.build_maps(d, grid, map_layers, refine) for d in data]
-        result[key] = mt.best_threshold_miou(maps_per_image, gt, cfg.num_classes + 1,
-                                             thresholds)
+    for key, cell in reported.items():
+        result[key] = mt.best_threshold(hists[cell], grid)
     if sweep_layers:
-        result["layer_sweep"] = layer_sweep(data, grid, cfg.num_layers, cfg.num_classes,
-                                            thresholds=thresholds)
+        result["layer_sweep"] = []
+        for cell in sweep_rows:
+            entry = mt.best_threshold(hists[cell], grid)
+            del entry["per_class_iou"]
+            result["layer_sweep"].append({"start_layer": cell[0][0], **entry})
     return result
-
-
-def layer_sweep(images: list[lc.ImageLocalizationData], grid: GridShape, num_layers: int,
-                num_classes: int, thresholds=None) -> list[dict]:
-    """For each start layer s, fuse and refine layers [s, num_layers) and
-    score the seeds at their best background threshold; one row per s:
-    start_layer, threshold, miou, fp_rate, fn_rate."""
-    gt = [d.gt_mask for d in images]
-    rows = []
-    for s in range(num_layers):
-        per_image = [lc.build_maps(d, grid, (s, num_layers), True) for d in images]
-        entry = mt.best_threshold_miou(per_image, gt, num_classes + 1, thresholds)
-        del entry["per_class_iou"]
-        rows.append({"start_layer": s, **entry})
-    return rows
 
 
 # -- ablation harness ------------------------------------------------------------

@@ -6,7 +6,8 @@ import errno
 import numpy as np
 import pytest
 
-from attnreg import atomicio
+from attnreg import atomicio, cli, netpbm
+from attnreg import localization as lc
 from attnreg import synthdata as sd
 from attnreg import trainer as tr
 from attnreg import vit
@@ -27,6 +28,9 @@ class HalfWrite:
     def write(self, data):
         self.f.write(bytes(data)[:len(data) // 2])
         raise DiskFull(errno.ENOSPC, "no space left on device")
+
+    def __getattr__(self, name):  # tell, seek, ... for writers such as np.savez
+        return getattr(self.f, name)
 
     def __enter__(self):
         return self
@@ -114,4 +118,82 @@ def test_dataset_index_and_meta(tmp_path, monkeypatch, fail_at, name):
         sd.save_dataset(tmp_path, tiny_data(1), data_config(1))
     after = snapshot(tmp_path)
     assert after.keys() == before.keys()
+    assert after[name] == before[name]
+
+
+@pytest.mark.parametrize("write,pixels", [
+    (netpbm.write_pgm, lambda v: np.full((3, 4), v, dtype=np.uint8)),
+    (netpbm.write_ppm, lambda v: np.full((3, 3, 4), v, dtype=np.uint8)),
+])
+def test_netpbm_images(tmp_path, monkeypatch, write, pixels):
+    path = tmp_path / "image.pnm"
+    write(path, pixels(7))
+    before = snapshot(tmp_path)
+    fail_on_call(monkeypatch, 0)
+    with pytest.raises(DiskFull):
+        write(path, pixels(9))
+    assert snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize("fail_at,name", [(0, "images/00000.ppm"), (1, "masks/00000.pgm")])
+def test_dataset_images_and_masks(tmp_path, monkeypatch, fail_at, name):
+    sd.save_dataset(tmp_path, tiny_data(0), data_config(0))
+    before = snapshot(tmp_path)
+    fail_on_call(monkeypatch, fail_at)
+    with pytest.raises(DiskFull):
+        sd.save_dataset(tmp_path, tiny_data(1), data_config(1))
+    after = snapshot(tmp_path)
+    assert after.keys() == before.keys()
+    assert after[name] == before[name]
+
+
+@pytest.mark.parametrize("fail_at,name", [(0, "map.pgm"), (1, "map.json")])
+def test_exported_map_and_sidecar(tmp_path, monkeypatch, fail_at, name):
+    def loc_map(value, refined):
+        return lc.LocalizationMap(class_index=1, values=np.full((2, 2), value),
+                                  layers_fused=(0, 2), refined=refined)
+
+    lc.export_map(tmp_path / "map", loc_map(0.25, False))
+    before = snapshot(tmp_path)
+    fail_on_call(monkeypatch, fail_at)
+    with pytest.raises(DiskFull):
+        lc.export_map(tmp_path / "map", loc_map(0.75, True))
+    after = snapshot(tmp_path)
+    assert after.keys() == before.keys()
+    assert after[name] == before[name]
+
+
+def test_divergence_dump(tmp_path, monkeypatch):
+    sample = tiny_data(0)[0]
+    path = tr._dump_divergence(tmp_path, 0, 3, sample, {"view_a": sample.image})
+    assert set(np.load(path)) == {"labels", "mask", "view_a"}
+    before = snapshot(tmp_path)
+    fail_on_call(monkeypatch, 0)
+    with pytest.raises(DiskFull):
+        tr._dump_divergence(tmp_path, 0, 3, sample, {"view_b": sample.image})
+    assert snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize("fail_at,name", [(0, "regularizer_grid.json"),
+                                          (2, "augmentation_sweep.json")])
+def test_ablation_tables(tmp_path, monkeypatch, capsys, fail_at, name):
+    config = tmp_path / "train.cfg"
+    config.write_text("epochs = 1\n")
+    monkeypatch.setattr(sd, "load_dataset", lambda path: (tiny_data(0), data_config(0)))
+    out = tmp_path / "tables"
+
+    def ablate(value):
+        for table in ("run_regularizer_grid", "run_distance_sweep", "run_augmentation_sweep"):
+            monkeypatch.setattr(tr, table, lambda *args, **kwargs: [{"value": value}])
+        return cli.main(["ablate", "--config", str(config), "--data", str(tmp_path),
+                         "--out", str(out)])
+
+    assert ablate(1) == 0
+    before = snapshot(out)
+    fail_on_call(monkeypatch, fail_at)
+    with pytest.raises(DiskFull):
+        ablate(2)
+    capsys.readouterr()
+    after = snapshot(out)
+    assert after.keys() == before.keys() and len(after) == 3
     assert after[name] == before[name]

@@ -156,13 +156,22 @@ class TestLocalizationData:
         with pytest.raises(ContractError):
             tr.evaluate(params, cfg, data)
 
-    def test_one_forward_per_image(self, monkeypatch):
+    def test_one_forward_per_stack(self, monkeypatch):
         params, cfg, data = trained(0)
         calls = []
         real = vit.forward
         monkeypatch.setattr(vit, "forward", lambda *a: calls.append(1) or real(*a))
         tr.evaluate(params, cfg, data)
-        assert len(calls) == len(data)
+        # at this size every group (image shape, mask shape, class count)
+        # fits one stack, and images without a present class take no forward
+        size = tr.TAPE_BYTE_BUDGET // tr._tape_bytes_per_image(cfg)
+        groups = {}
+        for s in data:
+            key = (s.image.shape, s.mask.shape, int(np.count_nonzero(s.labels)))
+            groups[key] = groups.get(key, 0) + 1
+        assert max(groups.values()) <= size
+        assert len(calls) == sum(1 for key in groups if key[2] > 0)
+        assert len(calls) < len(data)
 
 
 class TestEvaluateMatchesReference:

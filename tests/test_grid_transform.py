@@ -310,6 +310,34 @@ class TestResizeAttention:
         w = gt.bilinear_matrix(3, 7)
         np.testing.assert_allclose(w.sum(axis=1), np.ones(7), atol=1e-15)
 
+    def test_interp_matrix_built_once_per_grid_pair(self, monkeypatch):
+        src, dst = GridShape(6, 6), GridShape(8, 8)
+        gt.grid_interp_matrix.cache_clear()
+        built = []
+        real = gt.bilinear_matrix
+        monkeypatch.setattr(gt, "bilinear_matrix",
+                            lambda *args: built.append(args) or real(*args))
+        a = np.random.default_rng(5).random(size=(src.n + 1, src.n + 1))
+        first = gt.resize_attention(a, src, dst).data
+        again = gt.resize_attention(a, src, dst).data
+        assert built == [(6, 8), (6, 8)]  # one build: one matrix per axis
+        assert np.array_equal(first, again)
+        cached = gt.grid_interp_matrix(src, dst)
+        assert np.array_equal(cached, gt.grid_interp_matrix.__wrapped__(src, dst))
+        with pytest.raises(ValueError):
+            cached[0, 0] = 1.0  # the cached matrix is read-only
+
+    def test_nearest_index_cached_read_only(self):
+        gt.nearest_index.cache_clear()
+        for src, dst in [(4, 8), (8, 4), (5, 7), (3, 3), (1, 6)]:
+            index = gt.nearest_index(src, dst)
+            assert gt.nearest_index(src, dst) is index
+            assert np.array_equal(index, gt.nearest_index.__wrapped__(src, dst))
+            assert index.shape == (dst,) and index.min() >= 0 and index.max() < src
+            with pytest.raises(ValueError):
+                index[0] = 0
+        assert gt.nearest_index(4, 8).tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
+
     def test_resize_is_differentiable(self):
         src, dst = GridShape(2, 3), GridShape(3, 2)
         rng = np.random.default_rng(13)

@@ -8,7 +8,6 @@ import pytest
 
 from attnreg import localization as loc
 from attnreg import netpbm
-from attnreg import trainer as tr
 from attnreg.errors import ContractError, DimensionError
 from attnreg.gridtransform import GridShape
 
@@ -251,14 +250,6 @@ class TestExport:
         side = json.loads(meta.read_text())
         assert side == {"class_index": 1, "layers_fused": [2, 4], "refined": False}
 
-    def test_attention_csv_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(10)
-        a = rng.random(size=(4, 4))
-        path = tmp_path / "attn.csv"
-        loc.export_attention_csv(path, a)
-        back = np.loadtxt(path, delimiter=",")
-        assert np.array_equal(back, a)  # %.17g preserves float64 exactly
-
 
 class TestLayerSweep:
     def build_images(self, grid, layers, classes, rng):
@@ -273,19 +264,6 @@ class TestLayerSweep:
             images.append(loc.ImageLocalizationData(adjoints_by_class=adjoints,
                                                     attentions=attns, gt_mask=gt))
         return images
-
-    def test_sweep_rows(self):
-        grid = GridShape(2, 2)
-        rng = np.random.default_rng(11)
-        images = self.build_images(grid, layers=3, classes=2, rng=rng)
-        rows = tr.layer_sweep(images, grid, num_layers=3, num_classes=2,
-                              thresholds=[0.2, 0.5])
-        assert [r["start_layer"] for r in rows] == [0, 1, 2]
-        for r in rows:
-            assert 0.0 <= r["miou"] <= 1.0
-            assert r["threshold"] in (0.2, 0.5)
-            assert 0.0 <= r["fp_rate"] <= 1.0
-            assert 0.0 <= r["fn_rate"] <= 1.0
 
     def test_refine_flag_changes_maps(self):
         grid = GridShape(2, 2)

@@ -67,13 +67,15 @@ class TestConfusionAccumulator:
         for p, g in pairs:
             acc.add(p, g)
         inter, union, fp, fn, over, under, total = brute_force_counts(pairs, k)
-        assert acc.intersection.tolist() == inter
-        assert acc.union.tolist() == union
-        assert acc.false_positive.tolist() == fp
-        assert acc.false_negative.tolist() == fn
-        assert acc.over_activation == over
-        assert acc.under_activation == under
-        assert acc.total_pixels == total
+        m = acc.matrix
+        diagonal = np.diagonal(m)
+        assert diagonal.tolist() == inter
+        assert (m.sum(0) + m.sum(1) - diagonal).tolist() == union
+        assert (m.sum(axis=0) - diagonal).tolist() == fp
+        assert (m.sum(axis=1) - diagonal).tolist() == fn
+        assert int(m[0, 1:].sum()) == over
+        assert int(m[1:, 0].sum()) == under
+        assert acc.summary()["total_pixels"] == total
         for k_i in range(k):
             expected = inter[k_i] / union[k_i] if union[k_i] else None
             assert acc.per_class_iou()[k_i] == expected
@@ -89,19 +91,6 @@ class TestConfusionAccumulator:
         for p, g in reversed(pairs):
             b.add(p, g)
         assert a.summary() == b.summary()
-
-    def test_merge_matches_single_pass_and_is_associative(self):
-        rng = np.random.default_rng(3)
-        pairs = [(rng.integers(0, 3, size=(4, 4)), rng.integers(0, 3, size=(4, 4)))
-                 for _ in range(9)]
-        whole = metrics.ConfusionAccumulator(3)
-        parts = [metrics.ConfusionAccumulator(3) for _ in range(3)]
-        for i, (p, g) in enumerate(pairs):
-            whole.add(p, g)
-            parts[i % 3].add(p, g)
-        left = parts[0].merge(parts[1]).merge(parts[2])
-        right = parts[0].merge(parts[1].merge(parts[2]))
-        assert left.summary() == whole.summary() == right.summary()
 
     def test_absent_class_excluded_from_mean(self):
         pred = np.zeros((2, 2), dtype=np.int64)
@@ -130,10 +119,6 @@ class TestConfusionAccumulator:
             acc.add(np.zeros((2, 2), dtype=int), np.zeros((2, 3), dtype=int))
         with pytest.raises(DimensionError):
             metrics.miou([np.zeros((2, 2), dtype=int)], [], 2)
-
-    def test_merge_class_count_mismatch(self):
-        with pytest.raises(ContractError):
-            metrics.ConfusionAccumulator(2).merge(metrics.ConfusionAccumulator(3))
 
 
 def flat_map(class_index, values, grid):
