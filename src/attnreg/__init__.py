@@ -54,7 +54,6 @@ from .synthdata import (
     augment,
     generate,
     load_dataset,
-    make_pair,
     save_dataset,
 )
 from .trainer import (
@@ -123,7 +122,6 @@ __all__ = [
     "invert_attention_kronecker",
     "load_checkpoint",
     "load_dataset",
-    "make_pair",
     "miou",
     "parse_train_config",
     "region_activation_loss",

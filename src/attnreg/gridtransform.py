@@ -15,6 +15,15 @@ permutation in two independent ways:
 The two must agree to float precision; the test-suite and the
 ``check-inversion`` CLI command hold them against each other.
 
+The coordinate table ``_COORD_MAPS`` is the only statement of a flip or
+rotation. Pixels follow from it too: ``synthdata.augment`` treats an
+image's pixel grid as tokens and gathers its pixels with that grid's
+token permutation. A resize is no permutation: on an attention matrix it
+is P A P^T, with the bordered bilinear matrix P = blockdiag(1, W) of
+``bordered_interp_matrix`` (W interpolates patch tokens, the 1 keeps the
+class token), and a resized view's positional rows are P times the
+configured ones.
+
 Conventions: grid coordinates are (row i, column j) with i in [0, h) and
 j in [0, w); Rot90 is counter-clockwise, (i, j) -> (w-1-j, i), so
 Rot180 == FlipHV and Rot270 == Rot90 applied three times. vec() stacks
@@ -336,11 +345,15 @@ def bilinear_matrix(src: int, dst: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def grid_interp_matrix(source: GridShape, target: GridShape) -> np.ndarray:
-    """(target.n, source.n) bilinear weights over row-major token fields:
-    kron of the per-axis matrices. Built once per (source, target); the
-    cached array is read-only."""
-    weights = np.kron(bilinear_matrix(source.h, target.h), bilinear_matrix(source.w, target.w))
+def bordered_interp_matrix(source: GridShape, target: GridShape) -> np.ndarray:
+    """(target.n+1, source.n+1) bordered bilinear matrix P = blockdiag(1, W):
+    W is the kron of the per-axis matrices over row-major token fields,
+    and the 1 carries the class token through. Built once per (source,
+    target); the cached array is read-only."""
+    weights = np.zeros((target.n + 1, source.n + 1))
+    weights[0, 0] = 1.0
+    weights[1:, 1:] = np.kron(bilinear_matrix(source.h, target.h),
+                              bilinear_matrix(source.w, target.w))
     weights.flags.writeable = False
     return weights
 
@@ -360,31 +373,24 @@ def nearest_index(src: int, dst: int) -> np.ndarray:
 def resize_attention(a_prime, source: GridShape, target: GridShape) -> Tensor:
     """Bilinearly resize an attention matrix between patch grids.
 
-    The class-to-patch row and patch-to-class column are interpolated
-    over their patch grid; the patch-to-patch block is interpolated
-    along both its query and key grids; (0,0) is kept. Each row of the
-    result is then rescaled so its sum equals the interpolation of the
-    source row sums (the class row keeps its own sum), which makes the
-    operation exact for source == target and keeps row-stochastic
-    matrices row-stochastic. Differentiable end to end."""
+    With the bordered matrix P (bordered_interp_matrix) this is P A P^T:
+    the class-to-patch row and patch-to-class column are interpolated
+    over their patch grid, the patch-to-patch block along both its query
+    and key grids, and (0,0) is kept. Each row of the result is then
+    rescaled so its sum equals P times the source row sums (the class row
+    keeps its own sum), which makes the operation exact for source ==
+    target and keeps row-stochastic matrices row-stochastic.
+    Differentiable end to end."""
     a_prime = a_prime if isinstance(a_prime, Tensor) else Tensor(a_prime)
-    ns, nt = source.n, target.n
+    ns = source.n
     if a_prime.shape != (ns + 1, ns + 1):
         raise DimensionError(f"attention must be {(ns + 1, ns + 1)} for grid {source}, got {a_prime.shape}")
-    wq = Tensor(grid_interp_matrix(source, target))  # (nt, ns) constant
-    corner = ad.slice2d(a_prime, 0, 1, 0, 1)
-    cls_row = ad.matmul(ad.slice2d(a_prime, 0, 1, 1, None), ad.transpose(wq))
-    cls_col = ad.matmul(wq, ad.slice2d(a_prime, 1, None, 0, 1))
-    block = ad.matmul(ad.matmul(wq, ad.slice2d(a_prime, 1, None, 1, None)), ad.transpose(wq))
-    assembled = ad.concat([ad.concat([corner, cls_row], axis=1),
-                           ad.concat([cls_col, block], axis=1)], axis=0)
+    p = bordered_interp_matrix(source, target)
     # sum_rows (not a matmul with ones) so the source sums reduce in the
-    # same order as the rescale's own row sums: source == target is then
-    # an exact identity
-    src_sums = ad.sum_rows(a_prime)  # (ns+1, 1)
-    patch_sums = ad.matmul(wq, ad.slice2d(src_sums, 1, None, None, None))
-    target_sums = ad.concat([ad.slice2d(src_sums, 0, 1, None, None), patch_sums], axis=0)
-    return ad.scale_rows_to_sums(assembled, target_sums)
+    # same order as the rescale's own row sums: source == target (P = I)
+    # is then an exact identity
+    target_sums = ad.matmul(p, ad.sum_rows(a_prime))
+    return ad.scale_rows_to_sums(ad.matmul(ad.matmul(p, a_prime), p.T), target_sums)
 
 
 def invert_attention(a_prime, transform: SpatialTransform, grid: GridShape) -> Tensor:

@@ -16,6 +16,7 @@ through the inversion's re-indexing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,8 +42,8 @@ class LossWeights:
     distance: str = "l1"
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ContractError(f"loss weights must be >= 0, got alpha={self.alpha}, "
+        if not all(0 <= w < math.inf for w in (self.alpha, self.beta)):
+            raise ContractError(f"loss weights must be finite and >= 0, got alpha={self.alpha}, "
                                 f"beta={self.beta}")
         if self.distance not in DISTANCES:
             raise ContractError(f"distance must be one of {DISTANCES}, got {self.distance!r}")

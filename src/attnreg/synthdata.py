@@ -9,6 +9,13 @@ the final mask, so label/mask consistency holds by construction.
 
 Per-sample randomness derives from ``default_rng([master_seed, index])``
 — no global state, samples independent of generation order.
+
+``augment`` states no transform of its own. A flip or rotation is one
+gather of the image's pixels by ``gridtransform.token_permutation`` of
+the pixel grid (each pixel a token), the coordinate table that also
+inverts attention; a resize is the separable bilinear product
+Bh @ image @ Bw^T, whose per-axis matrices, kron'd and bordered with
+the class token, are the matrix that resizes attention.
 """
 
 from __future__ import annotations
@@ -24,7 +31,8 @@ import numpy as np
 from . import netpbm
 from .atomicio import write_text_atomic
 from .errors import ContractError, DimensionError
-from .gridtransform import SpatialTransform, TransformKind, bilinear_matrix, nearest_index
+from .gridtransform import (GridShape, SpatialTransform, TransformKind, bilinear_matrix,
+                            token_permutation)
 
 CLASS_NAMES = ("disk", "square", "triangle", "ring", "cross")
 
@@ -54,8 +62,8 @@ class DatasetConfig:
     max_shapes: int = 3
 
     def __post_init__(self):
-        if self.num_samples < 0:
-            raise ContractError("num_samples must be >= 0")
+        if self.num_samples < 0 or self.seed < 0:
+            raise ContractError("num_samples and seed must be >= 0")
         if not 1 <= self.num_classes <= len(CLASS_NAMES):
             raise ContractError(f"num_classes must be in 1..{len(CLASS_NAMES)}")
         if self.height < 16 or self.width < 16:
@@ -84,13 +92,6 @@ class SyntheticSample:
     labels: np.ndarray  # (K,) multi-hot
     mask: np.ndarray    # (H, W) int64: 0 background, k = class k
     seed: tuple[int, int]  # (master seed, sample index)
-
-
-@dataclass
-class AugmentedPair:
-    view_a: np.ndarray
-    view_b: np.ndarray
-    transform: SpatialTransform
 
 
 # -- shape footprints ---------------------------------------------------------
@@ -181,69 +182,35 @@ def generate(config: DatasetConfig) -> list[SyntheticSample]:
 
 # -- the two-view augmentation pipeline ---------------------------------------
 
-def _resize_pixels(plane: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    bh = bilinear_matrix(plane.shape[0], out_h)
-    bw = bilinear_matrix(plane.shape[1], out_w)
-    return bh @ plane @ bw.T
+@functools.lru_cache(maxsize=256)
+def _gather_index(transform: SpatialTransform, grid: GridShape) -> np.ndarray:
+    """Pixel gather of a flip or rotation: the token permutation of the
+    pixel grid, each pixel a token. Built once per (transform, grid); the
+    cached array is read-only."""
+    sigma = token_permutation(transform, grid).sigma
+    sigma.flags.writeable = False
+    return sigma
 
 
 def augment(image: np.ndarray, transform: SpatialTransform,
             cell_pixels: int = 1) -> np.ndarray:
     """Apply a spatial transform to a (C, H, W) image. Flips/rotations are
-    pixel-exact array views; resize is half-pixel-center bilinear. The
-    resize target is a grid of cells, each `cell_pixels` square (pass the
-    model's patch size so grid-level transforms match pixel-level ones)."""
+    one pixel-exact gather; resize is half-pixel-center bilinear, one
+    product Bh @ image @ Bw^T. The resize target is a grid of cells, each
+    `cell_pixels` square (pass the model's patch size so grid-level
+    transforms match pixel-level ones)."""
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 3:
         raise DimensionError(f"expected (C, H, W), got shape {image.shape}")
-    k = transform.kind
-    if k is TransformKind.IDENTITY:
-        return image.copy()
-    if k is TransformKind.FLIP_H:
-        return np.ascontiguousarray(np.flip(image, axis=2))
-    if k is TransformKind.FLIP_V:
-        return np.ascontiguousarray(np.flip(image, axis=1))
-    if k in (TransformKind.FLIP_HV, TransformKind.ROT180):
-        return np.ascontiguousarray(np.flip(image, axis=(1, 2)))
-    if k is TransformKind.ROT90:
-        return np.ascontiguousarray(np.rot90(image, 1, axes=(1, 2)))
-    if k is TransformKind.ROT270:
-        return np.ascontiguousarray(np.rot90(image, 3, axes=(1, 2)))
-    out_h = transform.resize_target.h * cell_pixels
-    out_w = transform.resize_target.w * cell_pixels
-    return np.stack([_resize_pixels(ch, out_h, out_w) for ch in image])
-
-
-def augment_mask(mask: np.ndarray, transform: SpatialTransform,
-                 cell_pixels: int = 1) -> np.ndarray:
-    """Same transform on an (H, W) integer mask; resize uses nearest
-    neighbor since class ids cannot be interpolated."""
-    mask = np.asarray(mask)
-    if mask.ndim != 2:
-        raise DimensionError(f"expected (H, W), got shape {mask.shape}")
-    k = transform.kind
-    if k is TransformKind.IDENTITY:
-        return mask.copy()
-    if k is TransformKind.FLIP_H:
-        return np.ascontiguousarray(np.flip(mask, axis=1))
-    if k is TransformKind.FLIP_V:
-        return np.ascontiguousarray(np.flip(mask, axis=0))
-    if k in (TransformKind.FLIP_HV, TransformKind.ROT180):
-        return np.ascontiguousarray(np.flip(mask, axis=(0, 1)))
-    if k is TransformKind.ROT90:
-        return np.ascontiguousarray(np.rot90(mask, 1))
-    if k is TransformKind.ROT270:
-        return np.ascontiguousarray(np.rot90(mask, 3))
-    iy = nearest_index(mask.shape[0], transform.resize_target.h * cell_pixels)
-    ix = nearest_index(mask.shape[1], transform.resize_target.w * cell_pixels)
-    return mask[iy[:, None], ix[None, :]]
-
-
-def make_pair(image: np.ndarray, transform: SpatialTransform,
-              cell_pixels: int = 1) -> AugmentedPair:
-    return AugmentedPair(view_a=np.asarray(image, dtype=np.float64),
-                         view_b=augment(image, transform, cell_pixels),
-                         transform=transform)
+    c, h, w = image.shape
+    if transform.kind is TransformKind.RESIZE:
+        target = transform.resize_target
+        return (bilinear_matrix(h, target.h * cell_pixels) @ image
+                @ bilinear_matrix(w, target.w * cell_pixels).T)
+    grid = GridShape(h, w)
+    out = transform.target_grid(grid)
+    gathered = np.take(image.reshape(c, grid.n), _gather_index(transform, grid), axis=1)
+    return gathered.reshape(c, out.h, out.w)
 
 
 # -- persistence ---------------------------------------------------------------
@@ -302,16 +269,19 @@ def load_dataset(directory: os.PathLike | str) -> tuple[list[SyntheticSample], D
             image_path, mask_path = root / rec["image"], root / rec["mask"]
             labels = np.asarray(rec["labels"], dtype=np.float64)
             seed = tuple(int(v) for v in rec["seed"])
-        except (ValueError, TypeError, KeyError) as exc:
+        except (ValueError, TypeError, KeyError, OverflowError) as exc:
             raise ContractError(f"{where}: malformed index record: {exc!r}") from exc
         if labels.shape != (config.num_classes,) or not np.all((labels == 0) | (labels == 1)):
             raise ContractError(f"{where}: labels must be {config.num_classes} values "
                                 f"in {{0, 1}}, got {rec['labels']!r}")
-        raw = netpbm.read_netpbm(image_path)
+        try:
+            raw, mask = netpbm.read_netpbm(image_path), netpbm.read_netpbm(mask_path)
+        except IsADirectoryError as exc:
+            raise ContractError(f"{where}: {exc.filename} is a directory, not an image") from exc
         if raw.ndim == 2:
             raw = raw[None, :, :]
         image = raw.astype(np.float64) / 255.0
-        mask = netpbm.read_netpbm(mask_path).astype(np.int64)
+        mask = mask.astype(np.int64)
         if mask.shape != image.shape[1:]:
             raise ContractError(f"{where}: mask {rec['mask']!r} has shape {mask.shape}, "
                                 f"not its image's (H, W) {image.shape[1:]}")

@@ -37,6 +37,7 @@ dropped, so memory does not grow with the number of images.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -51,7 +52,7 @@ from . import vit
 from .atomicio import atomic_open, write_text_atomic
 from .autodiff import Tape, Tensor
 from .errors import ContractError, DimensionError, NumericalError
-from .gridtransform import FLIP_H, GridShape, SpatialTransform
+from .gridtransform import FLIP_H, FLIP_V, ROT90, ROT180, ROT270, GridShape, SpatialTransform
 from .regularizer import LossWeights
 from .vit import ViTConfig
 
@@ -76,16 +77,21 @@ class TrainConfig:
     holdout_fraction: float = 0.0
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ContractError("learning_rate must be >= 0")
+        # written as `not lo <= x < inf` so NaN fails the check too
+        if not 0 <= self.learning_rate < math.inf:
+            raise ContractError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ContractError("epochs and batch_size must be >= 1")
         if not 0.0 <= self.momentum < 1.0:
             raise ContractError("momentum must lie in [0, 1)")
-        if self.poly_power is not None and self.poly_power <= 0:
-            raise ContractError("poly_power must be positive (or omitted)")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ContractError("clip_norm must be positive (or omitted)")
+        if self.poly_power is not None and not 0 < self.poly_power < math.inf:
+            raise ContractError("poly_power must be finite and positive (or omitted), "
+                                f"got {self.poly_power}")
+        if self.clip_norm is not None and not 0 < self.clip_norm < math.inf:
+            raise ContractError("clip_norm must be finite and positive (or omitted), "
+                                f"got {self.clip_norm}")
         if not self.augmentations:
             raise ContractError("need at least one augmentation choice")
         if not 0.0 <= self.holdout_fraction < 1.0:
@@ -529,55 +535,54 @@ REGULARIZER_GRID = (("baseline", 0.0, 0.0), ("act_only", 1.0, 0.0),
                     ("aff_only", 0.0, 1.0), ("full", 1.0, 1.0))
 
 
+def _run_cells(config: TrainConfig, samples: list[sd.SyntheticSample],
+               eval_samples: list[sd.SyntheticSample] | None,
+               cells: list[tuple[dict, TrainConfig]], threshold: bool = False) -> list[dict]:
+    """Train each cell's config on `samples`, evaluate it on `eval_samples`
+    (default: `samples`) with config's model and map layers, and return
+    one row per cell: its head, both mIoUs, the refined threshold when
+    asked, and the final loss."""
+    rows = []
+    for head, cell_cfg in cells:
+        result = train(cell_cfg, samples)
+        summary = evaluate(result.params, config.vit, eval_samples or samples,
+                           map_layers=config.map_layers)
+        row = {**head, "unrefined_miou": summary["unrefined"]["miou"],
+               "refined_miou": summary["refined"]["miou"]}
+        if threshold:
+            row["threshold"] = summary["refined"]["threshold"]
+        rows.append({**row, "final_loss": result.log[-1]["total"]})
+    return rows
+
+
 def run_regularizer_grid(config: TrainConfig, samples: list[sd.SyntheticSample],
                          eval_samples: list[sd.SyntheticSample] | None = None) -> list[dict]:
     """The 2x2 {activation on/off} x {affinity on/off} table. Cells reuse
     config's alpha/beta as the 'on' magnitudes."""
-    rows = []
+    cells = []
     for name, act_on, aff_on in REGULARIZER_GRID:
         weights = replace(config.weights, alpha=config.weights.alpha * act_on,
                           beta=config.weights.beta * aff_on)
-        cell_cfg = replace(config, weights=weights)
-        result = train(cell_cfg, samples)
-        summary = evaluate(result.params, config.vit, eval_samples or samples,
-                           map_layers=config.map_layers)
-        rows.append({"cell": name, "alpha": weights.alpha, "beta": weights.beta,
-                     "unrefined_miou": summary["unrefined"]["miou"],
-                     "refined_miou": summary["refined"]["miou"],
-                     "threshold": summary["refined"]["threshold"],
-                     "final_loss": result.log[-1]["total"]})
-    return rows
+        cells.append(({"cell": name, "alpha": weights.alpha, "beta": weights.beta},
+                      replace(config, weights=weights)))
+    return _run_cells(config, samples, eval_samples, cells, threshold=True)
 
 
 def run_distance_sweep(config: TrainConfig, samples: list[sd.SyntheticSample],
                        eval_samples: list[sd.SyntheticSample] | None = None) -> list[dict]:
-    rows = []
-    for distance in reg.DISTANCES:
-        cell_cfg = replace(config, weights=replace(config.weights, distance=distance))
-        result = train(cell_cfg, samples)
-        summary = evaluate(result.params, config.vit, eval_samples or samples,
-                           map_layers=config.map_layers)
-        rows.append({"distance": distance, "refined_miou": summary["refined"]["miou"],
-                     "unrefined_miou": summary["unrefined"]["miou"],
-                     "final_loss": result.log[-1]["total"]})
-    return rows
+    cells = [({"distance": distance},
+              replace(config, weights=replace(config.weights, distance=distance)))
+             for distance in reg.DISTANCES]
+    return _run_cells(config, samples, eval_samples, cells)
 
 
 def run_augmentation_sweep(config: TrainConfig, samples: list[sd.SyntheticSample],
                            choices: tuple[tuple[str, tuple[SpatialTransform, ...]], ...] | None = None,
                            eval_samples: list[sd.SyntheticSample] | None = None) -> list[dict]:
-    from .gridtransform import FLIP_V, ROT90, ROT180, ROT270
     if choices is None:
         choices = (("fliph", (FLIP_H,)), ("flipv", (FLIP_V,)),
                    ("rot", (ROT90, ROT180, ROT270)),
                    ("fliph+rot", (FLIP_H, ROT90, ROT180, ROT270)))
-    rows = []
-    for name, augs in choices:
-        cell_cfg = replace(config, augmentations=tuple(augs))
-        result = train(cell_cfg, samples)
-        summary = evaluate(result.params, config.vit, eval_samples or samples,
-                           map_layers=config.map_layers)
-        rows.append({"augmentation": name, "refined_miou": summary["refined"]["miou"],
-                     "unrefined_miou": summary["unrefined"]["miou"],
-                     "final_loss": result.log[-1]["total"]})
-    return rows
+    cells = [({"augmentation": name}, replace(config, augmentations=tuple(augs)))
+             for name, augs in choices]
+    return _run_cells(config, samples, eval_samples, cells)

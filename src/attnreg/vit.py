@@ -39,6 +39,7 @@ the checkpoint serialization unit.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -49,7 +50,7 @@ from . import autodiff as ad
 from .atomicio import atomic_open
 from .autodiff import Tensor
 from .errors import ContractError, DimensionError, StateError
-from .gridtransform import GridShape, grid_interp_matrix
+from .gridtransform import GridShape, bordered_interp_matrix
 
 CHECKPOINT_MAGIC = b"ATTNCKPT"
 CHECKPOINT_VERSION = 1
@@ -78,8 +79,9 @@ class ViTConfig:
                                 f"num_heads {self.num_heads}")
         if self.num_classes < 1 or self.in_channels < 1:
             raise ContractError("num_classes and in_channels must be positive")
-        if int(self.mlp_ratio * self.embed_dim) < 1:
-            raise ContractError("mlp_ratio too small")
+        if not 1 <= self.mlp_ratio * self.embed_dim < math.inf:  # NaN fails too
+            raise ContractError(f"mlp_ratio must be finite and give at least one MLP unit, "
+                                f"got {self.mlp_ratio}")
 
     @property
     def head_dim(self) -> int:
@@ -189,15 +191,13 @@ def init_params(config: ViTConfig, rng: np.random.Generator) -> dict[str, Tensor
 
 
 def _positional_rows(params: dict[str, Tensor], config: ViTConfig, grid: GridShape) -> Tensor:
-    """Positional embedding rows for `grid`, bilinearly resampled from the
-    configured grid when the view's grid differs (resize augmentation)."""
+    """Positional embedding rows for `grid`: the configured rows, or, when
+    the view's grid differs (resize augmentation), their bilinear
+    resampling by the bordered matrix, which keeps the class row."""
     pos = params["pos_embed"]
     if grid == config.grid:
         return pos
-    interp = Tensor(grid_interp_matrix(config.grid, grid))
-    cls_row = ad.slice2d(pos, 0, 1, None, None)
-    patch_rows = ad.matmul(interp, ad.slice2d(pos, 1, None, None, None))
-    return ad.concat([cls_row, patch_rows], axis=0)
+    return ad.matmul(bordered_interp_matrix(config.grid, grid), pos)
 
 
 def forward(images: np.ndarray, params: dict[str, Tensor], config: ViTConfig) -> ForwardResult:
@@ -334,13 +334,3 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], ViTConfig]:
     if pos != len(raw):
         raise ContractError(f"{path}: trailing bytes after last tensor")
     return params, config
-
-
-def load_params_into(params: dict[str, Tensor], source: dict[str, Tensor]) -> None:
-    """Copy tensor values by name (shapes must match)."""
-    for name, tensor in params.items():
-        if name not in source:
-            raise ContractError(f"checkpoint is missing parameter {name!r}")
-        if source[name].shape != tensor.shape:
-            raise DimensionError(f"{name}: shape {source[name].shape} != {tensor.shape}")
-        tensor.data = source[name].data.copy()

@@ -117,6 +117,22 @@ class TestTrain:
         assert "augmentations = rot90,rot270" in text
         assert "epochs = 2" in text
 
+    @pytest.mark.parametrize("line", ["learning_rate = nan", "learning_rate = inf",
+                                      "clip_norm = nan", "poly_power = nan",
+                                      "weights.alpha = nan", "weights.beta = inf",
+                                      "vit.mlp_ratio = nan", "vit.mlp_ratio = inf",
+                                      "seed = -1"])
+    def test_config_value_out_of_range_exits_1(self, dataset_dir, tmp_path, capsys, line):
+        config = tmp_path / "train.cfg"
+        config.write_text(TINY_CONFIG + line + "\n")  # a repeated key overrides
+        out = tmp_path / "t"
+        rc = cli.main(["train", "--config", str(config), "--data", str(dataset_dir),
+                       "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "attnreg: error:" in err and "Traceback" not in err
+        assert not (out / "checkpoint.ckpt").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_divergence_exits_2(self, config_file, dataset_dir, tmp_path, capsys):
         rc = cli.main(["train", "--config", str(config_file),
@@ -193,7 +209,8 @@ class TestEval:
         assert rc == 1
         assert "line 1" in err and "mask" in err
 
-    @pytest.mark.parametrize("cut", ["short_index", "long_labels"])
+    @pytest.mark.parametrize("cut", ["short_index", "long_labels", "mask_is_a_directory",
+                                     "huge_seed"])
     def test_malformed_dataset_exits_1(self, trained_dir, dataset_dir, tmp_path, capsys, cut):
         data = tmp_path / "ds"
         shutil.copytree(dataset_dir, data)
@@ -203,7 +220,12 @@ class TestEval:
         else:
             lines = index.read_text().splitlines()
             rec = json.loads(lines[0])
-            rec["labels"] = rec["labels"] + [1]
+            if cut == "long_labels":
+                rec["labels"] = rec["labels"] + [1]
+            elif cut == "mask_is_a_directory":
+                rec["mask"] = "masks"
+            else:  # written as Infinity, which reads back as 1e400 does
+                rec["seed"] = [float("inf"), 0]
             index.write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
         rc = cli.main(["eval", "--checkpoint", str(trained_dir / "checkpoint.ckpt"),
                        "--data", str(data)])

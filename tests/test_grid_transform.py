@@ -7,7 +7,7 @@ import pytest
 
 from attnreg import autodiff as ad
 from attnreg import gridtransform as gt
-from attnreg.autodiff import Tensor
+from attnreg.autodiff import Tape, Tensor
 from attnreg.errors import ContractError, DimensionError, ResourceError
 from attnreg.gridtransform import (FLIP_H, FLIP_HV, FLIP_V, IDENTITY, ROT90, ROT180, ROT270,
                                    GridShape, SpatialTransform, TokenPermutation, TransformKind)
@@ -247,12 +247,58 @@ def scalar_bilinear(field, th, tw):
     return out
 
 
+def resize_attention_chain(a_prime, source, target):
+    """Oracle for resize_attention: the bordered product P A P^T spelled
+    out block by block -- corner, class row, class column and patch block
+    sliced apart, interpolated by W = kron(Bh, Bw) and concatenated back,
+    the target row sums assembled the same way (19 tape nodes)."""
+    wq = Tensor(np.kron(gt.bilinear_matrix(source.h, target.h),
+                        gt.bilinear_matrix(source.w, target.w)))
+    corner = ad.slice2d(a_prime, 0, 1, 0, 1)
+    cls_row = ad.matmul(ad.slice2d(a_prime, 0, 1, 1, None), ad.transpose(wq))
+    cls_col = ad.matmul(wq, ad.slice2d(a_prime, 1, None, 0, 1))
+    block = ad.matmul(ad.matmul(wq, ad.slice2d(a_prime, 1, None, 1, None)), ad.transpose(wq))
+    assembled = ad.concat([ad.concat([corner, cls_row], axis=1),
+                           ad.concat([cls_col, block], axis=1)], axis=0)
+    src_sums = ad.sum_rows(a_prime)
+    patch_sums = ad.matmul(wq, ad.slice2d(src_sums, 1, None, None, None))
+    target_sums = ad.concat([ad.slice2d(src_sums, 0, 1, None, None), patch_sums], axis=0)
+    return ad.scale_rows_to_sums(assembled, target_sums)
+
+
 class TestResizeAttention:
     def test_same_grid_is_exact_copy(self):
         g = GridShape(3, 3)
         a = np.random.default_rng(1).random(size=(10, 10))
         out = gt.resize_attention(a, g, g).data
         assert np.array_equal(out, a)
+
+    @pytest.mark.parametrize("src,dst", [((3, 3), (5, 5)), ((6, 6), (4, 4)), ((2, 3), (4, 5)),
+                                         ((5, 4), (3, 6)), ((4, 2), (2, 4))], ids=str)
+    def test_matches_block_chain_oracle(self, src, dst):
+        src, dst = GridShape(*src), GridShape(*dst)
+        rng = np.random.default_rng(src.n * 37 + dst.n)
+        a = rng.random(size=(src.n + 1, src.n + 1)) + 0.05
+        weight = Tensor(rng.normal(size=(dst.n + 1, dst.n + 1)))
+        outs = []
+        for resize in (gt.resize_attention, resize_attention_chain):
+            x = Tensor(a, requires_grad=True)
+            with Tape() as tape:
+                out = resize(x, src, dst)
+                loss = ad.mean(ad.mul(out, weight))
+            tape.backward(loss)
+            outs.append((out.data, x.grad))
+        (value, grad), (value_ref, grad_ref) = outs
+        np.testing.assert_allclose(value, value_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grad, grad_ref, rtol=0, atol=1e-12)
+
+    def test_records_five_nodes(self):
+        src, dst = GridShape(3, 4), GridShape(4, 3)
+        a = Tensor(np.random.default_rng(6).random(size=(13, 13)), requires_grad=True)
+        with Tape() as tape:
+            gt.resize_attention(a, src, dst)
+        assert [n.op for n in tape.nodes] == ["sum_rows", "matmul", "matmul", "matmul",
+                                              "scale_rows_to_sums"]
 
     def test_constant_matrix_stays_constant(self):
         src, dst = GridShape(3, 3), GridShape(5, 4)
@@ -312,7 +358,7 @@ class TestResizeAttention:
 
     def test_interp_matrix_built_once_per_grid_pair(self, monkeypatch):
         src, dst = GridShape(6, 6), GridShape(8, 8)
-        gt.grid_interp_matrix.cache_clear()
+        gt.bordered_interp_matrix.cache_clear()
         built = []
         real = gt.bilinear_matrix
         monkeypatch.setattr(gt, "bilinear_matrix",
@@ -322,8 +368,11 @@ class TestResizeAttention:
         again = gt.resize_attention(a, src, dst).data
         assert built == [(6, 8), (6, 8)]  # one build: one matrix per axis
         assert np.array_equal(first, again)
-        cached = gt.grid_interp_matrix(src, dst)
-        assert np.array_equal(cached, gt.grid_interp_matrix.__wrapped__(src, dst))
+        cached = gt.bordered_interp_matrix(src, dst)
+        assert np.array_equal(cached, gt.bordered_interp_matrix.__wrapped__(src, dst))
+        # blockdiag(1, W): the class token passes through untouched
+        assert cached.shape == (dst.n + 1, src.n + 1) and cached[0, 0] == 1.0
+        assert not cached[0, 1:].any() and not cached[1:, 0].any()
         with pytest.raises(ValueError):
             cached[0, 0] = 1.0  # the cached matrix is read-only
 

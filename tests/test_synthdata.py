@@ -9,7 +9,7 @@ import pytest
 from attnreg import netpbm, synthdata as sd
 from attnreg.errors import ContractError, DimensionError
 from attnreg.gridtransform import (FLIP_H, FLIP_HV, FLIP_V, IDENTITY, ROT90, ROT180,
-                                   ROT270, SpatialTransform)
+                                   ROT270, GridShape, SpatialTransform)
 
 
 # pixel-space coordinate maps: source (i, j) on (h, w) -> target coordinate
@@ -91,6 +91,8 @@ class TestGeneration:
             sd.DatasetConfig(num_samples=1, channels=2)
         with pytest.raises(ContractError):
             sd.DatasetConfig(num_samples=1, min_shapes=3, max_shapes=2)
+        with pytest.raises(ContractError):
+            sd.DatasetConfig(num_samples=1, seed=-1)
 
 
 class TestAugment:
@@ -111,7 +113,10 @@ class TestAugment:
 
     @pytest.mark.parametrize("transform", list(PIXEL_MAPS), ids=str)
     def test_mask_commutes_with_image(self, sample, transform):
-        out_mask = sd.augment_mask(sample.mask, transform)
+        """A class-id mask as a one-channel plane goes through the same
+        gather as the image: labels stay exact and land where the image's
+        pixels do."""
+        out_mask = sd.augment(sample.mask[None].astype(np.float64), transform)[0]
         cmap = PIXEL_MAPS[transform]
         h, w = sample.mask.shape
         for i in range(h):
@@ -146,22 +151,18 @@ class TestAugment:
         out = sd.augment(img, SpatialTransform.parse("resize:3x2"), cell_pixels=4)
         assert np.array_equal(out, img)
 
-    def test_mask_resize_keeps_labels_integral(self, sample):
-        out = sd.augment_mask(sample.mask, SpatialTransform.parse("resize:4x4"),
-                              cell_pixels=4)
-        assert out.shape == (16, 16)
-        assert set(np.unique(out)) <= set(np.unique(sample.mask))
-
-    def test_make_pair_invariant(self, sample):
-        pair = sd.make_pair(sample.image, FLIP_V)
-        assert np.array_equal(pair.view_b, sd.augment(pair.view_a, FLIP_V))
-        assert pair.transform is FLIP_V
+    def test_gather_index_cached_read_only(self, sample):
+        sd._gather_index.cache_clear()
+        index = sd._gather_index(ROT90, GridShape(24, 32))
+        sd.augment(sample.image, ROT90)
+        assert sd._gather_index(ROT90, GridShape(24, 32)) is index
+        assert sd._gather_index.cache_info().misses == 1
+        with pytest.raises(ValueError):
+            index[0] = 0
 
     def test_bad_shapes_rejected(self):
         with pytest.raises(DimensionError):
             sd.augment(np.zeros((4, 4)), FLIP_H)
-        with pytest.raises(DimensionError):
-            sd.augment_mask(np.zeros((1, 4, 4)), FLIP_H)
 
 
 class TestNetpbm:
@@ -295,6 +296,19 @@ class TestMalformedIndex:
         mask[3, 4] = 3
         netpbm.write_pgm(saved / "masks" / "00002.pgm", mask)
         sd.load_dataset(saved)
+
+    @pytest.mark.parametrize("key", ["image", "mask"])
+    def test_path_naming_a_directory(self, saved, key):
+        self.rewrite_first(saved, lambda rec: json.dumps({**rec, key: "images"}))
+        with pytest.raises(ContractError, match="line 1.*directory"):
+            sd.load_dataset(saved)
+
+    @pytest.mark.parametrize("seed", ["[1e400, 0]", "[16, -1e400]", "[NaN, 0]"])
+    def test_seed_not_an_integer(self, saved, seed):
+        self.rewrite_first(saved, lambda rec: json.dumps({**rec, "seed": "SEED"})
+                           .replace('"SEED"', seed))
+        with pytest.raises(ContractError, match="line 1"):
+            sd.load_dataset(saved)
 
     def test_bad_meta(self, saved):
         (saved / "meta.json").write_text('{"num_samples": 3, "colour": 1}')
