@@ -12,8 +12,10 @@ Conventions:
 * float64 everywhere, row-major (C-order) storage;
 * a "scalar" is a tensor with exactly one element (usually shape ());
 * matrix ops (matmul, transpose, layer_norm, softmax_rows, slice2d,
-  concat) act on the last two axes and accept leading batch axes, e.g.
-  (views, tokens, dim) or (views, heads, tokens, tokens). A parameter
+  concat, sum_rows, scale_rows_to_sums, permute_rc) act on the last two
+  axes and accept leading batch axes, e.g. (views, tokens, dim) or
+  (views, heads, tokens, tokens); permute_rc takes one row and one
+  column index per batch entry. A parameter
   without those axes (a weight, a bias, the class token) is shared
   across them, and its gradient sums over all leading axes. mean(x,
   axis) averages over one axis (the head axis);
@@ -41,7 +43,9 @@ Conventions:
   produced) that require grad, and in tensors marked ``retain_grad()``;
   every other intermediate keeps ``.grad is None``. ``retain_grad()``
   also sets ``requires_grad``, so ops recorded after it carry its
-  gradient even when no trainable leaf sits below it;
+  gradient even when no trainable leaf sits below it. A stored
+  ``.grad`` shares memory with no other stored ``.grad`` and not with
+  the caller's seed;
 * gradients accumulate: running backward twice (on two tapes) adds
   into ``.grad``; callers zero grads between optimizer steps.
 
@@ -223,12 +227,25 @@ class Tape:
             raise ContractError("tape is empty; nothing was recorded")
         self._spent = seed is None
 
-        acc: dict[int, Array] = {id(loss): np.ones_like(loss.data) if seed is None
-                                 else np.asarray(seed, dtype=np.float64)}
+        start = (np.ones_like(loss.data) if seed is None
+                 else np.asarray(seed, dtype=np.float64))
+        acc: dict[int, Array] = {id(loss): start}
         holders: dict[int, Tensor] = {id(loss): loss}
+        # ids of the arrays already stored as some .grad; they stay alive
+        # (their tensors hold them), so an id here is not reused meanwhile
+        stored: set[int] = set()
 
         def flush(t: Tensor, g: Array) -> None:
-            t.grad = g.copy() if t.grad is None else t.grad + g
+            if t.grad is not None:
+                t.grad = t.grad + g
+                return
+            # copy only what may alias: the caller's seed, a view (a
+            # reshape's gradient, a concat piece), or an array stored
+            # already (add hands one adjoint to both operands)
+            if (seed is not None and g is start) or g.base is not None or id(g) in stored:
+                g = g.copy()
+            stored.add(id(g))
+            t.grad = g
 
         for node in reversed(self.nodes):
             g = acc.pop(id(node.output), None)
@@ -534,20 +551,21 @@ def attend(probs, h, wv, bv) -> Tensor:
 
 
 def scale_rows_to_sums(x, target, eps: float = 1e-12) -> Tensor:
-    """Rescale each row of x so it sums to target[i]; rows whose current
-    sum is within eps of zero are left untouched (factor 1)."""
+    """Rescale each row of x (..., m, k) so it sums to the matching entry of
+    target (..., m, 1); rows whose current sum is within eps of zero are
+    left untouched (factor 1)."""
     x, target = _as_tensor(x), _as_tensor(target)
-    if x.ndim != 2 or target.shape != (x.shape[0], 1):
-        raise DimensionError("scale_rows_to_sums: expected x (m,k) and target (m,1), "
-                             f"got {x.shape} and {target.shape}")
+    if x.ndim < 2 or target.shape != x.shape[:-1] + (1,):
+        raise DimensionError("scale_rows_to_sums: expected x (..., m, k) and target "
+                             f"(..., m, 1), got {x.shape} and {target.shape}")
     xd, td = x.data, target.data
-    r = xd.sum(axis=1, keepdims=True)
+    r = xd.sum(axis=-1, keepdims=True)
     live = np.abs(r) > eps
     safe_r = np.where(live, r, 1.0)
     factor = np.where(live, td / safe_r, 1.0)
 
     def bw(g: Array):
-        inner = (g * xd).sum(axis=1, keepdims=True)
+        inner = (g * xd).sum(axis=-1, keepdims=True)
         gx = (g * factor - np.where(live, td / (safe_r * safe_r), 0.0) * inner
               if x.requires_grad else None)
         gt = np.where(live, inner / safe_r, 0.0) if target.requires_grad else None
@@ -644,16 +662,16 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
 
 
 def sum_rows(x) -> Tensor:
-    """Row sums of a 2-d tensor, shape (m, 1)."""
+    """Row sums of a (..., m, k) tensor, shape (..., m, 1)."""
     x = _as_tensor(x)
-    if x.ndim != 2:
-        raise DimensionError(f"sum_rows: needs a 2-d tensor, got shape {x.shape}")
-    k = x.shape[1]
+    if x.ndim < 2:
+        raise DimensionError(f"sum_rows: needs at least 2 dims, got shape {x.shape}")
+    k = x.shape[-1]
 
     def bw(g: Array):
         return (g * np.ones((1, k)),)
 
-    return _apply("sum_rows", (x,), x.data.sum(axis=1, keepdims=True), bw)
+    return _apply("sum_rows", (x,), x.data.sum(axis=-1, keepdims=True), bw)
 
 
 def mean(x, axis: int | None = None) -> Tensor:
@@ -803,15 +821,20 @@ def slice2d(x, row_start=None, row_stop=None, col_start=None, col_stop=None) -> 
     return _apply("slice2d", (x,), np.ascontiguousarray(out), bw)
 
 
-def pick(x, index: int) -> Tensor:
+def pick(x, index) -> Tensor:
     """Entry `index` of the first axis: an element of a 1-d tensor (a
-    scalar), or one view of a stack."""
+    scalar), or one view of a stack. A slice picks a run of entries (the
+    plain views of a two-view stack)."""
     x = _as_tensor(x)
     if x.ndim < 1:
         raise DimensionError(f"pick: needs at least 1 dim, got shape {x.shape}")
-    index = int(index)
-    if not 0 <= index < x.shape[0]:
-        raise ContractError(f"pick: index {index} out of range for length {x.shape[0]}")
+    if isinstance(index, slice):
+        if not range(*index.indices(x.shape[0])):
+            raise ContractError(f"pick: {index} selects nothing of length {x.shape[0]}")
+    else:
+        index = int(index)
+        if not 0 <= index < x.shape[0]:
+            raise ContractError(f"pick: index {index} out of range for length {x.shape[0]}")
     shape = x.shape
 
     def bw(g: Array):
@@ -823,30 +846,41 @@ def pick(x, index: int) -> Tensor:
 
 
 def permute_rc(x, row_index, col_index) -> Tensor:
-    """Differentiable gather out[i, j] = x[row_index[i], col_index[j]] with
-    distinct row and distinct column indices (a re-indexing, such as a
-    token permutation, so the backward scatter is an assignment)."""
+    """Differentiable batched gather out[..., i, j] = x[..., row_index[..., i],
+    col_index[..., j]]: each matrix of a (..., m, k) stack re-indexed by its
+    own row and column index, shaped like x's leading axes plus one (a 2-d
+    x takes two 1-d indices). Within an entry the rows and the columns are
+    distinct (a re-indexing, such as a token permutation), so the
+    backward scatter is an assignment."""
     x = _as_tensor(x)
-    if x.ndim != 2:
-        raise DimensionError(f"permute_rc: needs a 2-d tensor, got shape {x.shape}")
+    if x.ndim < 2:
+        raise DimensionError(f"permute_rc: needs at least 2 dims, got shape {x.shape}")
+    lead, (m, k) = x.shape[:-2], x.shape[-2:]
     ri = np.asarray(row_index, dtype=np.intp)
     ci = np.asarray(col_index, dtype=np.intp)
-    if ri.ndim != 1 or ci.ndim != 1:
-        raise DimensionError("permute_rc: index arrays must be 1-d")
-    if ri.size and (ri.min() < 0 or ri.max() >= x.shape[0]):
-        raise ContractError(f"permute_rc: row indices out of range for {x.shape}")
-    if ci.size and (ci.min() < 0 or ci.max() >= x.shape[1]):
-        raise ContractError(f"permute_rc: column indices out of range for {x.shape}")
-    if np.bincount(ri).max(initial=0) > 1 or np.bincount(ci).max(initial=0) > 1:
-        raise ContractError("permute_rc: row or column indices repeat")
+    if ri.shape[:-1] != lead or ci.shape[:-1] != lead or ri.ndim != x.ndim - 1 \
+            or ci.ndim != x.ndim - 1:
+        raise DimensionError(f"permute_rc: indices {ri.shape} and {ci.shape} do not match "
+                             f"the leading axes of {x.shape}")
+    for idx, bound, what in ((ri, m, "row"), (ci, k, "column")):
+        if idx.size and (idx.min() < 0 or idx.max() >= bound):
+            raise ContractError(f"permute_rc: {what} indices out of range for {x.shape}")
+        if (np.diff(np.sort(idx, axis=-1), axis=-1) == 0).any():
+            raise ContractError(f"permute_rc: {what} indices repeat")
+    entries = math.prod(lead)
+    entry = np.arange(entries)[:, None, None]
+    rows = ri.reshape(entries, 1, -1).transpose(0, 2, 1)  # (entries, r, 1)
+    cols = ci.reshape(entries, 1, -1)                     # (entries, 1, c)
+    out_shape = lead + (rows.shape[1], cols.shape[2])
     shape = x.shape
 
     def bw(g: Array):
-        gx = np.zeros(shape)
-        gx[np.ix_(ri, ci)] = g
-        return (gx,)
+        gx = np.zeros((entries, m, k))
+        gx[entry, rows, cols] = g.reshape(entries, rows.shape[1], cols.shape[2])
+        return (gx.reshape(shape),)
 
-    return _apply("permute_rc", (x,), np.ascontiguousarray(x.data[np.ix_(ri, ci)]), bw)
+    out = x.data.reshape(entries, m, k)[entry, rows, cols].reshape(out_shape)
+    return _apply("permute_rc", (x,), out, bw)
 
 
 # ---------------------------------------------------------------------------

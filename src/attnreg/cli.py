@@ -65,7 +65,11 @@ def _parse_layers(text: str) -> tuple[int, int] | None:
 def _load_train_config(path: str | None) -> tr.TrainConfig:
     if path is None:
         return tr.TrainConfig()
-    return tr.parse_train_config(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ContractError(f"{path}: not a UTF-8 config file: {exc}") from exc
+    return tr.parse_train_config(text)
 
 
 def _apply_overrides(config: tr.TrainConfig, args) -> tr.TrainConfig:
@@ -229,8 +233,11 @@ def _cmd_grad_check(args) -> int:
                             rng=np.random.default_rng(args.seed + 1))
         return float(err)
 
+    # a one-sample chunk: its mean loss is the sample's loss
+    chunk = [tr._two_views(0, sample, gt.FLIP_H, cfg)]
+
     def training_loss(patched, train_config):
-        return tr._two_view_loss(sample, gt.FLIP_H, patched, train_config)
+        return tr._chunk_loss(chunk, patched, train_config)
 
     def logit(patched):
         return vit.class_logit(vit.forward(image, patched, cfg), 0)

@@ -209,20 +209,27 @@ def token_permutation(transform: SpatialTransform, grid: GridShape) -> TokenPerm
     return TokenPermutation(sigma, grid, target)
 
 
-def invert_attention_fast(a_prime, transform: SpatialTransform, grid: GridShape) -> Tensor:
+def invert_attention_fast(a_prime, transform, grid: GridShape) -> Tensor:
     """Map an augmented view's attention matrix back into the source view's
     token order by pure re-indexing (differentiable; class row/column are
     re-indexed along their patch axis only, the (0,0) entry is untouched).
 
-    `a_prime` is the (n+1) x (n+1) attention of the transformed view,
-    `grid` the source grid."""
-    if transform.kind is TransformKind.RESIZE:
-        raise ContractError("resize inversions go through resize_attention")
+    `a_prime` is the (n+1) x (n+1) attention of the transformed view, or a
+    (..., n+1, n+1) stack of them, and `grid` the source grid. `transform`
+    is one transform for every matrix, or a sequence with one per entry
+    of a (k, n+1, n+1) stack; either way the inversion is one gather."""
     a_prime = a_prime if isinstance(a_prime, Tensor) else Tensor(a_prime)
     n = grid.n
-    if a_prime.shape != (n + 1, n + 1):
-        raise DimensionError(f"attention must be {(n + 1, n + 1)} for grid {grid}, got {a_prime.shape}")
-    idx = _inverse_token_index(transform, grid)
+    if a_prime.ndim < 2 or a_prime.shape[-2:] != (n + 1, n + 1):
+        raise DimensionError(f"attention must be {(n + 1, n + 1)} for grid {grid}, "
+                             f"got {a_prime.shape}")
+    if isinstance(transform, SpatialTransform):
+        idx = np.broadcast_to(_inverse_token_index(transform, grid), a_prime.shape[:-1])
+    else:
+        if a_prime.shape[:-2] != (len(transform),):
+            raise DimensionError(f"{len(transform)} transforms for an attention stack "
+                                 f"of shape {a_prime.shape}")
+        idx = np.stack([_inverse_token_index(t, grid) for t in transform])
     return ad.permute_rc(a_prime, idx, idx)
 
 
@@ -232,6 +239,8 @@ def _inverse_token_index(transform: SpatialTransform, grid: GridShape) -> np.nda
     token stays at 0 and source token s reads target token inv[s] + 1.
     Built, with the permutation's validation, once per (transform, grid);
     the cached array is read-only."""
+    if transform.kind is TransformKind.RESIZE:
+        raise ContractError("resize inversions go through resize_attention")
     inv = token_permutation(transform, grid).inverse().sigma  # inv[source_token] = target_token
     idx = np.concatenate(([0], inv + 1))
     idx.flags.writeable = False
@@ -326,9 +335,11 @@ def invert_attention_kronecker(a_prime_patch, transform: SpatialTransform, grid:
 # bilinear resize
 
 
+@functools.lru_cache(maxsize=64)
 def bilinear_matrix(src: int, dst: int) -> np.ndarray:
     """(dst, src) interpolation weights, half-pixel-center convention with
-    border clamp. Rows sum to 1; src == dst yields the identity exactly."""
+    border clamp. Rows sum to 1; src == dst yields the identity exactly.
+    Built once per (src, dst); the cached array is read-only."""
     if src < 1 or dst < 1:
         raise ContractError("bilinear_matrix needs positive sizes")
     out = np.zeros((dst, src))
@@ -341,6 +352,7 @@ def bilinear_matrix(src: int, dst: int) -> np.ndarray:
         hi = min(max(i0 + 1, 0), src - 1)
         out[o, lo] += 1.0 - t
         out[o, hi] += t
+    out.flags.writeable = False
     return out
 
 
@@ -371,7 +383,8 @@ def nearest_index(src: int, dst: int) -> np.ndarray:
 
 
 def resize_attention(a_prime, source: GridShape, target: GridShape) -> Tensor:
-    """Bilinearly resize an attention matrix between patch grids.
+    """Bilinearly resize an attention matrix, or each matrix of a
+    (..., n+1, n+1) stack, between patch grids.
 
     With the bordered matrix P (bordered_interp_matrix) this is P A P^T:
     the class-to-patch row and patch-to-class column are interpolated
@@ -383,19 +396,34 @@ def resize_attention(a_prime, source: GridShape, target: GridShape) -> Tensor:
     Differentiable end to end."""
     a_prime = a_prime if isinstance(a_prime, Tensor) else Tensor(a_prime)
     ns = source.n
-    if a_prime.shape != (ns + 1, ns + 1):
-        raise DimensionError(f"attention must be {(ns + 1, ns + 1)} for grid {source}, got {a_prime.shape}")
+    if a_prime.ndim < 2 or a_prime.shape[-2:] != (ns + 1, ns + 1):
+        raise DimensionError(f"attention must be {(ns + 1, ns + 1)} for grid {source}, "
+                             f"got {a_prime.shape}")
     p = bordered_interp_matrix(source, target)
+    # P from the left of a stack: one batched product with P in every entry
+    left = Tensor(np.broadcast_to(p, a_prime.shape[:-2] + p.shape))
     # sum_rows (not a matmul with ones) so the source sums reduce in the
     # same order as the rescale's own row sums: source == target (P = I)
     # is then an exact identity
-    target_sums = ad.matmul(p, ad.sum_rows(a_prime))
-    return ad.scale_rows_to_sums(ad.matmul(ad.matmul(p, a_prime), p.T), target_sums)
+    target_sums = ad.matmul(left, ad.sum_rows(a_prime))
+    return ad.scale_rows_to_sums(ad.matmul(ad.matmul(left, a_prime), p.T), target_sums)
 
 
-def invert_attention(a_prime, transform: SpatialTransform, grid: GridShape) -> Tensor:
-    """Undo a transform's action on an attention matrix: permutation kinds
-    re-index, resize interpolates back to `grid`."""
-    if transform.kind is TransformKind.RESIZE:
+def invert_attention(a_prime, transform, grid: GridShape) -> Tensor:
+    """Undo a transform's action on an attention matrix, or on a stack of
+    them: permutation kinds re-index, resize interpolates back to `grid`.
+    `transform` may be a sequence with one transform per stack entry (see
+    invert_attention_fast). The entries of a stack share one grid, so a
+    resize in the sequence must be every entry's transform."""
+    if not isinstance(transform, SpatialTransform):
+        transform = tuple(transform)
+        if a_prime.shape[:-2] != (len(transform),):
+            raise DimensionError(f"{len(transform)} transforms for an attention stack "
+                                 f"of shape {a_prime.shape}")
+        if len(set(transform)) == 1:
+            transform = transform[0]
+        elif any(t.kind is TransformKind.RESIZE for t in transform):
+            raise ContractError("a resize must be the transform of every stack entry")
+    if isinstance(transform, SpatialTransform) and transform.kind is TransformKind.RESIZE:
         return resize_attention(a_prime, transform.resize_target, grid)
     return invert_attention_fast(a_prime, transform, grid)

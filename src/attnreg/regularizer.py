@@ -12,6 +12,11 @@ Distances reduce by mean over block elements so the weights are
 resolution-independent, and layers are averaged. Everything is built
 from tape ops, so gradients reach both branches' parameters, including
 through the inversion's re-indexing.
+
+Every loss also takes a stack of k samples: (k, n+1, n+1) attention per
+layer, (k, classes) logits and targets, and a transform per sample. A
+stack's loss is the mean of the k per-sample losses (every sample has
+the same block size and class count), so k times it is their sum.
 """
 
 from __future__ import annotations
@@ -74,6 +79,10 @@ def _distance(x: Tensor, y: Tensor, distance: str) -> Tensor:
     raise ContractError(f"distance must be one of {DISTANCES}, got {distance!r}")
 
 
+# one transform, or one per sample of a stack
+Transforms = SpatialTransform | Sequence[SpatialTransform]
+
+
 @dataclass(frozen=True)
 class InvertedLayers:
     """Augmented-view attention matrices already mapped back into the plain
@@ -82,14 +91,18 @@ class InvertedLayers:
     inversion per layer."""
 
     layers: tuple[Tensor, ...]
-    transform: SpatialTransform
+    transform: SpatialTransform | tuple[SpatialTransform, ...]
     grid: GridShape
 
 
 def invert_layers(a_prime_layers: Sequence[Tensor] | InvertedLayers,
-                  transform: SpatialTransform, grid: GridShape) -> InvertedLayers:
-    """Invert every layer's A' once. An InvertedLayers for the same
-    transform and grid is returned as it is; one for another is rejected."""
+                  transform: Transforms, grid: GridShape) -> InvertedLayers:
+    """Invert every layer's A' (a matrix, or a stack with one transform per
+    sample) once: one op per layer for a permutation stack. An
+    InvertedLayers for the same transform and grid is returned as it is;
+    one for another is rejected."""
+    if not isinstance(transform, SpatialTransform):
+        transform = tuple(transform)
     if isinstance(a_prime_layers, InvertedLayers):
         if (a_prime_layers.transform, a_prime_layers.grid) != (transform, grid):
             raise ContractError(f"layers were inverted for {a_prime_layers.transform} on "
@@ -104,15 +117,15 @@ def _check_layers(a_layers, back_layers, grid: GridShape) -> int:
         raise DimensionError(f"need equal nonzero layer counts, got {len(a_layers)} "
                              f"and {len(back_layers)}")
     m = grid.n + 1
-    for i, a in enumerate(a_layers):
-        if a.shape != (m, m):
+    for i, (a, back) in enumerate(zip(a_layers, back_layers)):
+        if a.ndim < 2 or a.shape[-2:] != (m, m) or back.shape != a.shape:
             raise DimensionError(f"layer {i}: expected {(m, m)} attention for grid "
-                                 f"{grid}, got {a.shape}")
+                                 f"{grid} in both views, got {a.shape} and {back.shape}")
     return len(a_layers)
 
 
 def _block_loss(a_layers: Sequence[Tensor], a_prime_layers: Sequence[Tensor] | InvertedLayers,
-                transform: SpatialTransform, grid: GridShape, distance: str,
+                transform: Transforms, grid: GridShape, distance: str,
                 r0: int, c0: int) -> Tensor:
     """Mean distance between a block of A and the same block of the
     back-transformed A', averaged over layers. (r0, c0) selects the
@@ -130,26 +143,29 @@ def _block_loss(a_layers: Sequence[Tensor], a_prime_layers: Sequence[Tensor] | I
 
 def region_activation_loss(a_layers: Sequence[Tensor],
                            a_prime_layers: Sequence[Tensor] | InvertedLayers,
-                           transform: SpatialTransform, grid: GridShape,
+                           transform: Transforms, grid: GridShape,
                            distance: str = "l1") -> Tensor:
     """Consistency of the class token's attention over patches: compares
     A[0, 1:] against the back-transformed A'[0, 1:] per layer. A' may come
-    already inverted, from invert_layers."""
+    already inverted, from invert_layers; for stacks the loss is the mean
+    over samples."""
     return _block_loss(a_layers, a_prime_layers, transform, grid, distance, 0, 1)
 
 
 def region_affinity_loss(a_layers: Sequence[Tensor],
                          a_prime_layers: Sequence[Tensor] | InvertedLayers,
-                         transform: SpatialTransform, grid: GridShape,
+                         transform: Transforms, grid: GridShape,
                          distance: str = "l1") -> Tensor:
     """Consistency of patch-to-patch affinities: compares A[1:, 1:]
     against the back-transformed A'[1:, 1:] per layer. A' may come already
-    inverted, from invert_layers."""
+    inverted, from invert_layers; for stacks the loss is the mean over
+    samples."""
     return _block_loss(a_layers, a_prime_layers, transform, grid, distance, 1, 1)
 
 
 def classification_loss(logits: Tensor, logits_prime: Tensor, targets) -> Tensor:
-    """Mean of BCE-with-logits over the two views (multi-hot targets)."""
+    """Mean of BCE-with-logits over the two views (multi-hot targets), and
+    over the samples of a stack."""
     t = targets if isinstance(targets, Tensor) else Tensor(np.asarray(targets, dtype=np.float64))
     if t.shape != logits.shape:
         raise DimensionError(f"targets shape {t.shape} != logits shape {logits.shape}")

@@ -261,8 +261,12 @@ def load_dataset(directory: os.PathLike | str) -> tuple[list[SyntheticSample], D
         config = DatasetConfig.from_dict(json.loads(meta.read_text()))
     except (ValueError, TypeError, AttributeError) as exc:
         raise ContractError(f"{meta}: malformed dataset metadata: {exc}") from exc
+    try:
+        lines = index.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ContractError(f"{index}: not a UTF-8 index: {exc}") from exc
     samples = []
-    for lineno, line in enumerate(index.read_text().splitlines(), 1):
+    for lineno, line in enumerate(lines, 1):
         where = f"{index} line {lineno}"
         try:
             rec = json.loads(line)
@@ -278,6 +282,8 @@ def load_dataset(directory: os.PathLike | str) -> tuple[list[SyntheticSample], D
             raw, mask = netpbm.read_netpbm(image_path), netpbm.read_netpbm(mask_path)
         except IsADirectoryError as exc:
             raise ContractError(f"{where}: {exc.filename} is a directory, not an image") from exc
+        except FileNotFoundError as exc:
+            raise ContractError(f"{where}: no image at {exc.filename}") from exc
         if raw.ndim == 2:
             raw = raw[None, :, :]
         image = raw.astype(np.float64) / 255.0

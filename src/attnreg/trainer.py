@@ -1,19 +1,26 @@
 """Siamese two-view training loop and seed evaluation.
 
-Each step draws one sample and one augmentation, runs both views
-through the shared parameters on a fresh tape, backpropagates the
-weighted objective, and accumulates gradients across the batch before
-one (optionally momentum / polynomial-decay / norm-clipped) SGD update.
-When the augmented view keeps the sample's patch grid (flips, square
-rotations) both views run as one forward on a view axis; a view on
-another grid (resize, rot90 of a non-square grid) runs as a forward of
-its own.
+Each batch draws its samples and one augmentation per sample, in batch
+order, and runs them in chunks: the samples are grouped by the grid of
+their augmented view and each group is cut into chunks bounded by
+TAPE_BYTE_BUDGET (a sample is two images). A chunk of k samples runs on
+one fresh tape: views on the images' grid (flips, square rotations) as
+one (2k, C, H, W) forward, views on another grid (resize, rot90 of a
+non-square grid) as one forward of the k images and one of the k views;
+each loss layer inverts the k transformed attention matrices in one op,
+and the losses take the (k, n+1, n+1) stacks. One backward of k times
+the chunk's mean loss adds the sum of the k per-sample gradients into
+the parameters, as a per-sample loop would; after the batch one
+(optionally momentum / polynomial-decay / norm-clipped) SGD update
+applies their mean. Chunking changes only the order of summation.
 Determinism: all randomness flows from two seed-derived generators, one
 for init and one for the sampling loop.
 
 A training backward stores ``.grad`` in the parameters (the leaves that
 require grad) and in the retained per-head attention stacks, and in no
-other tensor of the two-view loss.
+other tensor of the two-view loss. A non-finite value aborts training
+with NumericalError naming the epoch and the batch steps of the failing
+chunk, after dumping each of its samples (see _dump_divergence).
 
 Evaluation is one streaming pass over stacks of images. Images are
 grouped by (image shape, mask shape, number of present classes) and each
@@ -40,6 +47,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,7 +60,8 @@ from . import vit
 from .atomicio import atomic_open, write_text_atomic
 from .autodiff import Tape, Tensor
 from .errors import ContractError, DimensionError, NumericalError
-from .gridtransform import FLIP_H, FLIP_V, ROT90, ROT180, ROT270, GridShape, SpatialTransform
+from .gridtransform import (FLIP_H, FLIP_V, ROT90, ROT180, ROT270, GridShape, SpatialTransform,
+                            TransformKind)
 from .regularizer import LossWeights
 from .vit import ViTConfig
 
@@ -214,6 +223,46 @@ def format_train_config(config: TrainConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+# -- the tape budget ------------------------------------------------------------
+
+# A forward of a stack of images -- an evaluation stack, or the two views
+# of each sample of a training chunk -- records about this many bytes of
+# node outputs; see _tape_bytes_per_image. Stacking buys speed up to a
+# few images per stack and only memory beyond, so the bound is a
+# constant, not a knob: the criterion-07 model (8x8 grid, embed 16, 2
+# layers) fits 7 images, so 3 training samples; the default model (embed
+# 64, 4 layers) fits 1 image, so training runs 1 sample per chunk.
+TAPE_BYTE_BUDGET = 4 * 2**20
+
+
+def _tape_bytes_per_image(cfg: ViTConfig, grid: GridShape | None = None) -> int:
+    """Node-output bytes of one image's forward on `grid` (default: the
+    model's): per layer two per-head (t, t) stacks (scores, softmax), the
+    head average, seven (t, d) and two (t, mlp) activations; around the
+    layers a few (t, d) rows (t = tokens, d = width)."""
+    t, d = (grid or cfg.grid).n + 1, cfg.embed_dim
+    per_layer = 2 * cfg.num_heads * t * t + t * t + 7 * t * d + 2 * t * cfg.mlp_dim
+    return 8 * (cfg.num_layers * per_layer + 4 * t * d)
+
+
+def _image_grid(image: np.ndarray, cfg: ViTConfig) -> GridShape:
+    """Patch grid of a (..., C, H, W) image."""
+    return GridShape(*(d // cfg.patch_size for d in image.shape[-2:]))
+
+
+def _budgeted_runs(items: list, key, item_bytes):
+    """Yield `items` grouped by key(item), in order of first appearance,
+    and each group cut into runs of at most TAPE_BYTE_BUDGET forward bytes
+    (at least one item), item_bytes(item) per item."""
+    groups: dict = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    for group in groups.values():
+        size = max(1, TAPE_BYTE_BUDGET // item_bytes(group[0]))
+        for i in range(0, len(group), size):
+            yield group[i:i + size]
+
+
 # -- the optimization loop -----------------------------------------------------
 
 def _loss_layer_slice(config: TrainConfig):
@@ -226,50 +275,111 @@ def _loss_layer_slice(config: TrainConfig):
     return lo, hi
 
 
-def _two_view_loss(sample: sd.SyntheticSample, transform: SpatialTransform,
-                   params: dict[str, Tensor], config: TrainConfig,
-                   snapshot: dict | None = None) -> reg.LossBreakdown:
+class _TwoViews(NamedTuple):
+    """One training sample at batch step `step`, the transform drawn for
+    it, and its augmented view (the sample's image under the transform)."""
+
+    step: int
+    sample: sd.SyntheticSample
+    transform: SpatialTransform
+    view: np.ndarray
+
+
+def _two_views(step: int, sample: sd.SyntheticSample, transform: SpatialTransform,
+               cfg: ViTConfig) -> _TwoViews:
+    return _TwoViews(step, sample, transform,
+                    sd.augment(sample.image, transform, cell_pixels=cfg.patch_size))
+
+
+def _chunks(pairs: list[_TwoViews], cfg: ViTConfig):
+    """Yield the batch's pairs grouped by (image shape, mask shape, view
+    shape, resize or not), in order of first appearance, and each group
+    cut into chunks bounded by TAPE_BYTE_BUDGET: a pair records the
+    forward of its image and of its view."""
+    def key(p: _TwoViews) -> tuple:
+        return (p.sample.image.shape, p.sample.mask.shape, p.view.shape,
+                p.transform.kind is TransformKind.RESIZE)
+
+    def pair_bytes(p: _TwoViews) -> int:
+        return sum(_tape_bytes_per_image(cfg, _image_grid(image, cfg))
+                   for image in (p.sample.image, p.view))
+
+    return _budgeted_runs(pairs, key, pair_bytes)
+
+
+def _chunk_loss(chunk: list[_TwoViews], params: dict[str, Tensor], config: TrainConfig,
+                snapshot: dict | None = None) -> reg.LossBreakdown:
+    """The two-view loss of a chunk of k pairs whose views share one grid
+    (see _chunks), as the mean over its samples: k times it is the sum of
+    the k per-sample losses, and its gradient the sum of theirs.
+
+    Views on the images' grid run as one (2k, C, H, W) forward, plain
+    images first; views on another grid as one forward of the k images
+    and one of the k views. Each loss layer inverts the k transformed
+    attention matrices in one op, and the losses take the (k, n+1, n+1)
+    stacks. With `snapshot`, the (k, ...) stacks of the images ("view_a"),
+    of the views ("view_b") and, once the forward ran, of every layer's
+    attention in either view are put in it."""
     cfg = config.vit
-    view_b = sd.augment(sample.image, transform, cell_pixels=cfg.patch_size)
+    k = len(chunk)
+    images = np.stack([p.sample.image for p in chunk])
+    views = np.stack([p.view for p in chunk])
     if snapshot is not None:
-        snapshot["view_a"], snapshot["view_b"] = sample.image, view_b
+        snapshot["view_a"], snapshot["view_b"] = images, views
     lo, hi = _loss_layer_slice(config)
     consistency = config.weights.alpha != 0.0 or config.weights.beta != 0.0
     # per view: logits, loss-layer attention tensors, every layer's attention values
-    if view_b.shape == sample.image.shape:
-        # same grid: both views in one forward, on a leading view axis
-        res = vit.forward(np.stack([sample.image, view_b]), params, cfg)
-        views = [(ad.pick(res.logits, v),
-                  [ad.pick(r.matrix, v) for r in res.attentions[lo:hi]] if consistency else [],
-                  [r.matrix.data[v] for r in res.attentions]) for v in (0, 1)]
+    if views.shape == images.shape:
+        res = vit.forward(np.concatenate([images, views]), params, cfg)
+        sides = [(ad.pick(res.logits, half),
+                  [ad.pick(r.matrix, half) for r in res.attentions[lo:hi]] if consistency else [],
+                  [r.matrix.data[half] for r in res.attentions])
+                 for half in (slice(0, k), slice(k, 2 * k))]
     else:
-        res, res_b = (vit.forward(image, params, cfg) for image in (sample.image, view_b))
-        views = [(r.logits, [rec.matrix for rec in r.attentions[lo:hi]],
+        res, res_b = (vit.forward(stack, params, cfg) for stack in (images, views))
+        sides = [(r.logits, [rec.matrix for rec in r.attentions[lo:hi]],
                   [rec.matrix.data for rec in r.attentions]) for r in (res, res_b)]
     if snapshot is not None:
-        for tag, (_, _, matrices) in zip("ab", views):
+        for tag, (_, _, matrices) in zip("ab", sides):
             snapshot.update({f"attention_{tag}_{i}": m for i, m in enumerate(matrices)})
-    (logits_a, a, _), (logits_b, ap, _) = views
+    (logits_a, a, _), (logits_b, ap, _) = sides
+    transforms = [p.transform for p in chunk]
     if consistency:  # one inversion per layer, shared by both terms
-        ap = reg.invert_layers(ap, transform, res.grid)
+        ap = reg.invert_layers(ap, transforms, res.grid)
     act = aff = Tensor(0.0)
     if config.weights.alpha != 0.0:
-        act = reg.region_activation_loss(a, ap, transform, res.grid, config.weights.distance)
+        act = reg.region_activation_loss(a, ap, transforms, res.grid, config.weights.distance)
     if config.weights.beta != 0.0:
-        aff = reg.region_affinity_loss(a, ap, transform, res.grid, config.weights.distance)
-    return reg.total_loss(logits_a, logits_b, sample.labels, act, aff, config.weights)
+        aff = reg.region_affinity_loss(a, ap, transforms, res.grid, config.weights.distance)
+    targets = np.stack([p.sample.labels for p in chunk])
+    return reg.total_loss(logits_a, logits_b, targets, act, aff, config.weights)
 
 
-def _dump_divergence(out_dir: Path | None, epoch: int, step: int,
-                     sample: sd.SyntheticSample, snapshot: dict) -> str:
-    """Write whatever the failing step produced before blowing up: both
-    views, labels, mask, and any attention matrices already recorded."""
+def _chunk_backward(chunk: list[_TwoViews], params: dict[str, Tensor], config: TrainConfig,
+                    snapshot: dict | None = None) -> dict[str, float]:
+    """Record k times the chunk's mean loss on a fresh tape and
+    backpropagate it, so the parameters' .grad gain the sum of the k
+    per-sample gradients. Returns the chunk's sums of the loss terms."""
+    with Tape() as tape:
+        breakdown = _chunk_loss(chunk, params, config, snapshot)
+        total = ad.mul(breakdown.total, float(len(chunk)))
+    tape.backward(total)
+    return {key: len(chunk) * value for key, value in breakdown.to_floats().items()}
+
+
+def _dump_divergence(out_dir: Path | None, epoch: int, steps: list[int],
+                     samples: list[sd.SyntheticSample], snapshot: dict) -> str:
+    """Write whatever the failing chunk produced before blowing up: entry j
+    of every array belongs to the chunk's j-th sample (batch step
+    steps[j]) -- labels, mask, both views and any attention matrices
+    already recorded."""
     if out_dir is None:
         return "no output directory, nothing dumped"
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"divergence_epoch{epoch}_step{step}.npz"
+    path = out_dir / f"divergence_epoch{epoch}_step{'-'.join(map(str, steps))}.npz"
     with atomic_open(path) as f:
-        np.savez(f, labels=sample.labels, mask=sample.mask, **snapshot)
+        np.savez(f, labels=np.stack([s.labels for s in samples]),
+                 mask=np.stack([s.mask for s in samples]), **snapshot)
     return str(path)
 
 
@@ -315,22 +425,22 @@ def train(config: TrainConfig, samples: list[sd.SyntheticSample],
             batch = order[start:start + config.batch_size]
             for name in params:
                 params[name].zero_grad()
-            for step, idx in enumerate(batch):
-                sample = train_set[int(idx)]
+            pairs = []
+            for j, idx in enumerate(batch):  # one transform per sample, in batch order
                 transform = config.augmentations[int(loop_rng.integers(len(config.augmentations)))]
+                pairs.append(_two_views(start + j, train_set[int(idx)], transform, config.vit))
+            for chunk in _chunks(pairs, config.vit):
                 snapshot: dict = {}
                 try:
-                    with Tape() as tape:
-                        breakdown = _two_view_loss(sample, transform, params, config,
-                                                   snapshot)
-                    tape.backward(breakdown.total)
+                    terms = _chunk_backward(chunk, params, config, snapshot)
                 except NumericalError as exc:
-                    where = _dump_divergence(out_path, epoch, start + step, sample,
-                                             snapshot)
-                    raise NumericalError(f"non-finite loss at epoch {epoch}, "
-                                         f"step {start + step}: {exc} "
+                    steps = [p.step for p in chunk]
+                    where = _dump_divergence(out_path, epoch, steps,
+                                             [p.sample for p in chunk], snapshot)
+                    raise NumericalError(f"non-finite loss at epoch {epoch} in the chunk of "
+                                         f"batch steps {', '.join(map(str, steps))}: {exc} "
                                          f"(diagnostics: {where})") from exc
-                for key, value in breakdown.to_floats().items():
+                for key, value in terms.items():
                     sums[key] += value
             # mean-gradient SGD update over the batch
             lr = config.learning_rate
@@ -371,24 +481,6 @@ def train(config: TrainConfig, samples: list[sd.SyntheticSample],
 
 
 # -- evaluation -----------------------------------------------------------------
-
-# A stack's forward records about this many bytes of node outputs; see
-# _tape_bytes_per_image. Stacking buys speed up to a few images per
-# stack and only memory beyond, so the bound is a constant, not a knob:
-# the criterion-07 model (8x8 grid, embed 16, 2 layers) fits 7 images,
-# the default model (embed 64, 4 layers) 1.
-TAPE_BYTE_BUDGET = 4 * 2**20
-
-
-def _tape_bytes_per_image(cfg: ViTConfig) -> int:
-    """Node-output bytes of one image's forward: per layer two per-head
-    (t, t) stacks (scores, softmax), the head average, seven (t, d) and
-    two (t, mlp) activations; around the layers a few (t, d) rows
-    (t = tokens, d = width)."""
-    t, d = cfg.grid.n + 1, cfg.embed_dim
-    per_layer = 2 * cfg.num_heads * t * t + t * t + 7 * t * d + 2 * t * cfg.mlp_dim
-    return 8 * (cfg.num_layers * per_layer + 4 * t * d)
-
 
 def _stack_forward(images: np.ndarray, classes: np.ndarray, params: dict[str, Tensor],
                    cfg: ViTConfig):
@@ -446,15 +538,11 @@ def _stacks(samples: list[sd.SyntheticSample], cfg: ViTConfig):
     each group cut into stacks of at most TAPE_BYTE_BUDGET forward bytes;
     classes is the (S, c) array of each image's present classes in
     ascending order."""
-    groups: dict[tuple, list[sd.SyntheticSample]] = {}
-    for s in samples:
-        key = (s.image.shape, s.mask.shape, int(np.count_nonzero(s.labels)))
-        groups.setdefault(key, []).append(s)
-    size = max(1, TAPE_BYTE_BUDGET // _tape_bytes_per_image(cfg))
-    for group in groups.values():
-        for i in range(0, len(group), size):
-            stack = group[i:i + size]
-            yield stack, np.array([np.flatnonzero(s.labels) for s in stack], dtype=np.int64)
+    def key(s: sd.SyntheticSample) -> tuple:
+        return s.image.shape, s.mask.shape, int(np.count_nonzero(s.labels))
+
+    for stack in _budgeted_runs(samples, key, lambda s: _tape_bytes_per_image(cfg)):
+        yield stack, np.array([np.flatnonzero(s.labels) for s in stack], dtype=np.int64)
 
 
 def _stack_adjoint_rows(stack: list[sd.SyntheticSample], classes: np.ndarray,
@@ -463,7 +551,7 @@ def _stack_adjoint_rows(stack: list[sd.SyntheticSample], classes: np.ndarray,
     class-token adjoint rows (S, c, L, n), [v, r, l] of image v's r-th
     class at layer l, and the patch-to-patch attention blocks (S, L, n, n).
     The tape is dropped on return."""
-    grid = GridShape(*(d // cfg.patch_size for d in stack[0].image.shape[-2:]))
+    grid = _image_grid(stack[0].image, cfg)
     if grid != cfg.grid:
         raise DimensionError(f"image grid {grid} does not match the model's grid {cfg.grid}")
     res, sweep = _stack_forward(np.stack([s.image for s in stack]), classes, params, cfg)

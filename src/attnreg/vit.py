@@ -4,7 +4,7 @@ Pre-norm blocks: x += Attn(LN(x)); x += MLP(LN(x)). Attention per head
 is softmax(Q K^T / sqrt(d_head)).
 
 One forward runs one (C, H, W) image, or a (V, C, H, W) stack of views
-that share a patch grid (the two views of a training sample), through
+that share a patch grid (the views of a training chunk), through
 the same ops: tokens are (n+1, d), or (V, n+1, d) with a leading view
 axis, and every layer puts its heads on a head axis, so all heads of
 all views run as one (V, H, n+1, n+1) attention stack. Outputs keep the

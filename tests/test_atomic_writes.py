@@ -165,12 +165,12 @@ def test_exported_map_and_sidecar(tmp_path, monkeypatch, fail_at, name):
 
 def test_divergence_dump(tmp_path, monkeypatch):
     sample = tiny_data(0)[0]
-    path = tr._dump_divergence(tmp_path, 0, 3, sample, {"view_a": sample.image})
+    path = tr._dump_divergence(tmp_path, 0, [3], [sample], {"view_a": sample.image[None]})
     assert set(np.load(path)) == {"labels", "mask", "view_a"}
     before = snapshot(tmp_path)
     fail_on_call(monkeypatch, 0)
     with pytest.raises(DiskFull):
-        tr._dump_divergence(tmp_path, 0, 3, sample, {"view_b": sample.image})
+        tr._dump_divergence(tmp_path, 0, [3], [sample], {"view_b": sample.image[None]})
     assert snapshot(tmp_path) == before
 
 

@@ -192,7 +192,7 @@ class TestNodeMix:
         sample = sd.SyntheticSample(image=image, labels=np.array([1.0, 0.0, 1.0]),
                                     mask=np.zeros((32, 32), dtype=np.int64), seed=(0, 0))
         with Tape() as tape:
-            tr._two_view_loss(sample, FLIP_H, params, C07)
+            tr._chunk_loss([tr._two_views(0, sample, FLIP_H, cfg)], params, C07)
         ops = [n.op for n in tape.nodes]
         assert len(ops) == 62
         for gone in ("matmul", "add_bias", "split_heads", "merge_heads", "transpose"):

@@ -56,7 +56,8 @@ def train_sweep(config, transform, full):
     params = vit.init_params(config.vit, np.random.default_rng(3))
     sample = sample_for(config.vit, 11)
     with Tape() as tape:
-        loss = tr._two_view_loss(sample, transform, params, config).total
+        chunk = [tr._two_views(0, sample, transform, config.vit)]
+        loss = tr._chunk_loss(chunk, params, config).total
     if full:
         unprune(tape)
     tape.backward(loss)
@@ -225,3 +226,52 @@ class TestRetainGrad:
             y = ad.mean(ad.mul(x, x))
         tape.backward(y)
         np.testing.assert_allclose(x.grad, [1.0, 2.0])
+
+
+def assert_disjoint(arrays):
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+class TestStoredGradsOwnTheirMemory:
+    """Backward copies an adjoint only where it may alias: the caller's
+    seed, a view, or an array handed to two operands. No stored .grad may
+    share memory with another or with the seed."""
+
+    def test_seed_handed_to_both_operands_and_retained(self):
+        a, b = Tensor(np.ones((2, 3)), requires_grad=True), Tensor(np.ones((2, 3)),
+                                                                  requires_grad=True)
+        seed = np.arange(6.0).reshape(2, 3)
+        with Tape() as tape:
+            out = ad.add(a, b).retain_grad()
+        tape.backward(out, seed=seed)
+        for t in (a, b, out):
+            assert np.array_equal(t.grad, seed)
+        assert_disjoint([a.grad, b.grad, out.grad, seed])
+
+    def test_views_and_shared_adjoints(self):
+        x = Tensor(np.random.default_rng(0).normal(size=(2, 3)), requires_grad=True)
+        y = Tensor(np.random.default_rng(1).normal(size=(1, 3)), requires_grad=True)
+        with Tape() as tape:
+            r = ad.reshape(x, (3, 2)).retain_grad()       # backward: a view of r's adjoint
+            s = ad.add(ad.reshape(r, (2, 3)), x).retain_grad()
+            c = ad.concat([y, s], axis=0).retain_grad()   # backward: views of c's adjoint
+            loss = ad.mean(ad.mul(c, c))
+        tape.backward(loss)
+        grads = [x.grad, y.grad, r.grad, s.grad, c.grad]
+        assert all(g is not None for g in grads)
+        assert_disjoint(grads)
+        np.testing.assert_allclose(c.grad, 2 * c.data / c.size, atol=1e-15)
+
+    def test_training_chunk(self):
+        config = CONSISTENCY
+        params = vit.init_params(config.vit, np.random.default_rng(3))
+        chunk = [tr._two_views(j, sample_for(config.vit, 11 + j), t, config.vit)
+                 for j, t in enumerate(config.augmentations)]
+        with Tape() as tape:
+            loss = tr._chunk_loss(chunk, params, config).total
+        tape.backward(loss)
+        grads = [p.grad for p in params.values()] + [t.grad for t in retained(tape)]
+        assert all(g is not None for g in grads)
+        assert_disjoint(grads)

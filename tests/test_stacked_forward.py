@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from attnreg import autodiff as ad
+from attnreg import gridtransform as gt
 from attnreg import regularizer as reg
 from attnreg import synthdata as sd
 from attnreg import trainer as tr
@@ -164,6 +165,12 @@ def sample_for(cfg, seed):
                               mask=np.zeros(image.shape[1:], dtype=np.int64), seed=(seed, 0))
 
 
+def one_sample_loss(sample, transform, params, config, snapshot=None):
+    """The training loss of a one-sample chunk: its mean is the sample's loss."""
+    chunk = [tr._two_views(0, sample, transform, config.vit)]
+    return tr._chunk_loss(chunk, params, config, snapshot)
+
+
 def loss_and_grads(loss_fn, sample, transform, params, config):
     fresh = {k: Tensor(p.data.copy(), requires_grad=True) for k, p in params.items()}
     with Tape() as tape:
@@ -184,7 +191,7 @@ class TestTwoViewLoss:
         params = vit.init_params(config.vit, np.random.default_rng(3))
         for step, transform in enumerate(config.augmentations):
             sample = sample_for(config.vit, 10 + step)
-            floats, grads = loss_and_grads(tr._two_view_loss, sample, transform, params, config)
+            floats, grads = loss_and_grads(one_sample_loss, sample, transform, params, config)
             ref_floats, ref_grads = loss_and_grads(reference_two_view_loss, sample, transform,
                                                    params, config)
             for key, value in ref_floats.items():
@@ -206,7 +213,7 @@ class TestTwoViewLoss:
         for transform in config.augmentations:
             calls.clear()
             with Tape():
-                tr._two_view_loss(sample, transform, params, config)
+                one_sample_loss(sample, transform, params, config)
             assert len(calls) == expected[str(transform)], transform
             if len(calls) == 1:
                 assert calls[0][0] == 2
@@ -217,7 +224,7 @@ class TestTwoViewLoss:
             config = NON_SQUARE
             params = vit.init_params(config.vit, np.random.default_rng(0))
             with Tape():
-                tr._two_view_loss(sample_for(config.vit, 1), transform, params, config, snapshot)
+                one_sample_loss(sample_for(config.vit, 1), transform, params, config, snapshot)
             layers = range(config.vit.num_layers)
             assert set(snapshot) == {"view_a", "view_b",
                                      *(f"attention_{t}_{i}" for t in "ab" for i in layers)}
@@ -289,7 +296,7 @@ class TestGradCheckThroughTwoViewLoss:
             def f(probe, _name=name):
                 patched = dict(params)
                 patched[_name] = probe
-                return tr._two_view_loss(sample, transform, patched, config).total
+                return one_sample_loss(sample, transform, patched, config).total
 
             err = ad.grad_check(f, Tensor(params[name].data.copy()), step=1e-5,
                                 max_coords=12, rng=np.random.default_rng(0))
@@ -306,6 +313,7 @@ def _batched_cases():
     row = rng.normal(size=(1, 4))
     cls = rng.normal(size=(1, 4))
     batched = rng.normal(size=(2, 4, 5))
+    resized = rng.normal(size=(2, 7, 7))
     return [
         ("matmul_batched_left", (2, 3, 4), lambda x: ad.mean(ad.matmul(x, Tensor(w)))),
         ("matmul_shared_weight", (4, 3),
@@ -340,6 +348,22 @@ def _batched_cases():
          lambda x: ad.mean(ad.mul(ad.pick(x, 1), Tensor(table)))),
         ("mean_head_axis", (2, 3, 3, 4),
          lambda x: ad.mean(ad.mul(ad.mean(x, axis=-3), Tensor(other4)))),
+        ("permute_rc_per_entry", (2, 3, 4),
+         lambda x: ad.mean(ad.mul(ad.permute_rc(x, [[2, 0, 1], [1, 2, 0]], [[3, 1], [0, 2]]),
+                                  Tensor(other4[:, :, :2])))),
+        ("sum_rows_batched", (2, 3, 4),
+         lambda x: ad.mean(ad.mul(ad.sum_rows(ad.mul(x, x)), Tensor(other3[:, :, :1])))),
+        ("scale_rows_to_sums_batched_x", (2, 3, 4),
+         lambda x: ad.mean(ad.mul(ad.scale_rows_to_sums(ad.add(ad.mul(x, x), 0.5),
+                                                        Tensor(other3[:, :, :1])),
+                                  Tensor(other4)))),
+        ("scale_rows_to_sums_batched_target", (2, 3, 1),
+         lambda x: ad.mean(ad.mul(ad.scale_rows_to_sums(Tensor(np.abs(other4) + 0.5), x),
+                                  Tensor(other4)))),
+        ("resize_attention_batched", (2, 5, 5),
+         lambda x: ad.mean(ad.mul(gt.resize_attention(ad.add(ad.mul(x, x), 0.1),
+                                                      GridShape(2, 2), GridShape(3, 2)),
+                                  Tensor(resized)))),
     ]
 
 

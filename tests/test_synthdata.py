@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from attnreg import netpbm, synthdata as sd
+from attnreg import gridtransform as gt, netpbm, synthdata as sd
 from attnreg.errors import ContractError, DimensionError
 from attnreg.gridtransform import (FLIP_H, FLIP_HV, FLIP_V, IDENTITY, ROT90, ROT180,
                                    ROT270, GridShape, SpatialTransform)
@@ -159,6 +159,25 @@ class TestAugment:
         assert sd._gather_index.cache_info().misses == 1
         with pytest.raises(ValueError):
             index[0] = 0
+
+    def test_resize_matrices_built_once_per_pair(self):
+        """A resize augment reads its per-axis interpolation matrices from a
+        read-only cache: one build per (src, dst), the same pixels as a
+        fresh build."""
+        gt.bilinear_matrix.cache_clear()
+        img = np.random.default_rng(4).random(size=(3, 16, 24))
+        t = SpatialTransform.parse("resize:3x5")
+        first = sd.augment(img, t, cell_pixels=4)
+        again = sd.augment(img, t, cell_pixels=4)
+        info = gt.bilinear_matrix.cache_info()
+        assert (info.misses, info.hits) == (2, 2)  # (16, 12) and (24, 20), built once
+        fresh = (gt.bilinear_matrix.__wrapped__(16, 12) @ img
+                 @ gt.bilinear_matrix.__wrapped__(24, 20).T)
+        assert np.array_equal(first, fresh) and np.array_equal(again, fresh)
+        cached = gt.bilinear_matrix(16, 12)
+        assert gt.bilinear_matrix(16, 12) is cached
+        with pytest.raises(ValueError):
+            cached[0, 0] = 1.0
 
     def test_bad_shapes_rejected(self):
         with pytest.raises(DimensionError):
