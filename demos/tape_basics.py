@@ -50,5 +50,5 @@ print("\nafter 4 accumulating passes, dL/dx =", x.grad)
 print("(exactly 4x one pass:", x.grad / 4, ")")
 
 # the built-in checker sweeps every coordinate for you:
-err = ad.grad_check(lambda t: ad.mean(ad.mul(ad.sigmoid(t), t)), Tensor(rng.normal(size=(2, 3))))
+err = ad.grad_check(lambda t: ad.mean(ad.mul(ad.gelu(t), t)), Tensor(rng.normal(size=(2, 3))))
 print("\ngrad_check worst relative error:", err)

@@ -7,18 +7,22 @@ records every operation executed while it is active (entered with
 accumulate adjoints. One tape per training step; with no active tape
 every op is a plain forward computation, which is what inference uses.
 
+The 21 ops: add, sub, mul; matmul and the fused linear,
+attention_scores and attend; gelu, layer_norm, softmax_rows, sum_rows,
+scale_rows_to_sums and mean; the losses abs_mean, smooth_l1_mean and
+bce_with_logits; and reshape, concat, slice2d, pick and permute_rc.
+
 Conventions:
 
 * float64 everywhere, row-major (C-order) storage;
 * a "scalar" is a tensor with exactly one element (usually shape ());
-* matrix ops (matmul, transpose, layer_norm, softmax_rows, slice2d,
-  concat, sum_rows, scale_rows_to_sums, permute_rc) act on the last two
-  axes and accept leading batch axes, e.g. (views, tokens, dim) or
-  (views, heads, tokens, tokens); permute_rc takes one row and one
-  column index per batch entry. A parameter
-  without those axes (a weight, a bias, the class token) is shared
-  across them, and its gradient sums over all leading axes. mean(x,
-  axis) averages over one axis (the head axis);
+* matrix ops (matmul, layer_norm, softmax_rows, slice2d, concat,
+  sum_rows, scale_rows_to_sums, permute_rc) act on the last two axes and
+  accept leading batch axes, e.g. (views, tokens, dim) or (views, heads,
+  tokens, tokens); permute_rc takes one row and one column index per
+  batch entry. A parameter without those axes (a weight, a bias, the
+  class token) is shared across them, and its gradient sums over all
+  leading axes. mean(x, axis) averages over one axis (the head axis);
 * fused transformer ops record one node for a chain that would
   otherwise take several, and evaluate the same numpy expressions on
   the same contiguous operands as that chain, so their outputs are
@@ -118,34 +122,6 @@ class Tensor:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    # A little operator sugar; the named functions below are the real API.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
 
 class _Node:
@@ -379,29 +355,6 @@ def mul(a, b) -> Tensor:
     return _apply("mul", (a, b), ad * bd, bw)
 
 
-def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_pair("div", a, b)
-    ad, bd = a.data, b.data
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = ad / bd  # zeros in b surface as NumericalError via the output check
-
-    def bw(g: Array):
-        return (_reduce_to(g / bd, a.shape) if a.requires_grad else None,
-                _reduce_to(-g * ad / (bd * bd), b.shape) if b.requires_grad else None)
-
-    return _apply("div", (a, b), out, bw)
-
-
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-
-    def bw(g: Array):
-        return (-g,)
-
-    return _apply("neg", (a,), -a.data, bw)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 
@@ -428,18 +381,6 @@ def matmul(a, b) -> Tensor:
         return ga, np.swapaxes(ad, -1, -2) @ g
 
     return _apply("matmul", (a, b), ad @ bd, bw)
-
-
-def transpose(a) -> Tensor:
-    """Swap the last two axes."""
-    a = _as_tensor(a)
-    if a.ndim < 2:
-        raise DimensionError(f"transpose: needs at least 2 dims, got shape {a.shape}")
-
-    def bw(g: Array):
-        return (np.ascontiguousarray(np.swapaxes(g, -1, -2)),)
-
-    return _apply("transpose", (a,), np.swapaxes(a.data, -1, -2), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -589,16 +530,6 @@ def gelu(x) -> Tensor:
         return (g * (phi + xd * pdf),)
 
     return _apply("gelu", (x,), xd * phi, bw)
-
-
-def sigmoid(x) -> Tensor:
-    x = _as_tensor(x)
-    s = _stable_sigmoid(x.data)
-
-    def bw(g: Array):
-        return (g * s * (1.0 - s),)
-
-    return _apply("sigmoid", (x,), s, bw)
 
 
 def _stable_sigmoid(z: Array) -> Array:

@@ -24,7 +24,6 @@ from . import autodiff as ad
 from . import gridtransform as gt
 from . import localization as lc
 from . import netpbm
-from . import regularizer as reg
 from . import synthdata as sd
 from . import trainer as tr
 from . import vit
@@ -34,6 +33,7 @@ from .errors import AttnRegError, ContractError, NumericalError
 
 log = logging.getLogger("attnreg")
 
+_LAYERS_HELP = "layers fused into the maps: A:B or A..B, or 'default' (the last two)"
 _EXIT_CODE_DOC = ("exit codes: 0 success, 1 validation/contract error, "
                   "2 numerical failure (non-finite values or a failed "
                   "equivalence/gradient check)")
@@ -50,18 +50,6 @@ def _emit(payload, pretty: bool) -> None:
     print(json.dumps(payload, indent=2 if pretty else None, sort_keys=True))
 
 
-def _parse_layers(text: str) -> tuple[int, int] | None:
-    text = text.strip().lower()
-    if text in ("all", "default"):
-        return None
-    sep = ".." if ".." in text else ":"
-    lo, _, hi = text.partition(sep)
-    try:
-        return int(lo), int(hi)
-    except ValueError as exc:
-        raise ContractError(f"bad layer range {text!r}; expected A..B") from exc
-
-
 def _load_train_config(path: str | None) -> tr.TrainConfig:
     if path is None:
         return tr.TrainConfig()
@@ -72,25 +60,17 @@ def _load_train_config(path: str | None) -> tr.TrainConfig:
     return tr.parse_train_config(text)
 
 
-def _apply_overrides(config: tr.TrainConfig, args) -> tr.TrainConfig:
-    weights = config.weights
-    if args.alpha is not None:
-        weights = replace(weights, alpha=args.alpha)
-    if args.beta is not None:
-        weights = replace(weights, beta=args.beta)
-    if args.distance is not None:
-        weights = replace(weights, distance=args.distance)
-    config = replace(config, weights=weights)
-    if args.aug is not None:
-        augs = tuple(gt.SpatialTransform.parse(p) for p in args.aug.split(",") if p.strip())
-        config = replace(config, augmentations=augs)
-    if args.epochs is not None:
-        config = replace(config, epochs=args.epochs)
-    if args.lr is not None:
-        config = replace(config, learning_rate=args.lr)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    return config
+# attnreg train's flags, each setting the config key it names
+_TRAIN_FLAGS = {"alpha": "weights.alpha", "beta": "weights.beta",
+                "distance": "weights.distance", "aug": "augmentations",
+                "epochs": "epochs", "lr": "learning_rate", "seed": "seed"}
+
+
+def _train_config(args) -> tr.TrainConfig:
+    """The --config file's TrainConfig with train's flags applied."""
+    settings = {key: getattr(args, flag) for flag, key in _TRAIN_FLAGS.items()
+                if getattr(args, flag) is not None}
+    return tr.override_train_config(_load_train_config(args.config), settings)
 
 
 # -- subcommand bodies ---------------------------------------------------------
@@ -108,7 +88,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = _apply_overrides(_load_train_config(args.config), args)
+    config = _train_config(args)
     samples, _ = sd.load_dataset(args.data)
     log.info("training on %d samples for %d epochs", len(samples), config.epochs)
     result = tr.train(config, samples, out_dir=args.out)
@@ -118,16 +98,17 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    layers = tr.parse_layer_range(args.layers, "default")
     params, cfg = vit.load_checkpoint(args.checkpoint)
     samples, _ = sd.load_dataset(args.data)
-    summary = tr.evaluate(params, cfg, samples, map_layers=_parse_layers(args.layers),
-                          sweep_layers=args.sweep_layers)
+    summary = tr.evaluate(params, cfg, samples, map_layers=layers, sweep_layers=args.sweep_layers)
     summary.pop("unrefined" if args.refined == "on" else "refined")
     _emit(summary, args.pretty)
     return 0
 
 
 def _cmd_seeds(args) -> int:
+    layers = tr.parse_layer_range(args.layers, "default")
     params, cfg = vit.load_checkpoint(args.checkpoint)
     raw = netpbm.read_netpbm(args.image)
     if raw.ndim == 2:
@@ -141,7 +122,6 @@ def _cmd_seeds(args) -> int:
                             f"0..{cfg.num_classes - 1}")
     data = tr.image_localization_data(image, [args.class_index], params, cfg)
     grid = gt.GridShape(image.shape[1] // cfg.patch_size, image.shape[2] // cfg.patch_size)
-    layers = _parse_layers(args.layers)
     plain, refined = (lc.build_maps(data, grid, layers, refine)[0] for refine in (False, True))
 
     out = Path(args.out)
@@ -298,19 +278,14 @@ def build_parser() -> _Parser:
     p.add_argument("--config", help="plain-text key=value config file")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--distance", choices=list(reg.DISTANCES))
-    p.add_argument("--aug", help="comma list, e.g. fliph,rot90")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--seed", type=int)
+    for flag, key in _TRAIN_FLAGS.items():
+        p.add_argument(f"--{flag}", help=f"overrides the config key {key}")
 
     p = add("eval", _cmd_eval, "seed quality metrics for a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--refined", choices=["on", "off"], default="on")
-    p.add_argument("--layers", default="default", help="A..B, or 'default' (last two)")
+    p.add_argument("--layers", default="default", help=_LAYERS_HELP)
     p.add_argument("--sweep-layers", action="store_true")
 
     p = add("seeds", _cmd_seeds, "localization maps for one image")
@@ -318,7 +293,7 @@ def build_parser() -> _Parser:
     p.add_argument("--image", required=True, help="PPM/PGM image path")
     p.add_argument("--class", dest="class_index", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--layers", default="default")
+    p.add_argument("--layers", default="default", help=_LAYERS_HELP)
 
     p = add("check-inversion", _cmd_check_inversion,
             "verify attention inversion (optionally against the Kronecker oracle)")

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -74,11 +74,7 @@ class DatasetConfig:
             raise ContractError("need 1 <= min_shapes <= max_shapes")
 
     def to_dict(self) -> dict:
-        return {"num_samples": self.num_samples, "num_classes": self.num_classes,
-                "height": self.height, "width": self.width, "channels": self.channels,
-                "seed": self.seed, "min_shapes": self.min_shapes,
-                "max_shapes": self.max_shapes,
-                "class_names": list(CLASS_NAMES[:self.num_classes])}
+        return {**asdict(self), "class_names": list(CLASS_NAMES[:self.num_classes])}
 
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetConfig":

@@ -47,7 +47,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -120,11 +120,16 @@ class TrainResult:
 
 # -- plain-text config files ---------------------------------------------------
 
-def _parse_layers(value: str, all_token: str) -> tuple[int, int] | None:
-    if value == all_token:
+def parse_layer_range(text: str, unset: str) -> tuple[int, int] | None:
+    """A layer range `A:B` or `A..B` as (A, B); the word `unset` as None."""
+    if text == unset:
         return None
-    lo, _, hi = value.partition(":")
-    return (int(lo), int(hi))
+    lo, _, hi = text.partition(".." if ".." in text else ":")
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise ContractError(f"bad layer range {text!r}; expected A:B, A..B "
+                            f"or {unset!r}") from None
 
 
 def _parse_bool(value: str) -> bool:
@@ -135,14 +140,83 @@ def _parse_bool(value: str) -> bool:
     raise ContractError(f"expected a boolean, got {value!r}")
 
 
-def parse_train_config(text: str) -> TrainConfig:
-    """Parse `key = value` lines (# comments, blank lines ignored).
-    Dotted keys set nested fields: vit.*, weights.*. Unknown keys are
-    rejected so typos cannot silently fall back to defaults."""
+class _Codec(NamedTuple):
+    read: Callable[[str], object]   # value text -> field value
+    write: Callable[[object], str]  # field value -> value text
 
-    vit_kw: dict = {}
-    weight_kw: dict = {}
-    top: dict = {}
+
+def _optional(codec: _Codec) -> _Codec:
+    """`codec`, with the word `none` (any case) for None."""
+    return _Codec(lambda s: None if s.lower() == "none" else codec.read(s),
+                  lambda v: "none" if v is None else codec.write(v))
+
+
+def _layer_range(unset: str) -> _Codec:
+    return _Codec(lambda s: parse_layer_range(s, unset),
+                  lambda v: unset if v is None else f"{v[0]}:{v[1]}")
+
+
+_INT, _FLOAT = _Codec(int, str), _Codec(float, str)
+
+# Every key of the config file, in the order format_train_config writes
+# them. A dotted key sets a field of TrainConfig.vit or .weights.
+CONFIG_KEYS: dict[str, _Codec] = {
+    "vit.patch_size": _INT,
+    "vit.grid": _Codec(GridShape.parse, str),
+    "vit.embed_dim": _INT,
+    "vit.num_layers": _INT,
+    "vit.num_heads": _INT,
+    "vit.mlp_ratio": _FLOAT,
+    "vit.num_classes": _INT,
+    "vit.use_positional_embedding": _Codec(_parse_bool, lambda v: "true" if v else "false"),
+    "vit.in_channels": _INT,
+    "weights.alpha": _FLOAT,
+    "weights.beta": _FLOAT,
+    "weights.distance": _Codec(str, str),
+    "augmentations": _Codec(lambda s: tuple(SpatialTransform.parse(p)
+                                            for p in s.split(",") if p.strip()),
+                            lambda v: ",".join(str(t) for t in v)),
+    "epochs": _INT,
+    "batch_size": _INT,
+    "learning_rate": _FLOAT,
+    "momentum": _FLOAT,
+    "poly_power": _optional(_FLOAT),
+    "clip_norm": _optional(_FLOAT),
+    "seed": _INT,
+    "loss_layers": _layer_range("all"),
+    "map_layers": _layer_range("default"),
+    "eval_every": _INT,
+    "holdout_fraction": _FLOAT,
+}
+
+
+def _read_value(key: str, text: str, where: str):
+    """The value of config key `key` written as `text`; `where` names the
+    source in errors."""
+    codec = CONFIG_KEYS.get(key)
+    if codec is None:
+        raise ContractError(f"{where}: unknown key {key!r}")
+    try:
+        return codec.read(text)
+    except (ValueError, ContractError) as exc:
+        raise ContractError(f"{where}: bad value {text!r} for {key}: {exc}") from exc
+
+
+def _with_values(config: TrainConfig, values: dict) -> TrainConfig:
+    """`config` with the field of each config key in `values` replaced."""
+    fields: dict[str, dict] = {"vit": {}, "weights": {}, "": {}}
+    for key, value in values.items():
+        group, _, name = key.rpartition(".")
+        fields[group][name] = value
+    return replace(config, vit=replace(config.vit, **fields["vit"]),
+                   weights=replace(config.weights, **fields["weights"]), **fields[""])
+
+
+def parse_train_config(text: str) -> TrainConfig:
+    """Parse `key = value` lines (# comments, blank lines ignored, keys in
+    any case, a repeated key overrides). Unknown keys are rejected so typos
+    cannot silently fall back to defaults."""
+    values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -150,77 +224,26 @@ def parse_train_config(text: str) -> TrainConfig:
         if "=" not in line:
             raise ContractError(f"config line {lineno}: expected key = value, got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        vkey = key.lower()
-        value = value.strip()
-        try:
-            if vkey.startswith("vit."):
-                name = vkey[4:]
-                if name == "grid":
-                    vit_kw[name] = GridShape.parse(value)
-                elif name == "mlp_ratio":
-                    vit_kw[name] = float(value)
-                elif name == "use_positional_embedding":
-                    vit_kw[name] = _parse_bool(value)
-                elif name in ("patch_size", "embed_dim", "num_layers", "num_heads",
-                              "num_classes", "in_channels"):
-                    vit_kw[name] = int(value)
-                else:
-                    raise ContractError(f"unknown key vit.{name}")
-            elif vkey.startswith("weights."):
-                name = vkey[8:]
-                if name in ("alpha", "beta"):
-                    weight_kw[name] = float(value)
-                elif name == "distance":
-                    weight_kw[name] = value
-                else:
-                    raise ContractError(f"unknown key weights.{name}")
-            elif vkey == "augmentations":
-                top[vkey] = tuple(SpatialTransform.parse(p)
-                                  for p in value.split(",") if p.strip())
-            elif vkey in ("epochs", "batch_size", "seed", "eval_every"):
-                top[vkey] = int(value)
-            elif vkey in ("learning_rate", "momentum", "holdout_fraction"):
-                top[vkey] = float(value)
-            elif vkey in ("poly_power", "clip_norm"):
-                top[vkey] = None if value.lower() == "none" else float(value)
-            elif vkey == "loss_layers":
-                top[vkey] = _parse_layers(value, "all")
-            elif vkey == "map_layers":
-                top[vkey] = _parse_layers(value, "default")
-            else:
-                raise ContractError(f"unknown key {key!r}")
-        except ValueError as exc:
-            raise ContractError(f"config line {lineno}: bad value {value!r} "
-                                f"for {key}") from exc
-    return TrainConfig(vit=ViTConfig(**vit_kw), weights=LossWeights(**weight_kw), **top)
+        values[key.lower()] = _read_value(key.lower(), value, f"config line {lineno}")
+    return _with_values(TrainConfig(), values)
+
+
+def override_train_config(config: TrainConfig, settings: dict[str, str]) -> TrainConfig:
+    """`config` with each config key in `settings` set from its text, as
+    the line `key = text` sets it in a config file."""
+    return _with_values(config, {key: _read_value(key, text, "override")
+                                 for key, text in settings.items()})
 
 
 def format_train_config(config: TrainConfig) -> str:
     """Inverse of parse_train_config (round-trips exactly)."""
     lines = []
-    v = config.vit
-    lines += [f"vit.patch_size = {v.patch_size}", f"vit.grid = {v.grid}",
-              f"vit.embed_dim = {v.embed_dim}", f"vit.num_layers = {v.num_layers}",
-              f"vit.num_heads = {v.num_heads}", f"vit.mlp_ratio = {v.mlp_ratio}",
-              f"vit.num_classes = {v.num_classes}",
-              f"vit.use_positional_embedding = {'true' if v.use_positional_embedding else 'false'}",
-              f"vit.in_channels = {v.in_channels}"]
-    w = config.weights
-    lines += [f"weights.alpha = {w.alpha}", f"weights.beta = {w.beta}",
-              f"weights.distance = {w.distance}"]
-    lines += [f"augmentations = {','.join(str(t) for t in config.augmentations)}",
-              f"epochs = {config.epochs}", f"batch_size = {config.batch_size}",
-              f"learning_rate = {config.learning_rate}", f"momentum = {config.momentum}",
-              f"poly_power = {'none' if config.poly_power is None else config.poly_power}",
-              f"clip_norm = {'none' if config.clip_norm is None else config.clip_norm}",
-              f"seed = {config.seed}",
-              "loss_layers = " + ("all" if config.loss_layers is None
-                                  else f"{config.loss_layers[0]}:{config.loss_layers[1]}"),
-              "map_layers = " + ("default" if config.map_layers is None
-                                 else f"{config.map_layers[0]}:{config.map_layers[1]}"),
-              f"eval_every = {config.eval_every}",
-              f"holdout_fraction = {config.holdout_fraction}"]
-    return "\n".join(lines) + "\n"
+    for key, codec in CONFIG_KEYS.items():
+        value = config
+        for name in key.split("."):
+            value = getattr(value, name)
+        lines.append(f"{key} = {codec.write(value)}\n")
+    return "".join(lines)
 
 
 # -- the tape budget ------------------------------------------------------------

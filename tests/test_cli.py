@@ -117,6 +117,29 @@ class TestTrain:
         assert "augmentations = rot90,rot270" in text
         assert "epochs = 2" in text
 
+    @pytest.mark.parametrize("flag,value", [("alpha", "0.5"), ("beta", "2"),
+                                            ("distance", "l2"), ("aug", "rot90,fliph"),
+                                            ("epochs", "3"), ("lr", "0.2"), ("seed", "7")])
+    def test_flag_sets_config_as_its_line_does(self, config_file, tmp_path, flag, value):
+        key = cli._TRAIN_FLAGS[flag]
+        with_line = tmp_path / "train.cfg"
+        with_line.write_text(TINY_CONFIG + f"{key} = {value}\n")
+        parse = cli.build_parser().parse_args
+        common = ["train", "--data", "d", "--out", "o", "--config"]
+        by_flag = cli._train_config(parse(common + [str(config_file), f"--{flag}", value]))
+        assert by_flag == cli._train_config(parse(common + [str(with_line)]))
+        assert by_flag != cli._train_config(parse(common + [str(config_file)]))
+
+    @pytest.mark.parametrize("flag,value", [("epochs", "many"), ("alpha", "-1"),
+                                            ("distance", "l3"), ("aug", "spin")])
+    def test_bad_flag_value_exits_1(self, config_file, dataset_dir, tmp_path, capsys,
+                                    flag, value):
+        rc = cli.main(["train", "--config", str(config_file), "--data", str(dataset_dir),
+                       "--out", str(tmp_path / "t"), f"--{flag}", value])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "attnreg: error:" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("line", ["learning_rate = nan", "learning_rate = inf",
                                       "clip_norm = nan", "poly_power = nan",
                                       "weights.alpha = nan", "weights.beta = inf",
@@ -166,6 +189,13 @@ class TestEval:
         rc2, payload2 = run_json(capsys, argv)
         assert rc2 == 0
         assert payload2 == payload
+
+    @pytest.mark.parametrize("layers", ["all", "2", "0-2"])
+    def test_bad_layer_range_exits_1(self, trained_dir, dataset_dir, capsys, layers):
+        rc = cli.main(["eval", "--checkpoint", str(trained_dir / "checkpoint.ckpt"),
+                       "--data", str(dataset_dir), "--layers", layers])
+        assert rc == 1
+        assert "bad layer range" in capsys.readouterr().err
 
     def test_sweep_layers_table(self, trained_dir, dataset_dir, capsys):
         rc, payload = run_json(capsys, ["eval", "--checkpoint",
@@ -252,6 +282,14 @@ class TestSeeds:
         sidecars = [p for p in payload["written"] if p.endswith(".json")]
         flags = sorted(json.loads(open(p).read())["refined"] for p in sidecars)
         assert flags == [False, True]
+
+    def test_all_is_not_a_layer_range(self, trained_dir, dataset_dir, tmp_path, capsys):
+        rc = cli.main(["seeds", "--checkpoint", str(trained_dir / "checkpoint.ckpt"),
+                       "--image", str(dataset_dir / "images" / "00000.ppm"),
+                       "--class", "1", "--out", str(tmp_path), "--layers", "all"])
+        assert rc == 1
+        assert "bad layer range" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_out_of_range_class_exits_1(self, trained_dir, dataset_dir, tmp_path):
         rc = cli.main(["seeds", "--checkpoint", str(trained_dir / "checkpoint.ckpt"),

@@ -54,6 +54,13 @@ def affine(x, w, b):
     return ad.add(ad.matmul(x, w), ad.reshape(b, (b.shape[-1],)))
 
 
+def transpose(x):
+    """x with its last two axes swapped, as a tape op: the unfused chains
+    need it, and the engine transposes only inside its fused ops."""
+    return ad._apply("transpose", (x,), np.swapaxes(x.data, -1, -2),
+                     lambda g: (np.ascontiguousarray(np.swapaxes(g, -1, -2)),))
+
+
 def head_cols(x, j, heads):
     k = x.shape[-1] // heads
     return ad.slice2d(x, None, None, j * k, (j + 1) * k)
@@ -67,7 +74,7 @@ def chained(op, heads):
     def scores(h, wq, bq, wk, bk):
         q = ad.mul(affine(h, wq, bq), SCALE)
         k = affine(h, wk, bk)
-        per_head = [ad.matmul(head_cols(q, j, heads), ad.transpose(head_cols(k, j, heads)))
+        per_head = [ad.matmul(head_cols(q, j, heads), transpose(head_cols(k, j, heads)))
                     for j in range(heads)]
         stacked = ad.concat(per_head, axis=0)  # (..., heads * m, m)
         return ad.reshape(stacked, stacked.shape[:-2] + (heads, M, M))

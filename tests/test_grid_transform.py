@@ -251,13 +251,13 @@ def resize_attention_chain(a_prime, source, target):
     """Oracle for resize_attention: the bordered product P A P^T spelled
     out block by block -- corner, class row, class column and patch block
     sliced apart, interpolated by W = kron(Bh, Bw) and concatenated back,
-    the target row sums assembled the same way (19 tape nodes)."""
-    wq = Tensor(np.kron(gt.bilinear_matrix(source.h, target.h),
-                        gt.bilinear_matrix(source.w, target.w)))
+    the target row sums assembled the same way (17 tape nodes)."""
+    w = np.kron(gt.bilinear_matrix(source.h, target.h), gt.bilinear_matrix(source.w, target.w))
+    wq, wq_t = Tensor(w), Tensor(w.T)
     corner = ad.slice2d(a_prime, 0, 1, 0, 1)
-    cls_row = ad.matmul(ad.slice2d(a_prime, 0, 1, 1, None), ad.transpose(wq))
+    cls_row = ad.matmul(ad.slice2d(a_prime, 0, 1, 1, None), wq_t)
     cls_col = ad.matmul(wq, ad.slice2d(a_prime, 1, None, 0, 1))
-    block = ad.matmul(ad.matmul(wq, ad.slice2d(a_prime, 1, None, 1, None)), ad.transpose(wq))
+    block = ad.matmul(ad.matmul(wq, ad.slice2d(a_prime, 1, None, 1, None)), wq_t)
     assembled = ad.concat([ad.concat([corner, cls_row], axis=1),
                            ad.concat([cls_col, block], axis=1)], axis=0)
     src_sums = ad.sum_rows(a_prime)

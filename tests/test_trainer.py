@@ -2,7 +2,10 @@
 descent, divergence dumps, evaluation structure, and the ablation
 harness plumbing."""
 
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +77,30 @@ class TestTrainConfig:
     def test_parse_rejects_bad_values(self):
         with pytest.raises(ContractError):
             tr.parse_train_config("epochs = many\n")
+
+    def test_key_table_covers_every_field(self):
+        def names(cls, prefix=""):
+            return {prefix + f.name for f in dataclasses.fields(cls)}
+        top = names(tr.TrainConfig) - {"vit", "weights"}
+        expected = top | names(vit.ViTConfig, "vit.") | names(LossWeights, "weights.")
+        assert set(tr.CONFIG_KEYS) == expected
+
+    @pytest.mark.parametrize("key,unset", [("loss_layers", "all"), ("map_layers", "default")])
+    def test_layer_range_spellings(self, key, unset):
+        colon = tr.parse_train_config(f"{key} = 0:2\n")
+        assert getattr(colon, key) == (0, 2)
+        assert tr.parse_train_config(f"{key} = 0..2\n") == colon
+        assert getattr(tr.parse_train_config(f"{key} = {unset}\n"), key) is None
+        other = "default" if unset == "all" else "all"
+        for bad in (other, unset.upper(), "2", "0-2", "0..2:3", "0:2..3"):
+            with pytest.raises(ContractError):
+                tr.parse_train_config(f"{key} = {bad}\n")
+
+    def test_readme_config_example_parses(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"^```\n(vit\.patch_size = .*?)^```$", readme, re.S | re.M)
+        cfg = tr.parse_train_config(block.group(1))
+        assert cfg.loss_layers is None and cfg.vit.embed_dim == 16
 
 
 class TestTraining:
