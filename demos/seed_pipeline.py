@@ -18,6 +18,7 @@ from attnreg import metrics as mt
 from attnreg import synthdata as sd
 from attnreg import trainer as tr
 from attnreg import vit
+from attnreg.autodiff import Tape, Tensor
 from attnreg.gridtransform import FLIP_H, FLIP_V, GridShape, ROT90, ROT180, ROT270
 from attnreg.regularizer import LossWeights
 
@@ -56,12 +57,19 @@ present = [k for k in range(cfg.vit.num_classes) if sample.labels[k]]
 print(f"\nimage 3 contains classes {present} "
       f"(labels vector {sample.labels.astype(int)})")
 
-# one forward on one tape, then one backward per present class seeded at
-# that class's logit; parameters are read through no-grad views, so map
-# extraction never touches their grads
-data = tr.image_localization_data(sample.image, present, result.params, cfg.vit)
-maps = [lc.grad_localization(data.adjoints_by_class[k], cfg.vit.grid, k) for k in present]
-attentions = data.attentions
+# one forward on one tape, then one backward per present class seeded
+# with that class's one-hot logit adjoint; parameters are read through
+# no-grad views, so map extraction never touches their grads
+frozen = {name: Tensor(p.data) for name, p in result.params.items()}
+with Tape() as tape:
+    res = vit.forward(sample.image, frozen, cfg.vit)
+maps = []
+for k in present:
+    for rec in res.attentions:  # each sweep's adjoints are its own
+        rec.heads.zero_grad()
+    tape.backward(res.logits, seed=np.eye(cfg.vit.num_classes)[k])
+    maps.append(lc.grad_localization(vit.attention_adjoints(res), cfg.vit.grid, k))
+attentions = [rec.matrix.data for rec in res.attentions]
 
 for m in maps:
     print(f"\nclass {m.class_index} map on the 8x8 patch grid "

@@ -831,8 +831,13 @@ def grad_check(f, x: Tensor, step: float = 1e-5, max_coords: int | None = None,
     (abs_mean where a == b) should be excluded by the caller via the
     boolean mask `exclude` or by sampling x away from them. `max_coords`
     limits the check to a random coordinate subset (seeded through `rng`)
-    for big tensors.
+    for big tensors. A `step` that is not finite and positive, or a
+    `max_coords` below 1, would check nothing and raises ContractError.
     """
+    if not 0 < step < math.inf:  # NaN fails too
+        raise ContractError(f"grad_check: step must be finite and positive, got {step}")
+    if max_coords is not None and max_coords < 1:
+        raise ContractError(f"grad_check: max_coords must be >= 1, got {max_coords}")
     base = np.array(x.data, dtype=np.float64, copy=True)
     probe = Tensor(base.copy(), requires_grad=True)
     with Tape() as tape:

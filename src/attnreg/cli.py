@@ -110,6 +110,7 @@ def _cmd_eval(args) -> int:
 def _cmd_seeds(args) -> int:
     layers = tr.parse_layer_range(args.layers, "default")
     params, cfg = vit.load_checkpoint(args.checkpoint)
+    layer_range = lc.resolve_layers(layers, cfg.num_layers)
     raw = netpbm.read_netpbm(args.image)
     if raw.ndim == 2:
         raw = raw[None, :, :]
@@ -117,28 +118,31 @@ def _cmd_seeds(args) -> int:
         raise ContractError(f"image has {raw.shape[0]} channels, model wants "
                             f"{cfg.in_channels}")
     image = raw.astype(np.float64) / 255.0
-    if not 0 <= args.class_index < cfg.num_classes:
-        raise ContractError(f"--class {args.class_index} out of range "
-                            f"0..{cfg.num_classes - 1}")
-    data = tr.image_localization_data(image, [args.class_index], params, cfg)
-    grid = gt.GridShape(image.shape[1] // cfg.patch_size, image.shape[2] // cfg.patch_size)
-    plain, refined = (lc.build_maps(data, grid, layers, refine)[0] for refine in (False, True))
+    # a one-image stack through evaluation's path, on the image's own grid
+    rows, blocks = tr.adjoint_rows(image[None], [[args.class_index]], params, cfg)
+    grid = tr._image_grid(image, cfg)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stem = Path(args.image).stem
     written = []
-    for tag, m in (("unrefined", plain), ("refined", refined)):
+    for tag, refine in (("unrefined", False), ("refined", True)):
+        values = lc.build_maps(rows, blocks, layer_range, refine)
+        m = lc.LocalizationMap(class_index=args.class_index,
+                               values=values.reshape(grid.h, grid.w),
+                               layers_fused=layer_range, refined=refine)
         base = out / f"{stem}_class{args.class_index}_{tag}"
         for path in lc.export_map(base, m):
             written.append(str(path))
     log.info("wrote %d files to %s", len(written), out)
     _emit({"written": written, "class": args.class_index,
-           "layers_fused": list(plain.layers_fused)}, args.pretty)
+           "layers_fused": list(layer_range)}, args.pretty)
     return 0
 
 
 def _cmd_check_inversion(args) -> int:
+    if args.trials < 1:
+        raise ContractError(f"--trials must be >= 1, got {args.trials}")
     grid = gt.GridShape.parse(args.grid)
     transform = gt.SpatialTransform.parse(args.transform)
     rng = np.random.default_rng(args.seed)
@@ -348,10 +352,7 @@ def main(argv=None) -> int:
         log.error("numerical failure: %s", exc)
         print(f"attnreg: numerical failure: {exc}", file=sys.stderr)
         return 2
-    except AttnRegError as exc:
-        print(f"attnreg: error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (AttnRegError, OSError) as exc:
         print(f"attnreg: error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,11 +11,15 @@ Seeds: a pixel is background when every class map sits below the
 threshold, otherwise the argmax class wins, ties to the lowest class
 index. Stored labels are class_index + 1, 0 = background.
 
-The array kernels (``fuse_rows``, ``patch_affinity``, ``refine_maps``,
-``argmax_seed``) take any number of leading axes, so evaluation builds
-the maps of a whole stack of images in one call; the per-map functions
-below are their one-map case and only add validation and the
-``LocalizationMap`` wrapper.
+``build_maps`` is the one map builder of the package: it takes the
+class-token adjoint rows and patch blocks of an image stack (see
+``trainer.adjoint_rows``) and returns every class map of every image at
+once. ``trainer.evaluate`` and the ``seeds`` command (a one-image
+stack) both go through it. Its kernels (``fuse_rows``, ``patch_affinity``,
+``refine_maps``) and ``argmax_seed`` take any number of leading axes.
+``grad_localization`` and ``affinity_refine`` are the one-map case for a
+caller holding a single image's full adjoint and attention matrices;
+they only add validation and the ``LocalizationMap`` wrapper.
 """
 
 from __future__ import annotations
@@ -84,6 +88,17 @@ def refine_maps(values: np.ndarray, affinity: np.ndarray) -> np.ndarray:
     one, as for a single map, so stacking changes no bit."""
     spread = values[..., None, :] @ affinity[..., None, :, :]
     return _clamp_normalize(spread[..., 0, :])
+
+
+def build_maps(rows: np.ndarray, blocks: np.ndarray, layer_range: tuple[int, int],
+               refine: bool) -> np.ndarray:
+    """The (..., c, n) class maps of a stack: (..., c, L, n) class-token
+    adjoint rows fused over layers [start, stop), then, with `refine`,
+    spread along the same layers' mean of the (..., L, n, n) patch blocks."""
+    values = fuse_rows(rows, layer_range)
+    if refine:
+        values = refine_maps(values, patch_affinity(blocks, layer_range))
+    return values
 
 
 def argmax_seed(values: np.ndarray, classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -186,24 +201,3 @@ def export_map(path_base, loc_map: LocalizationMap) -> tuple[Path, Path]:
                                         "layers_fused": list(loc_map.layers_fused),
                                         "refined": loc_map.refined}, sort_keys=True) + "\n")
     return pgm, meta
-
-
-@dataclass
-class ImageLocalizationData:
-    """Per-image inputs for seed evaluation: per-class adjoint stacks, the
-    recorded attention matrices, and pixel ground truth (None if unknown)."""
-
-    adjoints_by_class: dict[int, list[np.ndarray]]
-    attentions: list[np.ndarray]
-    gt_mask: np.ndarray | None
-
-
-def build_maps(data: ImageLocalizationData, grid: GridShape,
-               layer_range: tuple[int, int] | None, refine: bool) -> list[LocalizationMap]:
-    maps = []
-    for class_index, adjoints in sorted(data.adjoints_by_class.items()):
-        loc = grad_localization(adjoints, grid, class_index, layer_range)
-        if refine:
-            loc = affinity_refine(loc, data.attentions, layer_range)
-        maps.append(loc)
-    return maps

@@ -22,23 +22,26 @@ other tensor of the two-view loss. A non-finite value aborts training
 with NumericalError naming the epoch and the batch steps of the failing
 chunk, after dumping each of its samples (see _dump_divergence).
 
-Evaluation is one streaming pass over stacks of images. Images are
-grouped by (image shape, mask shape, number of present classes) and each
-group is cut into stacks bounded by TAPE_BYTE_BUDGET, a fixed byte
-budget for the forward's tape worked out from the model config (tokens,
-width, layers, heads). A stack runs one forward on the view axis, then
-one seeded reverse sweep per class rank: sweep r seeds logits row v
-with the one-hot of image v's r-th present class in ascending order,
-after clearing the retained attention grads (so adjoints never mix). A
-stack of c-class images thus takes c sweeps, the per-image backward
-work of one sweep per present class. The parameters are wrapped once
-per call in no-grad views, so evaluation never writes the caller's
-parameters and a sweep computes no parameter gradient: it stores only
-the retained heads' gradients and stops at the first layer's attention,
-below which nothing requires grad. Every reported cell -- unrefined,
-refined and each layer-sweep row -- then builds the whole stack's maps
-at once and bins them into its threshold histogram, and the stack is
-dropped, so memory does not grow with the number of images.
+Seed maps come from one stack path: adjoint_rows (one forward of an
+image stack, one seeded reverse sweep per class rank, each layer's
+class-token adjoint row kept), then localization.build_maps. Evaluation
+runs it on stacks of images, the CLI's `seeds` on a one-image stack on
+the image's own grid. A stack of c-class images takes c sweeps, the
+per-image backward work of one sweep per present class. The parameters
+are read through no-grad views, so a sweep writes nothing shared and
+computes no parameter gradient: it stores only the retained heads'
+gradients and stops at the first layer's attention, below which nothing
+requires grad.
+
+Evaluation is one streaming pass over those stacks. Images are grouped
+by (image shape, mask shape, number of present classes) and each group
+is cut into stacks bounded by TAPE_BYTE_BUDGET, a fixed byte budget for
+the forward's tape worked out from the model config (tokens, width,
+layers, heads); the image grid must be the model's. Every reported cell
+-- unrefined, refined and each layer-sweep row -- builds the whole
+stack's maps in one build_maps call and bins them into its threshold
+histogram, and the stack is dropped, so memory does not grow with the
+number of images.
 """
 
 from __future__ import annotations
@@ -107,6 +110,12 @@ class TrainConfig:
             raise ContractError("holdout_fraction must lie in [0, 1)")
         if self.eval_every < 0:
             raise ContractError("eval_every must be >= 0")
+        for name in ("loss_layers", "map_layers"):
+            if (layer_range := getattr(self, name)) is not None:
+                try:
+                    lc.resolve_layers(layer_range, self.vit.num_layers)
+                except ContractError as exc:
+                    raise ContractError(f"{name}: {exc}") from None
 
 
 @dataclass
@@ -288,14 +297,10 @@ def _budgeted_runs(items: list, key, item_bytes):
 
 # -- the optimization loop -----------------------------------------------------
 
-def _loss_layer_slice(config: TrainConfig):
-    if config.loss_layers is None:
-        return 0, config.vit.num_layers
-    lo, hi = config.loss_layers
-    if not 0 <= lo < hi <= config.vit.num_layers:
-        raise ContractError(f"loss_layers {config.loss_layers} invalid for "
-                            f"{config.vit.num_layers} layers")
-    return lo, hi
+def _loss_layer_slice(config: TrainConfig) -> tuple[int, int]:
+    """The loss layers [lo, hi); None means every layer (TrainConfig has
+    checked any other range)."""
+    return config.loss_layers or (0, config.vit.num_layers)
 
 
 class _TwoViews(NamedTuple):
@@ -505,54 +510,40 @@ def train(config: TrainConfig, samples: list[sd.SyntheticSample],
 
 # -- evaluation -----------------------------------------------------------------
 
-def _stack_forward(images: np.ndarray, classes: np.ndarray, params: dict[str, Tensor],
-                   cfg: ViTConfig):
-    """Record one forward of an (S, C, H, W) image stack on one tape and
-    return (result, sweep). ``sweep(r)`` clears the retained head grads and
-    runs one reverse sweep seeded on logits row v with the one-hot of
-    image v's class ``classes[v, r]``, so afterwards the heads hold the
-    gradients of that sweep only. Nothing shared is written: pass no-grad
-    parameter views (_no_grad_views) and no parameter gradient is
-    computed either."""
-    if classes.size and (classes.min() < 0 or classes.max() >= cfg.num_classes):
-        raise ContractError(f"classes {sorted(set(classes.ravel().tolist()))} outside "
-                            f"0..{cfg.num_classes - 1}")
-    with Tape() as tape:
-        res = vit.forward(images, params, cfg)
-    views = np.arange(len(images))
-
-    def sweep(r: int) -> None:
-        for rec in res.attentions:
-            rec.heads.zero_grad()
-        seed = np.zeros(res.logits.shape)
-        seed[views, classes[:, r]] = 1.0
-        tape.backward(res.logits, seed=seed)
-
-    return res, sweep
-
-
 def _no_grad_views(params: dict[str, Tensor]) -> dict[str, Tensor]:
     """Parameters that require grad wrapped as no-grad views of the same
     data; the others are passed through as they are."""
     return {name: Tensor(p.data) if p.requires_grad else p for name, p in params.items()}
 
 
-def image_localization_data(image: np.ndarray, classes, params: dict[str, Tensor],
-                            cfg: ViTConfig, gt_mask=None) -> lc.ImageLocalizationData:
-    """The one-image stack of evaluation's sweep: one forward, then per
-    class in `classes` one reverse sweep seeded with its one-hot logit
-    adjoint. Parameters that require grad are wrapped as no-grad views:
-    nothing shared is written."""
-    classes = [int(k) for k in classes]
-    res, sweep = _stack_forward(np.asarray(image)[None], np.array([classes], dtype=np.int64),
-                                _no_grad_views(params), cfg)
-    adjoints_by_class: dict[int, list[np.ndarray]] = {}
-    for r, k in enumerate(classes):
-        sweep(r)
-        adjoints_by_class[k] = [adj[0] for adj in vit.attention_adjoints(res, k)]
-    return lc.ImageLocalizationData(adjoints_by_class=adjoints_by_class,
-                                    attentions=[rec.matrix.data[0] for rec in res.attentions],
-                                    gt_mask=gt_mask)
+def adjoint_rows(images: np.ndarray, classes, params: dict[str, Tensor], cfg: ViTConfig):
+    """Localization inputs of an (S, C, H, W) image stack on any one grid:
+    one forward on one tape, then one reverse sweep per class rank r,
+    seeded on logits row v with the one-hot of image v's class
+    ``classes[v, r]`` after clearing the retained head grads, so each
+    sweep's adjoints are its own. Returns the class-token adjoint rows
+    (S, c, L, n), [v, r, l] of image v's r-th class at layer l, and the
+    patch-to-patch attention blocks (S, L, n, n); the tape is dropped on
+    return. Parameters that require grad are read through no-grad views:
+    nothing shared is written and no parameter gradient is computed."""
+    classes = np.asarray(classes, dtype=np.int64)
+    if classes.size and (classes.min() < 0 or classes.max() >= cfg.num_classes):
+        raise ContractError(f"classes {sorted(set(classes.ravel().tolist()))} outside "
+                            f"0..{cfg.num_classes - 1}")
+    with Tape() as tape:
+        res = vit.forward(images, _no_grad_views(params), cfg)
+    views = np.arange(len(images))
+    rows = np.empty(classes.shape + (cfg.num_layers, res.grid.n))
+    for r in range(classes.shape[1]):
+        for rec in res.attentions:
+            rec.heads.zero_grad()
+        seed = np.zeros(res.logits.shape)
+        seed[views, classes[:, r]] = 1.0
+        tape.backward(res.logits, seed=seed)
+        for i, adjoint in enumerate(vit.attention_adjoints(res)):
+            rows[:, r, i] = adjoint[:, 0, 1:]
+    blocks = np.stack([rec.matrix.data[:, 1:, 1:] for rec in res.attentions], axis=1)
+    return rows, blocks
 
 
 def _stacks(samples: list[sd.SyntheticSample], cfg: ViTConfig):
@@ -568,25 +559,6 @@ def _stacks(samples: list[sd.SyntheticSample], cfg: ViTConfig):
         yield stack, np.array([np.flatnonzero(s.labels) for s in stack], dtype=np.int64)
 
 
-def _stack_adjoint_rows(stack: list[sd.SyntheticSample], classes: np.ndarray,
-                        params: dict[str, Tensor], cfg: ViTConfig):
-    """One forward and one sweep per class rank for a stack: the
-    class-token adjoint rows (S, c, L, n), [v, r, l] of image v's r-th
-    class at layer l, and the patch-to-patch attention blocks (S, L, n, n).
-    The tape is dropped on return."""
-    grid = _image_grid(stack[0].image, cfg)
-    if grid != cfg.grid:
-        raise DimensionError(f"image grid {grid} does not match the model's grid {cfg.grid}")
-    res, sweep = _stack_forward(np.stack([s.image for s in stack]), classes, params, cfg)
-    rows = np.empty(classes.shape + (cfg.num_layers, grid.n))
-    for r in range(classes.shape[1]):
-        sweep(r)
-        for i, rec in enumerate(res.attentions):
-            rows[:, r, i] = rec.adjoint[:, 0, 1:]
-    blocks = np.stack([rec.matrix.data[:, 1:, 1:] for rec in res.attentions], axis=1)
-    return rows, blocks
-
-
 def evaluate(params: dict[str, Tensor], cfg: ViTConfig,
              samples: list[sd.SyntheticSample], map_layers=None,
              thresholds=None, sweep_layers: bool = False) -> dict:
@@ -597,10 +569,10 @@ def evaluate(params: dict[str, Tensor], cfg: ViTConfig,
     present class is scored as all background.
 
     One streaming pass over stacks of images (see _stacks): each stack
-    runs one forward on the view axis and one seeded sweep per class
-    rank, then every reported cell -- (layer range, refined) -- builds
-    the stack's maps at once and bins them into the cell's threshold
-    histogram; the stack is dropped before the next one. Memory is
+    goes through adjoint_rows, then every reported cell -- (layer range,
+    refined) -- builds the stack's maps in one build_maps call and bins
+    them into the cell's threshold histogram; the stack is dropped before
+    the next one. Images must lie on the model's grid. Memory is
     bounded by TAPE_BYTE_BUDGET, not by the number of images, and the
     counts, so the summary, do not depend on how images are stacked."""
     if not samples:
@@ -612,7 +584,8 @@ def evaluate(params: dict[str, Tensor], cfg: ViTConfig,
     sweep_rows = [((s, layers), True) for s in range(layers)] if sweep_layers else []
     hists = {cell: mt.ConfusionAccumulator(cfg.num_classes + 1, levels=len(grid) + 1)
              for cell in [*reported.values(), *sweep_rows]}
-    frozen = _no_grad_views(params)  # once per call, not once per stack
+    # once per call; adjoint_rows passes no-grad views through as they are
+    frozen = _no_grad_views(params)
     h, w = cfg.grid.h, cfg.grid.w
     for stack, classes in _stacks(samples, cfg):
         gt = np.stack([s.mask for s in stack])
@@ -620,11 +593,13 @@ def evaluate(params: dict[str, Tensor], cfg: ViTConfig,
             for hist in hists.values():
                 mt.add_seeds(hist, grid, gt)
             continue
-        rows, blocks = _stack_adjoint_rows(stack, classes, frozen, cfg)
+        images = np.stack([s.image for s in stack])
+        if (image_grid := _image_grid(images, cfg)) != cfg.grid:
+            raise DimensionError(f"image grid {image_grid} does not match the model's "
+                                 f"grid {cfg.grid}")
+        rows, blocks = adjoint_rows(images, classes, frozen, cfg)
         for (layer_range, refine), hist in hists.items():
-            values = lc.fuse_rows(rows, layer_range)
-            if refine:
-                values = lc.refine_maps(values, lc.patch_affinity(blocks, layer_range))
+            values = lc.build_maps(rows, blocks, layer_range, refine)
             labels, peak = lc.argmax_seed(values.reshape(classes.shape + (h, w)), classes)
             mt.add_seeds(hist, grid, gt, labels, peak)
 

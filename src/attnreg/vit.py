@@ -251,18 +251,19 @@ def class_logit(result: ForwardResult, class_index: int) -> Tensor:
     return ad.pick(result.logits, class_index)
 
 
-def attention_adjoints(result: ForwardResult, class_index: int) -> list[np.ndarray]:
-    """Per-layer d(y^c)/d(attention) buffers. Requires that the caller
-    already ran backward from class_logit(result, class_index), or from the
-    logits seeded with its one-hot row; raises StateError otherwise."""
-    if not 0 <= class_index < result.logits.shape[-1]:
-        raise ContractError(f"class index {class_index} out of range")
+def attention_adjoints(result: ForwardResult) -> list[np.ndarray]:
+    """Each layer's ``adjoint``, (..., n+1, n+1) with the result's view
+    axis if it has one: the gradient of whatever the last backward on the
+    result's tape swept from -- a class logit, or the logits seeded with
+    one-hot rows (one class per view) -- summed over the head axis. Each
+    is a fresh array. Raises StateError before any backward."""
     adjoints = []
     for rec in result.attentions:
-        if rec.adjoint is None:
+        adjoint = rec.adjoint  # a head sum: compute it once
+        if adjoint is None:
             raise StateError(f"layer {rec.layer} has no adjoint; run backward on the "
                              "class logit before asking for adjoints")
-        adjoints.append(rec.adjoint.copy())
+        adjoints.append(adjoint)
     return adjoints
 
 

@@ -341,6 +341,17 @@ class TestGradCheckContract:
         with pytest.raises(ContractError):
             ad.grad_check(lambda t: ad.mul(t, 2.0), Tensor([1.0, 2.0]))
 
+    @pytest.mark.parametrize("step", [0.0, -1e-5, float("nan"), float("inf")])
+    def test_step_that_checks_nothing_rejected(self, step):
+        with pytest.raises(ContractError, match="step"):
+            ad.grad_check(lambda t: ad.mean(ad.mul(t, t)), Tensor([1.0, 2.0]), step=step)
+
+    @pytest.mark.parametrize("max_coords", [0, -1])
+    def test_max_coords_that_checks_nothing_rejected(self, max_coords):
+        with pytest.raises(ContractError, match="max_coords"):
+            ad.grad_check(lambda t: ad.mean(ad.mul(t, t)), Tensor([1.0, 2.0]),
+                          max_coords=max_coords)
+
 
 class TestSeededBackward:
     """backward(loss, seed): one recorded forward, one sweep per seed."""

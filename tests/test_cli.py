@@ -8,7 +8,10 @@ import struct
 import numpy as np
 import pytest
 
-from attnreg import cli, netpbm, synthdata
+from attnreg import cli, netpbm, synthdata, vit
+from attnreg import localization as lc
+from attnreg.autodiff import Tape, Tensor
+from attnreg.gridtransform import GridShape
 
 TINY_CONFIG = """\
 # small model so the whole CLI suite stays fast
@@ -156,6 +159,16 @@ class TestTrain:
         assert "attnreg: error:" in err and "Traceback" not in err
         assert not (out / "checkpoint.ckpt").exists()
 
+    @pytest.mark.parametrize("line", ["loss_layers = 1:3", "map_layers = 0:3"])
+    def test_layer_range_outside_the_model_exits_1(self, tmp_path, capsys, line):
+        config = tmp_path / "train.cfg"
+        config.write_text(TINY_CONFIG + line + "\n")
+        rc = cli.main(["train", "--config", str(config), "--data", str(tmp_path / "absent"),
+                       "--out", str(tmp_path / "t")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"attnreg: error: {line.split()[0]}: layer range")
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_divergence_exits_2(self, config_file, dataset_dir, tmp_path, capsys):
         rc = cli.main(["train", "--config", str(config_file),
@@ -291,14 +304,45 @@ class TestSeeds:
         assert "bad layer range" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
-    def test_out_of_range_class_exits_1(self, trained_dir, dataset_dir, tmp_path):
+    def test_out_of_range_class_exits_1(self, trained_dir, dataset_dir, tmp_path, capsys):
         rc = cli.main(["seeds", "--checkpoint", str(trained_dir / "checkpoint.ckpt"),
                        "--image", str(dataset_dir / "images" / "00000.ppm"),
                        "--class", "7", "--out", str(tmp_path)])
         assert rc == 1
+        assert capsys.readouterr().err == "attnreg: error: classes [7] outside 0..1\n"
+
+    def test_off_grid_image_gives_maps_on_its_grid(self, trained_dir, tmp_path, capsys):
+        checkpoint = trained_dir / "checkpoint.ckpt"
+        params, cfg = vit.load_checkpoint(checkpoint)
+        assert cfg.use_positional_embedding and cfg.grid.n == 16
+        pixels = np.random.default_rng(4).integers(0, 256, size=(3, 24, 20), dtype=np.uint8)
+        netpbm.write_ppm(tmp_path / "wide.ppm", pixels)
+        rc, payload = run_json(capsys, ["seeds", "--checkpoint", str(checkpoint),
+                                        "--image", str(tmp_path / "wide.ppm"), "--class", "0",
+                                        "--layers", "0:2", "--out", str(tmp_path / "maps")])
+        assert rc == 0
+        # the one-map API on a fresh forward of the same image
+        frozen = {name: Tensor(p.data) for name, p in params.items()}
+        with Tape() as tape:
+            res = vit.forward(pixels / 255.0, frozen, cfg)
+            y = vit.class_logit(res, 0)
+        tape.backward(y)
+        plain = lc.grad_localization(vit.attention_adjoints(res), GridShape(6, 5), 0, (0, 2))
+        refined = lc.affinity_refine(plain, [rec.matrix.data for rec in res.attentions])
+        for tag, m in (("unrefined", plain), ("refined", refined)):
+            written = netpbm.read_netpbm(tmp_path / "maps" / f"wide_class0_{tag}.pgm")
+            assert written.shape == (6, 5)
+            assert np.array_equal(written, np.rint(m.values * 255.0))
 
 
 class TestCheckInversion:
+    def test_zero_trials_exits_1(self, capsys):
+        rc = cli.main(["check-inversion", "--grid", "2x2", "--transform", "rot90",
+                       "--oracle", "--trials", "0"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "attnreg: error: --trials" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("transform", ["fliph", "rot90", "fliphv"])
     def test_roundtrip_and_oracle_agree(self, transform, capsys):
         rc, payload = run_json(capsys, ["check-inversion", "--grid", "3x4",
@@ -328,6 +372,15 @@ class TestGradCheck:
         assert payload["max_relative_error"] < 1e-4
         assert len(payload["checks"]) == 5
 
+    @pytest.mark.parametrize("flag,value", [("--max-coords", "0"), ("--max-coords", "-1"),
+                                            ("--step", "0")])
+    def test_check_of_nothing_exits_1(self, config_file, capsys, flag, value):
+        rc = cli.main(["grad-check", "--config", str(config_file), flag, value])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""  # no "passed" report
+        assert err.startswith("attnreg: error: grad_check:") and "Traceback" not in err
+
 
 class TestAblate:
     def test_three_tables(self, config_file, dataset_dir, tmp_path, capsys):
@@ -343,6 +396,30 @@ class TestAblate:
         assert len(payload["augmentation_sweep"]) == 4
         for name in ("regularizer_grid", "distance_sweep", "augmentation_sweep"):
             assert json.loads((out / f"{name}.json").read_text()) == payload[name]
+
+
+class TestOSErrors:
+    """A path of the wrong kind ends as an error message, not a traceback."""
+
+    def test_checkpoint_is_a_directory(self, dataset_dir, tmp_path, capsys):
+        self.check(capsys, ["seeds", "--checkpoint", str(tmp_path), "--image",
+                            str(dataset_dir / "images" / "00000.ppm"), "--class", "0",
+                            "--out", str(tmp_path / "maps")])
+
+    def test_config_is_a_directory(self, dataset_dir, tmp_path, capsys):
+        self.check(capsys, ["train", "--config", str(tmp_path), "--data", str(dataset_dir),
+                            "--out", str(tmp_path / "run")])
+
+    def test_gen_data_out_is_a_file(self, tmp_path, capsys):
+        (tmp_path / "taken").write_text("not a directory\n")
+        self.check(capsys, ["gen-data", "--out", str(tmp_path / "taken"), "--samples", "2"])
+
+    @staticmethod
+    def check(capsys, argv):
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("attnreg: error:") and "Traceback" not in err
 
 
 class TestPlumbing:

@@ -18,7 +18,7 @@ from attnreg import synthdata as sd
 from attnreg import trainer as tr
 from attnreg import vit
 from attnreg.autodiff import Tape, Tensor
-from attnreg.errors import ContractError
+from attnreg.errors import ContractError, DimensionError
 from attnreg.gridtransform import GridShape
 from attnreg.regularizer import LossWeights
 
@@ -81,7 +81,9 @@ def reference_sweep(maps_per_image, gt_masks, num_classes, thresholds=None):
 
 
 def reference_localization_data(sample, params, cfg):
-    """A fresh forward + backward from the class logit per present class."""
+    """A fresh forward + backward from the class logit per present class:
+    each present class's full per-layer adjoints, and the attention
+    matrices."""
     frozen = {name: Tensor(p.data, requires_grad=False) for name, p in params.items()}
     present = [k for k in range(cfg.num_classes) if sample.labels[k]]
     adjoints_by_class, attentions = {}, None
@@ -90,25 +92,35 @@ def reference_localization_data(sample, params, cfg):
             res = vit.forward(sample.image, frozen, cfg)
             y = vit.class_logit(res, k)
         tape.backward(y)
-        adjoints_by_class[k] = vit.attention_adjoints(res, k)
+        adjoints_by_class[k] = vit.attention_adjoints(res)
         if attentions is None:
             attentions = [rec.matrix.data.copy() for rec in res.attentions]
-    return lc.ImageLocalizationData(adjoints_by_class=adjoints_by_class,
-                                    attentions=attentions or [], gt_mask=sample.mask)
+    return adjoints_by_class, attentions or []
+
+
+def reference_maps(adjoints_by_class, attentions, grid, layer_range, refine):
+    """One map per class through the one-map API."""
+    maps = []
+    for k, adjoints in sorted(adjoints_by_class.items()):
+        loc = lc.grad_localization(adjoints, grid, k, layer_range)
+        if refine:
+            loc = lc.affinity_refine(loc, attentions, layer_range)
+        maps.append(loc)
+    return maps
 
 
 def reference_evaluate(params, cfg, samples, map_layers=None, thresholds=None,
                        sweep_layers=False):
     data = [reference_localization_data(s, params, cfg) for s in samples]
-    gt = [d.gt_mask for d in data]
+    gt = [s.mask for s in samples]
     result = {"num_images": len(samples), "num_classes": cfg.num_classes}
     for refine, key in ((False, "unrefined"), (True, "refined")):
-        maps = [lc.build_maps(d, cfg.grid, map_layers, refine) for d in data]
+        maps = [reference_maps(*d, cfg.grid, map_layers, refine) for d in data]
         result[key] = reference_sweep(maps, gt, cfg.num_classes + 1, thresholds)
     if sweep_layers:
         rows = []
         for s in range(cfg.num_layers):
-            maps = [lc.build_maps(d, cfg.grid, (s, cfg.num_layers), True) for d in data]
+            maps = [reference_maps(*d, cfg.grid, (s, cfg.num_layers), True) for d in data]
             entry = reference_sweep(maps, gt, cfg.num_classes + 1, thresholds)
             entry.pop("per_class_iou")
             rows.append({"start_layer": s, **entry})
@@ -132,26 +144,57 @@ def exact_same(a, b):
 
 
 class TestLocalizationData:
+    @staticmethod
+    def check_against_fresh_forwards(sample, params, cfg):
+        present = [k for k in range(cfg.num_classes) if sample.labels[k]]
+        rows, blocks = tr.adjoint_rows(sample.image[None], [present], params, cfg)
+        adjoints_by_class, attentions = reference_localization_data(sample, params, cfg)
+        assert sorted(adjoints_by_class) == present
+        n = rows.shape[-1]
+        assert rows.shape == (1, len(present), cfg.num_layers, n)
+        assert blocks.shape == (1, cfg.num_layers, n, n)
+        for r, k in enumerate(present):
+            for i, adjoint in enumerate(adjoints_by_class[k]):
+                assert np.array_equal(rows[0, r, i], adjoint[0, 1:])
+        for i, attention in enumerate(attentions):
+            assert np.array_equal(blocks[0, i], attention[1:, 1:])
+        return rows, blocks
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_adjoints_and_attentions_match_fresh_forwards(self, seed):
         params, cfg, data = trained(seed)
         for sample in data:
-            present = [k for k in range(cfg.num_classes) if sample.labels[k]]
-            fast = tr.image_localization_data(sample.image, present, params, cfg,
-                                              sample.mask)
-            ref = reference_localization_data(sample, params, cfg)
-            assert sorted(fast.adjoints_by_class) == sorted(ref.adjoints_by_class)
-            for k, adjoints in ref.adjoints_by_class.items():
-                for a, b in zip(fast.adjoints_by_class[k], adjoints, strict=True):
-                    assert np.array_equal(a, b)
-            for a, b in zip(fast.attentions, ref.attentions, strict=True):
-                assert np.array_equal(a, b)
+            self.check_against_fresh_forwards(sample, params, cfg)
+
+    def test_off_grid_stack_with_positional_embedding(self):
+        params, cfg, data = trained(0)
+        assert cfg.use_positional_embedding and cfg.grid == GridShape(4, 4)
+        wide = sd.generate(sd.DatasetConfig(num_samples=6, seed=5, height=24, width=20))
+        wide = [s for s in wide if np.count_nonzero(s.labels) == 2]
+        assert len(wide) > 1
+        rows, blocks = tr.adjoint_rows(np.stack([s.image for s in wide]),
+                                       [np.flatnonzero(s.labels) for s in wide], params, cfg)
+        assert rows.shape == (len(wide), 2, cfg.num_layers, 6 * 5)
+        for v, sample in enumerate(wide):
+            one_rows, one_blocks = self.check_against_fresh_forwards(sample, params, cfg)
+            assert np.array_equal(rows[v], one_rows[0])
+            assert np.array_equal(blocks[v], one_blocks[0])
+        with pytest.raises(DimensionError):
+            tr.evaluate(params, cfg, wide)
+
+    def test_adjoint_rows_write_nothing_shared(self):
+        params, cfg, data = trained(2)
+        before = {name: (p.data.copy(), p.grad.copy()) for name, p in params.items()}
+        tr.adjoint_rows(data[0].image[None], [[0, 1]], params, cfg)
+        for name, p in params.items():
+            assert np.array_equal(p.data, before[name][0])
+            assert np.array_equal(p.grad, before[name][1])  # training's, untouched
 
     def test_class_outside_the_model_is_a_contract_error(self):
         params, cfg, data = trained(0)
         for bad in ([cfg.num_classes], [-1]):
             with pytest.raises(ContractError):
-                tr.image_localization_data(data[0].image, bad, params, cfg)
+                tr.adjoint_rows(data[0].image[None], [bad], params, cfg)
         data[0].labels = np.append(data[0].labels, 1.0)
         with pytest.raises(ContractError):
             tr.evaluate(params, cfg, data)

@@ -252,24 +252,42 @@ class TestExport:
 
 
 class TestLayerSweep:
-    def build_images(self, grid, layers, classes, rng):
-        images = []
-        for _ in range(3):
-            adjoints = {k: random_adjoints(rng, layers, grid.n + 1) for k in range(classes)}
-            attns = []
-            for _ in range(layers):
-                raw = rng.random(size=(grid.n + 1, grid.n + 1))
-                attns.append(raw / raw.sum(axis=1, keepdims=True))
-            gt = rng.integers(0, classes + 1, size=(grid.h * 2, grid.w * 2))
-            images.append(loc.ImageLocalizationData(adjoints_by_class=adjoints,
-                                                    attentions=attns, gt_mask=gt))
-        return images
+    """The stack map builder against the one-map API, per layer range."""
+
+    def build_stack(self, grid, layers, classes, rng, images=3):
+        """Full per-layer adjoints per image and class, row-stochastic
+        attentions per image, and their stacked rows and blocks."""
+        adjoints = [[random_adjoints(rng, layers, grid.n + 1) for _ in range(classes)]
+                    for _ in range(images)]
+        attns = []
+        for _ in range(images):
+            raw = rng.random(size=(layers, grid.n + 1, grid.n + 1))
+            attns.append(list(raw / raw.sum(axis=-1, keepdims=True)))
+        rows = np.array([[[a[0, 1:] for a in per_class] for per_class in per_image]
+                         for per_image in adjoints])
+        blocks = np.array([[a[1:, 1:] for a in per_image] for per_image in attns])
+        return adjoints, attns, rows, blocks
 
     def test_refine_flag_changes_maps(self):
         grid = GridShape(2, 2)
         rng = np.random.default_rng(12)
-        images = self.build_images(grid, layers=2, classes=1, rng=rng)
-        plain = loc.build_maps(images[0], grid, (0, 2), refine=False)
-        refined = loc.build_maps(images[0], grid, (0, 2), refine=True)
-        assert plain[0].refined is False and refined[0].refined is True
-        assert not np.array_equal(plain[0].values, refined[0].values)
+        _, _, rows, blocks = self.build_stack(grid, layers=2, classes=1, rng=rng)
+        plain = loc.build_maps(rows, blocks, (0, 2), refine=False)
+        refined = loc.build_maps(rows, blocks, (0, 2), refine=True)
+        assert plain.shape == refined.shape == (3, 1, grid.n)
+        assert np.array_equal(plain, loc.fuse_rows(rows, (0, 2)))
+        assert not np.array_equal(plain, refined)
+
+    @pytest.mark.parametrize("layer_range", [(0, 3), (1, 3), (2, 3), (0, 1), (1, 2)])
+    def test_stack_matches_one_map_api(self, layer_range):
+        grid = GridShape(2, 3)
+        rng = np.random.default_rng(13)
+        adjoints, attns, rows, blocks = self.build_stack(grid, layers=3, classes=2, rng=rng)
+        plain = loc.build_maps(rows, blocks, layer_range, refine=False)
+        refined = loc.build_maps(rows, blocks, layer_range, refine=True)
+        for v, (per_image, attentions) in enumerate(zip(adjoints, attns)):
+            for c, adj in enumerate(per_image):
+                m = loc.grad_localization(adj, grid, c, layer_range)
+                assert np.array_equal(plain[v, c].reshape(grid.h, grid.w), m.values)
+                r = loc.affinity_refine(m, attentions)
+                assert np.array_equal(refined[v, c].reshape(grid.h, grid.w), r.values)

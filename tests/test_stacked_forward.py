@@ -271,7 +271,7 @@ class TestStackedForward:
         tape.backward(y_ref)
         assert res.logits.shape == (cfg.num_classes,)
         assert_close(res.logits.data, ref.logits.data, "logits")
-        adjoints = vit.attention_adjoints(res, 1)
+        adjoints = vit.attention_adjoints(res)
         for rec, ref_rec, adj in zip(res.attentions, ref.attentions, adjoints, strict=True):
             assert rec.matrix.shape == (cfg.grid.n + 1, cfg.grid.n + 1)
             assert_close(rec.matrix.data, ref_rec.matrix.data, "attention")

@@ -96,6 +96,21 @@ class TestTrainConfig:
             with pytest.raises(ContractError):
                 tr.parse_train_config(f"{key} = {bad}\n")
 
+    @pytest.mark.parametrize("key,value", [("loss_layers", "1:3"), ("map_layers", "0:3"),
+                                           ("loss_layers", "1:1"), ("map_layers", "2:1")])
+    def test_layer_range_outside_the_model_rejected(self, key, value):
+        with pytest.raises(ContractError, match=key):
+            tr.parse_train_config(f"vit.num_layers = 2\n{key} = {value}\n")
+        with pytest.raises(ContractError, match=key):  # however the config is built
+            tr.TrainConfig(vit=vit.ViTConfig(num_layers=2),
+                           **{key: tr.parse_layer_range(value, "unset")})
+
+    def test_layer_range_inside_the_model_accepted(self):
+        cfg = tr.parse_train_config("vit.num_layers = 3\nloss_layers = 1:3\nmap_layers = 0:3\n")
+        assert (cfg.loss_layers, cfg.map_layers) == ((1, 3), (0, 3))
+        assert tr._loss_layer_slice(cfg) == (1, 3)
+        assert tr._loss_layer_slice(dataclasses.replace(cfg, loss_layers=None)) == (0, 3)
+
     def test_readme_config_example_parses(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         block = re.search(r"^```\n(vit\.patch_size = .*?)^```$", readme, re.S | re.M)
