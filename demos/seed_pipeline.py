@@ -96,8 +96,9 @@ print(f"\nper-class IoU {shown}, mIoU {mean:.3f} at threshold {seed.threshold}")
 print("(single-image numbers wobble; `attnreg eval` scores a whole dataset")
 print(" and picks the background threshold by grid search)")
 
-# the maps also ship as portable graymaps plus a JSON sidecar
-out = Path(tempfile.mkdtemp(prefix="seeds_"))
-for m in refined:
-    pgm, meta = lc.export_map(out / f"class{m.class_index}", m)
-    print(f"wrote {pgm} and {meta.name}")
+# the maps also ship as portable graymaps plus a JSON sidecar, here into
+# a temporary directory that is removed on exit
+with tempfile.TemporaryDirectory(prefix="seeds_") as tmp:
+    for m in refined:
+        pgm, meta = lc.export_map(Path(tmp) / f"class{m.class_index}", m)
+        print(f"wrote {pgm} and {meta.name}")

@@ -51,7 +51,11 @@ Conventions:
   ``.grad`` shares memory with no other stored ``.grad`` and not with
   the caller's seed;
 * gradients accumulate: running backward twice (on two tapes) adds
-  into ``.grad``; callers zero grads between optimizer steps.
+  into ``.grad``; callers zero grads between optimizer steps;
+* a backward never writes into the adjoint it is given: one adjoint can
+  reach several operands (add hands the same array to both), and a
+  gradient may be a read-only view (mean's broadcast). An op computes in
+  place only in arrays it allocated itself.
 
 A tape and the tensors recorded on it are confined to one thread;
 the active-tape slot is thread-local, so a tape active on one thread
@@ -523,13 +527,24 @@ def gelu(x) -> Tensor:
     """Exact (erf-based) GELU."""
     x = _as_tensor(x)
     xd = x.data
-    phi = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
-    pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
+    # the CDF phi = 0.5 * (1 + erf(x / sqrt 2)) and the derivative
+    # phi + x * pdf, pdf = exp(-x^2 / 2) / sqrt(2 pi), each built in place
+    phi = xd * _INV_SQRT2
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
+    out = xd * phi
+    dy = -0.5 * xd
+    dy *= xd
+    np.exp(dy, out=dy)
+    dy *= _INV_SQRT2PI
+    dy *= xd
+    dy += phi
 
     def bw(g: Array):
-        return (g * (phi + xd * pdf),)
+        return (g * dy,)
 
-    return _apply("gelu", (x,), xd * phi, bw)
+    return _apply("gelu", (x,), out, bw)
 
 
 def _stable_sigmoid(z: Array) -> Array:
@@ -551,13 +566,16 @@ def softmax_rows(x) -> Tensor:
     x = _as_tensor(x)
     if x.ndim < 2:
         raise DimensionError(f"softmax_rows: needs at least 2 dims, got shape {x.shape}")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def bw(g: Array):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - dot),)
+        gx = g * y
+        dot = gx.sum(axis=-1, keepdims=True)
+        np.subtract(g, dot, out=gx)
+        gx *= y
+        return (gx,)
 
     return _apply("softmax_rows", (x,), y, bw)
 
@@ -573,23 +591,31 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         raise DimensionError(f"layer_norm: gain/bias must be (1,{d}), got {gain.shape} and {bias.shape}")
     # row means as sum / d, the arithmetic of ndarray.mean and .var
     # without their per-call Python overhead
-    centered = x.data - x.data.sum(axis=-1, keepdims=True) / d
-    var = (centered * centered).sum(axis=-1, keepdims=True) / d
+    xhat = x.data - x.data.sum(axis=-1, keepdims=True) / d  # centered, then scaled
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
+    xhat *= inv
     gd = gain.data
+    out = xhat * gd
+    out += bias.data
 
     def bw(g: Array):
         ggain = _sum_rows_of(g * xhat, d) if gain.requires_grad else None
         gbias = _sum_rows_of(g, d) if bias.requires_grad else None
         gx = None
         if x.requires_grad:
-            gg = g * gd
-            gx = inv * (gg - gg.sum(axis=-1, keepdims=True) / d
-                        - xhat * (gg * xhat).sum(axis=-1, keepdims=True) / d)
+            # inv * (gg - sum(gg) / d - (xhat * sum(gg * xhat)) / d), gg = g * gain
+            gx = g * gd
+            proj = gx * xhat
+            proj_sum = proj.sum(axis=-1, keepdims=True)
+            np.multiply(xhat, proj_sum, out=proj)
+            proj /= d
+            gx -= gx.sum(axis=-1, keepdims=True) / d
+            gx -= proj
+            gx *= inv
         return gx, ggain, gbias
 
-    return _apply("layer_norm", (x, gain, bias), xhat * gd + bias.data, bw)
+    return _apply("layer_norm", (x, gain, bias), out, bw)
 
 
 def sum_rows(x) -> Tensor:
@@ -622,7 +648,7 @@ def mean(x, axis: int | None = None) -> Tensor:
     k = shape[axis]
 
     def bw_axis(g: Array):
-        return (np.ascontiguousarray(np.broadcast_to(np.expand_dims(g / k, axis), shape)),)
+        return (np.broadcast_to(np.expand_dims(g / k, axis), shape),)
 
     return _apply("mean", (x,), x.data.mean(axis=axis), bw_axis)
 
@@ -798,20 +824,20 @@ def permute_rc(x, row_index, col_index) -> Tensor:
             raise ContractError(f"permute_rc: {what} indices out of range for {x.shape}")
         if (np.diff(np.sort(idx, axis=-1), axis=-1) == 0).any():
             raise ContractError(f"permute_rc: {what} indices repeat")
+    # one flat index into x's buffer: entry e, row ri[e, i], column ci[e, j]
     entries = math.prod(lead)
-    entry = np.arange(entries)[:, None, None]
-    rows = ri.reshape(entries, 1, -1).transpose(0, 2, 1)  # (entries, r, 1)
-    cols = ci.reshape(entries, 1, -1)                     # (entries, 1, c)
-    out_shape = lead + (rows.shape[1], cols.shape[2])
+    rows = ri.reshape(entries, -1, 1)
+    cols = ci.reshape(entries, 1, -1)
+    flat = (np.arange(entries)[:, None, None] * m + rows) * k + cols
+    out_shape = lead + flat.shape[1:]
     shape = x.shape
 
     def bw(g: Array):
-        gx = np.zeros((entries, m, k))
-        gx[entry, rows, cols] = g.reshape(entries, rows.shape[1], cols.shape[2])
+        gx = np.zeros(x.size)
+        gx[flat] = g.reshape(flat.shape)
         return (gx.reshape(shape),)
 
-    out = x.data.reshape(entries, m, k)[entry, rows, cols].reshape(out_shape)
-    return _apply("permute_rc", (x,), out, bw)
+    return _apply("permute_rc", (x,), x.data.take(flat).reshape(out_shape), bw)
 
 
 # ---------------------------------------------------------------------------

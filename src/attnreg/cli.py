@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import replace
@@ -140,9 +141,15 @@ def _cmd_seeds(args) -> int:
     return 0
 
 
+def _check_tolerance(tolerance: float) -> None:
+    if not 0 < tolerance < math.inf:  # NaN fails too
+        raise ContractError(f"--tolerance must be finite and positive, got {tolerance}")
+
+
 def _cmd_check_inversion(args) -> int:
     if args.trials < 1:
         raise ContractError(f"--trials must be >= 1, got {args.trials}")
+    _check_tolerance(args.tolerance)
     grid = gt.GridShape.parse(args.grid)
     transform = gt.SpatialTransform.parse(args.transform)
     rng = np.random.default_rng(args.seed)
@@ -176,6 +183,10 @@ def _cmd_ablate(args) -> int:
     eval_samples = None
     if args.eval_data is not None:
         eval_samples, _ = sd.load_dataset(args.eval_data)
+    out = None
+    if args.out is not None:  # fail on a bad --out before any training
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
     log.info("ablations on %d samples", len(samples))
     tables = {
         "regularizer_grid": tr.run_regularizer_grid(config, samples, eval_samples),
@@ -183,9 +194,7 @@ def _cmd_ablate(args) -> int:
         "augmentation_sweep": tr.run_augmentation_sweep(config, samples,
                                                         eval_samples=eval_samples),
     }
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         for name, rows in tables.items():
             write_text_atomic(out / f"{name}.json",
                               json.dumps(rows, indent=2, sort_keys=True) + "\n")
@@ -194,6 +203,7 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_grad_check(args) -> int:
+    _check_tolerance(args.tolerance)
     config = _load_train_config(args.config)
     cfg = config.vit
     rng = np.random.default_rng(args.seed)

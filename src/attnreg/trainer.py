@@ -259,19 +259,29 @@ def format_train_config(config: TrainConfig) -> str:
 
 # A forward of a stack of images -- an evaluation stack, or the two views
 # of each sample of a training chunk -- records about this many bytes of
-# node outputs; see _tape_bytes_per_image. Stacking buys speed up to a
-# few images per stack and only memory beyond, so the bound is a
-# constant, not a knob: the criterion-07 model (8x8 grid, embed 16, 2
-# layers) fits 7 images, so 3 training samples; the default model (embed
-# 64, 4 layers) fits 1 image, so training runs 1 sample per chunk.
-TAPE_BYTE_BUDGET = 4 * 2**20
+# node outputs; see _tape_bytes_per_image. A training chunk really holds
+# about twice that, since op closures keep intermediates too. Stacking
+# buys speed up to a few images per stack and only memory beyond, so the
+# bound is a constant, not a knob: the criterion-07 model (8x8 grid,
+# embed 16, 2 layers) fits 8 images, so 4 training samples and a batch
+# of 8 runs as 4+4; the default model (embed 64, 4 layers) fits 2
+# images, so evaluation stacks 2 and training runs 1 sample per chunk.
+# Measured on the criterion-07 model: in the benchmark's
+# train_consistency, 4 samples per chunk trained 1.14x as fast as 3, for
+# +1.7% peak RSS on localize_eval; in a loop of 128-sample trainings, 8
+# samples trained 0.90x as fast as 3 (cache misses and page faults on
+# the larger arrays).
+TAPE_BYTE_BUDGET = 9 * 2**19  # 4.5 MiB
 
 
 def _tape_bytes_per_image(cfg: ViTConfig, grid: GridShape | None = None) -> int:
     """Node-output bytes of one image's forward on `grid` (default: the
     model's): per layer two per-head (t, t) stacks (scores, softmax), the
     head average, seven (t, d) and two (t, mlp) activations; around the
-    layers a few (t, d) rows (t = tokens, d = width)."""
+    layers a few (t, d) rows (t = tokens, d = width). It counts node
+    outputs only: what op closures keep for the backward (layer norm's
+    normalized input, GELU's derivative, a training loss's inversions)
+    comes on top, so a training chunk holds about twice this per image."""
     t, d = (grid or cfg.grid).n + 1, cfg.embed_dim
     per_layer = 2 * cfg.num_heads * t * t + t * t + 7 * t * d + 2 * t * cfg.mlp_dim
     return 8 * (cfg.num_layers * per_layer + 4 * t * d)
@@ -403,7 +413,6 @@ def _dump_divergence(out_dir: Path | None, epoch: int, steps: list[int],
     already recorded."""
     if out_dir is None:
         return "no output directory, nothing dumped"
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"divergence_epoch{epoch}_step{'-'.join(map(str, steps))}.npz"
     with atomic_open(path) as f:
         np.savez(f, labels=np.stack([s.labels for s in samples]),
@@ -418,13 +427,16 @@ def _global_norm(grads: list[np.ndarray]) -> float:
 def train(config: TrainConfig, samples: list[sd.SyntheticSample],
           out_dir=None) -> TrainResult:
     """Run the Siamese loop; returns trained parameters and the per-epoch
-    log. With out_dir set, writes checkpoint.ckpt, log.jsonl and
-    train_config.txt there, each replaced atomically."""
+    log. With out_dir set, creates it before training and writes
+    checkpoint.ckpt, log.jsonl and train_config.txt there, each replaced
+    atomically."""
     if not samples:
         raise ContractError("training needs a nonempty dataset")
     if any(s.labels.shape != (config.vit.num_classes,) for s in samples):
         raise ContractError("sample labels do not match vit.num_classes")
     out_path = Path(out_dir) if out_dir is not None else None
+    if out_path is not None:  # fail on a bad out_dir before any training
+        out_path.mkdir(parents=True, exist_ok=True)
 
     holdout: list[sd.SyntheticSample] = []
     train_set = samples
@@ -498,7 +510,6 @@ def train(config: TrainConfig, samples: list[sd.SyntheticSample],
 
     checkpoint_path = log_path = None
     if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
         checkpoint_path = out_path / "checkpoint.ckpt"
         log_path = out_path / "log.jsonl"
         vit.save_checkpoint(checkpoint_path, params, config.vit)

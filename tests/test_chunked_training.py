@@ -227,10 +227,10 @@ class TestTraining:
         assert backwards == [63, 63, 63]
 
     def test_chunk_size_follows_the_budget(self):
-        """The criterion-07 model fits 3 samples, the default model 1."""
+        """The criterion-07 model fits 4 samples, the default model 1."""
         c07 = CONSISTENCY.vit
         default = ViTConfig()
-        for cfg, k in ((c07, 3), (default, 1)):
+        for cfg, k in ((c07, 4), (default, 1)):
             pairs = [tr._two_views(j, sample_for(cfg, j), gt.FLIP_H, cfg) for j in range(8)]
             sizes = [len(c) for c in tr._chunks(pairs, cfg)]
             assert max(sizes) == k and sum(sizes) == 8

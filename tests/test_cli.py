@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from attnreg import cli, netpbm, synthdata, vit
+from attnreg import gridtransform as gt
 from attnreg import localization as lc
+from attnreg import trainer as tr
 from attnreg.autodiff import Tape, Tensor
 from attnreg.gridtransform import GridShape
 
@@ -352,10 +354,22 @@ class TestCheckInversion:
         assert payload["roundtrip_error"] <= 1e-12
         assert payload["fast_vs_kronecker_error"] <= 1e-12
 
-    def test_impossible_tolerance_exits_2(self):
+    def test_impossible_tolerance_exits_2(self, monkeypatch):
+        # a correct inversion is exact, so only one that misses can fail
+        real = gt.invert_attention_fast
+        monkeypatch.setattr(gt, "invert_attention_fast", lambda *a: Tensor(real(*a).data + 1e-9))
         rc = cli.main(["check-inversion", "--grid", "2x2", "--transform", "rot90",
-                       "--oracle", "--trials", "1", "--tolerance", "-1"])
+                       "--trials", "1", "--tolerance", "5e-324"])
         assert rc == 2
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+    def test_bad_tolerance_exits_1(self, tolerance, capsys):
+        rc = cli.main(["check-inversion", "--grid", "2x2", "--transform", "rot90",
+                       "--trials", "1", "--tolerance", tolerance])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""  # no report
+        assert err.startswith("attnreg: error: --tolerance") and "Traceback" not in err
 
     def test_unknown_transform_exits_1(self, capsys):
         rc = cli.main(["check-inversion", "--grid", "2x2", "--transform", "swirl"])
@@ -381,6 +395,14 @@ class TestGradCheck:
         assert out == ""  # no "passed" report
         assert err.startswith("attnreg: error: grad_check:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+    def test_bad_tolerance_exits_1(self, config_file, tolerance, capsys):
+        rc = cli.main(["grad-check", "--config", str(config_file), "--tolerance", tolerance])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""  # no "passed" report
+        assert err.startswith("attnreg: error: --tolerance") and "Traceback" not in err
+
 
 class TestAblate:
     def test_three_tables(self, config_file, dataset_dir, tmp_path, capsys):
@@ -396,6 +418,31 @@ class TestAblate:
         assert len(payload["augmentation_sweep"]) == 4
         for name in ("regularizer_grid", "distance_sweep", "augmentation_sweep"):
             assert json.loads((out / f"{name}.json").read_text()) == payload[name]
+
+
+def no_training(monkeypatch) -> list:
+    """Record every training chunk run from here on."""
+    chunks = []
+    monkeypatch.setattr(tr, "_chunk_backward", lambda chunk, *a, **k: chunks.append(chunk) or {})
+    return chunks
+
+
+class TestOutIsAFile:
+    """An --out that cannot be a directory fails before any training."""
+
+    def test_train(self, config_file, dataset_dir, tmp_path, capsys, monkeypatch):
+        chunks = no_training(monkeypatch)
+        (tmp_path / "taken").write_text("not a directory\n")
+        TestOSErrors.check(capsys, ["train", "--config", str(config_file), "--data",
+                                    str(dataset_dir), "--out", str(tmp_path / "taken")])
+        assert chunks == []
+
+    def test_ablate(self, config_file, dataset_dir, tmp_path, capsys, monkeypatch):
+        chunks = no_training(monkeypatch)
+        (tmp_path / "taken").write_text("not a directory\n")
+        TestOSErrors.check(capsys, ["ablate", "--config", str(config_file), "--data",
+                                    str(dataset_dir), "--out", str(tmp_path / "taken")])
+        assert chunks == []
 
 
 class TestOSErrors:

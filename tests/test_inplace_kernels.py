@@ -1,0 +1,167 @@
+"""The kernels that compute in arrays they own: softmax_rows, layer_norm,
+gelu, mean over an axis and permute_rc.
+
+Their value and every input gradient are checked with np.array_equal
+against copies of the plain expressions they replaced, which allocate a
+fresh array per step: the in-place forms keep each expression's
+operation order, so they must agree bit for bit. A second check seeds
+the backward of every op of the engine with a read-only adjoint, so a
+backward that writes into the adjoint it is given fails.
+"""
+
+import numpy as np
+import pytest
+from scipy.special import erf
+
+from attnreg import autodiff as ad
+from attnreg.autodiff import Tape, Tensor
+
+LEADS = {"2d": (), "stacked": (2, 3)}
+M, K = 5, 7
+
+
+# -- the reference expressions: value and input gradients for adjoint g -------
+
+def ref_softmax_rows(x, g):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=-1, keepdims=True)
+    dot = (g * y).sum(axis=-1, keepdims=True)
+    return y, [y * (g - dot)]
+
+
+def ref_layer_norm(x, gain, bias, g, eps=1e-5):
+    d = x.shape[-1]
+    centered = x - x.sum(axis=-1, keepdims=True) / d
+    var = (centered * centered).sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    gg = g * gain
+    gx = inv * (gg - gg.sum(axis=-1, keepdims=True) / d
+                - xhat * (gg * xhat).sum(axis=-1, keepdims=True) / d)
+    return xhat * gain + bias, [gx, (g * xhat).reshape(-1, d).sum(axis=0, keepdims=True),
+                                g.reshape(-1, d).sum(axis=0, keepdims=True)]
+
+
+def ref_gelu(x, g):
+    phi = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+    pdf = np.exp(-0.5 * x * x) * (1.0 / np.sqrt(2.0 * np.pi))
+    return x * phi, [g * (phi + x * pdf)]
+
+
+def ref_mean(x, g, axis):
+    k = x.shape[axis]
+    return x.mean(axis=axis), [np.broadcast_to(np.expand_dims(g / k, axis), x.shape)]
+
+
+def ref_permute_rc(x, g, ri, ci):
+    *lead, m, k = x.shape
+    entries = int(np.prod(lead, dtype=int))
+    entry = np.arange(entries)[:, None, None]
+    rows = ri.reshape(entries, 1, -1).transpose(0, 2, 1)
+    cols = ci.reshape(entries, 1, -1)
+    out = x.reshape(entries, m, k)[entry, rows, cols].reshape(g.shape)
+    gx = np.zeros((entries, m, k))
+    gx[entry, rows, cols] = g.reshape(entries, rows.shape[1], cols.shape[2])
+    return out, [gx.reshape(x.shape)]
+
+
+def permutations(rng, lead, n, take):
+    """One index per entry of `lead`: `take` distinct entries of range(n)."""
+    return np.array([rng.permutation(n)[:take] for _ in range(int(np.prod(lead, dtype=int)))]
+                    ).reshape(lead + (take,))
+
+
+def case(name, lead, seed=0):
+    """(op on Tensors, input arrays, reference on arrays and the adjoint)."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=lead + (M, K)) * 3.0
+    if name == "softmax_rows":
+        return ad.softmax_rows, [x], ref_softmax_rows
+    if name == "layer_norm":
+        gain, bias = rng.normal(size=(1, K)), rng.normal(size=(1, K))
+        return ad.layer_norm, [x, gain, bias], ref_layer_norm
+    if name == "gelu":
+        return ad.gelu, [x], ref_gelu
+    if name == "mean":
+        axis = -3 if lead else 0
+        return (lambda t: ad.mean(t, axis), [x],
+                lambda a, g: ref_mean(a, g, axis))
+    ri, ci = permutations(rng, lead, M, M - 1), permutations(rng, lead, K, K)
+    return (lambda t: ad.permute_rc(t, ri, ci), [x],
+            lambda a, g: ref_permute_rc(a, g, ri, ci))
+
+
+@pytest.mark.parametrize("lead", LEADS.values(), ids=LEADS.keys())
+@pytest.mark.parametrize("name", ["softmax_rows", "layer_norm", "gelu", "mean", "permute_rc"])
+def test_value_and_every_gradient_match_the_reference(name, lead):
+    op, arrays, ref = case(name, lead)
+    inputs = [Tensor(a, requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        out = op(*inputs)
+    g = np.random.default_rng(1).normal(size=out.shape)
+    tape.backward(out, seed=g)
+    value, grads = ref(*arrays, g)
+    assert np.array_equal(out.data, value)
+    for t, expected in zip(inputs, grads):
+        assert np.array_equal(t.grad, expected)
+
+
+# -- no backward writes into its adjoint ----------------------------------------
+
+def every_op():
+    """(name, inputs, op) for each of the engine's ops, all inputs
+    requiring grad; several branches of an op get a case each."""
+    rng = np.random.default_rng(2)
+    r = lambda *shape: rng.normal(size=shape)  # noqa: E731
+    probs = np.exp(r(2, 2, 3, 3))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return [
+        ("add", [r(2, 3, 4), r(3, 4)], ad.add),
+        ("sub", [r(2, 3), r(1)], ad.sub),
+        ("mul", [r(2, 3, 4), r(3, 4)], ad.mul),
+        ("matmul", [r(2, 3, 4), r(4, 5)], ad.matmul),
+        ("matmul", [r(2, 3, 4), r(2, 4, 5)], ad.matmul),
+        ("linear", [r(2, 3, 4), r(4, 6), r(1, 6)], ad.linear),
+        ("attention_scores", [r(2, 3, 4), r(4, 4), r(1, 4), r(4, 4), r(1, 4)],
+         lambda *t: ad.attention_scores(*t, heads=2, scale=0.5)),
+        ("attend", [probs, r(2, 3, 4), r(4, 4), r(1, 4)], ad.attend),
+        ("gelu", [r(2, 3, 4)], ad.gelu),
+        ("layer_norm", [r(2, 3, 4), r(1, 4), r(1, 4)], ad.layer_norm),
+        ("softmax_rows", [r(2, 3, 4)], ad.softmax_rows),
+        ("sum_rows", [r(2, 3, 4)], ad.sum_rows),
+        ("scale_rows_to_sums", [r(2, 3, 4), r(2, 3, 1)], ad.scale_rows_to_sums),
+        ("mean", [r(2, 3, 4)], ad.mean),
+        ("mean", [r(2, 3, 4)], lambda t: ad.mean(t, 0)),
+        ("abs_mean", [r(2, 3), r(2, 3)], ad.abs_mean),
+        ("smooth_l1_mean", [r(2, 3) * 3.0, r(2, 3)], ad.smooth_l1_mean),
+        ("bce_with_logits", [r(2, 3), r(2, 3)], ad.bce_with_logits),
+        ("reshape", [r(2, 3, 4)], lambda t: ad.reshape(t, (6, 4))),
+        ("concat", [r(1, 4), r(2, 3, 4)], lambda *t: ad.concat(t, axis=0)),
+        ("concat", [r(2, 3, 2), r(2, 3, 4)], lambda *t: ad.concat(t, axis=1)),
+        ("slice2d", [r(2, 3, 4)], lambda t: ad.slice2d(t, 1, 3, 0, 2)),
+        ("pick", [r(2, 3, 4)], lambda t: ad.pick(t, 1)),
+        ("pick", [r(3, 3, 4)], lambda t: ad.pick(t, slice(0, 2))),
+        ("permute_rc", [r(2, 3, 4)],
+         lambda t: ad.permute_rc(t, [[2, 0, 1], [0, 1, 2]], [[3, 1], [0, 2]])),
+    ]
+
+
+OPS = every_op()
+
+
+def test_the_catalog_covers_every_op():
+    assert len({name for name, _, _ in OPS}) == 21
+
+
+@pytest.mark.parametrize("name,arrays,op", OPS, ids=[n for n, _, _ in OPS])
+def test_backward_leaves_a_read_only_adjoint_alone(name, arrays, op):
+    inputs = [Tensor(a, requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        out = op(*inputs)
+    (node,) = tape.nodes
+    assert node.op == name
+    g = np.random.default_rng(3).normal(size=out.shape)
+    g.flags.writeable = False
+    grads = node.backward(g)  # an in-place write into g raises ValueError here
+    assert all(gi is not None and gi.shape == t.shape for gi, t in zip(grads, inputs))
