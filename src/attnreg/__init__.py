@@ -45,6 +45,7 @@ from .metrics import ConfusionAccumulator, best_threshold_miou, miou
 from .regularizer import (
     LossWeights,
     classification_loss,
+    invert_layers,
     region_activation_loss,
     region_affinity_loss,
     total_loss,
@@ -120,6 +121,7 @@ __all__ = [
     "invert_attention",
     "invert_attention_fast",
     "invert_attention_kronecker",
+    "invert_layers",
     "load_checkpoint",
     "load_dataset",
     "miou",

@@ -1,12 +1,14 @@
 """Consistency losses between the attention maps of two augmented views.
 
 Given per-layer attention matrices A (plain view) and A' (transformed
-view), each A' is first mapped back into the plain view's token order
-(`invert_attention`, once per layer through `invert_layers` when both
-terms are computed), then compared block-wise:
+view), the method takes two steps:
 
-  * activation loss  -- class-to-patch rows  A[0, 1:]
-  * affinity loss    -- patch-to-patch block A[1:, 1:]
+  1. invert: `invert_layers` maps each layer's A' back into the plain
+     view's token order (`invert_attention`, once per layer);
+  2. compare: the region losses take A and that InvertedLayers and
+     compare them block-wise --
+       * activation loss  -- class-to-patch rows  A[0, 1:]
+       * affinity loss    -- patch-to-patch block A[1:, 1:]
 
 Distances reduce by mean over block elements so the weights are
 resolution-independent, and layers are averaged. Everything is built
@@ -14,9 +16,10 @@ from tape ops, so gradients reach both branches' parameters, including
 through the inversion's re-indexing.
 
 Every loss also takes a stack of k samples: (k, n+1, n+1) attention per
-layer, (k, classes) logits and targets, and a transform per sample. A
-stack's loss is the mean of the k per-sample losses (every sample has
-the same block size and class count), so k times it is their sum.
+layer and (k, classes) logits and targets; invert_layers then takes a
+transform per sample. A stack's loss is the mean of the k per-sample
+losses (every sample has the same block size and class count), so k
+times it is their sum.
 """
 
 from __future__ import annotations
@@ -79,88 +82,67 @@ def _distance(x: Tensor, y: Tensor, distance: str) -> Tensor:
     raise ContractError(f"distance must be one of {DISTANCES}, got {distance!r}")
 
 
-# one transform, or one per sample of a stack
-Transforms = SpatialTransform | Sequence[SpatialTransform]
-
-
 @dataclass(frozen=True)
 class InvertedLayers:
-    """Augmented-view attention matrices already mapped back into the plain
-    view's token order by `transform` on `grid`. Passed as
-    ``a_prime_layers`` to both region losses, it lets them share one
-    inversion per layer."""
+    """Augmented-view attention matrices A' mapped back into the plain
+    view's token order, as invert_layers returns them. The region losses
+    take nothing else: for a flip, a raw A' has the shape of its
+    inversion, so a forgotten inversion would pass every shape check."""
 
     layers: tuple[Tensor, ...]
-    transform: SpatialTransform | tuple[SpatialTransform, ...]
-    grid: GridShape
 
 
-def invert_layers(a_prime_layers: Sequence[Tensor] | InvertedLayers,
-                  transform: Transforms, grid: GridShape) -> InvertedLayers:
-    """Invert every layer's A' (a matrix, or a stack with one transform per
-    sample) once: one op per layer for a permutation stack. An
-    InvertedLayers for the same transform and grid is returned as it is;
-    one for another is rejected."""
-    if not isinstance(transform, SpatialTransform):
-        transform = tuple(transform)
-    if isinstance(a_prime_layers, InvertedLayers):
-        if (a_prime_layers.transform, a_prime_layers.grid) != (transform, grid):
-            raise ContractError(f"layers were inverted for {a_prime_layers.transform} on "
-                                f"{a_prime_layers.grid}, not {transform} on {grid}")
-        return a_prime_layers
-    return InvertedLayers(tuple(invert_attention(ap, transform, grid) for ap in a_prime_layers),
-                          transform, grid)
+def invert_layers(a_prime_layers: Sequence[Tensor],
+                  transform: SpatialTransform | Sequence[SpatialTransform],
+                  grid: GridShape) -> InvertedLayers:
+    """Invert every layer's A' once: a matrix, or a (k, n'+1, n'+1) stack
+    with one transform per sample, back onto `grid`. One op per layer for
+    a permutation stack."""
+    return InvertedLayers(tuple(invert_attention(ap, transform, grid) for ap in a_prime_layers))
 
 
-def _check_layers(a_layers, back_layers, grid: GridShape) -> int:
+def _check_layers(a_layers: Sequence[Tensor], back_layers: Sequence[Tensor]) -> int:
     if len(a_layers) == 0 or len(a_layers) != len(back_layers):
         raise DimensionError(f"need equal nonzero layer counts, got {len(a_layers)} "
                              f"and {len(back_layers)}")
-    m = grid.n + 1
     for i, (a, back) in enumerate(zip(a_layers, back_layers)):
-        if a.ndim < 2 or a.shape[-2:] != (m, m) or back.shape != a.shape:
-            raise DimensionError(f"layer {i}: expected {(m, m)} attention for grid "
-                                 f"{grid} in both views, got {a.shape} and {back.shape}")
+        if a.ndim < 2 or a.shape[-1] != a.shape[-2] or back.shape != a.shape:
+            raise DimensionError(f"layer {i}: expected square attention of one shape in "
+                                 f"both views, got {a.shape} and {back.shape}")
     return len(a_layers)
 
 
-def _block_loss(a_layers: Sequence[Tensor], a_prime_layers: Sequence[Tensor] | InvertedLayers,
-                transform: Transforms, grid: GridShape, distance: str,
+def _block_loss(a_layers: Sequence[Tensor], back: InvertedLayers, distance: str,
                 r0: int, c0: int) -> Tensor:
-    """Mean distance between a block of A and the same block of the
-    back-transformed A', averaged over layers. (r0, c0) selects the
-    block corner: (0, 1) = class-to-patch row, (1, 1) = patch block."""
-    back_layers = invert_layers(a_prime_layers, transform, grid).layers
-    layers = _check_layers(a_layers, back_layers, grid)
+    """Mean distance between a block of A and the same block of inv(A'),
+    averaged over layers. (r0, c0) selects the block corner: (0, 1) =
+    class-to-patch row, (1, 1) = patch block."""
+    if not isinstance(back, InvertedLayers):
+        raise ContractError("invert A′ with invert_layers first")
+    layers = _check_layers(a_layers, back.layers)
     total = None
-    for a, back in zip(a_layers, back_layers):
+    for a, b in zip(a_layers, back.layers):
         lhs = ad.slice2d(a, r0, 1 if r0 == 0 else None, c0, None)
-        rhs = ad.slice2d(back, r0, 1 if r0 == 0 else None, c0, None)
+        rhs = ad.slice2d(b, r0, 1 if r0 == 0 else None, c0, None)
         term = _distance(lhs, rhs, distance)
         total = term if total is None else ad.add(total, term)
     return total if layers == 1 else ad.mul(total, 1.0 / layers)
 
 
-def region_activation_loss(a_layers: Sequence[Tensor],
-                           a_prime_layers: Sequence[Tensor] | InvertedLayers,
-                           transform: Transforms, grid: GridShape,
+def region_activation_loss(a_layers: Sequence[Tensor], back: InvertedLayers,
                            distance: str = "l1") -> Tensor:
     """Consistency of the class token's attention over patches: compares
-    A[0, 1:] against the back-transformed A'[0, 1:] per layer. A' may come
-    already inverted, from invert_layers; for stacks the loss is the mean
-    over samples."""
-    return _block_loss(a_layers, a_prime_layers, transform, grid, distance, 0, 1)
+    A[0, 1:] against inv(A')[0, 1:] per layer. For stacks the loss is the
+    mean over samples."""
+    return _block_loss(a_layers, back, distance, 0, 1)
 
 
-def region_affinity_loss(a_layers: Sequence[Tensor],
-                         a_prime_layers: Sequence[Tensor] | InvertedLayers,
-                         transform: Transforms, grid: GridShape,
+def region_affinity_loss(a_layers: Sequence[Tensor], back: InvertedLayers,
                          distance: str = "l1") -> Tensor:
     """Consistency of patch-to-patch affinities: compares A[1:, 1:]
-    against the back-transformed A'[1:, 1:] per layer. A' may come already
-    inverted, from invert_layers; for stacks the loss is the mean over
-    samples."""
-    return _block_loss(a_layers, a_prime_layers, transform, grid, distance, 1, 1)
+    against inv(A')[1:, 1:] per layer. For stacks the loss is the mean
+    over samples."""
+    return _block_loss(a_layers, back, distance, 1, 1)
 
 
 def classification_loss(logits: Tensor, logits_prime: Tensor, targets) -> Tensor:

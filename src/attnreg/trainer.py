@@ -86,7 +86,7 @@ class TrainConfig:
     loss_layers: tuple[int, int] | None = None  # None = all layers
     map_layers: tuple[int, int] | None = None   # None = last two layers
     eval_every: int = 0          # epochs between held-out evaluations (0 = off)
-    holdout_fraction: float = 0.0
+    holdout_fraction: float = 0.0  # set together with eval_every, or neither
 
     def __post_init__(self):
         # written as `not lo <= x < inf` so NaN fails the check too
@@ -110,6 +110,12 @@ class TrainConfig:
             raise ContractError("holdout_fraction must lie in [0, 1)")
         if self.eval_every < 0:
             raise ContractError("eval_every must be >= 0")
+        if self.holdout_fraction > 0.0 and self.eval_every == 0:
+            raise ContractError("holdout_fraction > 0 needs eval_every > 0: the held-out "
+                                "samples would leave training and never be scored")
+        if self.eval_every > 0 and self.holdout_fraction == 0.0:
+            raise ContractError("eval_every > 0 needs holdout_fraction > 0: there is no "
+                                "held-out data to score")
         for name in ("loss_layers", "map_layers"):
             if (layer_range := getattr(self, name)) is not None:
                 try:
@@ -381,14 +387,13 @@ def _chunk_loss(chunk: list[_TwoViews], params: dict[str, Tensor], config: Train
         for tag, (_, _, matrices) in zip("ab", sides):
             snapshot.update({f"attention_{tag}_{i}": m for i, m in enumerate(matrices)})
     (logits_a, a, _), (logits_b, ap, _) = sides
-    transforms = [p.transform for p in chunk]
-    if consistency:  # one inversion per layer, shared by both terms
-        ap = reg.invert_layers(ap, transforms, res.grid)
     act = aff = Tensor(0.0)
-    if config.weights.alpha != 0.0:
-        act = reg.region_activation_loss(a, ap, transforms, res.grid, config.weights.distance)
-    if config.weights.beta != 0.0:
-        aff = reg.region_affinity_loss(a, ap, transforms, res.grid, config.weights.distance)
+    if consistency:  # one inversion per layer, shared by both terms
+        back = reg.invert_layers(ap, [p.transform for p in chunk], res.grid)
+        if config.weights.alpha != 0.0:
+            act = reg.region_activation_loss(a, back, config.weights.distance)
+        if config.weights.beta != 0.0:
+            aff = reg.region_affinity_loss(a, back, config.weights.distance)
     targets = np.stack([p.sample.labels for p in chunk])
     return reg.total_loss(logits_a, logits_b, targets, act, aff, config.weights)
 
@@ -502,7 +507,7 @@ def train(config: TrainConfig, samples: list[sd.SyntheticSample],
 
         record = {"epoch": epoch, "lr": lr_this_epoch,
                   **{k: v / n for k, v in sums.items()}}
-        if holdout and config.eval_every and (epoch + 1) % config.eval_every == 0:
+        if holdout and (epoch + 1) % config.eval_every == 0:
             summary = evaluate(params, config.vit, holdout,
                                map_layers=config.map_layers)
             record["holdout_miou"] = summary["refined"]["miou"]

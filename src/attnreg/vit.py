@@ -247,7 +247,10 @@ def forward(images: np.ndarray, params: dict[str, Tensor], config: ViTConfig) ->
 
 
 def class_logit(result: ForwardResult, class_index: int) -> Tensor:
-    """Scalar pre-sigmoid logit y^c, the localization target."""
+    """Scalar pre-sigmoid logit y^c, the localization target, of a
+    single-image result (a stacked result has one logits row per view)."""
+    if result.logits.ndim != 1:
+        raise DimensionError(f"class_logit needs 1-d logits, got shape {result.logits.shape}")
     return ad.pick(result.logits, class_index)
 
 

@@ -154,14 +154,12 @@ class TestAcceptance:
             return reg.classification_loss(la, lb, targets)
 
         def loss_act(patched):
-            return reg.region_activation_loss(attn(patched, image),
-                                              attn(patched, view),
-                                              FLIP_H, cfg.grid, "l1")
+            back = reg.invert_layers(attn(patched, view), FLIP_H, cfg.grid)
+            return reg.region_activation_loss(attn(patched, image), back, "l1")
 
         def loss_aff(patched):
-            return reg.region_affinity_loss(attn(patched, image),
-                                            attn(patched, view),
-                                            FLIP_H, cfg.grid, "l1")
+            back = reg.invert_layers(attn(patched, view), FLIP_H, cfg.grid)
+            return reg.region_affinity_loss(attn(patched, image), back, "l1")
 
         worst_e2e = 0.0
         for loss_name, build in (("cls", loss_cls), ("act", loss_act),
@@ -193,10 +191,11 @@ class TestAcceptance:
         assert np.array_equal(double_flip, image)
         for label, view in (("identity", image), ("double fliph", double_flip)):
             a = [r.matrix for r in vit.forward(image, frozen, cfg).attentions]
-            b = [r.matrix for r in vit.forward(view, frozen, cfg).attentions]
+            b = reg.invert_layers([r.matrix for r in vit.forward(view, frozen, cfg).attentions],
+                                  IDENTITY, cfg.grid)
             for distance in reg.DISTANCES:
-                act = reg.region_activation_loss(a, b, IDENTITY, cfg.grid, distance)
-                aff = reg.region_affinity_loss(a, b, IDENTITY, cfg.grid, distance)
+                act = reg.region_activation_loss(a, b, distance)
+                aff = reg.region_affinity_loss(a, b, distance)
                 assert float(act.data) == 0.0, f"{label}: l_act != 0"
                 assert float(aff.data) == 0.0, f"{label}: l_aff != 0"
         report(6, "l_act = l_aff = 0.0 exactly for identity and double-fliph "

@@ -84,9 +84,11 @@ def per_sample_loss(sample, transform, params, config):
     w = config.weights
     act = aff = Tensor(0.0)
     if w.alpha != 0.0:
-        act = reg.region_activation_loss(a, ap, transform, res_a.grid, w.distance)
+        act = reg.region_activation_loss(a, reg.invert_layers(ap, transform, res_a.grid),
+                                         w.distance)
     if w.beta != 0.0:
-        aff = reg.region_affinity_loss(a, ap, transform, res_a.grid, w.distance)
+        aff = reg.region_affinity_loss(a, reg.invert_layers(ap, transform, res_a.grid),
+                                       w.distance)
     return reg.total_loss(res_a.logits, res_b.logits, sample.labels, act, aff, w)
 
 

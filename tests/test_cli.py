@@ -171,6 +171,16 @@ class TestTrain:
         assert rc == 1
         assert err.startswith(f"attnreg: error: {line.split()[0]}: layer range")
 
+    def test_holdout_without_eval_every_exits_1(self, tmp_path, capsys):
+        config = tmp_path / "train.cfg"
+        config.write_text("holdout_fraction = 0.2\n")
+        rc = cli.main(["train", "--config", str(config), "--data", str(tmp_path / "absent"),
+                       "--out", str(tmp_path / "t")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "holdout_fraction" in err and "eval_every" in err and "Traceback" not in err
+        assert not (tmp_path / "t").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_divergence_exits_2(self, config_file, dataset_dir, tmp_path, capsys):
         rc = cli.main(["train", "--config", str(config_file),

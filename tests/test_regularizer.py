@@ -1,12 +1,16 @@
 """Consistency losses: frozen hand values, scalar-loop oracle, the
 zero-loss fixed points, view-swap symmetry, and end-to-end gradients."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from attnreg import autodiff as ad
 from attnreg import gridtransform as gt
 from attnreg import regularizer as reg
+from attnreg import synthdata as sd
+from attnreg import trainer as tr
 from attnreg import vit
 from attnreg.autodiff import Tape, Tensor
 from attnreg.errors import ContractError, DimensionError
@@ -88,17 +92,18 @@ class TestFrozenValues:
 
     def test_l1_hand_value(self):
         al, apl, g = self.grid_1x2([0.5, 0.5], [0.25, 0.75])
-        loss = reg.region_activation_loss(al, apl, IDENTITY, g)
+        loss = reg.region_activation_loss(al, reg.invert_layers(apl, IDENTITY, g))
         assert float(loss.data) == pytest.approx(0.25, abs=1e-15)
 
     def test_l2_hand_value(self):
         al, apl, g = self.grid_1x2([0.5, 0.5], [0.25, 0.75])
-        loss = reg.region_activation_loss(al, apl, IDENTITY, g, distance="l2")
+        loss = reg.region_activation_loss(al, reg.invert_layers(apl, IDENTITY, g), distance="l2")
         assert float(loss.data) == pytest.approx(0.0625, abs=1e-15)
 
     def test_smooth_l1_hand_value(self):
         al, apl, g = self.grid_1x2([0.5, 0.5], [0.25, 0.75])
-        loss = reg.region_activation_loss(al, apl, IDENTITY, g, distance="smooth_l1")
+        loss = reg.region_activation_loss(al, reg.invert_layers(apl, IDENTITY, g),
+                                          distance="smooth_l1")
         assert float(loss.data) == pytest.approx(0.03125, abs=1e-15)
 
     def test_total_hand_arithmetic(self):
@@ -136,8 +141,9 @@ class TestAgainstLoopOracle:
         for _ in range(3):
             a_layers = [random_attention(rng, grid.n + 1) for _ in range(2)]
             ap_layers = [random_attention(rng, grid.n + 1) for _ in range(2)]
-            act = reg.region_activation_loss(a_layers, ap_layers, transform, grid, distance)
-            aff = reg.region_affinity_loss(a_layers, ap_layers, transform, grid, distance)
+            back = reg.invert_layers(ap_layers, transform, grid)
+            act = reg.region_activation_loss(a_layers, back, distance)
+            aff = reg.region_affinity_loss(a_layers, back, distance)
             o_act, o_aff = loop_losses(a_layers, ap_layers, transform, grid, distance)
             assert float(act.data) == pytest.approx(o_act, abs=1e-12)
             assert float(aff.data) == pytest.approx(o_aff, abs=1e-12)
@@ -148,17 +154,36 @@ class TestContracts:
         g = GridShape(1, 2)
         a = [random_attention(np.random.default_rng(0), 3)]
         with pytest.raises(DimensionError):
-            reg.region_activation_loss(a, a * 2, IDENTITY, g)
+            reg.region_activation_loss(a, reg.invert_layers(a * 2, IDENTITY, g))
 
     def test_empty_layers(self):
         with pytest.raises(DimensionError):
-            reg.region_affinity_loss([], [], IDENTITY, GridShape(1, 2))
+            reg.region_affinity_loss([], reg.invert_layers([], IDENTITY, GridShape(1, 2)))
 
     def test_wrong_matrix_size(self):
         g = GridShape(2, 2)
         a = [random_attention(np.random.default_rng(0), 3)]
         with pytest.raises(DimensionError):
-            reg.region_activation_loss(a, a, IDENTITY, g)
+            reg.region_activation_loss(a, reg.invert_layers(a, IDENTITY, g))
+
+    def test_views_of_different_shapes(self):
+        rng = np.random.default_rng(0)
+        a = [random_attention(rng, 3)]
+        back = reg.invert_layers([random_attention(rng, 5)], IDENTITY, GridShape(2, 2))
+        with pytest.raises(DimensionError):
+            reg.region_affinity_loss(a, back)
+
+    def test_raw_layers_are_refused(self):
+        """A flip keeps the shape of A', so only the type tells a raw A'
+        from inv(A')."""
+        rng = np.random.default_rng(0)
+        a = [random_attention(rng, 5)]
+        raw = [random_attention(rng, 5)]
+        for loss in (reg.region_activation_loss, reg.region_affinity_loss):
+            with pytest.raises(ContractError, match="invert_layers first"):
+                loss(a, raw)
+            with pytest.raises(ContractError, match="invert_layers first"):
+                loss(a, tuple(raw))
 
 
 class TestSharedInversion:
@@ -167,6 +192,8 @@ class TestSharedInversion:
     @pytest.mark.parametrize("transform", [FLIP_H, ROT90, gt.SpatialTransform.parse("resize:3x3")],
                              ids=str)
     def test_same_losses_and_gradients_as_inverting_per_term(self, transform):
+        """One invert_layers per term against one shared by both: == values
+        and gradients."""
         grid = GridShape(2, 2)
         rng = np.random.default_rng(12)
         n_prime = transform.target_grid(grid).n + 1
@@ -177,9 +204,11 @@ class TestSharedInversion:
             a = [Tensor(x, requires_grad=True) for x in a_data]
             ap = [Tensor(x, requires_grad=True) for x in ap_data]
             with Tape() as tape:
-                back = reg.invert_layers(ap, transform, grid) if share else ap
-                act = reg.region_activation_loss(a, back, transform, grid)
-                aff = reg.region_affinity_loss(a, back, transform, grid)
+                back = reg.invert_layers(ap, transform, grid)
+                act = reg.region_activation_loss(a, back)
+                if not share:
+                    back = reg.invert_layers(ap, transform, grid)
+                aff = reg.region_affinity_loss(a, back)
                 total = ad.add(act, aff)
             tape.backward(total)
             results.append((act.data, aff.data, [t.grad for t in a + ap]))
@@ -189,29 +218,34 @@ class TestSharedInversion:
             assert np.array_equal(g, sg)
 
     def test_inverts_each_layer_once(self, monkeypatch):
+        """A training chunk inverts each loss layer's A' stack once, shared
+        by both terms: with its views on the images' grid (flips) and on
+        another grid (resize), and not at all without consistency terms."""
         calls = []
         real = reg.invert_attention
         monkeypatch.setattr(reg, "invert_attention",
                             lambda *args: calls.append(1) or real(*args))
-        grid = GridShape(2, 3)
-        rng = np.random.default_rng(13)
-        a = [random_attention(rng, grid.n + 1) for _ in range(3)]
-        back = reg.invert_layers([random_attention(rng, grid.n + 1) for _ in range(3)],
-                                 ROT90, grid)
-        reg.region_activation_loss(a, back, ROT90, grid)
-        reg.region_affinity_loss(a, back, ROT90, grid)
-        assert len(calls) == 3
-        assert reg.invert_layers(back, ROT90, grid) is back
-
-    def test_inverted_for_another_transform_or_grid_is_rejected(self):
-        grid = GridShape(2, 2)
+        cfg = vit.ViTConfig(patch_size=2, grid=GridShape(2, 3), embed_dim=8, num_layers=3,
+                            num_heads=2, num_classes=2)
+        config = tr.TrainConfig(vit=cfg, weights=reg.LossWeights(alpha=2.0, beta=0.5),
+                                loss_layers=(1, 3))
+        params = vit.init_params(cfg, np.random.default_rng(13))
         rng = np.random.default_rng(14)
-        a = [random_attention(rng, grid.n + 1)]
-        back = reg.invert_layers([random_attention(rng, grid.n + 1)], FLIP_H, grid)
-        with pytest.raises(ContractError):
-            reg.region_activation_loss(a, back, gt.FLIP_V, grid)
-        with pytest.raises(ContractError):
-            reg.region_affinity_loss(a, back, FLIP_H, GridShape(1, 4))
+        samples = [sd.SyntheticSample(image=rng.random((cfg.in_channels, 4, 6)),
+                                      labels=np.array([1.0, 0.0]),
+                                      mask=np.zeros((4, 6), dtype=np.int64), seed=(i, 0))
+                   for i in range(2)]
+        off = replace(config, weights=reg.LossWeights(alpha=0.0, beta=0.0))
+        for train_config, transforms, expected in (
+                (config, (FLIP_H, gt.FLIP_V), 2),
+                (config, (gt.SpatialTransform.parse("resize:3x3"),) * 2, 2),
+                (off, (FLIP_H, gt.FLIP_V), 0)):
+            chunk = [tr._two_views(i, sample, t, cfg)
+                     for i, (sample, t) in enumerate(zip(samples, transforms))]
+            calls.clear()
+            with Tape():
+                tr._chunk_loss(chunk, params, train_config)
+            assert len(calls) == expected, (transforms, train_config.weights)
 
 
 def tiny_vit():
@@ -233,8 +267,9 @@ class TestZeroLossFixedPoints:
         r2 = vit.forward(img.copy(), params, cfg)
         a = [rec.matrix for rec in r1.attentions]
         ap = [rec.matrix for rec in r2.attentions]
-        assert float(reg.region_activation_loss(a, ap, IDENTITY, cfg.grid).data) == 0.0
-        assert float(reg.region_affinity_loss(a, ap, IDENTITY, cfg.grid).data) == 0.0
+        back = reg.invert_layers(ap, IDENTITY, cfg.grid)
+        assert float(reg.region_activation_loss(a, back).data) == 0.0
+        assert float(reg.region_affinity_loss(a, back).data) == 0.0
 
     def test_double_flip_h(self):
         cfg, params, img = tiny_vit()
@@ -244,8 +279,9 @@ class TestZeroLossFixedPoints:
         r2 = vit.forward(twice, params, cfg)
         a = [rec.matrix for rec in r1.attentions]
         ap = [rec.matrix for rec in r2.attentions]
-        assert float(reg.region_activation_loss(a, ap, IDENTITY, cfg.grid).data) == 0.0
-        assert float(reg.region_affinity_loss(a, ap, IDENTITY, cfg.grid).data) == 0.0
+        back = reg.invert_layers(ap, IDENTITY, cfg.grid)
+        assert float(reg.region_activation_loss(a, back).data) == 0.0
+        assert float(reg.region_affinity_loss(a, back).data) == 0.0
 
 
 class TestSymmetry:
@@ -256,10 +292,12 @@ class TestSymmetry:
         rng = np.random.default_rng(33)
         a = [random_attention(rng, grid.n + 1) for _ in range(2)]
         ap = [random_attention(rng, tgt.n + 1) for _ in range(2)]
-        fwd_act = reg.region_activation_loss(a, ap, transform, grid)
-        swp_act = reg.region_activation_loss(ap, a, transform.inverse(), tgt)
-        fwd_aff = reg.region_affinity_loss(a, ap, transform, grid)
-        swp_aff = reg.region_affinity_loss(ap, a, transform.inverse(), tgt)
+        fwd, swp = (reg.invert_layers(ap, transform, grid),
+                    reg.invert_layers(a, transform.inverse(), tgt))
+        fwd_act = reg.region_activation_loss(a, fwd)
+        swp_act = reg.region_activation_loss(ap, swp)
+        fwd_aff = reg.region_affinity_loss(a, fwd)
+        swp_aff = reg.region_affinity_loss(ap, swp)
         assert float(fwd_act.data) == pytest.approx(float(swp_act.data), abs=1e-12)
         assert float(fwd_aff.data) == pytest.approx(float(swp_aff.data), abs=1e-12)
 
@@ -288,11 +326,13 @@ class TestEndToEndGradients:
         return ad.grad_check(f, Tensor(params["blocks.0.attn.wq"].data.copy()), step=1e-5)
 
     def test_activation_loss_gradient(self):
-        err = self.run_check(lambda a, ap, g: reg.region_activation_loss(a, ap, FLIP_H, g))
+        err = self.run_check(lambda a, ap, g: reg.region_activation_loss(
+            a, reg.invert_layers(ap, FLIP_H, g)))
         assert err < 1e-4, f"rel err {err:.2e}"
 
     def test_affinity_loss_gradient(self):
-        err = self.run_check(lambda a, ap, g: reg.region_affinity_loss(a, ap, FLIP_H, g))
+        err = self.run_check(lambda a, ap, g: reg.region_affinity_loss(
+            a, reg.invert_layers(ap, FLIP_H, g)))
         assert err < 1e-4, f"rel err {err:.2e}"
 
     def test_total_loss_gradient(self):
@@ -307,8 +347,9 @@ class TestEndToEndGradients:
             r2 = vit.forward(view, patched, cfg)
             a = [rec.matrix for rec in r1.attentions]
             ap = [rec.matrix for rec in r2.attentions]
-            act = reg.region_activation_loss(a, ap, FLIP_H, cfg.grid, weights.distance)
-            aff = reg.region_affinity_loss(a, ap, FLIP_H, cfg.grid, weights.distance)
+            back = reg.invert_layers(ap, FLIP_H, cfg.grid)
+            act = reg.region_activation_loss(a, back, weights.distance)
+            aff = reg.region_affinity_loss(a, back, weights.distance)
             return reg.total_loss(r1.logits, r2.logits, [1.0, 0.0], act, aff, weights).total
 
         err = ad.grad_check(f, Tensor(params["blocks.1.mlp.w1"].data.copy()), step=1e-5,

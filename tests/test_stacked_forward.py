@@ -117,12 +117,11 @@ def reference_two_view_loss(sample, transform, params, config):
     if config.weights.alpha != 0.0 or config.weights.beta != 0.0:
         a = [rec.matrix for rec in res_a.attentions[lo:hi]]
         ap = [rec.matrix for rec in res_b.attentions[lo:hi]]
+        back = reg.invert_layers(ap, transform, res_a.grid)
         if config.weights.alpha != 0.0:
-            act = reg.region_activation_loss(a, ap, transform, res_a.grid,
-                                             config.weights.distance)
+            act = reg.region_activation_loss(a, back, config.weights.distance)
         if config.weights.beta != 0.0:
-            aff = reg.region_affinity_loss(a, ap, transform, res_a.grid,
-                                           config.weights.distance)
+            aff = reg.region_affinity_loss(a, back, config.weights.distance)
     return reg.total_loss(res_a.logits, res_b.logits, sample.labels, act, aff, config.weights)
 
 

@@ -47,6 +47,17 @@ class TestTrainConfig:
         with pytest.raises(ContractError):
             tiny_train_config(holdout_fraction=1.0)
 
+    @pytest.mark.parametrize("knobs", [dict(holdout_fraction=0.25),
+                                       dict(eval_every=1)], ids=["holdout_only", "eval_only"])
+    def test_holdout_and_eval_every_go_together(self, knobs):
+        """A holdout that is never scored drops training data for nothing,
+        and eval_every with nothing held out does nothing."""
+        with pytest.raises(ContractError, match="holdout_fraction.*eval_every|"
+                                                "eval_every.*holdout_fraction"):
+            tiny_train_config(**knobs)
+        with pytest.raises(ContractError):
+            tr.parse_train_config("".join(f"{k} = {v}\n" for k, v in knobs.items()))
+
     def test_format_parse_roundtrip(self):
         cfg = tiny_train_config(augmentations=(FLIP_H, FLIP_V), momentum=0.9,
                                 poly_power=0.9, clip_norm=None, seed=3,

@@ -96,6 +96,16 @@ class TestForward:
         with pytest.raises(DimensionError):
             vit.forward(np.zeros((1, 6, 6)), vit.init_params(cfg, np.random.default_rng(0)), cfg)
 
+    @pytest.mark.parametrize("class_index", [1, 6])
+    def test_class_logit_of_a_stack_rejected(self, class_index):
+        """A stacked result has a logits row per view, not one logit."""
+        cfg = tiny_config()
+        params = vit.init_params(cfg, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        res = vit.forward(np.stack([random_image(rng, cfg) for _ in range(5)]), params, cfg)
+        with pytest.raises(DimensionError, match="1-d logits"):
+            vit.class_logit(res, class_index)
+
 
 class TestAdjoints:
     def test_adjoints_require_backward(self):
