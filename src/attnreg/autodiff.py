@@ -30,7 +30,9 @@ Conventions:
   tokens (..., m, d) to queries and keys, splits their columns onto a
   head axis and returns the scaled scores (..., heads, m, m);
   attend projects the values, applies per-head attention
-  probabilities and merges the heads back to (..., m, d'). Their
+  probabilities and merges the heads back to (..., m, d'), or computes
+  only the first r query rows, (..., r, d'), when a consumer reads no
+  other (the last block, whose logits read the class row). Their
   weights and biases are 2-d and shared over the token tensor's
   leading axes;
 * binary elementwise ops broadcast a scalar, or an operand shaped like
@@ -470,24 +472,37 @@ def attention_scores(h, wq, bq, wk, bk, heads: int, scale: float) -> Tensor:
     return _apply("attention_scores", (h, wq, bq, wk, bk), q @ kt, bw)
 
 
-def attend(probs, h, wv, bv) -> Tensor:
-    """Attention output with heads merged, (..., m, d'): per head,
-    probs @ (h wv + bv) over that head's column block, for probs
-    (..., heads, m, m) and tokens h (..., m, d)."""
+def attend(probs, h, wv, bv, rows: int | None = None) -> Tensor:
+    """Attention output with heads merged, (..., r, d'): per head,
+    probs[..., :r, :] @ (h wv + bv) over that head's column block, for
+    probs (..., heads, m, m) and tokens h (..., m, d). Only the first r
+    query rows are computed (default: all m); every value row is read, so
+    h's gradient covers all m tokens, and probs' gradient is zero on the
+    query rows not computed."""
     probs, h, wv, bv = (_as_tensor(t) for t in (probs, h, wv, bv))
     _check_affine("attend", h, wv, bv)
     m = h.shape[-2]
     if probs.ndim != h.ndim + 1 or probs.shape[:-3] != h.shape[:-2] \
             or probs.shape[-2:] != (m, m):
         raise DimensionError(f"attend: probs {probs.shape} do not match tokens {h.shape}")
+    if rows is None:
+        rows = m
+    if not 1 <= rows <= m:
+        raise DimensionError(f"attend: cannot compute {rows} query rows of {m}")
     heads = probs.shape[-3]
     _check_heads("attend", wv.shape[1], heads)
-    pd = probs.data
+    pd = probs.data[..., :rows, :]
     v = _split_heads(_affine(h.data, wv.data, bv.data), heads)
 
     def bw(g: Array):
         gpv = _split_heads(g, heads)
-        gp = gpv @ np.swapaxes(v, -1, -2) if probs.requires_grad else None
+        gp = None
+        if probs.requires_grad:
+            gp = gpv @ np.swapaxes(v, -1, -2)
+            if rows < m:  # the rows not computed had no effect
+                full = np.zeros(probs.shape)
+                full[..., :rows, :] = gp
+                gp = full
         if not (h.requires_grad or wv.requires_grad or bv.requires_grad):
             return gp, None, None, None
         return (gp, *_affine_grads(_merge_heads(np.swapaxes(pd, -1, -2) @ gpv), h, wv, bv))

@@ -245,12 +245,15 @@ def _cmd_grad_check(args) -> int:
     def total(patched):
         return training_loss(patched, config).total
 
+    last = f"blocks.{cfg.num_layers - 1}."  # runs on the class row after its attention
     checks = {
         "class_logit/patch_embed.weight": with_param("patch_embed.weight", logit),
         "class_logit/blocks.0.attn.wq": with_param("blocks.0.attn.wq", logit),
         "activation_loss/blocks.0.attn.wk": with_param("blocks.0.attn.wk", activation),
         "affinity_loss/blocks.0.attn.wq": with_param("blocks.0.attn.wq", affinity),
         "total_loss/blocks.0.mlp.w1": with_param("blocks.0.mlp.w1", total),
+        f"class_logit/{last}attn.wv": with_param(last + "attn.wv", logit),
+        f"total_loss/{last}mlp.w2": with_param(last + "mlp.w2", total),
     }
     worst = max(checks.values())
     _emit({"checks": checks, "max_relative_error": worst,

@@ -276,21 +276,29 @@ def format_train_config(config: TrainConfig) -> str:
 # train_consistency, 4 samples per chunk trained 1.14x as fast as 3, for
 # +1.7% peak RSS on localize_eval; in a loop of 128-sample trainings, 8
 # samples trained 0.90x as fast as 3 (cache misses and page faults on
-# the larger arrays).
-TAPE_BYTE_BUDGET = 9 * 2**19  # 4.5 MiB
+# the larger arrays). Those runs had every block on all rows; the budget
+# keeps the same stack and chunk sizes under the smaller estimate of the
+# class-row tail, whose freed memory has not been measured for speed.
+TAPE_BYTE_BUDGET = 15 * 2**18  # 3.75 MiB
 
 
 def _tape_bytes_per_image(cfg: ViTConfig, grid: GridShape | None = None) -> int:
     """Node-output bytes of one image's forward on `grid` (default: the
-    model's): per layer two per-head (t, t) stacks (scores, softmax), the
-    head average, seven (t, d) and two (t, mlp) activations; around the
-    layers a few (t, d) rows (t = tokens, d = width). It counts node
-    outputs only: what op closures keep for the backward (layer norm's
-    normalized input, GELU's derivative, a training loss's inversions)
-    comes on top, so a training chunk holds about twice this per image."""
-    t, d = (grid or cfg.grid).n + 1, cfg.embed_dim
-    per_layer = 2 * cfg.num_heads * t * t + t * t + 7 * t * d + 2 * t * cfg.mlp_dim
-    return 8 * (cfg.num_layers * per_layer + 4 * t * d)
+    model's), t = tokens, d = width, f = MLP width: per layer a (t, d)
+    layer norm, two per-head (t, t) stacks (scores, softmax) and the head
+    average; then six (r, d) and two (r, f) activations on r = t rows,
+    but r = 1 in the last block, which runs on the class row after its
+    attention; around the layers three (t, d) token tensors (patch
+    embedding, class token, positional rows) and two (1, d) class rows.
+    It counts node outputs only: what op closures keep for the backward
+    (layer norm's normalized input, GELU's derivative, a training loss's
+    inversions) comes on top, so a training chunk holds about twice this
+    per image."""
+    t, d, f = (grid or cfg.grid).n + 1, cfg.embed_dim, cfg.mlp_dim
+    layers = cfg.num_layers
+    attention = layers * ((2 * cfg.num_heads + 1) * t * t + t * d)
+    rows = (layers - 1) * t + 1
+    return 8 * (attention + rows * (6 * d + 2 * f) + 3 * t * d + 2 * d)
 
 
 def _image_grid(image: np.ndarray, cfg: ViTConfig) -> GridShape:
@@ -439,6 +447,10 @@ def train(config: TrainConfig, samples: list[sd.SyntheticSample],
         raise ContractError("training needs a nonempty dataset")
     if any(s.labels.shape != (config.vit.num_classes,) for s in samples):
         raise ContractError("sample labels do not match vit.num_classes")
+    # checked here, not in TrainConfig: a CLI flag may raise a file's epochs
+    if config.holdout_fraction > 0.0 and config.eval_every > config.epochs:
+        raise ContractError(f"eval_every {config.eval_every} > epochs {config.epochs}: the "
+                            "held-out samples would leave training and never be scored")
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:  # fail on a bad out_dir before any training
         out_path.mkdir(parents=True, exist_ok=True)

@@ -20,8 +20,19 @@ Each layer records 12 tape nodes, built from the engine's fused ops:
   layer_norm -> linear -> gelu -> linear -> add (residual).
 
 Around the layers: linear (patch embedding), concat (class token), add
-(positional rows, when enabled); then layer_norm, slice2d (class
-token), linear (head) and reshape.
+(positional rows, when enabled); then layer_norm, linear (head) and
+reshape.
+
+The last block narrows to the class row after its attention: its
+attend computes query row 0 only, and slice2d takes the residual's
+row 0 before the add, so wo, the residual add, the MLP, the final
+layer_norm and the head run on one row per view (13 nodes for that
+block, 3 after it). This is exact: the logits read only the class row,
+every op from attend's output on acts row by row, and row 0 of
+attend's output reads attention row 0 against all value rows, which
+are still computed. The last block's scores, softmax and head average
+keep all n+1 rows, since the losses and the seed maps read that full
+matrix; the logits' adjoint is zero on its other query rows either way.
 
 The per-layer record holds the head-averaged post-softmax matrix as a
 live tape node, so consistency losses computed on it propagate exact
@@ -203,7 +214,11 @@ def _positional_rows(params: dict[str, Tensor], config: ViTConfig, grid: GridSha
 def forward(images: np.ndarray, params: dict[str, Tensor], config: ViTConfig) -> ForwardResult:
     """Run the model on one (C, H, W) image, or on a (V, C, H, W) stack of
     views on one grid in a single pass. Record ops on the active tape if
-    there is one; otherwise this is a pure inference pass."""
+    there is one; otherwise this is a pure inference pass.
+
+    Every layer's attention is computed on all n+1 rows; the last block
+    continues from its attention on the class row alone, the only row
+    the logits read (see the module docstring)."""
     images = np.asarray(images, dtype=np.float64)
     if images.ndim not in (3, 4) or images.shape[-3] != config.in_channels:
         raise DimensionError(f"expected a ({config.in_channels}, H, W) image or a stack of "
@@ -233,14 +248,17 @@ def forward(images: np.ndarray, params: dict[str, Tensor], config: ViTConfig) ->
         per_head.retain_grad()
         records.append(AttentionRecord(layer=i, matrix=ad.mean(per_head, axis=-3),
                                        heads=per_head))
-        merged = ad.attend(per_head, h, params[p + "attn.wv"], params[p + "attn.bv"])
+        last = i == config.num_layers - 1  # the logits read only its class row
+        merged = ad.attend(per_head, h, params[p + "attn.wv"], params[p + "attn.bv"],
+                           rows=1 if last else None)
+        if last:
+            x = ad.slice2d(x, 0, 1, None, None)
         x = ad.add(x, linear(merged, p + "attn.wo", p + "attn.bo"))
         h2 = ad.layer_norm(x, params[p + "ln2.gain"], params[p + "ln2.bias"])
         m = linear(ad.gelu(linear(h2, p + "mlp.w1", p + "mlp.b1")), p + "mlp.w2", p + "mlp.b2")
         x = ad.add(x, m)
 
-    x = ad.layer_norm(x, params["final_ln.gain"], params["final_ln.bias"])
-    cls = ad.slice2d(x, 0, 1, None, None)
+    cls = ad.layer_norm(x, params["final_ln.gain"], params["final_ln.bias"])  # (..., 1, d)
     logits = ad.reshape(linear(cls, "head.weight", "head.bias"),
                         images.shape[:-3] + (config.num_classes,))
     return ForwardResult(logits=logits, attentions=records, grid=grid)

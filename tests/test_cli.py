@@ -181,6 +181,20 @@ class TestTrain:
         assert "holdout_fraction" in err and "eval_every" in err and "Traceback" not in err
         assert not (tmp_path / "t").exists()
 
+    def test_holdout_never_scored_exits_1(self, dataset_dir, tmp_path, capsys):
+        config = tmp_path / "train.cfg"
+        config.write_text(TINY_CONFIG + "eval_every = 2\nholdout_fraction = 0.25\n")
+        argv = ["train", "--config", str(config), "--data", str(dataset_dir)]
+        rc = cli.main(argv + ["--out", str(tmp_path / "t")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "eval_every" in err and "epochs" in err and "Traceback" not in err
+        assert not (tmp_path / "t").exists()
+        # a flag that raises the file's epochs lifts the refusal
+        rc, payload = run_json(capsys, argv + ["--out", str(tmp_path / "u"), "--epochs", "4"])
+        assert rc == 0
+        assert payload["epochs"] == 4 and "holdout_miou" in payload["final"]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_divergence_exits_2(self, config_file, dataset_dir, tmp_path, capsys):
         rc = cli.main(["train", "--config", str(config_file),
@@ -394,7 +408,9 @@ class TestGradCheck:
         assert rc == 0
         assert payload["passed"] is True
         assert payload["max_relative_error"] < 1e-4
-        assert len(payload["checks"]) == 5
+        assert len(payload["checks"]) == 7
+        assert {"class_logit/blocks.1.attn.wv", "total_loss/blocks.1.mlp.w2"} <= \
+            payload["checks"].keys()
 
     @pytest.mark.parametrize("flag,value", [("--max-coords", "0"), ("--max-coords", "-1"),
                                             ("--step", "0")])

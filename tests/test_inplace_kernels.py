@@ -156,6 +156,17 @@ def test_the_catalog_covers_every_op():
 
 @pytest.mark.parametrize("name,arrays,op", OPS, ids=[n for n, _, _ in OPS])
 def test_backward_leaves_a_read_only_adjoint_alone(name, arrays, op):
+    check_read_only_adjoint(name, arrays, op)
+
+
+def test_attend_of_query_rows_leaves_a_read_only_adjoint_alone():
+    """The branch that computes only the first query rows and scatters
+    their probability gradient into a fresh array."""
+    (_, arrays, _), = [case for case in OPS if case[0] == "attend"]
+    check_read_only_adjoint("attend", arrays, lambda *t: ad.attend(*t, rows=1))
+
+
+def check_read_only_adjoint(name, arrays, op):
     inputs = [Tensor(a, requires_grad=True) for a in arrays]
     with Tape() as tape:
         out = op(*inputs)

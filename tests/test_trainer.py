@@ -197,6 +197,14 @@ class TestTraining:
         result = tr.train(cfg, tiny_data(9))
         assert all("holdout_miou" in r for r in result.log)
 
+    def test_holdout_never_scored_is_refused(self, tmp_path):
+        """eval_every beyond the last epoch would hold samples out of
+        training without ever scoring them."""
+        cfg = tiny_train_config(epochs=1, eval_every=2, holdout_fraction=0.25)
+        with pytest.raises(ContractError, match="eval_every 2 > epochs 1"):
+            tr.train(cfg, tiny_data(8), out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_divergence_aborts_with_dump(self, tmp_path):
         cfg = tiny_train_config(learning_rate=1e200, clip_norm=None, epochs=1,
