@@ -7,9 +7,9 @@ records every operation executed while it is active (entered with
 accumulate adjoints. One tape per training step; with no active tape
 every op is a plain forward computation, which is what inference uses.
 
-The 21 ops: add, sub, mul; matmul and the fused linear,
-attention_scores and attend; gelu, layer_norm, softmax_rows, sum_rows,
-scale_rows_to_sums and mean; the losses abs_mean, smooth_l1_mean and
+The 19 ops: add, mul; matmul and the fused linear, attention_scores and
+attend; gelu, layer_norm, softmax_rows, sum_rows, scale_rows_to_sums and
+mean; the losses mean_distance (l1, l2 or smooth-l1) and
 bce_with_logits; and reshape, concat, slice2d, pick and permute_rc.
 
 Conventions:
@@ -338,17 +338,6 @@ def add(a, b) -> Tensor:
     return _apply("add", (a, b), a.data + b.data, bw)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_pair("sub", a, b)
-
-    def bw(g: Array):
-        return (_reduce_to(g, a.shape) if a.requires_grad else None,
-                _reduce_to(-g, b.shape) if b.requires_grad else None)
-
-    return _apply("sub", (a, b), a.data - b.data, bw)
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_pair("mul", a, b)
@@ -668,42 +657,38 @@ def mean(x, axis: int | None = None) -> Tensor:
     return _apply("mean", (x,), x.data.mean(axis=axis), bw_axis)
 
 
-def abs_mean(a, b) -> Tensor:
-    """mean(|a - b|). Nondifferentiable where a == b; see grad_check."""
+# (elements, slope) of each distance as functions of d = a - b: the
+# distance is the mean of the elements, and the slope is their derivative
+# in d (the sign at an l1 kink, where d == 0)
+_DISTANCE_TERMS = {
+    "l1": (np.abs, np.sign),
+    "l2": (lambda d: d * d, lambda d: 2.0 * d),
+    # Huber with delta 1: 0.5 d^2 inside |d| <= 1, |d| - 0.5 outside
+    "smooth_l1": (lambda d: np.where(np.abs(d) <= 1.0, 0.5 * d * d, np.abs(d) - 0.5),
+                  lambda d: np.where(np.abs(d) <= 1.0, d, np.sign(d))),
+}
+DISTANCES = tuple(_DISTANCE_TERMS)
+
+
+def mean_distance(a, b, distance: str) -> Tensor:
+    """Elementwise distance between a and b, averaged over elements: one
+    of DISTANCES, l1 (mean |a - b|), l2 (mean (a - b)^2) or smooth_l1
+    (Huber with delta 1). l1 is nondifferentiable where a == b; see
+    grad_check."""
+    if distance not in _DISTANCE_TERMS:
+        raise ContractError(f"distance must be one of {DISTANCES}, got {distance!r}")
+    elements, slope = _DISTANCE_TERMS[distance]
     a, b = _as_tensor(a), _as_tensor(b)
-    _check_pair("abs_mean", a, b)
+    _check_pair("mean_distance", a, b)
     d = a.data - b.data
     n = float(d.size)
-    sign = np.sign(d)
 
     def bw(g: Array):
-        ga = float(g) / n * sign
+        ga = float(g) / n * slope(d)
         return (_reduce_to(ga, a.shape) if a.requires_grad else None,
                 _reduce_to(-ga, b.shape) if b.requires_grad else None)
 
-    return _apply("abs_mean", (a, b), np.asarray(np.abs(d).mean()), bw)
-
-
-def smooth_l1_mean(a, b, delta: float = 1.0) -> Tensor:
-    """Huber distance, averaged over elements: 0.5 d^2 inside |d| <= delta,
-    delta * (|d| - 0.5 delta) outside."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_pair("smooth_l1_mean", a, b)
-    if delta <= 0:
-        raise ContractError("smooth_l1_mean: delta must be positive")
-    d = a.data - b.data
-    n = float(d.size)
-    absd = np.abs(d)
-    inside = absd <= delta
-    elems = np.where(inside, 0.5 * d * d, delta * (absd - 0.5 * delta))
-
-    def bw(g: Array):
-        slope = np.where(inside, d, delta * np.sign(d))
-        ga = float(g) / n * slope
-        return (_reduce_to(ga, a.shape) if a.requires_grad else None,
-                _reduce_to(-ga, b.shape) if b.requires_grad else None)
-
-    return _apply("smooth_l1_mean", (a, b), np.asarray(elems.mean()), bw)
+    return _apply("mean_distance", (a, b), np.asarray(elements(d).mean()), bw)
 
 
 def bce_with_logits(logits, targets) -> Tensor:
@@ -869,8 +854,8 @@ def grad_check(f, x: Tensor, step: float = 1e-5, max_coords: int | None = None,
     by absolute finite-difference noise instead of blowing up the ratio.
 
     f must be deterministic and smooth at x; coordinates sitting on kinks
-    (abs_mean where a == b) should be excluded by the caller via the
-    boolean mask `exclude` or by sampling x away from them. `max_coords`
+    (mean_distance's l1 where a == b) should be excluded by the caller via
+    the boolean mask `exclude` or by sampling x away from them. `max_coords`
     limits the check to a random coordinate subset (seeded through `rng`)
     for big tensors. A `step` that is not finite and positive, or a
     `max_coords` below 1, would check nothing and raises ContractError.

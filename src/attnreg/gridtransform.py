@@ -83,8 +83,6 @@ class TransformKind(enum.Enum):
     RESIZE = "resize"
 
 
-# kinds realized by a token permutation (everything except RESIZE)
-PERMUTATION_KINDS = tuple(k for k in TransformKind if k is not TransformKind.RESIZE)
 _ROTATING = (TransformKind.ROT90, TransformKind.ROT270)
 
 

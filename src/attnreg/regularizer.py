@@ -31,11 +31,9 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import DISTANCES, Tensor
 from .errors import ContractError, DimensionError
 from .gridtransform import GridShape, SpatialTransform, invert_attention
-
-DISTANCES = ("l1", "l2", "smooth_l1")
 
 
 @dataclass(frozen=True)
@@ -69,17 +67,6 @@ class LossBreakdown:
     def to_floats(self) -> dict[str, float]:
         return {"l_cls": float(self.l_cls.data), "l_act": float(self.l_act.data),
                 "l_aff": float(self.l_aff.data), "total": float(self.total.data)}
-
-
-def _distance(x: Tensor, y: Tensor, distance: str) -> Tensor:
-    if distance == "l1":
-        return ad.abs_mean(x, y)
-    if distance == "l2":
-        diff = ad.sub(x, y)
-        return ad.mean(ad.mul(diff, diff))
-    if distance == "smooth_l1":
-        return ad.smooth_l1_mean(x, y)
-    raise ContractError(f"distance must be one of {DISTANCES}, got {distance!r}")
 
 
 @dataclass(frozen=True)
@@ -124,7 +111,7 @@ def _block_loss(a_layers: Sequence[Tensor], back: InvertedLayers, distance: str,
     for a, b in zip(a_layers, back.layers):
         lhs = ad.slice2d(a, r0, 1 if r0 == 0 else None, c0, None)
         rhs = ad.slice2d(b, r0, 1 if r0 == 0 else None, c0, None)
-        term = _distance(lhs, rhs, distance)
+        term = ad.mean_distance(lhs, rhs, distance)
         total = term if total is None else ad.add(total, term)
     return total if layers == 1 else ad.mul(total, 1.0 / layers)
 

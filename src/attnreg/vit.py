@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import struct
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -65,6 +66,7 @@ from .gridtransform import GridShape, bordered_interp_matrix
 
 CHECKPOINT_MAGIC = b"ATTNCKPT"
 CHECKPOINT_VERSION = 1
+_MIN_RECORD = 4 + 1 + 8  # bytes of the smallest tensor record: name length, ndim, a float
 
 
 @dataclass(frozen=True)
@@ -83,8 +85,8 @@ class ViTConfig:
     in_channels: int = 3
 
     def __post_init__(self):
-        if self.patch_size < 1 or self.num_layers < 1 or self.num_heads < 1:
-            raise ContractError("patch_size, num_layers and num_heads must be positive")
+        if min(self.patch_size, self.embed_dim, self.num_layers, self.num_heads) < 1:
+            raise ContractError("patch_size, embed_dim, num_layers and num_heads must be positive")
         if self.embed_dim % self.num_heads != 0:
             raise ContractError(f"embed_dim {self.embed_dim} not divisible by "
                                 f"num_heads {self.num_heads}")
@@ -162,42 +164,50 @@ def patchify(image: np.ndarray, patch_size: int) -> np.ndarray:
     return np.ascontiguousarray(tiles.transpose(order).reshape(*lead, gh * gw, -1))
 
 
-def init_params(config: ViTConfig, rng: np.random.Generator) -> dict[str, Tensor]:
-    """Fresh trainable parameters; key order is the checkpoint order."""
-
-    def glorot(fan_in, fan_out):
-        scale = np.sqrt(2.0 / (fan_in + fan_out))
-        return rng.normal(0.0, scale, size=(fan_in, fan_out))
-
-    d = config.embed_dim
-    params: dict[str, Tensor] = {}
-
-    def put(name, value):
-        params[name] = Tensor(value, requires_grad=True)
-
-    put("patch_embed.weight", glorot(config.patch_dim, d))
-    put("patch_embed.bias", np.zeros((1, d)))
-    put("cls_token", rng.normal(0.0, 0.02, size=(1, d)))
+def _shape_table(config: ViTConfig):
+    """The parameter layout as (name, shape, init) rows: the rows before
+    the blocks, one block's rows (names relative to ``blocks.{i}.``) and
+    the rows after the blocks. init says how init_params fills a tensor:
+    glorot, small (normal, sd 0.02), zeros or ones."""
+    d, m, c = config.embed_dim, config.mlp_dim, config.num_classes
+    before = [("patch_embed.weight", (config.patch_dim, d), "glorot"),
+              ("patch_embed.bias", (1, d), "zeros"),
+              ("cls_token", (1, d), "small")]
     if config.use_positional_embedding:
-        put("pos_embed", rng.normal(0.0, 0.02, size=(config.grid.n + 1, d)))
+        before.append(("pos_embed", (config.grid.n + 1, d), "small"))
+    block = [("ln1.gain", (1, d), "ones"), ("ln1.bias", (1, d), "zeros"),
+             *((f"attn.{w}", (d, d), "glorot") for w in ("wq", "wk", "wv", "wo")),
+             *((f"attn.{b}", (1, d), "zeros") for b in ("bq", "bk", "bv", "bo")),
+             ("ln2.gain", (1, d), "ones"), ("ln2.bias", (1, d), "zeros"),
+             ("mlp.w1", (d, m), "glorot"), ("mlp.b1", (1, m), "zeros"),
+             ("mlp.w2", (m, d), "glorot"), ("mlp.b2", (1, d), "zeros")]
+    after = [("final_ln.gain", (1, d), "ones"), ("final_ln.bias", (1, d), "zeros"),
+             ("head.weight", (d, c), "glorot"), ("head.bias", (1, c), "zeros")]
+    return before, block, after
+
+
+def _layout(config: ViTConfig):
+    """Every (name, shape, init) row of the shape table in checkpoint order."""
+    before, block, after = _shape_table(config)
+    yield from before
     for i in range(config.num_layers):
-        p = f"blocks.{i}."
-        put(p + "ln1.gain", np.ones((1, d)))
-        put(p + "ln1.bias", np.zeros((1, d)))
-        for name in ("wq", "wk", "wv", "wo"):
-            put(p + f"attn.{name}", glorot(d, d))
-        for name in ("bq", "bk", "bv", "bo"):
-            put(p + f"attn.{name}", np.zeros((1, d)))
-        put(p + "ln2.gain", np.ones((1, d)))
-        put(p + "ln2.bias", np.zeros((1, d)))
-        put(p + "mlp.w1", glorot(d, config.mlp_dim))
-        put(p + "mlp.b1", np.zeros((1, config.mlp_dim)))
-        put(p + "mlp.w2", glorot(config.mlp_dim, d))
-        put(p + "mlp.b2", np.zeros((1, d)))
-    put("final_ln.gain", np.ones((1, d)))
-    put("final_ln.bias", np.zeros((1, d)))
-    put("head.weight", glorot(d, config.num_classes))
-    put("head.bias", np.zeros((1, config.num_classes)))
+        for name, shape, init in block:
+            yield f"blocks.{i}.{name}", shape, init
+    yield from after
+
+
+def init_params(config: ViTConfig, rng: np.random.Generator) -> dict[str, Tensor]:
+    """Fresh trainable parameters; key order is the checkpoint order, and
+    the random draws follow it."""
+    params: dict[str, Tensor] = {}
+    for name, shape, init in _layout(config):
+        if init == "glorot":
+            value = rng.normal(0.0, np.sqrt(2.0 / (shape[0] + shape[1])), size=shape)
+        elif init == "small":
+            value = rng.normal(0.0, 0.02, size=shape)
+        else:
+            value = np.full(shape, 1.0 if init == "ones" else 0.0)
+        params[name] = Tensor(value, requires_grad=True)
     return params
 
 
@@ -314,6 +324,11 @@ def save_checkpoint(path, params: dict[str, Tensor], config: ViTConfig) -> None:
             f.write(np.ascontiguousarray(tensor.data).astype("<f8").tobytes())
 
 
+def _floats(rows) -> int:
+    """Elements in shape-table rows; a non-integer dimension raises TypeError."""
+    return sum(math.prod(map(operator.index, shape)) for _, shape, _ in rows)
+
+
 def load_checkpoint(path) -> tuple[dict[str, Tensor], ViTConfig]:
     """Inverse of save_checkpoint. A malformed file -- short, with a bad
     config blob, with a tensor missing, extra or shaped unlike the layout
@@ -337,9 +352,20 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], ViTConfig]:
         raise ContractError(f"{path}: unsupported checkpoint version {version}")
     try:
         config = ViTConfig.from_dict(json.loads(take(u32()).decode("utf-8")))
-        layout = {n: t.shape for n, t in init_params(config, np.random.default_rng(0)).items()}
+        # the payload size from the shape table alone: a header declaring a
+        # huge model is refused before anything of its size is built
+        before, block, after = _shape_table(config)
+        payload = 8 * (_floats(before + after) + config.num_layers * _floats(block))
+        stored = u32()
+        room = len(raw) - pos
+        if payload > room:
+            raise ContractError(f"{path}: the config declares {payload} bytes of tensors, "
+                                f"but {room} bytes remain")
+        if stored > room // _MIN_RECORD:
+            raise ContractError(f"{path}: {stored} tensors cannot fit in {room} bytes")
+        layout = {name: shape for name, shape, _ in _layout(config)}
         params: dict[str, Tensor] = {}
-        for _ in range(u32()):
+        for _ in range(stored):
             name = take(u32()).decode("utf-8")
             ndim = take(1)[0]
             shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
@@ -352,7 +378,9 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], ViTConfig]:
     except (ValueError, TypeError, KeyError) as exc:
         raise ContractError(f"{path}: malformed checkpoint: {exc}") from exc
     if params.keys() != layout.keys():
-        raise ContractError(f"{path}: missing tensors {sorted(layout.keys() - params.keys())}")
+        missing = [name for name in layout if name not in params]
+        more = f" and {len(missing) - 5} more" if len(missing) > 5 else ""
+        raise ContractError(f"{path}: missing tensors {', '.join(missing[:5])}{more}")
     if pos != len(raw):
         raise ContractError(f"{path}: trailing bytes after last tensor")
     return params, config

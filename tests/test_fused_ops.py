@@ -8,6 +8,8 @@ reshape), to 1e-12; and its shape contract. A pin on the node mix of the
 forward built from them closes the file.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -192,20 +194,33 @@ C07 = tr.TrainConfig(
 class TestNodeMix:
     """Tape nodes are the unit of dispatch cost; these counts pin it."""
 
-    def test_stacked_training_sample(self):
-        cfg = C07.vit
+    @staticmethod
+    def chunk_loss_ops(config):
+        """The ops one two-view sample's chunk loss records."""
+        cfg = config.vit
         params = vit.init_params(cfg, np.random.default_rng(0))
         image = np.random.default_rng(1).random((3, 32, 32))
         sample = sd.SyntheticSample(image=image, labels=np.array([1.0, 0.0, 1.0]),
                                     mask=np.zeros((32, 32), dtype=np.int64), seed=(0, 0))
         with Tape() as tape:
-            tr._chunk_loss([tr._two_views(0, sample, FLIP_H, cfg)], params, C07)
-        ops = [n.op for n in tape.nodes]
+            tr._chunk_loss([tr._two_views(0, sample, FLIP_H, cfg)], params, config)
+        return [n.op for n in tape.nodes]
+
+    def test_stacked_training_sample(self):
+        cfg = C07.vit
+        ops = self.chunk_loss_ops(C07)
         assert len(ops) == 62
         for gone in ("matmul", "add_bias", "split_heads", "merge_heads", "transpose"):
             assert gone not in ops
         assert ops.count("permute_rc") == 2  # one inversion per loss layer
         assert ops.count("attention_scores") == ops.count("attend") == cfg.num_layers
+
+    @pytest.mark.parametrize("distance", ad.DISTANCES)
+    def test_every_distance_is_one_node_per_block(self, distance):
+        ops = self.chunk_loss_ops(replace(C07, weights=replace(C07.weights, distance=distance)))
+        assert len(ops) == 62
+        # an activation and an affinity block per loss layer
+        assert ops.count("mean_distance") == 2 * C07.vit.num_layers
 
     def test_eval_forward(self):
         cfg = C07.vit

@@ -161,7 +161,6 @@ def _multi_input_cases():
     return [
         ("add", ad.add, [m, rng.normal(size=(3, 4))]),
         ("add_broadcast", ad.add, [rng.normal(size=(2, 3, 4)), m]),
-        ("sub", ad.sub, [m, rng.normal(size=(3, 4))]),
         ("mul", ad.mul, [m, rng.normal(size=(3, 4))]),
         ("matmul_shared", ad.matmul, [rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5))]),
         ("matmul_batched", ad.matmul, [rng.normal(size=(2, 3, 4)),
@@ -180,8 +179,8 @@ def _multi_input_cases():
          [rng.normal(size=(1, 4)), m, rng.normal(size=(2, 4))]),
         ("scale_rows_to_sums", ad.scale_rows_to_sums, [rng.random(size=(3, 4)) + 0.1,
                                                        rng.random(size=(3, 1))]),
-        ("abs_mean", ad.abs_mean, [m, rng.normal(size=(3, 4))]),
-        ("smooth_l1_mean", ad.smooth_l1_mean, [m, rng.normal(size=(3, 4))]),
+        *((f"mean_distance_{d}", lambda a, b, _d=d: ad.mean_distance(a, b, _d),
+           [m, rng.normal(size=(3, 4))]) for d in ad.DISTANCES),
         ("bce_with_logits", ad.bce_with_logits, [m, (rng.random(size=(3, 4)) > 0.5) * 1.0]),
     ]
 

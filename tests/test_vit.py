@@ -1,12 +1,15 @@
 """Mini ViT: shapes, attention records, adjoints, checkpoint format,
 and the attention-equivariance property that the whole method rests on."""
 
+import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from attnreg import autodiff as ad
+from attnreg import cli, netpbm
 from attnreg import gridtransform as gt
 from attnreg import vit
 from attnreg.autodiff import Tape, Tensor
@@ -261,6 +264,61 @@ class TestCheckpoint:
         path.write_bytes(whole[:12] + struct.pack("<I", len(blob)) + blob + whole[16 + old:])
         with pytest.raises(ContractError):
             vit.load_checkpoint(path)
+
+    def test_missing_names_are_capped(self, tmp_path):
+        path, params, cfg = self.small_checkpoint(tmp_path)
+        whole = path.read_bytes()
+        kept = {"patch_embed.weight": params["patch_embed.weight"]}
+        vit.save_checkpoint(path, kept, cfg)
+        # padded to the full payload, so the refusal is for the names
+        path.write_bytes(path.read_bytes() + bytes(len(whole)))
+        with pytest.raises(ContractError) as err:
+            vit.load_checkpoint(path)
+        missing = len(params) - 1
+        assert f"and {missing - 5} more" in str(err.value)
+        assert "head.bias" not in str(err.value)
+
+    # a header declaring a huge model, or a huge tensor count, over a few
+    # bytes: refused before anything of the declared size is built
+    HUGE_HEADERS = {"wide": ({"embed_dim": 2 ** 22}, 1), "deep": ({"num_layers": 20000}, 1),
+                    "many_tensors": ({}, 2 ** 32 - 1),
+                    # negative widths would make the declared payload negative
+                    "negative_width": ({"embed_dim": -8, "mlp_ratio": -2.0,
+                                        "num_layers": 10 ** 9}, 1)}
+
+    def huge_header(self, tmp_path, changes, count):
+        config = tiny_config().to_dict()
+        config.update(changes)
+        blob = json.dumps(config, sort_keys=True).encode("utf-8")
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(vit.CHECKPOINT_MAGIC
+                         + struct.pack("<II", vit.CHECKPOINT_VERSION, len(blob)) + blob
+                         + struct.pack("<I", count) + bytes(16))
+        return path
+
+    @pytest.mark.parametrize("changes,count", HUGE_HEADERS.values(), ids=HUGE_HEADERS.keys())
+    def test_huge_header_is_refused_in_small_memory(self, tmp_path, changes, count):
+        path = self.huge_header(tmp_path, changes, count)
+        assert path.stat().st_size < 300
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContractError):
+                vit.load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+
+    @pytest.mark.parametrize("changes,count", HUGE_HEADERS.values(), ids=HUGE_HEADERS.keys())
+    def test_huge_header_exits_1_from_the_cli(self, tmp_path, capsys, changes, count):
+        path = self.huge_header(tmp_path, changes, count)
+        image = tmp_path / "image.ppm"
+        netpbm.write_ppm(image, np.zeros((3, 6, 6), dtype=np.uint8))
+        rc = cli.main(["seeds", "--checkpoint", str(path), "--image", str(image),
+                       "--class", "0", "--out", str(tmp_path / "maps")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("attnreg: error:")
+        assert not (tmp_path / "maps").exists()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_payload_is_a_contract_error(self, tmp_path, value):
