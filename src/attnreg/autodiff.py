@@ -7,17 +7,18 @@ records every operation executed while it is active (entered with
 accumulate adjoints. One tape per training step; with no active tape
 every op is a plain forward computation, which is what inference uses.
 
-The 19 ops: add, mul; matmul and the fused linear, attention_scores and
+The 18 ops: add, mul; matmul and the fused linear, attention_scores and
 attend; gelu, layer_norm, softmax_rows, sum_rows, scale_rows_to_sums and
 mean; the losses mean_distance (l1, l2 or smooth-l1) and
-bce_with_logits; and reshape, concat, slice2d, pick and permute_rc.
+bce_with_logits; and reshape, concat, index (numpy basic indexing) and
+permute_rc.
 
 Conventions:
 
 * float64 everywhere, row-major (C-order) storage;
 * a "scalar" is a tensor with exactly one element (usually shape ());
-* matrix ops (matmul, layer_norm, softmax_rows, slice2d, concat,
-  sum_rows, scale_rows_to_sums, permute_rc) act on the last two axes and
+* matrix ops (matmul, layer_norm, softmax_rows, concat, sum_rows,
+  scale_rows_to_sums, permute_rc) act on the last two axes and
   accept leading batch axes, e.g. (views, tokens, dim) or (views, heads,
   tokens, tokens); permute_rc takes one row and one column index per
   batch entry. A parameter without those axes (a weight, a bias, the
@@ -758,48 +759,32 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     return _apply("concat", parts, out, bw)
 
 
-def slice2d(x, row_start=None, row_stop=None, col_start=None, col_stop=None) -> Tensor:
-    """Rows and columns of the last two axes; leading axes are kept."""
+def index(x, key) -> Tensor:
+    """numpy basic indexing, x[key]: an element of a 1-d tensor (a
+    scalar), a run of views of a stack, a block of the last two axes
+    (np.s_[..., 1:, 1:]). The gradient is zero off the selection. The key
+    is an int (not a bool), a slice, Ellipsis or a tuple of these: an
+    advanced index could repeat an entry, and the backward's assignment
+    would then drop gradient."""
     x = _as_tensor(x)
-    if x.ndim < 2:
-        raise DimensionError(f"slice2d: needs at least 2 dims, got shape {x.shape}")
-    rs = slice(row_start, row_stop)
-    cs = slice(col_start, col_stop)
-    out = x.data[..., rs, cs]
+    for part in key if isinstance(key, tuple) else (key,):
+        if isinstance(part, bool) or not isinstance(part, (int, np.integer, slice, type(...))):
+            raise ContractError(f"index: key entries must be ints, slices or Ellipsis, "
+                                f"got {type(part).__name__}")
+    try:
+        out = x.data[key]
+    except (IndexError, TypeError, ValueError) as exc:  # out of range, a bad slice
+        raise ContractError(f"index: {exc} (shape {x.shape})") from None
     if out.size == 0:
-        raise DimensionError(f"slice2d: empty slice of {x.shape}")
+        raise DimensionError(f"index: {key} selects nothing of {x.shape}")
     shape = x.shape
 
     def bw(g: Array):
         gx = np.zeros(shape)
-        gx[..., rs, cs] = g
+        gx[key] = g
         return (gx,)
 
-    return _apply("slice2d", (x,), np.ascontiguousarray(out), bw)
-
-
-def pick(x, index) -> Tensor:
-    """Entry `index` of the first axis: an element of a 1-d tensor (a
-    scalar), or one view of a stack. A slice picks a run of entries (the
-    plain views of a two-view stack)."""
-    x = _as_tensor(x)
-    if x.ndim < 1:
-        raise DimensionError(f"pick: needs at least 1 dim, got shape {x.shape}")
-    if isinstance(index, slice):
-        if not range(*index.indices(x.shape[0])):
-            raise ContractError(f"pick: {index} selects nothing of length {x.shape[0]}")
-    else:
-        index = int(index)
-        if not 0 <= index < x.shape[0]:
-            raise ContractError(f"pick: index {index} out of range for length {x.shape[0]}")
-    shape = x.shape
-
-    def bw(g: Array):
-        gx = np.zeros(shape)
-        gx[index] = g
-        return (gx,)
-
-    return _apply("pick", (x,), np.asarray(x.data[index]), bw)
+    return _apply("index", (x,), np.asarray(out), bw)
 
 
 def permute_rc(x, row_index, col_index) -> Tensor:

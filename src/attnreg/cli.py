@@ -51,14 +51,15 @@ def _emit(payload, pretty: bool) -> None:
     print(json.dumps(payload, indent=2 if pretty else None, sort_keys=True))
 
 
-def _load_train_config(path: str | None) -> tr.TrainConfig:
-    if path is None:
-        return tr.TrainConfig()
+def _load_train_config(path: str | None, overrides: dict[str, str] | None = None
+                       ) -> tr.TrainConfig:
+    """The config file at `path` (None: no file, every key at its default)
+    with each key in `overrides` set from its text."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = "" if path is None else Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ContractError(f"{path}: not a UTF-8 config file: {exc}") from exc
-    return tr.parse_train_config(text)
+    return tr.parse_train_config(text, overrides)
 
 
 # attnreg train's flags, each setting the config key it names
@@ -68,10 +69,12 @@ _TRAIN_FLAGS = {"alpha": "weights.alpha", "beta": "weights.beta",
 
 
 def _train_config(args) -> tr.TrainConfig:
-    """The --config file's TrainConfig with train's flags applied."""
-    settings = {key: getattr(args, flag) for flag, key in _TRAIN_FLAGS.items()
-                if getattr(args, flag) is not None}
-    return tr.override_train_config(_load_train_config(args.config), settings)
+    """The --config file's TrainConfig with train's flags applied, built
+    once from the merged values: a flag that raises the file's epochs can
+    lift a refusal the file alone would meet."""
+    flags = {key: getattr(args, flag) for flag, key in _TRAIN_FLAGS.items()
+             if getattr(args, flag) is not None}
+    return _load_train_config(args.config, flags)
 
 
 # -- subcommand bodies ---------------------------------------------------------
@@ -121,7 +124,7 @@ def _cmd_seeds(args) -> int:
     image = raw.astype(np.float64) / 255.0
     # a one-image stack through evaluation's path, on the image's own grid
     rows, blocks = tr.adjoint_rows(image[None], [[args.class_index]], params, cfg)
-    grid = tr._image_grid(image, cfg)
+    grid = vit.image_grid(image, cfg)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

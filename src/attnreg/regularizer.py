@@ -100,18 +100,15 @@ def _check_layers(a_layers: Sequence[Tensor], back_layers: Sequence[Tensor]) -> 
 
 
 def _block_loss(a_layers: Sequence[Tensor], back: InvertedLayers, distance: str,
-                r0: int, c0: int) -> Tensor:
-    """Mean distance between a block of A and the same block of inv(A'),
-    averaged over layers. (r0, c0) selects the block corner: (0, 1) =
-    class-to-patch row, (1, 1) = patch block."""
+                key: tuple) -> Tensor:
+    """Mean distance between the block `key` of A and the same block of
+    inv(A'), averaged over layers."""
     if not isinstance(back, InvertedLayers):
         raise ContractError("invert A′ with invert_layers first")
     layers = _check_layers(a_layers, back.layers)
     total = None
     for a, b in zip(a_layers, back.layers):
-        lhs = ad.slice2d(a, r0, 1 if r0 == 0 else None, c0, None)
-        rhs = ad.slice2d(b, r0, 1 if r0 == 0 else None, c0, None)
-        term = ad.mean_distance(lhs, rhs, distance)
+        term = ad.mean_distance(ad.index(a, key), ad.index(b, key), distance)
         total = term if total is None else ad.add(total, term)
     return total if layers == 1 else ad.mul(total, 1.0 / layers)
 
@@ -121,7 +118,7 @@ def region_activation_loss(a_layers: Sequence[Tensor], back: InvertedLayers,
     """Consistency of the class token's attention over patches: compares
     A[0, 1:] against inv(A')[0, 1:] per layer. For stacks the loss is the
     mean over samples."""
-    return _block_loss(a_layers, back, distance, 0, 1)
+    return _block_loss(a_layers, back, distance, np.s_[..., 0:1, 1:])
 
 
 def region_affinity_loss(a_layers: Sequence[Tensor], back: InvertedLayers,
@@ -129,7 +126,7 @@ def region_affinity_loss(a_layers: Sequence[Tensor], back: InvertedLayers,
     """Consistency of patch-to-patch affinities: compares A[1:, 1:]
     against inv(A')[1:, 1:] per layer. For stacks the loss is the mean
     over samples."""
-    return _block_loss(a_layers, back, distance, 1, 1)
+    return _block_loss(a_layers, back, distance, np.s_[..., 1:, 1:])
 
 
 def classification_loss(logits: Tensor, logits_prime: Tensor, targets) -> Tensor:

@@ -116,6 +116,9 @@ class TrainConfig:
         if self.eval_every > 0 and self.holdout_fraction == 0.0:
             raise ContractError("eval_every > 0 needs holdout_fraction > 0: there is no "
                                 "held-out data to score")
+        if self.eval_every > self.epochs:
+            raise ContractError(f"eval_every {self.eval_every} > epochs {self.epochs}: the "
+                                "held-out samples would leave training and never be scored")
         for name in ("loss_layers", "map_layers"):
             if (layer_range := getattr(self, name)) is not None:
                 try:
@@ -217,20 +220,12 @@ def _read_value(key: str, text: str, where: str):
         raise ContractError(f"{where}: bad value {text!r} for {key}: {exc}") from exc
 
 
-def _with_values(config: TrainConfig, values: dict) -> TrainConfig:
-    """`config` with the field of each config key in `values` replaced."""
-    fields: dict[str, dict] = {"vit": {}, "weights": {}, "": {}}
-    for key, value in values.items():
-        group, _, name = key.rpartition(".")
-        fields[group][name] = value
-    return replace(config, vit=replace(config.vit, **fields["vit"]),
-                   weights=replace(config.weights, **fields["weights"]), **fields[""])
-
-
-def parse_train_config(text: str) -> TrainConfig:
+def parse_train_config(text: str, overrides: dict[str, str] | None = None) -> TrainConfig:
     """Parse `key = value` lines (# comments, blank lines ignored, keys in
     any case, a repeated key overrides). Unknown keys are rejected so typos
-    cannot silently fall back to defaults."""
+    cannot silently fall back to defaults. Each config key in `overrides`
+    is then set from its text, as a last line `key = text` would set it;
+    the one TrainConfig is built, and validated, from the merged values."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -240,14 +235,15 @@ def parse_train_config(text: str) -> TrainConfig:
             raise ContractError(f"config line {lineno}: expected key = value, got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
         values[key.lower()] = _read_value(key.lower(), value, f"config line {lineno}")
-    return _with_values(TrainConfig(), values)
-
-
-def override_train_config(config: TrainConfig, settings: dict[str, str]) -> TrainConfig:
-    """`config` with each config key in `settings` set from its text, as
-    the line `key = text` sets it in a config file."""
-    return _with_values(config, {key: _read_value(key, text, "override")
-                                 for key, text in settings.items()})
+    for key, text in (overrides or {}).items():
+        values[key] = _read_value(key, text, "override")
+    # a dotted key sets a field of TrainConfig.vit or .weights
+    fields: dict[str, dict] = {"vit": {}, "weights": {}, "": {}}
+    for key, value in values.items():
+        group, _, name = key.rpartition(".")
+        fields[group][name] = value
+    return TrainConfig(vit=ViTConfig(**fields["vit"]), weights=LossWeights(**fields["weights"]),
+                       **fields[""])
 
 
 def format_train_config(config: TrainConfig) -> str:
@@ -301,11 +297,6 @@ def _tape_bytes_per_image(cfg: ViTConfig, grid: GridShape | None = None) -> int:
     return 8 * (attention + rows * (6 * d + 2 * f) + 3 * t * d + 2 * d)
 
 
-def _image_grid(image: np.ndarray, cfg: ViTConfig) -> GridShape:
-    """Patch grid of a (..., C, H, W) image."""
-    return GridShape(*(d // cfg.patch_size for d in image.shape[-2:]))
-
-
 def _budgeted_runs(items: list, key, item_bytes):
     """Yield `items` grouped by key(item), in order of first appearance,
     and each group cut into runs of at most TAPE_BYTE_BUDGET forward bytes
@@ -353,7 +344,7 @@ def _chunks(pairs: list[_TwoViews], cfg: ViTConfig):
                 p.transform.kind is TransformKind.RESIZE)
 
     def pair_bytes(p: _TwoViews) -> int:
-        return sum(_tape_bytes_per_image(cfg, _image_grid(image, cfg))
+        return sum(_tape_bytes_per_image(cfg, vit.image_grid(image, cfg))
                    for image in (p.sample.image, p.view))
 
     return _budgeted_runs(pairs, key, pair_bytes)
@@ -383,8 +374,8 @@ def _chunk_loss(chunk: list[_TwoViews], params: dict[str, Tensor], config: Train
     # per view: logits, loss-layer attention tensors, every layer's attention values
     if views.shape == images.shape:
         res = vit.forward(np.concatenate([images, views]), params, cfg)
-        sides = [(ad.pick(res.logits, half),
-                  [ad.pick(r.matrix, half) for r in res.attentions[lo:hi]] if consistency else [],
+        sides = [(ad.index(res.logits, half),
+                  [ad.index(r.matrix, half) for r in res.attentions[lo:hi]] if consistency else [],
                   [r.matrix.data[half] for r in res.attentions])
                  for half in (slice(0, k), slice(k, 2 * k))]
     else:
@@ -447,10 +438,6 @@ def train(config: TrainConfig, samples: list[sd.SyntheticSample],
         raise ContractError("training needs a nonempty dataset")
     if any(s.labels.shape != (config.vit.num_classes,) for s in samples):
         raise ContractError("sample labels do not match vit.num_classes")
-    # checked here, not in TrainConfig: a CLI flag may raise a file's epochs
-    if config.holdout_fraction > 0.0 and config.eval_every > config.epochs:
-        raise ContractError(f"eval_every {config.eval_every} > epochs {config.epochs}: the "
-                            "held-out samples would leave training and never be scored")
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:  # fail on a bad out_dir before any training
         out_path.mkdir(parents=True, exist_ok=True)
@@ -622,7 +609,7 @@ def evaluate(params: dict[str, Tensor], cfg: ViTConfig,
                 mt.add_seeds(hist, grid, gt)
             continue
         images = np.stack([s.image for s in stack])
-        if (image_grid := _image_grid(images, cfg)) != cfg.grid:
+        if (image_grid := vit.image_grid(images, cfg)) != cfg.grid:
             raise DimensionError(f"image grid {image_grid} does not match the model's "
                                  f"grid {cfg.grid}")
         rows, blocks = adjoint_rows(images, classes, frozen, cfg)

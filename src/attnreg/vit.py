@@ -24,11 +24,11 @@ Around the layers: linear (patch embedding), concat (class token), add
 reshape.
 
 The last block narrows to the class row after its attention: its
-attend computes query row 0 only, and slice2d takes the residual's
-row 0 before the add, so wo, the residual add, the MLP, the final
-layer_norm and the head run on one row per view (13 nodes for that
-block, 3 after it). This is exact: the logits read only the class row,
-every op from attend's output on acts row by row, and row 0 of
+attend computes query row 0 only, and an index node takes the
+residual's row 0 before the add, so wo, the residual add, the MLP, the
+final layer_norm and the head run on one row per view (13 nodes for
+that block, 3 after it). This is exact: the logits read only the class
+row, every op from attend's output on acts row by row, and row 0 of
 attend's output reads attention row 0 against all value rows, which
 are still computed. The last block's scores, softmax and head average
 keep all n+1 rows, since the losses and the seed maps read that full
@@ -211,6 +211,11 @@ def init_params(config: ViTConfig, rng: np.random.Generator) -> dict[str, Tensor
     return params
 
 
+def image_grid(image: np.ndarray, config: ViTConfig) -> GridShape:
+    """Patch grid of a (..., C, H, W) image: whole patches along each side."""
+    return GridShape(*(d // config.patch_size for d in image.shape[-2:]))
+
+
 def _positional_rows(params: dict[str, Tensor], config: ViTConfig, grid: GridShape) -> Tensor:
     """Positional embedding rows for `grid`: the configured rows, or, when
     the view's grid differs (resize augmentation), their bilinear
@@ -233,7 +238,7 @@ def forward(images: np.ndarray, params: dict[str, Tensor], config: ViTConfig) ->
     if images.ndim not in (3, 4) or images.shape[-3] != config.in_channels:
         raise DimensionError(f"expected a ({config.in_channels}, H, W) image or a stack of "
                              f"them, got {images.shape}")
-    grid = GridShape(images.shape[-2] // config.patch_size, images.shape[-1] // config.patch_size)
+    grid = image_grid(images, config)
     patches = Tensor(patchify(images, config.patch_size))
 
     def linear(x: Tensor, name: str, bias: str) -> Tensor:
@@ -262,7 +267,7 @@ def forward(images: np.ndarray, params: dict[str, Tensor], config: ViTConfig) ->
         merged = ad.attend(per_head, h, params[p + "attn.wv"], params[p + "attn.bv"],
                            rows=1 if last else None)
         if last:
-            x = ad.slice2d(x, 0, 1, None, None)
+            x = ad.index(x, np.s_[..., 0:1, :])
         x = ad.add(x, linear(merged, p + "attn.wo", p + "attn.bo"))
         h2 = ad.layer_norm(x, params[p + "ln2.gain"], params[p + "ln2.bias"])
         m = linear(ad.gelu(linear(h2, p + "mlp.w1", p + "mlp.b1")), p + "mlp.w2", p + "mlp.b2")
@@ -279,7 +284,7 @@ def class_logit(result: ForwardResult, class_index: int) -> Tensor:
     single-image result (a stacked result has one logits row per view)."""
     if result.logits.ndim != 1:
         raise DimensionError(f"class_logit needs 1-d logits, got shape {result.logits.shape}")
-    return ad.pick(result.logits, class_index)
+    return ad.index(result.logits, class_index)
 
 
 def attention_adjoints(result: ForwardResult) -> list[np.ndarray]:
@@ -350,8 +355,12 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], ViTConfig]:
         raise ContractError(f"{path}: not a checkpoint (bad magic)")
     if (version := u32()) != CHECKPOINT_VERSION:
         raise ContractError(f"{path}: unsupported checkpoint version {version}")
+    blob = take(u32())
     try:
-        config = ViTConfig.from_dict(json.loads(take(u32()).decode("utf-8")))
+        config = ViTConfig.from_dict(json.loads(blob.decode("utf-8")))
+    except (ValueError, TypeError, KeyError, ContractError) as exc:  # a header the model refuses
+        raise ContractError(f"{path}: malformed checkpoint: {exc}") from exc
+    try:
         # the payload size from the shape table alone: a header declaring a
         # huge model is refused before anything of its size is built
         before, block, after = _shape_table(config)

@@ -68,7 +68,7 @@ def full_row_forward(images, params, config):
         hidden = ad.gelu(ad.linear(h2, params[p + "mlp.w1"], params[p + "mlp.b1"]))
         x = ad.add(x, ad.linear(hidden, params[p + "mlp.w2"], params[p + "mlp.b2"]))
     x = ad.layer_norm(x, params["final_ln.gain"], params["final_ln.bias"])
-    cls = ad.slice2d(x, 0, 1, None, None)
+    cls = ad.index(x, np.s_[..., 0:1, :])
     logits = ad.reshape(ad.linear(cls, params["head.weight"], params["head.bias"]),
                         images.shape[:-3] + (config.num_classes,))
     return vit.ForwardResult(logits=logits, attentions=records, grid=grid)

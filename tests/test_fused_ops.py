@@ -3,7 +3,7 @@
 Each op is checked three ways: central differences with respect to every
 input, on a single (m, d) token matrix and on a (V, m, d) stack, with one
 and with two heads; its value and every input gradient against the chain
-of primitive ops it fuses (matmul, add, transpose, slice2d, concat,
+of primitive ops it fuses (matmul, add, transpose, index, concat,
 reshape), to 1e-12; and its shape contract. A pin on the node mix of the
 forward built from them closes the file.
 """
@@ -65,7 +65,7 @@ def transpose(x):
 
 def head_cols(x, j, heads):
     k = x.shape[-1] // heads
-    return ad.slice2d(x, None, None, j * k, (j + 1) * k)
+    return ad.index(x, np.s_[..., j * k:(j + 1) * k])
 
 
 def chained(op, heads):
@@ -84,7 +84,7 @@ def chained(op, heads):
     def attend(probs, h, wv, bv):
         v = affine(h, wv, bv)
         rows = ad.reshape(probs, probs.shape[:-3] + (heads * M, M))
-        outs = [ad.matmul(ad.slice2d(rows, j * M, (j + 1) * M, None, None),
+        outs = [ad.matmul(ad.index(rows, np.s_[..., j * M:(j + 1) * M, :]),
                           head_cols(v, j, heads)) for j in range(heads)]
         return outs[0] if heads == 1 else ad.concat(outs, axis=1)
 

@@ -254,15 +254,15 @@ def resize_attention_chain(a_prime, source, target):
     the target row sums assembled the same way (17 tape nodes)."""
     w = np.kron(gt.bilinear_matrix(source.h, target.h), gt.bilinear_matrix(source.w, target.w))
     wq, wq_t = Tensor(w), Tensor(w.T)
-    corner = ad.slice2d(a_prime, 0, 1, 0, 1)
-    cls_row = ad.matmul(ad.slice2d(a_prime, 0, 1, 1, None), wq_t)
-    cls_col = ad.matmul(wq, ad.slice2d(a_prime, 1, None, 0, 1))
-    block = ad.matmul(ad.matmul(wq, ad.slice2d(a_prime, 1, None, 1, None)), wq_t)
+    corner = ad.index(a_prime, np.s_[..., 0:1, 0:1])
+    cls_row = ad.matmul(ad.index(a_prime, np.s_[..., 0:1, 1:]), wq_t)
+    cls_col = ad.matmul(wq, ad.index(a_prime, np.s_[..., 1:, 0:1]))
+    block = ad.matmul(ad.matmul(wq, ad.index(a_prime, np.s_[..., 1:, 1:])), wq_t)
     assembled = ad.concat([ad.concat([corner, cls_row], axis=1),
                            ad.concat([cls_col, block], axis=1)], axis=0)
     src_sums = ad.sum_rows(a_prime)
-    patch_sums = ad.matmul(wq, ad.slice2d(src_sums, 1, None, None, None))
-    target_sums = ad.concat([ad.slice2d(src_sums, 0, 1, None, None), patch_sums], axis=0)
+    patch_sums = ad.matmul(wq, ad.index(src_sums, np.s_[..., 1:, :]))
+    target_sums = ad.concat([ad.index(src_sums, np.s_[..., 0:1, :]), patch_sums], axis=0)
     return ad.scale_rows_to_sums(assembled, target_sums)
 
 

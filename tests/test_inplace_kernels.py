@@ -6,8 +6,13 @@ against copies of the plain expressions they replaced, which allocate a
 fresh array per step: the in-place forms keep each expression's
 operation order, so they must agree bit for bit. A second check seeds
 the backward of every op of the engine with a read-only adjoint, so a
-backward that writes into the adjoint it is given fails.
+backward that writes into the adjoint it is given fails. The op names
+come from the engine's source, so an op added without a case here or in
+test_autodiff's finite-difference cases fails too.
 """
+
+import inspect
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from scipy.special import erf
 
 from attnreg import autodiff as ad
 from attnreg.autodiff import Tape, Tensor
+from test_autodiff import _fd_cases, fd_probe
 
 LEADS = {"2d": (), "stacked": (2, 3)}
 M, K = 5, 7
@@ -139,9 +145,9 @@ def every_op():
         ("reshape", [r(2, 3, 4)], lambda t: ad.reshape(t, (6, 4))),
         ("concat", [r(1, 4), r(2, 3, 4)], lambda *t: ad.concat(t, axis=0)),
         ("concat", [r(2, 3, 2), r(2, 3, 4)], lambda *t: ad.concat(t, axis=1)),
-        ("slice2d", [r(2, 3, 4)], lambda t: ad.slice2d(t, 1, 3, 0, 2)),
-        ("pick", [r(2, 3, 4)], lambda t: ad.pick(t, 1)),
-        ("pick", [r(3, 3, 4)], lambda t: ad.pick(t, slice(0, 2))),
+        ("index", [r(2, 3, 4)], lambda t: ad.index(t, np.s_[..., 1:3, 0:2])),
+        ("index", [r(2, 3, 4)], lambda t: ad.index(t, 1)),
+        ("index", [r(3, 3, 4)], lambda t: ad.index(t, np.s_[0:2])),
         ("permute_rc", [r(2, 3, 4)],
          lambda t: ad.permute_rc(t, [[2, 0, 1], [0, 1, 2]], [[3, 1], [0, 2]])),
     ]
@@ -150,8 +156,24 @@ def every_op():
 OPS = every_op()
 
 
+def engine_ops() -> set[str]:
+    """Every op name the engine records: the names autodiff passes to _apply."""
+    return set(re.findall(r'_apply\("(\w+)"', inspect.getsource(ad)))
+
+
 def test_the_catalog_covers_every_op():
-    assert len({name for name, _, _ in OPS}) == 19
+    assert {name for name, _, _ in OPS} == engine_ops()
+
+
+def test_every_op_has_a_finite_difference_case():
+    """Criterion 05 iterates _fd_cases: every op must carry the probe's
+    gradient in at least one of them."""
+    checked = set()
+    for name, builder in _fd_cases():
+        with Tape() as tape:
+            builder(Tensor(fd_probe(name), requires_grad=True))
+        checked.update(node.op for node in tape.nodes if node.output.requires_grad)
+    assert engine_ops() <= checked
 
 
 @pytest.mark.parametrize("name,arrays,op", OPS, ids=[n for n, _, _ in OPS])

@@ -78,9 +78,10 @@ def reference_forward(image, params, config):
         v = affine(h, params[p + "attn.wv"], params[p + "attn.bv"])
         per_head, values = [], []
         for j in range(heads):
-            qj = ad.slice2d(q, None, None, j * dh, (j + 1) * dh)
-            kj = ad.slice2d(k, None, None, j * dh, (j + 1) * dh)
-            values.append(ad.slice2d(v, None, None, j * dh, (j + 1) * dh))
+            cols = np.s_[..., j * dh:(j + 1) * dh]
+            qj = ad.index(q, cols)
+            kj = ad.index(k, cols)
+            values.append(ad.index(v, cols))
             attn_j = ad.softmax_rows(ad.mul(ad.matmul(qj, transpose(kj)), scale))
             attn_j.retain_grad()
             per_head.append(attn_j)
@@ -100,7 +101,7 @@ def reference_forward(image, params, config):
         m = affine(m, params[p + "mlp.w2"], params[p + "mlp.b2"])
         x = ad.add(x, m)
     x = ad.layer_norm(x, params["final_ln.gain"], params["final_ln.bias"])
-    cls = ad.slice2d(x, 0, 1, None, None)
+    cls = ad.index(x, np.s_[..., 0:1, :])
     logits = ad.reshape(affine(cls, params["head.weight"], params["head.bias"]),
                         (config.num_classes,))
     return ReferenceResult(logits=logits, attentions=records, grid=grid)
@@ -341,9 +342,9 @@ def _batched_cases():
          lambda x: ad.mean(ad.mul(ad.concat([Tensor(np.ones((1, 4))), x], axis=0),
                                   ad.concat([Tensor(cls), ad.mul(x, x)], axis=0)))),
         ("slice2d_batched", (2, 3, 4),
-         lambda x: ad.mean(ad.mul(ad.slice2d(x, 0, 1, 1, None), ad.slice2d(x, 2, 3, 0, 3)))),
+         lambda x: ad.mean(ad.mul(ad.index(x, np.s_[..., 0:1, 1:]), ad.index(x, np.s_[..., 2:3, 0:3])))),
         ("pick_view", (2, 3, 4),
-         lambda x: ad.mean(ad.mul(ad.pick(x, 1), Tensor(table)))),
+         lambda x: ad.mean(ad.mul(ad.index(x, 1), Tensor(table)))),
         ("mean_head_axis", (2, 3, 3, 4),
          lambda x: ad.mean(ad.mul(ad.mean(x, axis=-3), Tensor(other4)))),
         ("permute_rc_per_entry", (2, 3, 4),

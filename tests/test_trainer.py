@@ -200,8 +200,8 @@ class TestTraining:
     def test_holdout_never_scored_is_refused(self, tmp_path):
         """eval_every beyond the last epoch would hold samples out of
         training without ever scoring them."""
-        cfg = tiny_train_config(epochs=1, eval_every=2, holdout_fraction=0.25)
         with pytest.raises(ContractError, match="eval_every 2 > epochs 1"):
+            cfg = tiny_train_config(epochs=1, eval_every=2, holdout_fraction=0.25)
             tr.train(cfg, tiny_data(8), out_dir=tmp_path / "run")
         assert not (tmp_path / "run").exists()
 

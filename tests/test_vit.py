@@ -284,7 +284,8 @@ class TestCheckpoint:
                     "many_tensors": ({}, 2 ** 32 - 1),
                     # negative widths would make the declared payload negative
                     "negative_width": ({"embed_dim": -8, "mlp_ratio": -2.0,
-                                        "num_layers": 10 ** 9}, 1)}
+                                        "num_layers": 10 ** 9}, 1),
+                    "zero_grid": ({"grid": [0, 8]}, 1)}
 
     def huge_header(self, tmp_path, changes, count):
         config = tiny_config().to_dict()
@@ -317,7 +318,9 @@ class TestCheckpoint:
         rc = cli.main(["seeds", "--checkpoint", str(path), "--image", str(image),
                        "--class", "0", "--out", str(tmp_path / "maps")])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("attnreg: error:")
+        err = capsys.readouterr().err
+        assert err.startswith("attnreg: error:")
+        assert str(path) in err  # every refusal names the file
         assert not (tmp_path / "maps").exists()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
