@@ -638,7 +638,8 @@ def sum_rows(x) -> Tensor:
 
 def mean(x, axis: int | None = None) -> Tensor:
     """Mean of all elements (a scalar), or over one axis, which is dropped
-    (the head average of a (..., heads, m, m) attention stack)."""
+    (the head average of a (..., heads, m, m) attention stack): the
+    axis_sum of its slices, then one divide."""
     x = _as_tensor(x)
     shape = x.shape
     if axis is None:
@@ -651,11 +652,29 @@ def mean(x, axis: int | None = None) -> Tensor:
     if not -x.ndim <= axis < x.ndim:
         raise DimensionError(f"mean: axis {axis} out of range for shape {shape}")
     k = shape[axis]
+    if k == 0:
+        raise DimensionError(f"mean: axis {axis} of shape {shape} is empty")
 
     def bw_axis(g: Array):
         return (np.broadcast_to(np.expand_dims(g / k, axis), shape),)
 
-    return _apply("mean", (x,), x.data.mean(axis=axis), bw_axis)
+    out = axis_sum(x.data, axis)
+    out /= k
+    return _apply("mean", (x,), out, bw_axis)
+
+
+def axis_sum(a: Array, axis: int) -> Array:
+    """A fresh array: ``a`` summed over one nonempty axis by adding its
+    slices in index order, in place after the first sum. That is the
+    order of numpy's reduce over an axis other than the innermost, so
+    there the result is bit-identical to ``a.sum(axis)``, without the
+    strided reduce's cost on a small head axis."""
+    lead = (slice(None),) * (axis % a.ndim)
+    parts = [a[lead + (i,)] for i in range(a.shape[axis])]
+    total = parts[0] + parts[1] if len(parts) > 1 else parts[0].copy()
+    for part in parts[2:]:
+        total += part
+    return total
 
 
 # (elements, slope) of each distance as functions of d = a - b: the

@@ -16,8 +16,11 @@ t; otherwise it takes the argmax class, which does not depend on t. So
 each pixel is binned once by (number of thresholds <= its max, truth,
 argmax label); cumulative sums over the bins give every threshold's
 confusion matrix. The sweep has two halves: :func:`add_seeds` bins
-images into a leveled :class:`ConfusionAccumulator` as they come, and
-:func:`best_threshold` picks the threshold from it once all are in.
+images into a leveled :class:`ConfusionAccumulator` as they come, one
+integer code per patch cell, upsampled once, and :func:`best_threshold`
+picks the threshold from it once all are in, scoring every threshold
+from one (thresholds, K, K) table and running :func:`scores` only at
+the winner.
 """
 
 from __future__ import annotations
@@ -56,18 +59,24 @@ class ConfusionAccumulator:
         self.num_classes = num_classes
         self.counts = np.zeros((levels, num_classes, num_classes), dtype=np.int64)
 
-    def add(self, pred: np.ndarray, gt: np.ndarray, level=0) -> None:
+    def add(self, pred: np.ndarray, gt: np.ndarray, level=0, upsample: bool = False) -> None:
         """Count pixel pairs; ``level`` is an int or an int array shaped
-        like ``pred``."""
+        like ``pred``. With ``upsample``, ``pred`` and ``level`` are
+        (..., h, w) patch-cell arrays, upsampled nearest-neighbor to gt's
+        (..., H, W). Each cell's (level, pred) is coded as one integer, so
+        one upsample and one bincount count the pixels."""
         pred, gt, level = (np.asarray(a, dtype=np.int64) for a in (pred, gt, level))
-        if pred.shape != gt.shape:
-            raise DimensionError(f"pred shape {pred.shape} != gt shape {gt.shape}")
         k = self.num_classes
         for name, labels, top in (("pred", pred, k), ("gt", gt, k),
                                   ("level", level, len(self.counts))):
             if labels.size and (labels.min() < 0 or labels.max() >= top):
                 raise ContractError(f"{name} labels outside 0..{top - 1}")
-        code = (level * k + gt) * k + pred
+        code = level * (k * k) + pred
+        if upsample:
+            code = upsample_nearest(code, *gt.shape[-2:])
+        if code.shape != gt.shape:
+            raise DimensionError(f"pred shape {code.shape} != gt shape {gt.shape}")
+        code += gt * k
         self.counts += np.bincount(code.ravel(), minlength=self.counts.size
                                    ).reshape(self.counts.shape)
 
@@ -125,25 +134,32 @@ def add_seeds(hist: ConfusionAccumulator, grid: np.ndarray, gt: np.ndarray,
     if labels is None:
         hist.add(np.zeros_like(gt), gt)
         return
-    h, w = gt.shape[-2:]
-    level = np.searchsorted(grid, peak, side="right")
-    hist.add(upsample_nearest(labels, h, w), gt, upsample_nearest(level, h, w))
+    hist.add(labels, gt, np.searchsorted(grid, peak, side="right"), upsample=True)
 
 
 def best_threshold(hist: ConfusionAccumulator, grid: np.ndarray) -> dict:
     """The threshold of the grid with the best mIoU (ties go to the
     smaller threshold) and its miou, fp_rate, fn_rate and per_class_iou,
-    read from a histogram filled by add_seeds. No pixels -> all None."""
-    best_theta, best, best_matrix = None, None, None
+    read from a histogram filled by add_seeds. No pixels -> all None.
+
+    Every threshold's confusion matrix comes from one cumulative sum, as
+    a (T, K, K) table, and so does its per-class IoU; its mIoU is the
+    np.mean over its present classes that :func:`scores` takes, so the
+    values are scores()'s bit for bit. scores() runs once, at the winner."""
     below = np.cumsum(hist.counts, axis=0)   # [i]: background at grid[i]
-    for theta, background in zip(grid.tolist(), below):
-        matrix = below[-1] - background
-        matrix[:, 0] += background.sum(axis=1)
-        score = scores(matrix)["miou"]
-        if score is not None and (best is None or score > best):
-            best_theta, best, best_matrix = theta, score, matrix
-    at_best = scores(best_matrix) if best_matrix is not None else {}
-    return {"threshold": best_theta, "miou": best,
+    matrices = below[-1] - below[:len(grid)]
+    matrices[:, :, 0] += below[:len(grid)].sum(axis=2)
+    inter = np.diagonal(matrices, axis1=1, axis2=2)
+    union = matrices.sum(axis=1) + matrices.sum(axis=2) - inter
+    present = union > 0
+    iou = inter / np.where(present, union, 1)
+    best_i, best = None, None
+    for i in np.flatnonzero(present.any(axis=1)).tolist():
+        score = float(np.mean(iou[i][present[i]]))
+        if best is None or score > best:
+            best_i, best = i, score
+    at_best = scores(matrices[best_i]) if best_i is not None else {}
+    return {"threshold": None if best_i is None else float(grid[best_i]), "miou": best,
             **{key: at_best.get(key) for key in ("fp_rate", "fn_rate", "per_class_iou")}}
 
 

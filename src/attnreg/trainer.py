@@ -555,8 +555,8 @@ def adjoint_rows(images: np.ndarray, classes, params: dict[str, Tensor], cfg: Vi
         seed = np.zeros(res.logits.shape)
         seed[views, classes[:, r]] = 1.0
         tape.backward(res.logits, seed=seed)
-        for i, adjoint in enumerate(vit.attention_adjoints(res)):
-            rows[:, r, i] = adjoint[:, 0, 1:]
+        for i, adjoint in enumerate(vit.attention_adjoints(res, row=0)):
+            rows[:, r, i] = adjoint[:, 1:]
     blocks = np.stack([rec.matrix.data[:, 1:, 1:] for rec in res.attentions], axis=1)
     return rows, blocks
 

@@ -138,7 +138,7 @@ class AttentionRecord:
     @property
     def adjoint(self) -> np.ndarray | None:
         grad = self.heads.grad
-        return None if grad is None else grad.sum(axis=-3)
+        return None if grad is None else ad.axis_sum(grad, -3)
 
 
 @dataclass
@@ -287,19 +287,23 @@ def class_logit(result: ForwardResult, class_index: int) -> Tensor:
     return ad.index(result.logits, class_index)
 
 
-def attention_adjoints(result: ForwardResult) -> list[np.ndarray]:
+def attention_adjoints(result: ForwardResult, row: int | None = None) -> list[np.ndarray]:
     """Each layer's ``adjoint``, (..., n+1, n+1) with the result's view
     axis if it has one: the gradient of whatever the last backward on the
     result's tape swept from -- a class logit, or the logits seeded with
-    one-hot rows (one class per view) -- summed over the head axis. Each
-    is a fresh array. Raises StateError before any backward."""
+    one-hot rows (one class per view) -- summed over the head axis. With
+    ``row``, only that row of each, (..., n+1), and only it is summed:
+    row 0, the class token's, is all that localization reads. Each is a
+    fresh array, bit-identical to the same entries of the full sum.
+    Raises StateError before any backward."""
     adjoints = []
     for rec in result.attentions:
-        adjoint = rec.adjoint  # a head sum: compute it once
-        if adjoint is None:
+        grad = rec.heads.grad
+        if grad is None:
             raise StateError(f"layer {rec.layer} has no adjoint; run backward on the "
                              "class logit before asking for adjoints")
-        adjoints.append(adjoint)
+        # a head sum: computed once, and over the one row when asked
+        adjoints.append(rec.adjoint if row is None else ad.axis_sum(grad[..., row, :], -2))
     return adjoints
 
 

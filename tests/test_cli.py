@@ -278,6 +278,30 @@ class TestEval:
         assert rc == 1
         assert "line 1" in err and "mask" in err
 
+    def test_mask_label_above_the_model_exits_1(self, trained_dir, dataset_dir, tmp_path,
+                                                capsys):
+        """A dataset of one class more than the model, where no image has
+        it present but a mask pixel holds it: the loader takes it, and
+        evaluation refuses the label the model cannot score."""
+        data = tmp_path / "ds"
+        shutil.copytree(dataset_dir, data)
+        meta = json.loads((data / "meta.json").read_text())
+        meta["num_classes"] += 1
+        (data / "meta.json").write_text(json.dumps(meta))
+        index = data / "index.jsonl"
+        records = [json.loads(line) for line in index.read_text().splitlines()]
+        index.write_text("".join(json.dumps({**rec, "labels": rec["labels"] + [0]}) + "\n"
+                                 for rec in records))
+        mask = netpbm.read_netpbm(data / "masks" / "00000.pgm")
+        mask[0, 0] = meta["num_classes"]
+        netpbm.write_pgm(data / "masks" / "00000.pgm", mask.astype(np.uint8))
+        assert synthdata.load_dataset(data)[0][0].mask[0, 0] == 3
+        rc = cli.main(["eval", "--checkpoint", str(trained_dir / "checkpoint.ckpt"),
+                       "--data", str(data)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.count("\n") == 1 and "attnreg: error: gt labels outside 0..2" in err
+
     @pytest.mark.parametrize("cut", ["short_index", "long_labels", "mask_is_a_directory",
                                      "huge_seed"])
     def test_malformed_dataset_exits_1(self, trained_dir, dataset_dir, tmp_path, capsys, cut):

@@ -199,6 +199,20 @@ class TestLocalizationData:
         with pytest.raises(ContractError):
             tr.evaluate(params, cfg, data)
 
+    @pytest.mark.parametrize("bad", ["above", "negative"])
+    @pytest.mark.parametrize("present", [True, False])
+    def test_mask_label_outside_the_model_is_a_contract_error(self, bad, present):
+        """A mask label of K = num_classes + 1 or -1 is refused, both where
+        the image's seeds are binned and where it is all background; it
+        is never counted in another level's or class's bin."""
+        params, cfg, data = trained(0)
+        sample = next(s for s in data if np.count_nonzero(s.labels))
+        if not present:
+            sample.labels = np.zeros_like(sample.labels)
+        sample.mask[0, 0] = cfg.num_classes + 1 if bad == "above" else -1
+        with pytest.raises(ContractError, match="gt labels outside"):
+            tr.evaluate(params, cfg, data)
+
     def test_one_forward_per_stack(self, monkeypatch):
         params, cfg, data = trained(0)
         calls = []

@@ -1,5 +1,5 @@
 """The kernels that compute in arrays they own: softmax_rows, layer_norm,
-gelu, mean over an axis and permute_rc.
+gelu, mean over an axis (and axis_sum, its head sum) and permute_rc.
 
 Their value and every input gradient are checked with np.array_equal
 against copies of the plain expressions they replaced, which allocate a
@@ -101,7 +101,27 @@ def case(name, lead, seed=0):
 @pytest.mark.parametrize("lead", LEADS.values(), ids=LEADS.keys())
 @pytest.mark.parametrize("name", ["softmax_rows", "layer_norm", "gelu", "mean", "permute_rc"])
 def test_value_and_every_gradient_match_the_reference(name, lead):
-    op, arrays, ref = case(name, lead)
+    check_against_reference(*case(name, lead))
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4, 8])  # 3: the "stacked" case
+def test_mean_over_each_head_count_matches_the_reference(heads):
+    """mean adds the head slices in order; numpy's reduce over that axis
+    does the same, whatever the count (1 head is a copy)."""
+    check_against_reference(*case("mean", (2, heads)))
+
+
+@pytest.mark.parametrize("heads", range(1, 9))
+@pytest.mark.parametrize("views", [1, 4])
+def test_axis_sum_of_a_head_stack_is_numpys_reduce(views, heads):
+    """At the size of an evaluation stack's (views, heads, n+1, n+1)
+    adjoints, and over the heads of one row, as attention_adjoints sums."""
+    x = np.random.default_rng(heads).normal(size=(views, heads, 65, 65))
+    assert np.array_equal(ad.axis_sum(x, -3), x.sum(axis=-3))
+    assert np.array_equal(ad.axis_sum(x[..., 0, :], -2), x.sum(axis=-3)[..., 0, :])
+
+
+def check_against_reference(op, arrays, ref):
     inputs = [Tensor(a, requires_grad=True) for a in arrays]
     with Tape() as tape:
         out = op(*inputs)

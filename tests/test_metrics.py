@@ -174,6 +174,98 @@ class TestBestThreshold:
         with pytest.raises(ContractError):
             metrics.best_threshold_miou([], [], 3, thresholds=[1.5])
 
+    @staticmethod
+    def scored_one_by_one(hist, grid):
+        """best_threshold spelled out: at threshold grid[i] the levels
+        0..i are background, and metrics.scores scores each matrix."""
+        best = None
+        for i, theta in enumerate(grid.tolist()):
+            matrix = hist.counts[i + 1:].sum(axis=0)
+            matrix[:, 0] += hist.counts[:i + 1].sum(axis=(0, 2))
+            found = metrics.scores(matrix)
+            if found["miou"] is not None and (best is None or found["miou"] > best["miou"]):
+                best = {"threshold": theta, **found}
+        keys = ("threshold", "miou", "fp_rate", "fn_rate", "per_class_iou")
+        return dict.fromkeys(keys) if best is None else {key: best[key] for key in keys}
+
+    def check_one_by_one(self, counts, grid):
+        hist = metrics.ConfusionAccumulator(counts.shape[1], levels=len(counts))
+        hist.counts += counts
+        grid = metrics.threshold_grid(grid)
+        found = metrics.best_threshold(hist, grid)
+        expected = self.scored_one_by_one(hist, grid)
+        assert found == expected
+        assert repr(found) == repr(expected)   # same types and bits, None for None
+        return found
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 12])
+    def test_matches_scores_per_threshold(self, k):
+        rng = np.random.default_rng(k)
+        for grid in (None, [0.5], [0.7, 0.1, 0.3]):
+            levels = len(metrics.threshold_grid(grid)) + 1
+            for _ in range(10):
+                counts = rng.integers(0, 6, size=(levels, k, k))
+                counts[rng.random(counts.shape) < 0.6] = 0
+                self.check_one_by_one(counts, grid)
+
+    def test_ties_go_to_the_smaller_threshold(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            counts = np.zeros((20, 3, 3), dtype=np.int64)
+            # pixels only on a few levels: the thresholds between them tie
+            counts[rng.choice(20, 3, replace=False)] = rng.integers(0, 4, size=(3, 3, 3))
+            found = self.check_one_by_one(counts, None)
+            if found["miou"] is not None:
+                assert found["threshold"] in metrics.DEFAULT_THRESHOLDS
+
+    @pytest.mark.parametrize("k", [4, 12])
+    def test_classes_absent_at_some_thresholds(self, k):
+        """Absent classes drop out of the mean; at 12 classes numpy's
+        pairwise sum groups the present ones differently than it would
+        with zeros in their place."""
+        rng = np.random.default_rng(k)
+        for _ in range(30):
+            counts = rng.integers(0, 5, size=(20, k, k))
+            gone = rng.random(k) < 0.3    # never true nor predicted
+            counts[:, gone, :] = 0
+            counts[:, :, gone] = 0
+            late = rng.integers(1, k)     # never true, predicted at level 1 only
+            counts[:, late, :] = 0
+            counts[np.arange(20) != 1, :, late] = 0
+            counts[:, 0, :] = 0           # background is never true and, below
+            counts[:rng.integers(0, 4)] = 0  # some threshold, never predicted
+            found = self.check_one_by_one(counts, None)
+            if found["miou"] is not None:
+                assert all(found["per_class_iou"][c] is None for c in np.flatnonzero(gone))
+
+    def test_empty_histogram(self):
+        for grid in (None, [0.4]):
+            levels = len(metrics.threshold_grid(grid)) + 1
+            found = self.check_one_by_one(np.zeros((levels, 3, 3), dtype=np.int64), grid)
+            assert found == dict.fromkeys(found)
+
+    def test_one_threshold_grid(self):
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            found = self.check_one_by_one(rng.integers(0, 5, size=(2, 3, 3)), [0.25])
+            assert found["threshold"] == 0.25
+
+    def test_add_seeds_refuses_labels_outside_the_classes(self):
+        grid = metrics.threshold_grid(None)
+        hist = metrics.ConfusionAccumulator(3, levels=len(grid) + 1)
+        labels, peak = np.ones((2, 2), dtype=np.int64), np.full((2, 2), 0.5)
+        for bad in (3, -1):
+            gt = np.zeros((4, 4), dtype=np.int64)
+            gt[1, 2] = bad
+            with pytest.raises(ContractError, match="gt labels"):
+                metrics.add_seeds(hist, grid, gt, labels, peak)
+            with pytest.raises(ContractError, match="pred labels"):
+                metrics.add_seeds(hist, grid, np.zeros((4, 4)), labels + bad - 1, peak)
+        with pytest.raises(DimensionError):
+            metrics.add_seeds(hist, grid, np.zeros((2, 4, 4)), np.ones((3, 2, 2)),
+                              np.full((3, 2, 2), 0.5))
+        assert not hist.counts.any()
+
     def test_default_grid_shape(self):
         grid_vals = metrics.DEFAULT_THRESHOLDS
         assert grid_vals[0] == 0.05 and grid_vals[-1] == 0.95

@@ -132,6 +132,33 @@ class TestAdjoints:
             assert adj.shape == (n + 1, n + 1)
             assert np.any(adj != 0.0)
 
+    def test_class_rows_are_row_0_of_the_full_adjoints(self):
+        """The row form sums the heads of one row only; it must give the
+        same bits as the full head sum, here on 3 heads and a stack of
+        views seeded with one-hot rows, as evaluation seeds them."""
+        cfg = tiny_config(embed_dim=12, num_heads=3, num_classes=3)
+        params = vit.init_params(cfg, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        with Tape() as tape:
+            res = vit.forward(np.stack([random_image(rng, cfg) for _ in range(4)]), params, cfg)
+        seed = np.zeros(res.logits.shape)
+        seed[np.arange(4), [0, 2, 1, 2]] = 1.0
+        tape.backward(res.logits, seed=seed)
+        full = vit.attention_adjoints(res)
+        rows = vit.attention_adjoints(res, row=0)
+        assert len(rows) == cfg.num_layers
+        for whole, row in zip(full, rows):
+            assert row.shape == (4, cfg.grid.n + 1)
+            assert np.array_equal(row, whole[:, 0, :])
+            assert np.any(row != 0.0)
+
+    def test_class_rows_require_backward(self):
+        cfg = tiny_config()
+        params = vit.init_params(cfg, np.random.default_rng(0))
+        res = vit.forward(random_image(np.random.default_rng(1), cfg), params, cfg)
+        with pytest.raises(StateError):
+            vit.attention_adjoints(res, row=0)
+
 
 class TestGradientFidelity:
     def test_class_logit_wrt_patch_embedding(self):
