@@ -7,10 +7,10 @@ records every operation executed while it is active (entered with
 accumulate adjoints. One tape per training step; with no active tape
 every op is a plain forward computation, which is what inference uses.
 
-The 18 ops: add, mul; matmul and the fused linear, attention_scores and
+The 17 ops: add, mul; matmul and the fused linear, attention_scores and
 attend; gelu, layer_norm, softmax_rows, sum_rows, scale_rows_to_sums and
 mean; the losses mean_distance (l1, l2 or smooth-l1) and
-bce_with_logits; and reshape, concat, index (numpy basic indexing) and
+bce_with_logits; and concat, index (numpy basic indexing) and
 permute_rc.
 
 Conventions:
@@ -222,9 +222,9 @@ class Tape:
             if t.grad is not None:
                 t.grad = t.grad + g
                 return
-            # copy only what may alias: the caller's seed, a view (a
-            # reshape's gradient, a concat piece), or an array stored
-            # already (add hands one adjoint to both operands)
+            # copy only what may alias: the caller's seed, a view (mean's
+            # broadcast, a concat piece), or an array stored already (add
+            # hands one adjoint to both operands)
             if (seed is not None and g is start) or g.base is not None or id(g) in stored:
                 g = g.copy()
             stored.add(id(g))
@@ -730,21 +730,6 @@ def bce_with_logits(logits, targets) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # shape surgery
-
-
-def reshape(x, shape) -> Tensor:
-    x = _as_tensor(x)
-    shape = tuple(int(s) for s in (shape if isinstance(shape, (tuple, list)) else (shape,)))
-    if int(np.prod(shape, dtype=np.int64)) != x.size and shape != ():
-        raise DimensionError(f"reshape: cannot view {x.shape} as {shape}")
-    if shape == () and x.size != 1:
-        raise DimensionError(f"reshape: cannot view {x.shape} as a scalar")
-    old = x.shape
-
-    def bw(g: Array):
-        return (g.reshape(old),)
-
-    return _apply("reshape", (x,), x.data.reshape(shape), bw)
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:

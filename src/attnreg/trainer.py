@@ -36,8 +36,8 @@ requires grad.
 Evaluation is one streaming pass over those stacks. Images are grouped
 by (image shape, mask shape, number of present classes) and each group
 is cut into stacks bounded by TAPE_BYTE_BUDGET, a fixed byte budget for
-the forward's tape worked out from the model config (tokens, width,
-layers, heads); the image grid must be the model's. Every reported cell
+the forward's tape, against the bytes a recorded forward of the model
+takes per image; the image grid must be the model's. Every reported cell
 -- unrefined, refined and each layer-sweep row -- builds the whole
 stack's maps in one build_maps call and bins them into its threshold
 histogram, and the stack is dropped, so memory does not grow with the
@@ -46,6 +46,7 @@ number of images.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -260,41 +261,37 @@ def format_train_config(config: TrainConfig) -> str:
 # -- the tape budget ------------------------------------------------------------
 
 # A forward of a stack of images -- an evaluation stack, or the two views
-# of each sample of a training chunk -- records about this many bytes of
-# node outputs; see _tape_bytes_per_image. A training chunk really holds
-# about twice that, since op closures keep intermediates too. Stacking
-# buys speed up to a few images per stack and only memory beyond, so the
-# bound is a constant, not a knob: the criterion-07 model (8x8 grid,
-# embed 16, 2 layers) fits 8 images, so 4 training samples and a batch
-# of 8 runs as 4+4; the default model (embed 64, 4 layers) fits 2
-# images, so evaluation stacks 2 and training runs 1 sample per chunk.
-# Measured on the criterion-07 model: in the benchmark's
-# train_consistency, 4 samples per chunk trained 1.14x as fast as 3, for
-# +1.7% peak RSS on localize_eval; in a loop of 128-sample trainings, 8
-# samples trained 0.90x as fast as 3 (cache misses and page faults on
-# the larger arrays). Those runs had every block on all rows; the budget
-# keeps the same stack and chunk sizes under the smaller estimate of the
-# class-row tail, whose freed memory has not been measured for speed.
+# of each sample of a training chunk -- may record this many bytes of
+# node outputs, as _tape_bytes_per_image measures them per image; a
+# training chunk holds about twice that, since op closures keep
+# intermediates too. Stacking buys speed up to a few images per stack
+# and only memory beyond, so the bound is a constant, not a knob: the
+# criterion-07 model (8x8 grid, embed 16, 2 layers) fits 8 images, so 4
+# training samples and a batch of 8 runs as 4+4; the default model
+# (embed 64, 4 layers) fits 2 images on its 8x8 grid, so evaluation
+# stacks 2 and training runs 1 sample per chunk. Measured on the
+# criterion-07 model: in the benchmark's train_consistency, 4 samples
+# per chunk trained 1.14x as fast as 3, for +1.7% peak RSS on
+# localize_eval; in a loop of 128-sample trainings, 8 samples trained
+# 0.90x as fast as 3 (cache misses and page faults on the larger arrays).
 TAPE_BYTE_BUDGET = 15 * 2**18  # 3.75 MiB
 
 
-def _tape_bytes_per_image(cfg: ViTConfig, grid: GridShape | None = None) -> int:
-    """Node-output bytes of one image's forward on `grid` (default: the
-    model's), t = tokens, d = width, f = MLP width: per layer a (t, d)
-    layer norm, two per-head (t, t) stacks (scores, softmax) and the head
-    average; then six (r, d) and two (r, f) activations on r = t rows,
-    but r = 1 in the last block, which runs on the class row after its
-    attention; around the layers three (t, d) token tensors (patch
-    embedding, class token, positional rows) and two (1, d) class rows.
-    It counts node outputs only: what op closures keep for the backward
-    (layer norm's normalized input, GELU's derivative, a training loss's
-    inversions) comes on top, so a training chunk holds about twice this
-    per image."""
-    t, d, f = (grid or cfg.grid).n + 1, cfg.embed_dim, cfg.mlp_dim
-    layers = cfg.num_layers
-    attention = layers * ((2 * cfg.num_heads + 1) * t * t + t * d)
-    rows = (layers - 1) * t + 1
-    return 8 * (attention + rows * (6 * d + 2 * f) + 3 * t * d + 2 * d)
+@functools.lru_cache(maxsize=None)
+def _tape_bytes_per_image(cfg: ViTConfig, grid: GridShape) -> int:
+    """Node-output bytes of one image's forward on `grid`, measured: the
+    sum over the nodes that one recorded forward of a zero image records,
+    on zero parameters that do not require grad. It counts node outputs
+    only: what op closures keep for the backward (layer norm's normalized
+    input, GELU's derivative, a training loss's inversions) comes on top.
+    The first call for a (cfg, grid) runs `vit.forward` under a tape of
+    its own, so it must come outside any active tape (tapes do not nest):
+    _chunks and _stacks reach it between the forwards they feed."""
+    params = {name: Tensor(np.zeros(shape)) for name, shape, _ in vit._layout(cfg)}
+    image = np.zeros((cfg.in_channels, grid.h * cfg.patch_size, grid.w * cfg.patch_size))
+    with Tape() as tape:
+        vit.forward(image, params, cfg)
+    return sum(node.output.data.nbytes for node in tape.nodes)
 
 
 def _budgeted_runs(items: list, key, item_bytes):
@@ -570,7 +567,7 @@ def _stacks(samples: list[sd.SyntheticSample], cfg: ViTConfig):
     def key(s: sd.SyntheticSample) -> tuple:
         return s.image.shape, s.mask.shape, int(np.count_nonzero(s.labels))
 
-    for stack in _budgeted_runs(samples, key, lambda s: _tape_bytes_per_image(cfg)):
+    for stack in _budgeted_runs(samples, key, lambda s: _tape_bytes_per_image(cfg, cfg.grid)):
         yield stack, np.array([np.flatnonzero(s.labels) for s in stack], dtype=np.int64)
 
 

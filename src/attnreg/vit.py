@@ -21,7 +21,7 @@ Each layer records 12 tape nodes, built from the engine's fused ops:
 
 Around the layers: linear (patch embedding), concat (class token), add
 (positional rows, when enabled); then layer_norm, linear (head) and
-reshape.
+index (the class row's logits).
 
 The last block narrows to the class row after its attention: its
 attend computes query row 0 only, and an index node takes the
@@ -274,8 +274,7 @@ def forward(images: np.ndarray, params: dict[str, Tensor], config: ViTConfig) ->
         x = ad.add(x, m)
 
     cls = ad.layer_norm(x, params["final_ln.gain"], params["final_ln.bias"])  # (..., 1, d)
-    logits = ad.reshape(linear(cls, "head.weight", "head.bias"),
-                        images.shape[:-3] + (config.num_classes,))
+    logits = ad.index(linear(cls, "head.weight", "head.bias"), np.s_[..., 0, :])
     return ForwardResult(logits=logits, attentions=records, grid=grid)
 
 

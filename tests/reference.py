@@ -1,0 +1,368 @@
+"""The reference implementation the tests compare the package against.
+
+Every fast path of the package -- the fused ops, stacked views, the last
+block's class-row tail, chunked training and stacked evaluation -- is
+checked against the slow code here, which computes the same quantities
+one piece at a time:
+
+* the primitive chains each fused op replaces: ``affine`` (matmul, then
+  the bias row added), ``head_scores`` and ``head_attend`` (one chain
+  per head), with ``transpose``, a tape op only these chains need;
+* ``forward``: one (C, H, W) image per call, every head its own chain,
+  heads averaged by adds and merged by concatenation, every block on
+  all n+1 rows and the logits taken from row 0 of the head's output;
+* ``two_view_loss`` on two such forwards, ``sample_sums`` of it over
+  samples and ``train``, the per-sample training loop;
+* ``evaluate``: a fresh forward and backward per image and present
+  class, and a threshold-by-threshold sweep that counts pixels with
+  per-class boolean masks.
+
+Also here: the models and sample data the oracle tests share, and
+their comparisons (``assert_close`` to TOL, ``exact_same``).
+"""
+
+import json
+from dataclasses import dataclass
+
+import numpy as np
+
+from attnreg import autodiff as ad
+from attnreg import localization as lc
+from attnreg import metrics as mt
+from attnreg import regularizer as reg
+from attnreg import synthdata as sd
+from attnreg import trainer as tr
+from attnreg import vit
+from attnreg.autodiff import Tape, Tensor
+from attnreg.gridtransform import GridShape, SpatialTransform
+from attnreg.regularizer import LossWeights
+from attnreg.vit import ViTConfig
+
+TOL = 1e-12
+
+
+# -- the primitive chains of the fused ops ----------------------------------------
+
+def transpose(x):
+    """x with its last two axes swapped, as a tape op: the chains need it,
+    and the engine transposes only inside its fused ops."""
+    return ad._apply("transpose", (x,), np.swapaxes(x.data, -1, -2),
+                     lambda g: (np.ascontiguousarray(np.swapaxes(g, -1, -2)),))
+
+
+def affine(x, w, b):
+    """linear as a chain: x @ w, then the (1, n) bias's row, which add
+    broadcasts over the rows."""
+    return ad.add(ad.matmul(x, w), ad.index(b, 0))
+
+
+def head_cols(x, j, heads):
+    """Head j's column block of a projection."""
+    k = x.shape[-1] // heads
+    return ad.index(x, np.s_[..., j * k:(j + 1) * k])
+
+
+def head_scores(h, wq, bq, wk, bk, heads, scale):
+    """attention_scores as a chain: per head, the scaled queries' column
+    block times the keys' block transposed; a list of (..., m, m)."""
+    q = ad.mul(affine(h, wq, bq), scale)
+    k = affine(h, wk, bk)
+    return [ad.matmul(head_cols(q, j, heads), transpose(head_cols(k, j, heads)))
+            for j in range(heads)]
+
+
+def head_attend(probs, h, wv, bv):
+    """attend as a chain: per head j, probs[j] (..., m, m) times the
+    values' column block j; the heads side by side, (..., m, d')."""
+    v = affine(h, wv, bv)
+    return ad.concat([ad.matmul(p, head_cols(v, j, len(probs))) for j, p in enumerate(probs)],
+                     axis=1)
+
+
+# -- the forward, the two-view loss and the training loop ---------------------------
+
+@dataclass
+class Record:
+    """One layer's head average and the per-head matrices it averages."""
+
+    layer: int
+    matrix: Tensor
+    heads: tuple
+
+    @property
+    def adjoint(self):
+        """The retained per-head gradients, summed."""
+        total = self.heads[0].grad.copy()
+        for head in self.heads[1:]:
+            total += head.grad
+        return total
+
+
+def forward(image, params, config):
+    """One (C, H, W) image through the model from the chains above."""
+    image = np.asarray(image, dtype=np.float64)
+    grid = vit.image_grid(image, config)
+    x = affine(Tensor(vit.patchify(image, config.patch_size)), params["patch_embed.weight"],
+               params["patch_embed.bias"])
+    x = ad.concat([params["cls_token"], x], axis=0)
+    if config.use_positional_embedding:
+        x = ad.add(x, vit._positional_rows(params, config, grid))
+    heads = config.num_heads
+    records = []
+    for i in range(config.num_layers):
+        p = f"blocks.{i}."
+        h = ad.layer_norm(x, params[p + "ln1.gain"], params[p + "ln1.bias"])
+        scores = head_scores(h, params[p + "attn.wq"], params[p + "attn.bq"],
+                             params[p + "attn.wk"], params[p + "attn.bk"], heads,
+                             1.0 / np.sqrt(config.head_dim))
+        probs = [ad.softmax_rows(s).retain_grad() for s in scores]
+        total = probs[0]
+        for head in probs[1:]:
+            total = ad.add(total, head)
+        records.append(Record(layer=i, matrix=ad.mul(total, 1.0 / heads), heads=tuple(probs)))
+        merged = head_attend(probs, h, params[p + "attn.wv"], params[p + "attn.bv"])
+        x = ad.add(x, affine(merged, params[p + "attn.wo"], params[p + "attn.bo"]))
+        h2 = ad.layer_norm(x, params[p + "ln2.gain"], params[p + "ln2.bias"])
+        hidden = ad.gelu(affine(h2, params[p + "mlp.w1"], params[p + "mlp.b1"]))
+        x = ad.add(x, affine(hidden, params[p + "mlp.w2"], params[p + "mlp.b2"]))
+    x = ad.layer_norm(x, params["final_ln.gain"], params["final_ln.bias"])
+    logits = ad.index(affine(x, params["head.weight"], params["head.bias"]), 0)
+    return vit.ForwardResult(logits=logits, attentions=records, grid=grid)
+
+
+def two_view_loss(sample, transform, params, config):
+    """One sample's training loss: a forward of its image and one of its
+    view, each loss layer's view matrix inverted by the sample's own
+    transform, one inversion shared by both consistency terms."""
+    cfg, w = config.vit, config.weights
+    view = sd.augment(sample.image, transform, cell_pixels=cfg.patch_size)
+    res_a, res_b = (forward(image, params, cfg) for image in (sample.image, view))
+    lo, hi = tr._loss_layer_slice(config)
+    act = aff = Tensor(0.0)
+    if w.alpha != 0.0 or w.beta != 0.0:
+        a = [rec.matrix for rec in res_a.attentions[lo:hi]]
+        back = reg.invert_layers([rec.matrix for rec in res_b.attentions[lo:hi]], transform,
+                                 res_a.grid)
+        if w.alpha != 0.0:
+            act = reg.region_activation_loss(a, back, w.distance)
+        if w.beta != 0.0:
+            aff = reg.region_affinity_loss(a, back, w.distance)
+    return reg.total_loss(res_a.logits, res_b.logits, sample.labels, act, aff, w)
+
+
+def fresh(params):
+    """Trainable copies of `params`, with no gradient yet."""
+    return {k: Tensor(p.data.copy(), requires_grad=True) for k, p in params.items()}
+
+
+def sample_sums(pairs, params, config):
+    """Each (sample, transform) of `pairs` on its own tape: the loss terms
+    and the parameter gradients summed over the samples."""
+    params = fresh(params)
+    sums = dict.fromkeys(("l_cls", "l_act", "l_aff", "total"), 0.0)
+    for sample, transform in pairs:
+        with Tape() as tape:
+            breakdown = two_view_loss(sample, transform, params, config)
+        tape.backward(breakdown.total)
+        for key, value in breakdown.to_floats().items():
+            sums[key] += value
+    return sums, {k: p.grad for k, p in params.items()}
+
+
+def train(config, samples):
+    """The training loop with one sample per tape: the draws of
+    trainer.train from the same generators, and its update (constant
+    learning rate, momentum, norm clipping). Returns the parameters and
+    each epoch's mean total loss."""
+    init_rng = np.random.default_rng([config.seed, 0])
+    loop_rng = np.random.default_rng([config.seed, 1])
+    params = vit.init_params(config.vit, init_rng)
+    velocity = {name: np.zeros_like(p.data) for name, p in params.items()}
+    totals = []
+    for _ in range(config.epochs):
+        order = loop_rng.permutation(len(samples))
+        total = 0.0
+        for start in range(0, len(samples), config.batch_size):
+            batch = order[start:start + config.batch_size]
+            for p in params.values():
+                p.zero_grad()
+            for idx in batch:
+                transform = config.augmentations[int(loop_rng.integers(len(config.augmentations)))]
+                with Tape() as tape:
+                    breakdown = two_view_loss(samples[int(idx)], transform, params, config)
+                tape.backward(breakdown.total)
+                total += float(breakdown.total.data)
+            grads = {name: p.grad / len(batch) for name, p in params.items()}
+            norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+            if config.clip_norm is not None and norm > config.clip_norm:
+                grads = {name: g * (config.clip_norm / norm) for name, g in grads.items()}
+            for name, g in grads.items():
+                velocity[name] *= config.momentum
+                velocity[name] += g
+                params[name].data -= config.learning_rate * velocity[name]
+        totals.append(total / len(samples))
+    return params, totals
+
+
+# -- evaluation ------------------------------------------------------------------
+
+class Counts:
+    """Per-class intersection/union and FP/FN pixel counts by boolean masks."""
+
+    def __init__(self, num_classes):
+        self.num_classes = num_classes
+        self.intersection = np.zeros(num_classes, dtype=np.int64)
+        self.union = np.zeros(num_classes, dtype=np.int64)
+        self.over = self.under = self.total = 0
+
+    def add(self, pred, gt):
+        assert pred.shape == gt.shape
+        for k in range(self.num_classes):
+            p, g = pred == k, gt == k
+            self.intersection[k] += int((p & g).sum())
+            self.union[k] += int((p | g).sum())
+        self.over += int(((pred != 0) & (gt == 0)).sum())
+        self.under += int(((pred == 0) & (gt != 0)).sum())
+        self.total += pred.size
+
+    def per_class_iou(self):
+        return [self.intersection[k] / self.union[k] if self.union[k] > 0 else None
+                for k in range(self.num_classes)]
+
+    def miou(self):
+        present = [v for v in self.per_class_iou() if v is not None]
+        return float(np.mean(present)) if present else None
+
+
+def seed_mask(maps, theta, shape):
+    """Thresholded seed upsampled to `shape`; no maps -> all background."""
+    if not maps:
+        return np.zeros(shape, dtype=np.int64)
+    labels = lc.seed_from_maps(maps, theta).labels
+    return lc.upsample_nearest(labels, shape[0], shape[1])
+
+
+def sweep(maps_per_image, gt_masks, num_classes, thresholds=None):
+    """Threshold by threshold: the best entry, its rates re-counted at it."""
+    grid = mt.DEFAULT_THRESHOLDS if thresholds is None else thresholds
+    best_theta, best = None, None
+    for theta in sorted(float(t) for t in grid):
+        acc = Counts(num_classes)
+        for maps, gt in zip(maps_per_image, gt_masks):
+            acc.add(seed_mask(maps, theta, gt.shape), gt)
+        score = acc.miou()
+        if score is not None and (best is None or score > best):
+            best_theta, best = theta, score
+    if best_theta is None:
+        return {"threshold": None, "miou": None, "fp_rate": None, "fn_rate": None,
+                "per_class_iou": None}
+    acc = Counts(num_classes)
+    for maps, gt in zip(maps_per_image, gt_masks):
+        acc.add(seed_mask(maps, best_theta, gt.shape), gt)
+    return {"threshold": best_theta, "miou": best, "fp_rate": acc.over / acc.total,
+            "fn_rate": acc.under / acc.total, "per_class_iou": acc.per_class_iou()}
+
+
+def localization_data(sample, params, cfg):
+    """A fresh forward of the sample's image alone and a backward from the
+    class logit, per present class: each present class's full per-layer
+    adjoints, and the attention matrices."""
+    frozen = {name: Tensor(p.data, requires_grad=False) for name, p in params.items()}
+    present = [k for k in range(cfg.num_classes) if sample.labels[k]]
+    adjoints_by_class, attentions = {}, None
+    for k in present:
+        with Tape() as tape:
+            res = vit.forward(sample.image, frozen, cfg)
+            y = vit.class_logit(res, k)
+        tape.backward(y)
+        adjoints_by_class[k] = vit.attention_adjoints(res)
+        if attentions is None:
+            attentions = [rec.matrix.data.copy() for rec in res.attentions]
+    return adjoints_by_class, attentions or []
+
+
+def class_maps(adjoints_by_class, attentions, grid, layer_range, refine):
+    """One map per class through the one-map API."""
+    out = []
+    for k, adjoints in sorted(adjoints_by_class.items()):
+        loc = lc.grad_localization(adjoints, grid, k, layer_range)
+        if refine:
+            loc = lc.affinity_refine(loc, attentions, layer_range)
+        out.append(loc)
+    return out
+
+
+def evaluate(params, cfg, samples, map_layers=None, thresholds=None, sweep_layers=False):
+    """trainer.evaluate's summary, image by image and class by class."""
+    data = [localization_data(s, params, cfg) for s in samples]
+    gt = [s.mask for s in samples]
+    result = {"num_images": len(samples), "num_classes": cfg.num_classes}
+    for refine, key in ((False, "unrefined"), (True, "refined")):
+        per_image = [class_maps(*d, cfg.grid, map_layers, refine) for d in data]
+        result[key] = sweep(per_image, gt, cfg.num_classes + 1, thresholds)
+    if sweep_layers:
+        rows = []
+        for s in range(cfg.num_layers):
+            per_image = [class_maps(*d, cfg.grid, (s, cfg.num_layers), True) for d in data]
+            entry = sweep(per_image, gt, cfg.num_classes + 1, thresholds)
+            entry.pop("per_class_iou")
+            rows.append({"start_layer": s, **entry})
+        result["layer_sweep"] = rows
+    return result
+
+
+# -- shared models, data and comparisons ----------------------------------------------
+
+def transforms(text):
+    """SpatialTransforms from comma-separated names."""
+    return tuple(SpatialTransform.parse(p) for p in text.split(","))
+
+
+WEIGHTS = LossWeights(alpha=2.0, beta=0.25, distance="l1")
+# the criterion-07 model, which the train_consistency and localize_eval
+# benchmark workloads train; train_resize_wide trains ViTConfig()
+C07 = ViTConfig(patch_size=4, grid=GridShape(8, 8), embed_dim=16, num_layers=2, num_heads=2,
+                num_classes=3, use_positional_embedding=False)
+# a non-square grid with positional rows and three layers
+SMALL = ViTConfig(patch_size=2, grid=GridShape(3, 4), embed_dim=8, num_layers=3, num_heads=2,
+                  num_classes=2, use_positional_embedding=True)
+CONSISTENCY = tr.TrainConfig(vit=C07, weights=WEIGHTS,
+                             augmentations=transforms("fliph,flipv,rot90,rot180,rot270"))
+NON_SQUARE = tr.TrainConfig(vit=SMALL, weights=WEIGHTS,
+                            augmentations=transforms("rot90,rot270,flipv,resize:2x2"))
+
+
+def sample_for(cfg, seed):
+    """A random image on the model's grid, random labels and a random mask."""
+    rng = np.random.default_rng(seed)
+    image = rng.random((cfg.in_channels, cfg.grid.h * cfg.patch_size,
+                        cfg.grid.w * cfg.patch_size))
+    labels = (rng.random(cfg.num_classes) < 0.5).astype(np.float64)
+    mask = rng.integers(0, cfg.num_classes + 1, size=image.shape[1:])
+    return sd.SyntheticSample(image=image, labels=labels, mask=mask, seed=(seed, 0))
+
+
+def trained(seed):
+    """A 3-layer model trained one epoch on 10 generated images, its
+    config and the images."""
+    cfg = tr.TrainConfig(
+        vit=ViTConfig(patch_size=4, grid=GridShape(4, 4), embed_dim=16, num_layers=3,
+                      num_heads=2, num_classes=3, in_channels=3),
+        weights=LossWeights(alpha=2.0, beta=1.0), epochs=1, batch_size=4,
+        learning_rate=0.05, seed=seed)
+    data = sd.generate(sd.DatasetConfig(num_samples=10, seed=seed, height=16, width=16))
+    return tr.train(cfg, data).params, cfg.vit, data
+
+
+def assert_close(got, expected, what):
+    """Same shape, and no entry more than TOL apart."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape, f"{what}: {got.shape} != {expected.shape}"
+    worst = float(np.max(np.abs(got - expected)))
+    assert worst <= TOL, f"{what}: {worst:.3e}"
+
+
+def exact_same(a, b):
+    """Equal summaries, down to their JSON text."""
+    assert a == b
+    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)

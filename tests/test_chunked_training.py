@@ -1,12 +1,13 @@
 """Chunked two-view training against the per-sample loop it replaced.
 
-Oracle: every sample on its own tape -- one forward per view, without a
-view axis, each layer's 2-d attention inverted by the sample's own
-transform, the losses of one sample -- and the loss terms and gradients
-added up over the samples. A chunk of k samples records one forward of
-its 2k views (or one per view grid) and one backward; k times its mean
-loss terms must match the per-sample sums, and its parameter gradients
-the summed per-sample gradients, to 1e-12.
+Oracle: reference.sample_sums and reference.train, every sample on its
+own tape -- one reference forward per view, each layer's 2-d attention
+inverted by the sample's own transform, the losses of one sample -- and
+the loss terms and gradients added up over the samples. A chunk of k
+samples records one forward of its 2k views (or one per view grid) and
+one backward; k times its mean loss terms must match the per-sample
+sums, and its parameter gradients the summed per-sample gradients, to
+1e-12.
 """
 
 from dataclasses import replace
@@ -14,10 +15,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import reference as ref
 from attnreg import autodiff as ad
 from attnreg import gridtransform as gt
 from attnreg import regularizer as reg
-from attnreg import synthdata as sd
 from attnreg import trainer as tr
 from attnreg import vit
 from attnreg.autodiff import Tape, Tensor
@@ -26,23 +27,8 @@ from attnreg.gridtransform import GridShape, SpatialTransform
 from attnreg.regularizer import LossWeights
 from attnreg.vit import ViTConfig
 
-TOL = 1e-12
-
-
-def transforms(text):
-    return tuple(SpatialTransform.parse(p) for p in text.split(","))
-
-
-_WEIGHTS = LossWeights(alpha=2.0, beta=0.25, distance="l1")
 # the criterion-07 model, and a small non-square model with positional rows
-CONSISTENCY = tr.TrainConfig(
-    vit=ViTConfig(patch_size=4, grid=GridShape(8, 8), embed_dim=16, num_layers=2,
-                  num_heads=2, num_classes=3, use_positional_embedding=False),
-    weights=_WEIGHTS, augmentations=transforms("fliph,flipv,rot90,rot180,rot270"))
-SMALL = ViTConfig(patch_size=2, grid=GridShape(3, 4), embed_dim=8, num_layers=3, num_heads=2,
-                  num_classes=2, use_positional_embedding=True)
-NON_SQUARE = tr.TrainConfig(vit=SMALL, weights=_WEIGHTS,
-                            augmentations=transforms("rot90,rot270,flipv,resize:2x2"))
+CONSISTENCY, NON_SQUARE = ref.CONSISTENCY, ref.NON_SQUARE
 
 # (config, transforms of one chunk, cycled over its samples)
 CASES = {
@@ -64,55 +50,9 @@ CASES = {
 }
 
 
-def sample_for(cfg, seed):
-    rng = np.random.default_rng(seed)
-    image = rng.random((cfg.in_channels, cfg.grid.h * cfg.patch_size,
-                        cfg.grid.w * cfg.patch_size))
-    labels = (rng.random(cfg.num_classes) < 0.5).astype(np.float64)
-    mask = rng.integers(0, cfg.num_classes + 1, size=image.shape[1:])
-    return sd.SyntheticSample(image=image, labels=labels, mask=mask, seed=(seed, 0))
-
-
-def per_sample_loss(sample, transform, params, config):
-    """The two-view loss of one sample: a forward per view, 2-d matrices."""
-    cfg = config.vit
-    view = sd.augment(sample.image, transform, cell_pixels=cfg.patch_size)
-    res_a, res_b = (vit.forward(image, params, cfg) for image in (sample.image, view))
-    lo, hi = tr._loss_layer_slice(config)
-    a = [rec.matrix for rec in res_a.attentions[lo:hi]]
-    ap = [rec.matrix for rec in res_b.attentions[lo:hi]]
-    w = config.weights
-    act = aff = Tensor(0.0)
-    if w.alpha != 0.0:
-        act = reg.region_activation_loss(a, reg.invert_layers(ap, transform, res_a.grid),
-                                         w.distance)
-    if w.beta != 0.0:
-        aff = reg.region_affinity_loss(a, reg.invert_layers(ap, transform, res_a.grid),
-                                       w.distance)
-    return reg.total_loss(res_a.logits, res_b.logits, sample.labels, act, aff, w)
-
-
-def fresh(params):
-    return {k: Tensor(p.data.copy(), requires_grad=True) for k, p in params.items()}
-
-
-def per_sample_sums(pairs, params, config):
-    """The per-sample loop: each (sample, transform) on its own tape; the
-    loss terms and the gradients summed over the samples."""
-    params = fresh(params)
-    sums = dict.fromkeys(("l_cls", "l_act", "l_aff", "total"), 0.0)
-    for sample, transform in pairs:
-        with Tape() as tape:
-            breakdown = per_sample_loss(sample, transform, params, config)
-        tape.backward(breakdown.total)
-        for key, value in breakdown.to_floats().items():
-            sums[key] += value
-    return sums, {k: p.grad for k, p in params.items()}
-
-
 def chunk_sums(pairs, params, config):
     """The same pairs through _chunks and one _chunk_backward per chunk."""
-    params = fresh(params)
+    params = ref.fresh(params)
     sums = dict.fromkeys(("l_cls", "l_act", "l_aff", "total"), 0.0)
     views = [tr._two_views(step, s, t, config.vit) for step, (s, t) in enumerate(pairs)]
     for chunk in tr._chunks(views, config.vit):
@@ -124,17 +64,16 @@ def chunk_sums(pairs, params, config):
 def assert_sums_match(got, expected):
     (sums, grads), (ref_sums, ref_grads) = got, expected
     for key, value in ref_sums.items():
-        assert abs(sums[key] - value) <= TOL, key
+        assert abs(sums[key] - value) <= ref.TOL, key
     assert grads.keys() == ref_grads.keys()
     for name, g in ref_grads.items():
         assert grads[name] is not None and g is not None, name
-        worst = float(np.max(np.abs(grads[name] - g)))
-        assert worst <= TOL, f"d/d{name}: {worst:.3e}"
+        ref.assert_close(grads[name], g, f"d/d{name}")
 
 
 def budget_for(cfg, pairs):
     """A budget that fits `pairs` same-grid pairs of the model's images."""
-    return pairs * 2 * tr._tape_bytes_per_image(cfg)
+    return pairs * 2 * tr._tape_bytes_per_image(cfg, cfg.grid)
 
 
 class TestChunkAgainstPerSampleLoop:
@@ -144,12 +83,12 @@ class TestChunkAgainstPerSampleLoop:
         config, text = CASES[name]
         monkeypatch.setattr(tr, "TAPE_BYTE_BUDGET", 10 * budget_for(config.vit, k))
         params = vit.init_params(config.vit, np.random.default_rng(3))
-        cycle = transforms(text)
-        pairs = [(sample_for(config.vit, 20 + j), cycle[j % len(cycle)]) for j in range(k)]
+        cycle = ref.transforms(text)
+        pairs = [(ref.sample_for(config.vit, 20 + j), cycle[j % len(cycle)]) for j in range(k)]
         views = [tr._two_views(j, s, t, config.vit) for j, (s, t) in enumerate(pairs)]
         assert [len(c) for c in tr._chunks(views, config.vit)] == [k]
         assert_sums_match(chunk_sums(pairs, params, config),
-                          per_sample_sums(pairs, params, config))
+                          ref.sample_sums(pairs, params, config))
 
     @pytest.mark.parametrize("per_chunk", [1, 2, 3, 4])
     @pytest.mark.parametrize("config", [CONSISTENCY, NON_SQUARE], ids=["c07", "non_square"])
@@ -160,43 +99,10 @@ class TestChunkAgainstPerSampleLoop:
         params = vit.init_params(config.vit, np.random.default_rng(4))
         rng = np.random.default_rng(5)
         augs = config.augmentations
-        pairs = [(sample_for(config.vit, 40 + j), augs[int(rng.integers(len(augs)))])
+        pairs = [(ref.sample_for(config.vit, 40 + j), augs[int(rng.integers(len(augs)))])
                  for j in range(9)]
         assert_sums_match(chunk_sums(pairs, params, config),
-                          per_sample_sums(pairs, params, config))
-
-
-def per_sample_train(config, samples):
-    """The training loop before chunking: one sample per tape, the same
-    draws from the same generators, the same update."""
-    init_rng = np.random.default_rng([config.seed, 0])
-    loop_rng = np.random.default_rng([config.seed, 1])
-    params = vit.init_params(config.vit, init_rng)
-    velocity = {name: np.zeros_like(p.data) for name, p in params.items()}
-    totals = []
-    for _ in range(config.epochs):
-        order = loop_rng.permutation(len(samples))
-        total = 0.0
-        for start in range(0, len(samples), config.batch_size):
-            batch = order[start:start + config.batch_size]
-            for p in params.values():
-                p.zero_grad()
-            for idx in batch:
-                transform = config.augmentations[int(loop_rng.integers(len(config.augmentations)))]
-                with Tape() as tape:
-                    breakdown = per_sample_loss(samples[int(idx)], transform, params, config)
-                tape.backward(breakdown.total)
-                total += float(breakdown.total.data)
-            grads = {name: p.grad / len(batch) for name, p in params.items()}
-            norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
-            if config.clip_norm is not None and norm > config.clip_norm:
-                grads = {name: g * (config.clip_norm / norm) for name, g in grads.items()}
-            for name, g in grads.items():
-                velocity[name] *= config.momentum
-                velocity[name] += g
-                params[name].data -= config.learning_rate * velocity[name]
-        totals.append(total / len(samples))
-    return params, totals
+                          ref.sample_sums(pairs, params, config))
 
 
 class TestTraining:
@@ -204,17 +110,18 @@ class TestTraining:
     def test_train_matches_per_sample_loop(self, monkeypatch, per_chunk):
         config = replace(NON_SQUARE, epochs=2, batch_size=5, learning_rate=0.05, momentum=0.5)
         monkeypatch.setattr(tr, "TAPE_BYTE_BUDGET", budget_for(config.vit, per_chunk))
-        samples = [sample_for(config.vit, 60 + j) for j in range(10)]
+        samples = [ref.sample_for(config.vit, 60 + j) for j in range(10)]
         result = tr.train(config, samples)
-        params, totals = per_sample_train(config, samples)
+        params, totals = ref.train(config, samples)
         for name, p in params.items():
-            worst = float(np.max(np.abs(result.params[name].data - p.data)))
-            assert worst <= TOL, f"{name}: {worst:.3e}"
+            ref.assert_close(result.params[name].data, p.data, name)
         for record, total in zip(result.log, totals, strict=True):
-            assert abs(record["total"] - total) <= TOL
+            assert abs(record["total"] - total) <= ref.TOL
 
     def test_one_forward_and_one_backward_per_chunk(self, monkeypatch):
         config = replace(CONSISTENCY, epochs=1, batch_size=8)
+        # budget_for also runs the measuring forward of the model's grid,
+        # the only grid here, before vit.forward is counted
         monkeypatch.setattr(tr, "TAPE_BYTE_BUDGET", budget_for(config.vit, 3))
         forwards, backwards = [], []
         real_forward, real_backward = vit.forward, Tape.backward
@@ -222,7 +129,7 @@ class TestTraining:
             np.shape(images)[0]) or real_forward(images, *a))
         monkeypatch.setattr(Tape, "backward", lambda self, loss, *a: backwards.append(
             len(self.nodes)) or real_backward(self, loss, *a))
-        tr.train(config, [sample_for(config.vit, j) for j in range(8)])
+        tr.train(config, [ref.sample_for(config.vit, j) for j in range(8)])
         assert forwards == [6, 6, 4]   # chunks of 3, 3 and 2 samples, two views each
         assert len(backwards) == 3
         # one recorded loss per chunk, whatever its size: 62 nodes and the x k
@@ -233,16 +140,20 @@ class TestTraining:
         c07 = CONSISTENCY.vit
         default = ViTConfig()
         for cfg, k in ((c07, 4), (default, 1)):
-            pairs = [tr._two_views(j, sample_for(cfg, j), gt.FLIP_H, cfg) for j in range(8)]
+            pairs = [tr._two_views(j, ref.sample_for(cfg, j), gt.FLIP_H, cfg) for j in range(8)]
             sizes = [len(c) for c in tr._chunks(pairs, cfg)]
             assert max(sizes) == k and sum(sizes) == 8
 
     def test_chunks_group_by_view_grid_in_order(self, monkeypatch):
         config = NON_SQUARE
-        monkeypatch.setattr(tr, "TAPE_BYTE_BUDGET", budget_for(config.vit, 2))
-        order = transforms("rot90,flipv,resize:2x2,rot270,flipv,rot90,flipv,resize:2x2,"
-                           "rot270,resize:4x5")
-        pairs = [tr._two_views(j, sample_for(config.vit, j), t, config.vit)
+        # two rot90 pairs: a view on the transposed grid also resamples the
+        # positional rows
+        grid, turned = config.vit.grid, GridShape(config.vit.grid.w, config.vit.grid.h)
+        monkeypatch.setattr(tr, "TAPE_BYTE_BUDGET", 2 * sum(
+            tr._tape_bytes_per_image(config.vit, g) for g in (grid, turned)))
+        order = ref.transforms("rot90,flipv,resize:2x2,rot270,flipv,rot90,flipv,resize:2x2,"
+                               "rot270,resize:4x5")
+        pairs = [tr._two_views(j, ref.sample_for(config.vit, j), t, config.vit)
                  for j, t in enumerate(order)]
         chunks = list(tr._chunks(pairs, config.vit))
         steps = [[p.step for p in chunk] for chunk in chunks]
@@ -253,10 +164,10 @@ class TestTraining:
 
 class TestDivergence:
     def test_failing_chunk_dumps_every_sample(self, tmp_path, monkeypatch):
-        config = replace(CONSISTENCY, augmentations=transforms("fliph,rot90"), epochs=1,
+        config = replace(CONSISTENCY, augmentations=ref.transforms("fliph,rot90"), epochs=1,
                          batch_size=6)
         monkeypatch.setattr(tr, "TAPE_BYTE_BUDGET", budget_for(config.vit, 3))
-        samples = [sample_for(config.vit, j) for j in range(6)]
+        samples = [ref.sample_for(config.vit, j) for j in range(6)]
         calls = []
         real = reg.total_loss
 
@@ -302,7 +213,7 @@ class TestBatchedInversion:
     def test_stack_inverts_each_entry_by_its_transform(self):
         grid = GridShape(3, 3)
         rng = np.random.default_rng(7)
-        chosen = transforms("fliph,rot90,identity,rot270")
+        chosen = ref.transforms("fliph,rot90,identity,rot270")
         a = rng.random((len(chosen), grid.n + 1, grid.n + 1))
         stacked = gt.invert_attention(a, chosen, grid).data
         for j, t in enumerate(chosen):
@@ -314,7 +225,7 @@ class TestBatchedInversion:
         grid = GridShape(2, 3)
         a = Tensor(np.random.default_rng(8).random((3, 7, 7)), requires_grad=True)
         with Tape() as tape:
-            gt.invert_attention(a, transforms("fliph,flipv,rot180"), grid)
+            gt.invert_attention(a, ref.transforms("fliph,flipv,rot180"), grid)
         assert [n.op for n in tape.nodes] == ["permute_rc"]
 
     def test_resize_stack_matches_each_entry(self):
@@ -330,11 +241,11 @@ class TestBatchedInversion:
         grid = GridShape(2, 2)
         a = np.random.default_rng(10).random((2, 5, 5))
         with pytest.raises(DimensionError):
-            gt.invert_attention(a, transforms("fliph,flipv,rot90"), grid)
+            gt.invert_attention(a, ref.transforms("fliph,flipv,rot90"), grid)
         with pytest.raises(ContractError):
-            gt.invert_attention(a, transforms("fliph,resize:2x2"), grid)
+            gt.invert_attention(a, ref.transforms("fliph,resize:2x2"), grid)
         with pytest.raises(ContractError):
-            gt.invert_attention_fast(a, transforms("fliph,resize:2x2"), grid)
+            gt.invert_attention_fast(a, ref.transforms("fliph,resize:2x2"), grid)
 
     def test_batched_gather_reindexes_each_entry(self):
         rng = np.random.default_rng(11)

@@ -1,146 +1,23 @@
-"""One-pass evaluation against the code it replaced.
+"""One-pass evaluation against reference.evaluate.
 
-The references below are the earlier evaluation path, kept as oracles:
-a fresh forward + backward per present class, a per-threshold sweep that
-re-seeds, re-upsamples and re-counts every image with per-class boolean
-masks, and a second counting pass at the best threshold for the FP/FN
-rates. The fast path must reproduce them exactly (``==``, no tolerance).
+The reference is the earlier evaluation path: a fresh forward + backward
+per present class, a per-threshold sweep that re-seeds, re-upsamples and
+re-counts every image with per-class boolean masks, and a second
+counting pass at the best threshold for the FP/FN rates. The fast path
+must reproduce it exactly (``==``, no tolerance).
 """
-
-import json
 
 import numpy as np
 import pytest
 
+import reference as ref
 from attnreg import localization as lc
 from attnreg import metrics as mt
 from attnreg import synthdata as sd
 from attnreg import trainer as tr
 from attnreg import vit
-from attnreg.autodiff import Tape, Tensor
 from attnreg.errors import ContractError, DimensionError
 from attnreg.gridtransform import GridShape
-from attnreg.regularizer import LossWeights
-
-
-class ReferenceCounts:
-    """Per-class intersection/union and FP/FN pixel counts by boolean masks."""
-
-    def __init__(self, num_classes):
-        self.num_classes = num_classes
-        self.intersection = np.zeros(num_classes, dtype=np.int64)
-        self.union = np.zeros(num_classes, dtype=np.int64)
-        self.over = self.under = self.total = 0
-
-    def add(self, pred, gt):
-        assert pred.shape == gt.shape
-        for k in range(self.num_classes):
-            p, g = pred == k, gt == k
-            self.intersection[k] += int((p & g).sum())
-            self.union[k] += int((p | g).sum())
-        self.over += int(((pred != 0) & (gt == 0)).sum())
-        self.under += int(((pred == 0) & (gt != 0)).sum())
-        self.total += pred.size
-
-    def per_class_iou(self):
-        return [self.intersection[k] / self.union[k] if self.union[k] > 0 else None
-                for k in range(self.num_classes)]
-
-    def miou(self):
-        present = [v for v in self.per_class_iou() if v is not None]
-        return float(np.mean(present)) if present else None
-
-
-def reference_seed(maps, theta, shape):
-    """Thresholded seed upsampled to `shape`; no maps -> all background."""
-    if not maps:
-        return np.zeros(shape, dtype=np.int64)
-    labels = lc.seed_from_maps(maps, theta).labels
-    return lc.upsample_nearest(labels, shape[0], shape[1])
-
-
-def reference_sweep(maps_per_image, gt_masks, num_classes, thresholds=None):
-    """Threshold by threshold: best entry with rates re-counted at it."""
-    grid = mt.DEFAULT_THRESHOLDS if thresholds is None else thresholds
-    best_theta, best = None, None
-    for theta in sorted(float(t) for t in grid):
-        acc = ReferenceCounts(num_classes)
-        for maps, gt in zip(maps_per_image, gt_masks):
-            acc.add(reference_seed(maps, theta, gt.shape), gt)
-        score = acc.miou()
-        if score is not None and (best is None or score > best):
-            best_theta, best = theta, score
-    if best_theta is None:
-        return {"threshold": None, "miou": None, "fp_rate": None, "fn_rate": None,
-                "per_class_iou": None}
-    acc = ReferenceCounts(num_classes)
-    for maps, gt in zip(maps_per_image, gt_masks):
-        acc.add(reference_seed(maps, best_theta, gt.shape), gt)
-    return {"threshold": best_theta, "miou": best, "fp_rate": acc.over / acc.total,
-            "fn_rate": acc.under / acc.total, "per_class_iou": acc.per_class_iou()}
-
-
-def reference_localization_data(sample, params, cfg):
-    """A fresh forward + backward from the class logit per present class:
-    each present class's full per-layer adjoints, and the attention
-    matrices."""
-    frozen = {name: Tensor(p.data, requires_grad=False) for name, p in params.items()}
-    present = [k for k in range(cfg.num_classes) if sample.labels[k]]
-    adjoints_by_class, attentions = {}, None
-    for k in present:
-        with Tape() as tape:
-            res = vit.forward(sample.image, frozen, cfg)
-            y = vit.class_logit(res, k)
-        tape.backward(y)
-        adjoints_by_class[k] = vit.attention_adjoints(res)
-        if attentions is None:
-            attentions = [rec.matrix.data.copy() for rec in res.attentions]
-    return adjoints_by_class, attentions or []
-
-
-def reference_maps(adjoints_by_class, attentions, grid, layer_range, refine):
-    """One map per class through the one-map API."""
-    maps = []
-    for k, adjoints in sorted(adjoints_by_class.items()):
-        loc = lc.grad_localization(adjoints, grid, k, layer_range)
-        if refine:
-            loc = lc.affinity_refine(loc, attentions, layer_range)
-        maps.append(loc)
-    return maps
-
-
-def reference_evaluate(params, cfg, samples, map_layers=None, thresholds=None,
-                       sweep_layers=False):
-    data = [reference_localization_data(s, params, cfg) for s in samples]
-    gt = [s.mask for s in samples]
-    result = {"num_images": len(samples), "num_classes": cfg.num_classes}
-    for refine, key in ((False, "unrefined"), (True, "refined")):
-        maps = [reference_maps(*d, cfg.grid, map_layers, refine) for d in data]
-        result[key] = reference_sweep(maps, gt, cfg.num_classes + 1, thresholds)
-    if sweep_layers:
-        rows = []
-        for s in range(cfg.num_layers):
-            maps = [reference_maps(*d, cfg.grid, (s, cfg.num_layers), True) for d in data]
-            entry = reference_sweep(maps, gt, cfg.num_classes + 1, thresholds)
-            entry.pop("per_class_iou")
-            rows.append({"start_layer": s, **entry})
-        result["layer_sweep"] = rows
-    return result
-
-
-def trained(seed):
-    cfg = tr.TrainConfig(
-        vit=vit.ViTConfig(patch_size=4, grid=GridShape(4, 4), embed_dim=16, num_layers=3,
-                          num_heads=2, num_classes=3, in_channels=3),
-        weights=LossWeights(alpha=2.0, beta=1.0), epochs=1, batch_size=4,
-        learning_rate=0.05, seed=seed)
-    data = sd.generate(sd.DatasetConfig(num_samples=10, seed=seed, height=16, width=16))
-    return tr.train(cfg, data).params, cfg.vit, data
-
-
-def exact_same(a, b):
-    assert a == b
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
 class TestLocalizationData:
@@ -148,7 +25,7 @@ class TestLocalizationData:
     def check_against_fresh_forwards(sample, params, cfg):
         present = [k for k in range(cfg.num_classes) if sample.labels[k]]
         rows, blocks = tr.adjoint_rows(sample.image[None], [present], params, cfg)
-        adjoints_by_class, attentions = reference_localization_data(sample, params, cfg)
+        adjoints_by_class, attentions = ref.localization_data(sample, params, cfg)
         assert sorted(adjoints_by_class) == present
         n = rows.shape[-1]
         assert rows.shape == (1, len(present), cfg.num_layers, n)
@@ -162,12 +39,12 @@ class TestLocalizationData:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_adjoints_and_attentions_match_fresh_forwards(self, seed):
-        params, cfg, data = trained(seed)
+        params, cfg, data = ref.trained(seed)
         for sample in data:
             self.check_against_fresh_forwards(sample, params, cfg)
 
     def test_off_grid_stack_with_positional_embedding(self):
-        params, cfg, data = trained(0)
+        params, cfg, data = ref.trained(0)
         assert cfg.use_positional_embedding and cfg.grid == GridShape(4, 4)
         wide = sd.generate(sd.DatasetConfig(num_samples=6, seed=5, height=24, width=20))
         wide = [s for s in wide if np.count_nonzero(s.labels) == 2]
@@ -183,7 +60,7 @@ class TestLocalizationData:
             tr.evaluate(params, cfg, wide)
 
     def test_adjoint_rows_write_nothing_shared(self):
-        params, cfg, data = trained(2)
+        params, cfg, data = ref.trained(2)
         before = {name: (p.data.copy(), p.grad.copy()) for name, p in params.items()}
         tr.adjoint_rows(data[0].image[None], [[0, 1]], params, cfg)
         for name, p in params.items():
@@ -191,7 +68,7 @@ class TestLocalizationData:
             assert np.array_equal(p.grad, before[name][1])  # training's, untouched
 
     def test_class_outside_the_model_is_a_contract_error(self):
-        params, cfg, data = trained(0)
+        params, cfg, data = ref.trained(0)
         for bad in ([cfg.num_classes], [-1]):
             with pytest.raises(ContractError):
                 tr.adjoint_rows(data[0].image[None], [bad], params, cfg)
@@ -205,7 +82,7 @@ class TestLocalizationData:
         """A mask label of K = num_classes + 1 or -1 is refused, both where
         the image's seeds are binned and where it is all background; it
         is never counted in another level's or class's bin."""
-        params, cfg, data = trained(0)
+        params, cfg, data = ref.trained(0)
         sample = next(s for s in data if np.count_nonzero(s.labels))
         if not present:
             sample.labels = np.zeros_like(sample.labels)
@@ -214,14 +91,16 @@ class TestLocalizationData:
             tr.evaluate(params, cfg, data)
 
     def test_one_forward_per_stack(self, monkeypatch):
-        params, cfg, data = trained(0)
+        params, cfg, data = ref.trained(0)
+        # the first stack-size query runs a measuring forward: run it
+        # before vit.forward is counted
+        size = tr.TAPE_BYTE_BUDGET // tr._tape_bytes_per_image(cfg, cfg.grid)
         calls = []
         real = vit.forward
         monkeypatch.setattr(vit, "forward", lambda *a: calls.append(1) or real(*a))
         tr.evaluate(params, cfg, data)
         # at this size every group (image shape, mask shape, class count)
         # fits one stack, and images without a present class take no forward
-        size = tr.TAPE_BYTE_BUDGET // tr._tape_bytes_per_image(cfg)
         groups = {}
         for s in data:
             key = (s.image.shape, s.mask.shape, int(np.count_nonzero(s.labels)))
@@ -234,23 +113,23 @@ class TestLocalizationData:
 class TestEvaluateMatchesReference:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_whole_summary(self, seed):
-        params, cfg, data = trained(seed)
+        params, cfg, data = ref.trained(seed)
         fast = tr.evaluate(params, cfg, data, sweep_layers=True)
-        exact_same(fast, reference_evaluate(params, cfg, data, sweep_layers=True))
+        ref.exact_same(fast, ref.evaluate(params, cfg, data, sweep_layers=True))
 
     def test_unsorted_custom_grid(self):
-        params, cfg, data = trained(1)
+        params, cfg, data = ref.trained(1)
         grid = [0.6, 0.15, 0.45, 0.3, 0.15, 0.9]
         fast = tr.evaluate(params, cfg, data, map_layers=(0, 3), thresholds=grid,
                            sweep_layers=True)
-        exact_same(fast, reference_evaluate(params, cfg, data, map_layers=(0, 3),
+        ref.exact_same(fast, ref.evaluate(params, cfg, data, map_layers=(0, 3),
                                             thresholds=grid, sweep_layers=True))
 
     def test_background_only_image_is_all_background(self):
-        params, cfg, data = trained(2)
+        params, cfg, data = ref.trained(2)
         data[3].labels = np.zeros_like(data[3].labels)
         fast = tr.evaluate(params, cfg, data, sweep_layers=True)
-        exact_same(fast, reference_evaluate(params, cfg, data, sweep_layers=True))
+        ref.exact_same(fast, ref.evaluate(params, cfg, data, sweep_layers=True))
         alone = tr.evaluate(params, cfg, [data[3]])
         truth = data[3].mask
         assert alone["refined"]["fn_rate"] == float(np.mean(truth != 0))
@@ -269,7 +148,7 @@ def random_maps(rng, grid, classes, levels=None):
 class TestSweepMatchesReference:
     def check(self, maps, gts, num_classes, thresholds=None):
         fast = mt.best_threshold_miou(maps, gts, num_classes, thresholds)
-        exact_same(fast, reference_sweep(maps, gts, num_classes, thresholds))
+        ref.exact_same(fast, ref.sweep(maps, gts, num_classes, thresholds))
 
     def test_maxima_exactly_on_thresholds(self):
         rng = np.random.default_rng(21)

@@ -3,8 +3,8 @@
 Each op is checked three ways: central differences with respect to every
 input, on a single (m, d) token matrix and on a (V, m, d) stack, with one
 and with two heads; its value and every input gradient against the chain
-of primitive ops it fuses (matmul, add, transpose, index, concat,
-reshape), to 1e-12; and its shape contract. A pin on the node mix of the
+of primitive ops it fuses (reference.affine, head_scores and
+head_attend), to 1e-12; and its shape contract. A pin on the node mix of the
 forward built from them closes the file.
 """
 
@@ -13,15 +13,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import reference as ref
 from attnreg import autodiff as ad
 from attnreg import synthdata as sd
 from attnreg import trainer as tr
 from attnreg import vit
 from attnreg.autodiff import Tape, Tensor
 from attnreg.errors import DimensionError
-from attnreg.gridtransform import FLIP_H, GridShape
-from attnreg.regularizer import LossWeights
-from attnreg.vit import ViTConfig
+from attnreg.gridtransform import FLIP_H
 
 M, D, WIDTH = 3, 4, 4  # tokens, token width, projection width
 SCALE = 0.7
@@ -52,43 +51,17 @@ def fused(op, heads):
     return ad.attend
 
 
-def affine(x, w, b):
-    return ad.add(ad.matmul(x, w), ad.reshape(b, (b.shape[-1],)))
-
-
-def transpose(x):
-    """x with its last two axes swapped, as a tape op: the unfused chains
-    need it, and the engine transposes only inside its fused ops."""
-    return ad._apply("transpose", (x,), np.swapaxes(x.data, -1, -2),
-                     lambda g: (np.ascontiguousarray(np.swapaxes(g, -1, -2)),))
-
-
-def head_cols(x, j, heads):
-    k = x.shape[-1] // heads
-    return ad.index(x, np.s_[..., j * k:(j + 1) * k])
-
-
 def chained(op, heads):
-    """The primitive chain each fused op replaces."""
+    """The primitive chain each fused op replaces. attention_scores' chain
+    returns its per-head matrices one below the other, (..., heads * m, m),
+    the fused op's (..., heads, m, m) in row-major order."""
     if op == "linear":
-        return affine
-
-    def scores(h, wq, bq, wk, bk):
-        q = ad.mul(affine(h, wq, bq), SCALE)
-        k = affine(h, wk, bk)
-        per_head = [ad.matmul(head_cols(q, j, heads), transpose(head_cols(k, j, heads)))
-                    for j in range(heads)]
-        stacked = ad.concat(per_head, axis=0)  # (..., heads * m, m)
-        return ad.reshape(stacked, stacked.shape[:-2] + (heads, M, M))
-
-    def attend(probs, h, wv, bv):
-        v = affine(h, wv, bv)
-        rows = ad.reshape(probs, probs.shape[:-3] + (heads * M, M))
-        outs = [ad.matmul(ad.index(rows, np.s_[..., j * M:(j + 1) * M, :]),
-                          head_cols(v, j, heads)) for j in range(heads)]
-        return outs[0] if heads == 1 else ad.concat(outs, axis=1)
-
-    return scores if op == "attention_scores" else attend
+        return ref.affine
+    if op == "attention_scores":
+        return lambda h, wq, bq, wk, bk: ad.concat(
+            ref.head_scores(h, wq, bq, wk, bk, heads, SCALE), axis=0)
+    return lambda probs, h, wv, bv: ref.head_attend(
+        [ad.index(probs, np.s_[..., j, :, :]) for j in range(heads)], h, wv, bv)
 
 
 CASES = [(op, lead, heads, i)
@@ -134,10 +107,13 @@ class TestMatchesPrimitiveChain:
             inputs = [Tensor(a, requires_grad=True) for a in arrays]
             with Tape() as tape:
                 out = build(*inputs)
-            seed = np.random.default_rng(3).normal(size=out.shape)
+            seed = np.random.default_rng(3).normal(size=out.size).reshape(out.shape)
             tape.backward(out, seed=seed)
             results.append((out.data, [t.grad for t in inputs]))
         (value, grads), (ref_value, ref_grads) = results
+        if op == "attention_scores":  # the chain stacks its heads along the rows
+            assert ref_value.shape == value.shape[:-3] + (heads * M, M)
+            ref_value = ref_value.reshape(value.shape)
         assert value.shape == ref_value.shape
         assert np.max(np.abs(value - ref_value)) <= 1e-12
         for i, (g, ref) in enumerate(zip(grads, ref_grads, strict=True)):
@@ -185,10 +161,7 @@ class TestShapeContracts:
 
 
 # the criterion-07 model
-C07 = tr.TrainConfig(
-    vit=ViTConfig(patch_size=4, grid=GridShape(8, 8), embed_dim=16, num_layers=2, num_heads=2,
-                  num_classes=3, use_positional_embedding=False),
-    weights=LossWeights(alpha=2.0, beta=0.25, distance="l1"), augmentations=(FLIP_H,))
+C07 = tr.TrainConfig(vit=ref.C07, weights=ref.WEIGHTS, augmentations=(FLIP_H,))
 
 
 class TestNodeMix:

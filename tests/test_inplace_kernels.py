@@ -162,7 +162,6 @@ def every_op():
            lambda a, b, _d=d: ad.mean_distance(a, b, _d)) for d in ad.DISTANCES),
         ("mean_distance", [r(2, 3, 4), r(1)], lambda a, b: ad.mean_distance(a, b, "l2")),
         ("bce_with_logits", [r(2, 3), r(2, 3)], ad.bce_with_logits),
-        ("reshape", [r(2, 3, 4)], lambda t: ad.reshape(t, (6, 4))),
         ("concat", [r(1, 4), r(2, 3, 4)], lambda *t: ad.concat(t, axis=0)),
         ("concat", [r(2, 3, 2), r(2, 3, 4)], lambda *t: ad.concat(t, axis=1)),
         ("index", [r(2, 3, 4)], lambda t: ad.index(t, np.s_[..., 1:3, 0:2])),
@@ -181,8 +180,19 @@ def engine_ops() -> set[str]:
     return set(re.findall(r'_apply\("(\w+)"', inspect.getsource(ad)))
 
 
+def documented_ops() -> tuple[int, set[str]]:
+    """The count and the names in the module docstring's "The N ops: ..."
+    paragraph (parenthesized asides and the joining words dropped)."""
+    count, text = re.search(r"The (\d+) ops: (.*?)\n\n", ad.__doc__, re.S).groups()
+    words = set(re.findall(r"\w+", re.sub(r"\([^)]*\)", "", text)))
+    return int(count), words - {"and", "the", "fused", "losses"}
+
+
 def test_the_catalog_covers_every_op():
+    """The read-only-adjoint catalog and the autodiff docstring's op
+    count and list name exactly the ops the engine records."""
     assert {name for name, _, _ in OPS} == engine_ops()
+    assert documented_ops() == (len(engine_ops()), engine_ops())
 
 
 def test_every_op_has_a_finite_difference_case():

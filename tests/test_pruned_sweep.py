@@ -12,33 +12,19 @@ operand, and retain_grad in a graph without a trainable leaf.
 import numpy as np
 import pytest
 
+import reference as ref
 from attnreg import autodiff as ad
-from attnreg import synthdata as sd
 from attnreg import trainer as tr
 from attnreg import vit
 from attnreg.autodiff import Tape, Tensor
-from attnreg.gridtransform import GridShape, SpatialTransform
-from attnreg.regularizer import LossWeights
+from attnreg.gridtransform import SpatialTransform
 from attnreg.vit import ViTConfig
 
-_WEIGHTS = LossWeights(alpha=2.0, beta=0.25, distance="l1")
 # the benchmark's two training configurations
-CONSISTENCY = tr.TrainConfig(
-    vit=ViTConfig(patch_size=4, grid=GridShape(8, 8), embed_dim=16, num_layers=2,
-                  num_heads=2, num_classes=3, use_positional_embedding=False),
-    weights=_WEIGHTS,
-    augmentations=tuple(SpatialTransform.parse(t) for t in ("fliph", "rot90")))
-RESIZE_WIDE = tr.TrainConfig(
-    vit=ViTConfig(), weights=_WEIGHTS,
-    augmentations=tuple(SpatialTransform.parse(t) for t in ("resize:6x6", "resize:10x10")))
-
-
-def sample_for(cfg, seed):
-    rng = np.random.default_rng(seed)
-    image = rng.random((cfg.in_channels, cfg.grid.h * cfg.patch_size,
-                        cfg.grid.w * cfg.patch_size))
-    return sd.SyntheticSample(image=image, labels=np.array([1.0, 0.0, 1.0]),
-                              mask=np.zeros(image.shape[1:], dtype=np.int64), seed=(seed, 0))
+CONSISTENCY = tr.TrainConfig(vit=ref.C07, weights=ref.WEIGHTS,
+                             augmentations=ref.transforms("fliph,rot90"))
+RESIZE_WIDE = tr.TrainConfig(vit=ViTConfig(), weights=ref.WEIGHTS,
+                             augmentations=ref.transforms("resize:6x6,resize:10x10"))
 
 
 def unprune(tape):
@@ -54,7 +40,7 @@ def retained(tape):
 
 def train_sweep(config, transform, full):
     params = vit.init_params(config.vit, np.random.default_rng(3))
-    sample = sample_for(config.vit, 11)
+    sample = ref.sample_for(config.vit, 11)
     with Tape() as tape:
         chunk = [tr._two_views(0, sample, transform, config.vit)]
         loss = tr._chunk_loss(chunk, params, config).total
@@ -71,7 +57,7 @@ def eval_sweeps(full):
     params = vit.init_params(cfg, np.random.default_rng(4))
     frozen = {k: Tensor(p.data) for k, p in params.items()}
     with Tape() as tape:
-        res = vit.forward(sample_for(cfg, 12).image, frozen, cfg)
+        res = vit.forward(ref.sample_for(cfg, 12).image, frozen, cfg)
     if full:
         unprune(tape)
     grads = []
@@ -145,7 +131,7 @@ class TestWhereGradientsLand:
         params = {k: Tensor(p.data) for k, p in
                   vit.init_params(cfg, np.random.default_rng(4)).items()}
         with Tape() as tape:
-            res = vit.forward(sample_for(cfg, 12).image, params, cfg)
+            res = vit.forward(ref.sample_for(cfg, 12).image, params, cfg)
         recorded = [n.op for n in tape.nodes]
         tape.backward(res.logits, seed=np.eye(cfg.num_classes)[0])
         first_softmax = recorded.index("softmax_rows")
@@ -251,21 +237,22 @@ class TestStoredGradsOwnTheirMemory:
     def test_views_and_shared_adjoints(self):
         x = Tensor(np.random.default_rng(0).normal(size=(2, 3)), requires_grad=True)
         y = Tensor(np.random.default_rng(1).normal(size=(1, 3)), requires_grad=True)
+        z = Tensor(np.random.default_rng(2).normal(size=(2, 2, 3)), requires_grad=True)
         with Tape() as tape:
-            r = ad.reshape(x, (3, 2)).retain_grad()       # backward: a view of r's adjoint
-            s = ad.add(ad.reshape(r, (2, 3)), x).retain_grad()
+            r = ad.mean(z, axis=0).retain_grad()          # backward: a broadcast view
+            s = ad.add(r, x).retain_grad()
             c = ad.concat([y, s], axis=0).retain_grad()   # backward: views of c's adjoint
             loss = ad.mean(ad.mul(c, c))
         tape.backward(loss)
-        grads = [x.grad, y.grad, r.grad, s.grad, c.grad]
-        assert all(g is not None for g in grads)
+        grads = [x.grad, y.grad, z.grad, r.grad, s.grad, c.grad]
+        assert all(g is not None and g.flags.writeable for g in grads)
         assert_disjoint(grads)
         np.testing.assert_allclose(c.grad, 2 * c.data / c.size, atol=1e-15)
 
     def test_training_chunk(self):
         config = CONSISTENCY
         params = vit.init_params(config.vit, np.random.default_rng(3))
-        chunk = [tr._two_views(j, sample_for(config.vit, 11 + j), t, config.vit)
+        chunk = [tr._two_views(j, ref.sample_for(config.vit, 11 + j), t, config.vit)
                  for j, t in enumerate(config.augmentations)]
         with Tape() as tape:
             loss = tr._chunk_loss(chunk, params, config).total

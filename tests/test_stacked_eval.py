@@ -3,10 +3,10 @@
 ``trainer.evaluate`` groups images by (image shape, mask shape, number of
 present classes), runs each stack of a group as one forward with one
 seeded sweep per class rank, and bins every stack into per-cell
-threshold histograms as it goes. The reference in ``test_eval_oracle``
-runs a fresh forward + backward per present class and image and
-re-counts every threshold; the two must agree exactly (``==``), however
-the images fall into stacks.
+threshold histograms as it goes. reference.evaluate runs a fresh
+forward + backward per present class and image and re-counts every
+threshold; the two must agree exactly (``==``), however the images fall
+into stacks.
 """
 
 import math
@@ -15,14 +15,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import reference as ref
 from attnreg import synthdata as sd
 from attnreg import trainer as tr
 from attnreg import vit
-from attnreg.autodiff import Tape, Tensor
 from attnreg.gridtransform import GridShape
 from attnreg.vit import ViTConfig
-
-from test_eval_oracle import exact_same, reference_evaluate, trained
 
 MASK_SHAPES = [(16, 16), (8, 8), (20, 12)]
 
@@ -30,7 +28,7 @@ MASK_SHAPES = [(16, 16), (8, 8), (20, 12)]
 def mixed(seed):
     """A trained model and 24 images whose masks come in three sizes and
     whose labels name 0, 1, 2 or 3 present classes."""
-    params, cfg, _ = trained(seed)
+    params, cfg, _ = ref.trained(seed)
     data = sd.generate(sd.DatasetConfig(num_samples=24, seed=seed + 10, height=16, width=16))
     rng = np.random.default_rng(seed)
     for s in data:
@@ -51,7 +49,7 @@ def stacks_expected(data, size):
 
 
 def budget_for(cfg, images):
-    return images * tr._tape_bytes_per_image(cfg)
+    return images * tr._tape_bytes_per_image(cfg, cfg.grid)
 
 
 class TestMixedStacks:
@@ -66,7 +64,7 @@ class TestMixedStacks:
         if per_stack == 3:  # a stack boundary falls inside some group
             assert max(groups.values()) > per_stack
         fast = tr.evaluate(params, cfg, data, sweep_layers=True)
-        exact_same(fast, reference_evaluate(params, cfg, data, sweep_layers=True))
+        ref.exact_same(fast, ref.evaluate(params, cfg, data, sweep_layers=True))
 
     def test_custom_layers_and_grid_match_reference(self, monkeypatch):
         params, cfg, data = mixed(2)
@@ -74,11 +72,13 @@ class TestMixedStacks:
         grid = [0.6, 0.15, 0.45, 0.3, 0.9]
         fast = tr.evaluate(params, cfg, data, map_layers=(0, 3), thresholds=grid,
                            sweep_layers=True)
-        exact_same(fast, reference_evaluate(params, cfg, data, map_layers=(0, 3),
+        ref.exact_same(fast, ref.evaluate(params, cfg, data, map_layers=(0, 3),
                                             thresholds=grid, sweep_layers=True))
 
     def test_one_forward_per_stack(self, monkeypatch):
         params, cfg, data = mixed(0)
+        # budget_for also runs the measuring forward of the model's grid,
+        # the only grid here, before vit.forward is counted
         monkeypatch.setattr(tr, "TAPE_BYTE_BUDGET", budget_for(cfg, 3))
         calls = []
         real = vit.forward
@@ -93,35 +93,37 @@ class TestMixedStacks:
         params, cfg, data = mixed(1)
         monkeypatch.setattr(tr, "TAPE_BYTE_BUDGET", budget_for(cfg, 2))
         forward = tr.evaluate(params, cfg, data, sweep_layers=True)
-        exact_same(forward, tr.evaluate(params, cfg, data[::-1], sweep_layers=True))
+        ref.exact_same(forward, tr.evaluate(params, cfg, data[::-1], sweep_layers=True))
+
+
+def per_stack(cfg, grid):
+    """Images on `grid` that one stack of the model takes."""
+    return tr.TAPE_BYTE_BUDGET // tr._tape_bytes_per_image(cfg, grid)
 
 
 class TestStackBound:
     def test_budget_fits_several_small_images_and_few_large(self):
-        small = ViTConfig(patch_size=4, grid=GridShape(8, 8), embed_dim=16, num_layers=2,
-                          num_heads=2, num_classes=3, use_positional_embedding=False)
-        large = ViTConfig()
-        for cfg, lo, hi in ((small, 4, 16), (large, 1, 2)):
-            per_stack = tr.TAPE_BYTE_BUDGET // tr._tape_bytes_per_image(cfg)
-            assert lo <= per_stack <= hi, (cfg, per_stack)
+        for cfg, lo, hi in ((ref.C07, 4, 16), (ViTConfig(), 1, 2)):
+            assert lo <= per_stack(cfg, cfg.grid) <= hi, cfg
 
-    def test_byte_estimate_matches_a_recorded_forward(self):
-        cfg = ViTConfig(embed_dim=16, num_layers=2)
-        params = {k: Tensor(p.data)
-                  for k, p in vit.init_params(cfg, np.random.default_rng(0)).items()}
-        images = np.random.default_rng(1).random((2, 3, 32, 32))
-        with Tape() as tape:
-            vit.forward(images, params, cfg)
-        recorded = sum(node.output.data.nbytes for node in tape.nodes) / len(images)
-        estimate = tr._tape_bytes_per_image(cfg)
-        assert 0.9 * recorded <= estimate <= 1.1 * recorded
+    def test_stack_and_chunk_sizes_on_the_benchmark_models(self):
+        """The criterion-07 model stacks 8 images and 4 training pairs. The
+        default model stacks 2 images on its 8x8 grid, 4 on 6x6 and 1 on
+        10x10, and one pair for each view train_resize_wide draws."""
+        c07, default = ref.C07, ViTConfig()
+        assert per_stack(c07, c07.grid) == 8
+        assert [per_stack(default, GridShape(g, g)) for g in (8, 6, 10)] == [2, 4, 1]
+        for cfg, text, k in ((c07, "fliph", 4), (default, "fliph,resize:6x6,resize:10x10", 1)):
+            pairs = [tr._two_views(j, ref.sample_for(cfg, j), t, cfg)
+                     for t in ref.transforms(text) for j in range(8)]
+            sizes = [len(c) for c in tr._chunks(pairs, cfg)]
+            assert max(sizes) == k and sum(sizes) == len(pairs), (cfg, text)
 
 
 def test_peak_memory_is_flat_in_the_image_count():
     """On the criterion-07 model, evaluate's traced peak at 500 images
     stays within 10% of its peak at 100."""
-    cfg = ViTConfig(patch_size=4, grid=GridShape(8, 8), embed_dim=16, num_layers=2,
-                    num_heads=2, num_classes=3, use_positional_embedding=False)
+    cfg = ref.C07
     params = vit.init_params(cfg, np.random.default_rng(0))
     samples = sd.generate(sd.DatasetConfig(num_samples=500, num_classes=3, height=32,
                                            width=32, seed=0))
