@@ -7,6 +7,17 @@ records every operation executed while it is active (entered with
 accumulate adjoints. One tape per training step; with no active tape
 every op is a plain forward computation, which is what inference uses.
 
+A tape records the graph, not the values. A node holds the op name; per
+input, where its adjoint goes (the index of the node that produced it on
+this tape, the leaf tensor, or None when the input did not require grad
+when the node was recorded); the output's shape; a weak reference to the
+output, through which a retained gradient is stored; and the backward
+closure, which captures the arrays its backward reads and no more. So an
+op's output lives only while the caller or some closure holds it: the
+pre-softmax scores, a block copy or a residual sum that no backward
+reads is freed as soon as the caller drops it. An unseeded backward
+drops each node, closure and all, once the sweep has passed it.
+
 The 17 ops: add, mul; matmul and the fused linear, attention_scores and
 attend; gelu, layer_norm, softmax_rows, sum_rows, scale_rows_to_sums and
 mean; the losses mean_distance (l1, l2 or smooth-l1) and
@@ -43,14 +54,14 @@ Conventions:
 * every op output is checked for NaN/Inf and rejected with
   NumericalError;
 * an op output requires grad when any of its inputs does. The reverse
-  sweep computes a gradient only for tensors that require grad: an op
-  returns None for an operand that does not, and a node none of whose
-  inputs requires grad is not swept at all;
+  sweep passes gradients only to inputs that required grad when their
+  consumer was recorded: an op returns None for an operand that does
+  not require grad, and a node none of whose inputs did is not swept;
 * backward stores ``.grad`` only in leaves (tensors no op on the tape
-  produced) that require grad, and in tensors marked ``retain_grad()``;
-  every other intermediate keeps ``.grad is None``. ``retain_grad()``
-  also sets ``requires_grad``, so ops recorded after it carry its
-  gradient even when no trainable leaf sits below it. A stored
+  produced) that require grad, and in live tensors marked
+  ``retain_grad()``; every other intermediate keeps ``.grad is None``.
+  ``retain_grad()`` also sets ``requires_grad``, so ops recorded after
+  it carry its gradient even when no trainable leaf sits below it. A stored
   ``.grad`` shares memory with no other stored ``.grad`` and not with
   the caller's seed;
 * gradients accumulate: running backward twice (on two tapes) adds
@@ -69,6 +80,7 @@ from __future__ import annotations
 
 import math
 import threading
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -85,7 +97,7 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 class Tensor:
     """A contiguous float64 array plus an optional accumulated gradient."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_retain")
+    __slots__ = ("data", "requires_grad", "grad", "_retain", "_origin", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         # note: order="C" (not ascontiguousarray) so 0-d scalars stay 0-d
@@ -96,6 +108,9 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: Array | None = None
         self._retain = False
+        # (recording token, node index) of the op that produced it on a
+        # tape; None for a tensor no op produced while a tape was active
+        self._origin: tuple[object, int] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -112,8 +127,11 @@ class Tensor:
     def retain_grad(self) -> "Tensor":
         """Ask backward() to store this tensor's gradient in .grad even though
         it is an intermediate. Also sets requires_grad, so ops recorded after
-        this call carry the gradient back to it; call it before the tensor
-        is used."""
+        this call carry the gradient back to it. Each node records its
+        inputs' requires_grad when it is recorded, so call it before the
+        tensor is used: a consumer recorded earlier sends it no gradient.
+        The gradient is stored only while the tensor is alive, that is,
+        while the caller or a backward closure holds it."""
         self._retain = True
         self.requires_grad = True
         return self
@@ -132,13 +150,20 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("op", "inputs", "output", "backward")
+    """One recorded op. ``inputs`` says, per input, where its adjoint
+    goes: the index on this tape of the node that produced it, the leaf
+    Tensor itself, or None when the input did not require grad at
+    recording. ``output`` is a weak reference to the output: the node
+    keeps its shape, not its values."""
 
-    def __init__(self, op: str, inputs: tuple[Tensor, ...], output: Tensor,
+    __slots__ = ("op", "inputs", "shape", "output", "backward")
+
+    def __init__(self, op: str, inputs: tuple[int | Tensor | None, ...], output: Tensor,
                  backward: Callable[[Array], tuple[Array | None, ...]]):
         self.op = op
         self.inputs = inputs
-        self.output = output
+        self.shape = output.shape
+        self.output = weakref.ref(output)
         self.backward = backward
 
 
@@ -162,10 +187,18 @@ class Tape:
     reset(); only a seeded backward leaves it usable. Nodes are stored in
     execution order, a topological order of the graph, so the reverse
     sweep sees every consumer before its producer and each node once.
+
+    The tape records the graph, not its values (see _Node). An unseeded
+    backward drops each node, closure and all, once the sweep has passed
+    it, and leaves ``nodes`` empty; a seeded one keeps them for the next
+    seed. Each produced tensor carries its (token, index) on the tape;
+    the token is a fresh object per tape and per reset(), so a tensor
+    from an earlier recording enters a new one as a leaf.
     """
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self._token = object()
         self._spent = False
         self._entered = False
 
@@ -182,38 +215,43 @@ class Tape:
         _tls.tape = None
         self._entered = False
 
-    def _record(self, node: _Node) -> None:
+    def _record(self, op: str, inputs: tuple[int | Tensor | None, ...], out: Tensor,
+                backward: Callable[[Array], tuple[Array | None, ...]]) -> None:
         if self._spent:
             raise StateError("tape already consumed by backward(); call reset() first")
-        self.nodes.append(node)
+        out._origin = (self._token, len(self.nodes))
+        self.nodes.append(_Node(op, inputs, out, backward))
 
     def backward(self, loss: Tensor, seed: Array | None = None) -> None:
         """Accumulate d(loss)/d(x) into x.grad for every leaf x that requires
-        grad and every tensor x marked retain_grad(). No other tensor gets a
-        .grad, and no gradient is computed for a tensor that does not
-        require grad.
+        grad and every live tensor x marked retain_grad(). No other tensor
+        gets a .grad, and no gradient is computed for an input that did
+        not require grad when its consumer was recorded.
 
         With ``seed``, an adjoint shaped like ``loss`` (then not necessarily
         a scalar), the sweep starts from it instead of ones and leaves the
-        tape usable: one recorded forward can be swept once per seed."""
+        tape usable: one recorded forward can be swept once per seed.
+        Without it, the sweep drops every node it has passed."""
         if self._spent:
             raise StateError("tape already consumed by backward(); call reset() first")
         if seed is None and loss.size != 1:
             raise ContractError(f"backward() needs a scalar loss, got shape {loss.shape}")
         if seed is not None and np.shape(seed) != loss.shape:
             raise DimensionError(f"seed shape {np.shape(seed)} != loss shape {loss.shape}")
-        if self.nodes and loss is not self.nodes[-1].output:
-            produced = any(loss is n.output for n in self.nodes)
-            if not produced:
-                raise ContractError("loss tensor was not produced on this tape")
-        if not self.nodes:
+        nodes = self.nodes
+        if not nodes:
             raise ContractError("tape is empty; nothing was recorded")
-        self._spent = seed is None
+        origin = loss._origin
+        if origin is None or origin[0] is not self._token:
+            raise ContractError("loss tensor was not produced on this tape")
+        spend = seed is None
+        self._spent = spend
 
         start = (np.ones_like(loss.data) if seed is None
                  else np.asarray(seed, dtype=np.float64))
-        acc: dict[int, Array] = {id(loss): start}
-        holders: dict[int, Tensor] = {id(loss): loss}
+        top = origin[1]
+        # adjoints keyed by producer index on this tape, or by leaf tensor
+        acc: dict[int | Tensor, Array] = {top: start}
         # ids of the arrays already stored as some .grad; they stay alive
         # (their tensors hold them), so an id here is not reused meanwhile
         stored: set[int] = set()
@@ -230,40 +268,43 @@ class Tape:
             stored.add(id(g))
             t.grad = g
 
-        for node in reversed(self.nodes):
-            g = acc.pop(id(node.output), None)
+        if spend:  # nothing recorded after the loss reaches it
+            del nodes[top + 1:]
+        for i in range(top, -1, -1):
+            node = nodes.pop() if spend else nodes[i]
+            g = acc.pop(i, None)
             if g is None:
                 continue
-            if node.output._retain:
-                flush(node.output, g)
-            if not any(inp.requires_grad for inp in node.inputs):
+            out = node.output()
+            if out is not None and out._retain:
+                flush(out, g)
+            refs = node.inputs
+            if refs.count(None) == len(refs):  # no input required grad
                 continue
             grads = node.backward(g)
-            if len(grads) != len(node.inputs):
+            if len(grads) != len(refs):
                 raise ContractError(f"{node.op}: backward returned {len(grads)} grads "
-                                    f"for {len(node.inputs)} inputs")
-            for inp, gi in zip(node.inputs, grads):
-                if gi is None:
+                                    f"for {len(refs)} inputs")
+            for ref, gi in zip(refs, grads):
+                if ref is None or gi is None:
                     continue
-                if gi.shape != inp.data.shape:
+                shape = nodes[ref].shape if type(ref) is int else ref.shape
+                if gi.shape != shape:
                     raise DimensionError(f"{node.op}: gradient shape {gi.shape} does not "
-                                         f"match input shape {inp.data.shape}")
-                key = id(inp)
-                if key in acc:
-                    acc[key] = acc[key] + gi
-                else:
-                    acc[key] = gi
-                    holders[key] = inp
+                                         f"match input shape {shape}")
+                prev = acc.get(ref)
+                acc[ref] = gi if prev is None else prev + gi
 
-        # whatever is left never appears as a node output: these are the
-        # leaves, and only those that require grad got a gradient
-        for key, g in acc.items():
-            flush(holders[key], g)
+        # the sweep has taken every node index: what is left are the
+        # leaves, those that required grad when their consumers were recorded
+        for leaf, g in acc.items():
+            flush(leaf, g)
 
     def reset(self) -> None:
         if self._entered:
             raise StateError("cannot reset a tape that is still active")
         self.nodes.clear()
+        self._token = object()
         self._spent = False
 
 
@@ -287,10 +328,18 @@ def _apply(op: str, inputs: tuple[Tensor, ...], out_data: Array,
         out = Tensor(out_data)
     except NumericalError:
         raise NumericalError(f"{op}: result contains NaN or Inf") from None
-    out.requires_grad = any(t.requires_grad for t in inputs)
     tape = _active_tape()
+    token = None if tape is None else tape._token
+    refs = []  # per input: its producer's index on this tape, the leaf, or None
+    for t in inputs:
+        if t.requires_grad:
+            out.requires_grad = True
+            origin = t._origin
+            refs.append(origin[1] if origin is not None and origin[0] is token else t)
+        else:
+            refs.append(None)
     if tape is not None:
-        tape._record(_Node(op, inputs, out, backward_fn))
+        tape._record(op, tuple(refs), out, backward_fn)
     return out
 
 
@@ -331,10 +380,12 @@ def _sum_rows_of(g: Array, width: int) -> Array:
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_pair("add", a, b)
+    shape_a, shape_b = a.shape, b.shape
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def bw(g: Array):
-        return (_reduce_to(g, a.shape) if a.requires_grad else None,
-                _reduce_to(g, b.shape) if b.requires_grad else None)
+        return (_reduce_to(g, shape_a) if need_a else None,
+                _reduce_to(g, shape_b) if need_b else None)
 
     return _apply("add", (a, b), a.data + b.data, bw)
 
@@ -603,12 +654,13 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     gd = gain.data
     out = xhat * gd
     out += bias.data
+    need_x, need_gain, need_bias = x.requires_grad, gain.requires_grad, bias.requires_grad
 
     def bw(g: Array):
-        ggain = _sum_rows_of(g * xhat, d) if gain.requires_grad else None
-        gbias = _sum_rows_of(g, d) if bias.requires_grad else None
+        ggain = _sum_rows_of(g * xhat, d) if need_gain else None
+        gbias = _sum_rows_of(g, d) if need_bias else None
         gx = None
-        if x.requires_grad:
+        if need_x:
             # inv * (gg - sum(gg) / d - (xhat * sum(gg * xhat)) / d), gg = g * gain
             gx = g * gd
             proj = gx * xhat
@@ -702,11 +754,13 @@ def mean_distance(a, b, distance: str) -> Tensor:
     _check_pair("mean_distance", a, b)
     d = a.data - b.data
     n = float(d.size)
+    shape_a, shape_b = a.shape, b.shape
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def bw(g: Array):
         ga = float(g) / n * slope(d)
-        return (_reduce_to(ga, a.shape) if a.requires_grad else None,
-                _reduce_to(-ga, b.shape) if b.requires_grad else None)
+        return (_reduce_to(ga, shape_a) if need_a else None,
+                _reduce_to(-ga, shape_b) if need_b else None)
 
     return _apply("mean_distance", (a, b), np.asarray(elements(d).mean()), bw)
 
@@ -752,11 +806,13 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
         raise DimensionError(f"concat: parts disagree on axis {1 - axis}: {[p.shape for p in parts]}")
     along = axis - 2
     splits = np.cumsum([p.shape[along] for p in parts])[:-1]
+    # per part, the shape its gradient takes, or None when it needs none
+    targets = [p.shape if p.requires_grad else None for p in parts]
 
     def bw(g: Array):
         pieces = np.split(g, splits, axis=along)
-        return tuple(_reduce_to(np.ascontiguousarray(piece), p.shape) if p.requires_grad
-                     else None for piece, p in zip(pieces, parts))
+        return tuple(None if shape is None else _reduce_to(np.ascontiguousarray(piece), shape)
+                     for piece, shape in zip(pieces, targets))
 
     out = np.concatenate([np.broadcast_to(p.data, batch + p.shape[-2:]) for p in parts],
                          axis=along)
@@ -822,7 +878,7 @@ def permute_rc(x, row_index, col_index) -> Tensor:
     shape = x.shape
 
     def bw(g: Array):
-        gx = np.zeros(x.size)
+        gx = np.zeros(math.prod(shape))
         gx[flat] = g.reshape(flat.shape)
         return (gx.reshape(shape),)
 

@@ -262,9 +262,12 @@ def format_train_config(config: TrainConfig) -> str:
 
 # A forward of a stack of images -- an evaluation stack, or the two views
 # of each sample of a training chunk -- may record this many bytes of
-# node outputs, as _tape_bytes_per_image measures them per image; a
-# training chunk holds about twice that, since op closures keep
-# intermediates too. Stacking buys speed up to a few images per stack
+# node outputs, as _tape_bytes_per_image measures them per image. That
+# unit is the bytes the recorded outputs would take, not what a chunk
+# holds: the tape keeps no output, and a chunk holds only what the
+# caller and the backward closures keep (softmax outputs, layer norm's
+# normalized input, GELU's derivative, a loss's differences), well under
+# the outputs' sum. Stacking buys speed up to a few images per stack
 # and only memory beyond, so the bound is a constant, not a knob: the
 # criterion-07 model (8x8 grid, embed 16, 2 layers) fits 8 images, so 4
 # training samples and a batch of 8 runs as 4+4; the default model
@@ -280,18 +283,18 @@ TAPE_BYTE_BUDGET = 15 * 2**18  # 3.75 MiB
 @functools.lru_cache(maxsize=None)
 def _tape_bytes_per_image(cfg: ViTConfig, grid: GridShape) -> int:
     """Node-output bytes of one image's forward on `grid`, measured: the
-    sum over the nodes that one recorded forward of a zero image records,
-    on zero parameters that do not require grad. It counts node outputs
-    only: what op closures keep for the backward (layer norm's normalized
-    input, GELU's derivative, a training loss's inversions) comes on top.
-    The first call for a (cfg, grid) runs `vit.forward` under a tape of
+    float64 bytes of the output shapes that one recorded forward of a zero
+    image records, on zero parameters that do not require grad. The tape
+    keeps those shapes, not the outputs, so this is a size in the unit of
+    TAPE_BYTE_BUDGET rather than what the forward holds. The first call
+    for a (cfg, grid) runs `vit.forward` under a tape of
     its own, so it must come outside any active tape (tapes do not nest):
     _chunks and _stacks reach it between the forwards they feed."""
     params = {name: Tensor(np.zeros(shape)) for name, shape, _ in vit._layout(cfg)}
     image = np.zeros((cfg.in_channels, grid.h * cfg.patch_size, grid.w * cfg.patch_size))
     with Tape() as tape:
         vit.forward(image, params, cfg)
-    return sum(node.output.data.nbytes for node in tape.nodes)
+    return sum(8 * math.prod(node.shape) for node in tape.nodes)
 
 
 def _budgeted_runs(items: list, key, item_bytes):
@@ -402,6 +405,11 @@ def _chunk_backward(chunk: list[_TwoViews], params: dict[str, Tensor], config: T
     with Tape() as tape:
         breakdown = _chunk_loss(chunk, params, config, snapshot)
         total = ad.mul(breakdown.total, float(len(chunk)))
+    # a NumericalError comes only from building an op's output, and the
+    # backward builds none: the dump can no longer need the snapshot,
+    # which would keep every layer's attention stack through the sweep
+    if snapshot is not None:
+        snapshot.clear()
     tape.backward(total)
     return {key: len(chunk) * value for key, value in breakdown.to_floats().items()}
 
@@ -610,8 +618,11 @@ def evaluate(params: dict[str, Tensor], cfg: ViTConfig,
             raise DimensionError(f"image grid {image_grid} does not match the model's "
                                  f"grid {cfg.grid}")
         rows, blocks = adjoint_rows(images, classes, frozen, cfg)
+        fused: dict = {}  # unrefined maps per layer range, which refining starts from
         for (layer_range, refine), hist in hists.items():
-            values = lc.build_maps(rows, blocks, layer_range, refine)
+            values = lc.build_maps(rows, blocks, layer_range, refine, fused.get(layer_range))
+            if not refine:
+                fused[layer_range] = values
             labels, peak = lc.argmax_seed(values.reshape(classes.shape + (h, w)), classes)
             mt.add_seeds(hist, grid, gt, labels, peak)
 

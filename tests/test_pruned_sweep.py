@@ -1,13 +1,20 @@
 """The reverse sweep computes and stores only the gradients someone reads.
 
-Oracle: the same forward recorded twice, the second time with
-requires_grad set on every node input afterwards, so that its sweep
-computes every gradient of every node. Parameter gradients and retained
-attention gradients must be equal (``==``) between the two: pruning may
-only drop work whose result nobody reads. Beside the oracle: which
-tensors get ``.grad``, what each multi-input op returns for a constant
-operand, and retain_grad in a graph without a trainable leaf.
+Oracle: the same forward recorded twice, the second time with every
+tensor made during the recording requiring grad, so that every input of
+every node does and its sweep computes every gradient of every node.
+Parameter gradients and retained attention gradients must be equal
+(``==``) between the two: pruning may only drop work whose result nobody
+reads. Beside the oracle: which tensors get ``.grad``, what each
+multi-input op returns for a constant operand, and retain_grad in a
+graph without a trainable leaf.
+
+The tape keeps no op output, so the tests that read outputs after the
+sweep hold every one of them themselves (see kept_outputs).
 """
+
+import contextlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,46 +34,68 @@ RESIZE_WIDE = tr.TrainConfig(vit=ViTConfig(), weights=ref.WEIGHTS,
                              augmentations=ref.transforms("resize:6x6,resize:10x10"))
 
 
-def unprune(tape):
-    """Make every node input require grad: the sweep then computes all."""
-    for node in tape.nodes:
-        for t in node.inputs:
-            t.requires_grad = True
+@contextlib.contextmanager
+def kept_outputs():
+    """Every op output made in the block, in recording order. The list
+    holds them, so each lives through the sweep and keeps its .grad."""
+    outputs = []
+    real = ad._apply
+
+    def apply(*args):
+        outputs.append(real(*args))
+        return outputs[-1]
+
+    with mock.patch.object(ad, "_apply", apply):
+        yield outputs
 
 
-def retained(tape):
-    return [n.output for n in tape.nodes if n.output._retain]
+@contextlib.contextmanager
+def unpruned(full):
+    """With `full`, every tensor made in the block requires grad: every
+    node then records every input as requiring grad, and the sweep
+    computes all of their gradients."""
+    real = Tensor.__init__
+
+    def init(self, data, requires_grad=False):
+        real(self, data, requires_grad=True)
+
+    with mock.patch.object(Tensor, "__init__", init) if full else contextlib.nullcontext():
+        yield
+
+
+def retained(outputs):
+    return [t for t in outputs if t._retain]
 
 
 def train_sweep(config, transform, full):
+    """One training chunk's sweep; returns every op output it recorded and
+    the parameters."""
     params = vit.init_params(config.vit, np.random.default_rng(3))
     sample = ref.sample_for(config.vit, 11)
-    with Tape() as tape:
+    with kept_outputs() as outputs, unpruned(full), Tape() as tape:
         chunk = [tr._two_views(0, sample, transform, config.vit)]
         loss = tr._chunk_loss(chunk, params, config).total
-    if full:
-        unprune(tape)
     tape.backward(loss)
-    return tape, params
+    return outputs, params
 
 
 def eval_sweeps(full):
     """One eval forward on no-grad parameter views, one seeded sweep per
-    class; returns the retained grads of every sweep."""
+    class; returns every op output the forward recorded, the views and
+    the retained grads of every sweep."""
     cfg = CONSISTENCY.vit
     params = vit.init_params(cfg, np.random.default_rng(4))
-    frozen = {k: Tensor(p.data) for k, p in params.items()}
-    with Tape() as tape:
-        res = vit.forward(ref.sample_for(cfg, 12).image, frozen, cfg)
-    if full:
-        unprune(tape)
+    with kept_outputs() as outputs, unpruned(full):
+        frozen = {k: Tensor(p.data) for k, p in params.items()}
+        with Tape() as tape:
+            res = vit.forward(ref.sample_for(cfg, 12).image, frozen, cfg)
     grads = []
     for k in range(cfg.num_classes):
         for rec in res.attentions:
             rec.heads.zero_grad()
         tape.backward(res.logits, seed=np.eye(cfg.num_classes)[k])
         grads.append([rec.heads.grad.copy() for rec in res.attentions])
-    return tape, frozen, grads
+    return outputs, frozen, grads
 
 
 class TestNothingPrunedOracle:
@@ -79,11 +108,11 @@ class TestNothingPrunedOracle:
             "resize_wide-10x10"])
     def test_training_sweep(self, config, transform):
         transform = SpatialTransform.parse(transform)
-        pruned_tape, pruned = train_sweep(config, transform, full=False)
-        full_tape, full = train_sweep(config, transform, full=True)
+        pruned_outputs, pruned = train_sweep(config, transform, full=False)
+        full_outputs, full = train_sweep(config, transform, full=True)
         for name, p in pruned.items():
             assert p.grad is not None and np.array_equal(p.grad, full[name].grad), name
-        heads, full_heads = retained(pruned_tape), retained(full_tape)
+        heads, full_heads = retained(pruned_outputs), retained(full_outputs)
         forwards = 2 if transform.kind.value == "resize" else 1
         assert len(heads) == forwards * config.vit.num_layers
         for h, fh in zip(heads, full_heads, strict=True):
@@ -100,15 +129,13 @@ class TestNothingPrunedOracle:
 
 class TestWhereGradientsLand:
     def test_training_intermediates_get_no_grad(self):
-        tape, params = train_sweep(CONSISTENCY, SpatialTransform.parse("fliph"), full=False)
-        for node in tape.nodes:
-            if not node.output._retain:
-                assert node.output.grad is None, node.op
+        outputs, params = train_sweep(CONSISTENCY, SpatialTransform.parse("fliph"), full=False)
+        assert len(outputs) == 62 and any(t._retain for t in outputs)
+        assert all(t.grad is None for t in outputs if not t._retain)
         assert all(p.grad is not None for p in params.values())
 
     def test_eval_intermediates_get_no_grad(self):
-        tape, _, _ = eval_sweeps(full=False)
-        outputs = [n.output for n in tape.nodes]
+        outputs, _, _ = eval_sweeps(full=False)
         assert any(t._retain for t in outputs)
         assert all(t.grad is None for t in outputs if not t._retain)
 
@@ -254,9 +281,9 @@ class TestStoredGradsOwnTheirMemory:
         params = vit.init_params(config.vit, np.random.default_rng(3))
         chunk = [tr._two_views(j, ref.sample_for(config.vit, 11 + j), t, config.vit)
                  for j, t in enumerate(config.augmentations)]
-        with Tape() as tape:
+        with kept_outputs() as outputs, Tape() as tape:
             loss = tr._chunk_loss(chunk, params, config).total
         tape.backward(loss)
-        grads = [p.grad for p in params.values()] + [t.grad for t in retained(tape)]
+        grads = [p.grad for p in params.values()] + [t.grad for t in retained(outputs)]
         assert all(g is not None for g in grads)
         assert_disjoint(grads)
