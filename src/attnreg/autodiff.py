@@ -18,27 +18,27 @@ pre-softmax scores, a block copy or a residual sum that no backward
 reads is freed as soon as the caller drops it. An unseeded backward
 drops each node, closure and all, once the sweep has passed it.
 
-The 17 ops: add, mul; matmul and the fused linear, attention_scores and
-attend; gelu, layer_norm, softmax_rows, sum_rows, scale_rows_to_sums and
-mean; the losses mean_distance (l1, l2 or smooth-l1) and
-bce_with_logits; and concat, index (numpy basic indexing) and
-permute_rc.
+The 16 ops: add, mul; matmul and the fused linear, attention_scores,
+attend and resample; gelu, layer_norm, softmax_rows and mean; the losses
+mean_distance (l1, l2 or smooth-l1) and bce_with_logits; and concat,
+index (numpy basic indexing) and permute_rc.
 
 Conventions:
 
 * float64 everywhere, row-major (C-order) storage;
 * a "scalar" is a tensor with exactly one element (usually shape ());
-* matrix ops (matmul, layer_norm, softmax_rows, concat, sum_rows,
-  scale_rows_to_sums, permute_rc) act on the last two axes and
-  accept leading batch axes, e.g. (views, tokens, dim) or (views, heads,
-  tokens, tokens); permute_rc takes one row and one column index per
-  batch entry. A parameter without those axes (a weight, a bias, the
-  class token) is shared across them, and its gradient sums over all
-  leading axes. mean(x, axis) averages over one axis (the head axis);
-* fused transformer ops record one node for a chain that would
-  otherwise take several, and evaluate the same numpy expressions on
-  the same contiguous operands as that chain, so their outputs are
-  bit-identical to it: linear is x @ w + b; attention_scores projects
+* matrix ops (matmul, layer_norm, softmax_rows, concat, resample,
+  permute_rc) act on the last two axes and accept leading batch axes,
+  e.g. (views, tokens, dim) or (views, heads, tokens, tokens);
+  permute_rc takes one row and one column index per batch entry, and
+  resample one constant matrix for every entry. A parameter without
+  those axes (a weight, a bias, the class token) is shared across them,
+  and its gradient sums over all leading axes. mean(x, axis) averages
+  over one axis (the head axis);
+* fused ops record one node for a chain that would otherwise take
+  several, and evaluate the same numpy expressions on the same
+  contiguous operands as that chain, so their outputs are bit-identical
+  to it: linear is x @ w + b; attention_scores projects
   tokens (..., m, d) to queries and keys, splits their columns onto a
   head axis and returns the scaled scores (..., heads, m, m);
   attend projects the values, applies per-head attention
@@ -46,11 +46,13 @@ Conventions:
   only the first r query rows, (..., r, d'), when a consumer reads no
   other (the last block, whose logits read the class row). Their
   weights and biases are 2-d and shared over the token tensor's
-  leading axes;
+  leading axes. resample is P A P^T with each row rescaled to P times
+  A's row sums, the chain of a row sum, three matmuls and a row
+  rescale that resizes an attention matrix between patch grids;
 * binary elementwise ops broadcast a scalar, or an operand shaped like
   the other's trailing axes (a shared table over a batch); any other
   shape mismatch raises DimensionError. Fused ops (layer_norm, linear,
-  scale_rows_to_sums, ...) own their internal broadcasting;
+  resample, ...) own their internal broadcasting;
 * every op output is checked for NaN/Inf and rejected with
   NumericalError;
 * an op output requires grad when any of its inputs does. The reverse
@@ -92,6 +94,8 @@ Array = np.ndarray
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_LN_EPS = 1e-5  # added to layer_norm's row variance
+_ZERO_ROW_SUM = 1e-12  # resample leaves a row whose sum is within this of zero unscaled
 
 
 class Tensor:
@@ -551,28 +555,42 @@ def attend(probs, h, wv, bv, rows: int | None = None) -> Tensor:
     return _apply("attend", (probs, h, wv, bv), _merge_heads(pd @ v), bw)
 
 
-def scale_rows_to_sums(x, target, eps: float = 1e-12) -> Tensor:
-    """Rescale each row of x (..., m, k) so it sums to the matching entry of
-    target (..., m, 1); rows whose current sum is within eps of zero are
-    left untouched (factor 1)."""
-    x, target = _as_tensor(x), _as_tensor(target)
-    if x.ndim < 2 or target.shape != x.shape[:-1] + (1,):
-        raise DimensionError("scale_rows_to_sums: expected x (..., m, k) and target "
-                             f"(..., m, 1), got {x.shape} and {target.shape}")
-    xd, td = x.data, target.data
-    r = xd.sum(axis=-1, keepdims=True)
-    live = np.abs(r) > eps
+def resample(a, p) -> Tensor:
+    """P A P^T with each row rescaled to sum to P times A's row sums, as
+    one node: a (..., m, m) and a constant 2-d p (m', m), taken as
+    permute_rc takes its indices, give (..., m', m'). A row of P A P^T
+    summing to within 1e-12 of zero keeps factor 1. It resizes attention
+    matrices between patch grids (gridtransform.resize_attention)."""
+    a = _as_tensor(a)
+    p = np.asarray(p, dtype=np.float64)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or p.ndim != 2 or p.shape[1] != a.shape[-1]:
+        raise DimensionError(f"resample: expected a (..., m, m) and p (m', m), "
+                             f"got {a.shape} and {p.shape}")
+    m = a.shape[-1]
+    # P copied into every stack entry, and P^T, both contiguous: each
+    # product then rounds as in the chain this op replaces, whose matmul
+    # nodes read Tensor copies of P and P^T
+    left = np.ascontiguousarray(np.broadcast_to(p, a.shape[:-2] + p.shape))
+    pT = np.ascontiguousarray(p.T)
+    # A's row sums reduce in the order of the rescale's own sums of x, so
+    # P = I (source grid == target grid) is an exact identity
+    target = left @ a.data.sum(axis=-1, keepdims=True)
+    x = (left @ a.data) @ pT
+    r = x.sum(axis=-1, keepdims=True)
+    live = np.abs(r) > _ZERO_ROW_SUM
     safe_r = np.where(live, r, 1.0)
-    factor = np.where(live, td / safe_r, 1.0)
+    factor = np.where(live, target / safe_r, 1.0)
 
     def bw(g: Array):
-        inner = (g * xd).sum(axis=-1, keepdims=True)
-        gx = (g * factor - np.where(live, td / (safe_r * safe_r), 0.0) * inner
-              if x.requires_grad else None)
-        gt = np.where(live, inner / safe_r, 0.0) if target.requires_grad else None
-        return gx, gt
+        # the rescale's adjoints of x and of the target sums, then through
+        # the products and the row sums, added in that order
+        inner = (g * x).sum(axis=-1, keepdims=True)
+        gx = g * factor - np.where(live, target / (safe_r * safe_r), 0.0) * inner
+        gt = np.where(live, inner / safe_r, 0.0)
+        lt = np.swapaxes(left, -1, -2)
+        return (lt @ (gx @ np.swapaxes(pT, -1, -2)) + (lt @ gt) * np.ones((1, m)),)
 
-    return _apply("scale_rows_to_sums", (x, target), xd * factor, bw)
+    return _apply("resample", (a,), x * factor, bw)
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +654,7 @@ def softmax_rows(x) -> Tensor:
     return _apply("softmax_rows", (x,), y, bw)
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gain, bias) -> Tensor:
     """Per-row layer normalization over the last axis of a (..., m, d)
     tensor with affine (1, d) params."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
@@ -649,7 +667,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     # without their per-call Python overhead
     xhat = x.data - x.data.sum(axis=-1, keepdims=True) / d  # centered, then scaled
     var = (xhat * xhat).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat *= inv
     gd = gain.data
     out = xhat * gd
@@ -673,19 +691,6 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         return gx, ggain, gbias
 
     return _apply("layer_norm", (x, gain, bias), out, bw)
-
-
-def sum_rows(x) -> Tensor:
-    """Row sums of a (..., m, k) tensor, shape (..., m, 1)."""
-    x = _as_tensor(x)
-    if x.ndim < 2:
-        raise DimensionError(f"sum_rows: needs at least 2 dims, got shape {x.shape}")
-    k = x.shape[-1]
-
-    def bw(g: Array):
-        return (g * np.ones((1, k)),)
-
-    return _apply("sum_rows", (x,), x.data.sum(axis=-1, keepdims=True), bw)
 
 
 def mean(x, axis: int | None = None) -> Tensor:

@@ -194,8 +194,7 @@ def _cmd_ablate(args) -> int:
     tables = {
         "regularizer_grid": tr.run_regularizer_grid(config, samples, eval_samples),
         "distance_sweep": tr.run_distance_sweep(config, samples, eval_samples),
-        "augmentation_sweep": tr.run_augmentation_sweep(config, samples,
-                                                        eval_samples=eval_samples),
+        "augmentation_sweep": tr.run_augmentation_sweep(config, samples, eval_samples),
     }
     if out is not None:
         for name, rows in tables.items():

@@ -21,8 +21,9 @@ image's pixel grid as tokens and gathers its pixels with that grid's
 token permutation. A resize is no permutation: on an attention matrix it
 is P A P^T, with the bordered bilinear matrix P = blockdiag(1, W) of
 ``bordered_interp_matrix`` (W interpolates patch tokens, the 1 keeps the
-class token), and a resized view's positional rows are P times the
-configured ones.
+class token), its rows rescaled to P times A's row sums: one
+``autodiff.resample`` node. A resized view's positional rows are P
+times the configured ones.
 
 Conventions: grid coordinates are (row i, column j) with i in [0, h) and
 j in [0, w); Rot90 is counter-clockwise, (i, j) -> (w-1-j, i), so
@@ -248,6 +249,8 @@ def _inverse_token_index(transform: SpatialTransform, grid: GridShape) -> np.nda
 # ---------------------------------------------------------------------------
 # dense oracle
 
+_ORACLE_CAP = 1024  # the most tokens invert_attention_kronecker takes
+
 
 def vec(x: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization."""
@@ -303,18 +306,19 @@ def _oracle_factors(transform: SpatialTransform, grid: GridShape):
     raise ContractError(f"{kind.value} has no permutation oracle")
 
 
-def invert_attention_kronecker(a_prime_patch, transform: SpatialTransform, grid: GridShape,
-                               cap: int = 1024) -> np.ndarray:
+def invert_attention_kronecker(a_prime_patch, transform: SpatialTransform,
+                               grid: GridShape) -> np.ndarray:
     """Brute-force inversion of the patch-to-patch attention block via
     dense Kronecker algebra: conjugate by C^T (P_w kron P_h^T) in the
     column-major vec convention, converting row-major token order in and
     out with the grid's commutation matrix. Intended as an oracle for
-    invert_attention_fast; refuses grids beyond `cap` tokens."""
+    invert_attention_fast; refuses grids beyond 1024 tokens, since its
+    dense factors are (n, n)."""
     if transform.kind is TransformKind.RESIZE:
         raise ContractError("resize inversions go through resize_attention")
     n = grid.n
-    if n > cap:
-        raise ResourceError(f"oracle capped at {cap} tokens, grid {grid} has {n}")
+    if n > _ORACLE_CAP:
+        raise ResourceError(f"oracle capped at {_ORACLE_CAP} tokens, grid {grid} has {n}")
     a = np.asarray(a_prime_patch.data if isinstance(a_prime_patch, Tensor) else a_prime_patch,
                    dtype=np.float64)
     if a.shape != (n, n):
@@ -390,21 +394,14 @@ def resize_attention(a_prime, source: GridShape, target: GridShape) -> Tensor:
     and key grids, and (0,0) is kept. Each row of the result is then
     rescaled so its sum equals P times the source row sums (the class row
     keeps its own sum), which makes the operation exact for source ==
-    target and keeps row-stochastic matrices row-stochastic.
-    Differentiable end to end."""
+    target and keeps row-stochastic matrices row-stochastic. One tape
+    node, autodiff.resample; differentiable end to end."""
     a_prime = a_prime if isinstance(a_prime, Tensor) else Tensor(a_prime)
     ns = source.n
     if a_prime.ndim < 2 or a_prime.shape[-2:] != (ns + 1, ns + 1):
         raise DimensionError(f"attention must be {(ns + 1, ns + 1)} for grid {source}, "
                              f"got {a_prime.shape}")
-    p = bordered_interp_matrix(source, target)
-    # P from the left of a stack: one batched product with P in every entry
-    left = Tensor(np.broadcast_to(p, a_prime.shape[:-2] + p.shape))
-    # sum_rows (not a matmul with ones) so the source sums reduce in the
-    # same order as the rescale's own row sums: source == target (P = I)
-    # is then an exact identity
-    target_sums = ad.matmul(left, ad.sum_rows(a_prime))
-    return ad.scale_rows_to_sums(ad.matmul(ad.matmul(left, a_prime), p.T), target_sums)
+    return ad.resample(a_prime, bordered_interp_matrix(source, target))
 
 
 def invert_attention(a_prime, transform, grid: GridShape) -> Tensor:

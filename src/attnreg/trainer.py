@@ -642,6 +642,9 @@ def evaluate(params: dict[str, Tensor], cfg: ViTConfig,
 
 REGULARIZER_GRID = (("baseline", 0.0, 0.0), ("act_only", 1.0, 0.0),
                     ("aff_only", 0.0, 1.0), ("full", 1.0, 1.0))
+AUGMENTATION_CHOICES = (("fliph", (FLIP_H,)), ("flipv", (FLIP_V,)),
+                        ("rot", (ROT90, ROT180, ROT270)),
+                        ("fliph+rot", (FLIP_H, ROT90, ROT180, ROT270)))
 
 
 def _run_cells(config: TrainConfig, samples: list[sd.SyntheticSample],
@@ -686,12 +689,7 @@ def run_distance_sweep(config: TrainConfig, samples: list[sd.SyntheticSample],
 
 
 def run_augmentation_sweep(config: TrainConfig, samples: list[sd.SyntheticSample],
-                           choices: tuple[tuple[str, tuple[SpatialTransform, ...]], ...] | None = None,
                            eval_samples: list[sd.SyntheticSample] | None = None) -> list[dict]:
-    if choices is None:
-        choices = (("fliph", (FLIP_H,)), ("flipv", (FLIP_V,)),
-                   ("rot", (ROT90, ROT180, ROT270)),
-                   ("fliph+rot", (FLIP_H, ROT90, ROT180, ROT270)))
-    cells = [({"augmentation": name}, replace(config, augmentations=tuple(augs)))
-             for name, augs in choices]
+    cells = [({"augmentation": name}, replace(config, augmentations=augs))
+             for name, augs in AUGMENTATION_CHOICES]
     return _run_cells(config, samples, eval_samples, cells)

@@ -8,6 +8,11 @@ one piece at a time:
 * the primitive chains each fused op replaces: ``affine`` (matmul, then
   the bias row added), ``head_scores`` and ``head_attend`` (one chain
   per head), with ``transpose``, a tape op only these chains need;
+* the resize of an attention matrix between patch grids as chains:
+  ``resize_attention``, the five nodes ``autodiff.resample`` replaces,
+  on ``sum_rows`` and ``scale_rows_to_sums``, tape ops only the chains
+  need; and ``resize_attention_chain``, P A P^T spelled out block by
+  block;
 * ``forward``: one (C, H, W) image per call, every head its own chain,
   heads averaged by adds and merged by concatenation, every block on
   all n+1 rows and the logits taken from row 0 of the head's output;
@@ -27,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from attnreg import autodiff as ad
+from attnreg import gridtransform as gt
 from attnreg import localization as lc
 from attnreg import metrics as mt
 from attnreg import regularizer as reg
@@ -77,6 +83,65 @@ def head_attend(probs, h, wv, bv):
     v = affine(h, wv, bv)
     return ad.concat([ad.matmul(p, head_cols(v, j, len(probs))) for j, p in enumerate(probs)],
                      axis=1)
+
+
+# -- the resize chains ------------------------------------------------------------
+
+def sum_rows(x):
+    """Row sums of a (..., m, k) tensor, (..., m, 1), as a tape op."""
+    k = x.shape[-1]
+    return ad._apply("sum_rows", (x,), x.data.sum(axis=-1, keepdims=True),
+                     lambda g: (g * np.ones((1, k)),))
+
+
+def scale_rows_to_sums(x, target):
+    """Each row of x (..., m, k) rescaled to sum to the matching entry of
+    target (..., m, 1), as a tape op; a row whose sum is within 1e-12 of
+    zero keeps factor 1."""
+    xd, td = x.data, target.data
+    r = xd.sum(axis=-1, keepdims=True)
+    live = np.abs(r) > 1e-12
+    safe_r = np.where(live, r, 1.0)
+    factor = np.where(live, td / safe_r, 1.0)
+
+    def bw(g):
+        inner = (g * xd).sum(axis=-1, keepdims=True)
+        gx = (g * factor - np.where(live, td / (safe_r * safe_r), 0.0) * inner
+              if x.requires_grad else None)
+        gt = np.where(live, inner / safe_r, 0.0) if target.requires_grad else None
+        return gx, gt
+
+    return ad._apply("scale_rows_to_sums", (x, target), xd * factor, bw)
+
+
+def resize_attention(a_prime, source, target):
+    """gridtransform.resize_attention as five nodes: the source row sums,
+    P times them, P A P^T by two matmuls, and the rows rescaled to the
+    target sums. Its values and gradients are resample's, bit for bit."""
+    p = gt.bordered_interp_matrix(source, target)
+    # P from the left of a stack: one batched product with P in every entry
+    left = Tensor(np.broadcast_to(p, a_prime.shape[:-2] + p.shape))
+    target_sums = ad.matmul(left, sum_rows(a_prime))
+    return scale_rows_to_sums(ad.matmul(ad.matmul(left, a_prime), p.T), target_sums)
+
+
+def resize_attention_chain(a_prime, source, target):
+    """resize_attention with P A P^T spelled out block by block: corner,
+    class row, class column and patch block sliced apart, interpolated
+    by W = kron(Bh, Bw) and concatenated back, the target row sums
+    assembled the same way (17 tape nodes)."""
+    w = np.kron(gt.bilinear_matrix(source.h, target.h), gt.bilinear_matrix(source.w, target.w))
+    wq, wq_t = Tensor(w), Tensor(w.T)
+    corner = ad.index(a_prime, np.s_[..., 0:1, 0:1])
+    cls_row = ad.matmul(ad.index(a_prime, np.s_[..., 0:1, 1:]), wq_t)
+    cls_col = ad.matmul(wq, ad.index(a_prime, np.s_[..., 1:, 0:1]))
+    block = ad.matmul(ad.matmul(wq, ad.index(a_prime, np.s_[..., 1:, 1:])), wq_t)
+    assembled = ad.concat([ad.concat([corner, cls_row], axis=1),
+                           ad.concat([cls_col, block], axis=1)], axis=0)
+    src_sums = sum_rows(a_prime)
+    patch_sums = ad.matmul(wq, ad.index(src_sums, np.s_[..., 1:, :]))
+    target_sums = ad.concat([ad.index(src_sums, np.s_[..., 0:1, :]), patch_sums], axis=0)
+    return scale_rows_to_sums(assembled, target_sums)
 
 
 # -- the forward, the two-view loss and the training loop ---------------------------

@@ -192,15 +192,19 @@ class TestFrozenForwardValues:
         y = ad.permute_rc(x, [2, 0, 1], [1, 2, 0])
         np.testing.assert_array_equal(y.data, [[7.0, 8.0, 6.0], [1.0, 2.0, 0.0], [4.0, 5.0, 3.0]])
 
-    def test_scale_rows_to_sums_hits_targets(self):
+    def test_resample_hits_target_sums(self):
+        """Each row of P A P^T sums to P times A's row sums: (8, 1) here."""
         x = Tensor([[1.0, 3.0], [2.0, 2.0]])
-        out = ad.scale_rows_to_sums(x, Tensor([[8.0], [1.0]]))
-        np.testing.assert_allclose(out.data.sum(axis=1), [8.0, 1.0], atol=1e-12)
+        out = ad.resample(x, [[2.0, 0.0], [0.0, 0.25], [1.0, 1.0]])
+        assert out.shape == (3, 3)
+        np.testing.assert_allclose(out.data.sum(axis=1), [8.0, 1.0, 8.0], atol=1e-12)
 
-    def test_scale_rows_to_sums_leaves_zero_rows(self):
-        x = Tensor([[0.0, 0.0], [1.0, 1.0]])
-        out = ad.scale_rows_to_sums(x, Tensor([[5.0], [5.0]]))
-        np.testing.assert_allclose(out.data, [[0.0, 0.0], [2.5, 2.5]])
+    def test_resample_leaves_zero_rows(self):
+        """P A P^T is [[1, -1], [1, 0]]: row 0 sums to zero and keeps
+        factor 1 although its target is -2; row 1 is scaled to its target 0."""
+        x = Tensor([[1.0, -3.0], [1.0, 1.0]])
+        out = ad.resample(x, [[1.0, 0.0], [0.5, 0.5]])
+        np.testing.assert_allclose(out.data, [[1.0, -1.0], [0.0, 0.0]], atol=1e-15)
 
 
 class TestShapeContracts:
@@ -253,7 +257,6 @@ def _fd_cases():
     other = FD_OTHER
     g1 = rng.normal(size=(1, 3))
     b1 = rng.normal(size=(1, 3))
-    sums = rng.random(size=(2, 1)) + 0.5
     rows = np.array([1, 0])
     cols = np.array([2, 0, 1])
     w34 = rng.normal(size=(3, 4))
@@ -262,6 +265,16 @@ def _fd_cases():
     probs = rng.random(size=(2, 2, 2)) + 0.1
     scores_out = rng.normal(size=(2, 2, 2))
     attend_out = rng.normal(size=(2, 4))
+    interp = rng.random(size=(4, 3)) + 0.1
+    resampled_out = rng.normal(size=(4, 4))
+
+    def resampled(x):
+        # entries of at least 0.5 keep every row sum of P A P^T far from
+        # zero; the first row again makes A square
+        pos = ad.add(ad.mul(x, x), 0.5)
+        a = ad.concat([pos, ad.index(pos, np.s_[0:1])], axis=0)
+        return ad.mean(ad.mul(ad.resample(a, interp), Tensor(resampled_out)))
+
     return [
         ("matmul_left", lambda x: ad.mean(ad.matmul(x, Tensor(v)))),
         ("matmul_right", lambda x: ad.mean(ad.matmul(Tensor(w[:, :2]), x))),
@@ -284,8 +297,7 @@ def _fd_cases():
             x, Tensor(w34), Tensor(b4), Tensor(k34), Tensor(-b4), 2, 0.5), Tensor(scores_out)))),
         ("attend", lambda x: ad.mean(ad.mul(ad.attend(Tensor(probs), x, Tensor(w34), Tensor(b4)),
                                             Tensor(attend_out)))),
-        ("sum_rows", lambda x: ad.mean(ad.mul(ad.sum_rows(x), Tensor(sums)))),
-        ("scale_rows_to_sums", lambda x: ad.mean(ad.mul(ad.scale_rows_to_sums(x, Tensor(sums)), Tensor(other)))),
+        ("resample", resampled),
         ("concat_rows", lambda x: ad.mean(ad.mul(ad.concat([x, x], axis=0), ad.concat([x, x], axis=0)))),
         # "slice2d" and "pick" name the selection each index case makes; the
         # probe is seeded by the name

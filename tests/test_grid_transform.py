@@ -5,6 +5,7 @@ coordinate enumeration and against the dense linear-algebra route."""
 import numpy as np
 import pytest
 
+import reference as ref
 from attnreg import autodiff as ad
 from attnreg import gridtransform as gt
 from attnreg.autodiff import Tape, Tensor
@@ -203,7 +204,7 @@ class TestInversionFastVsOracle:
     def test_oracle_respects_token_cap(self):
         grid = GridShape(40, 40)
         with pytest.raises(ResourceError):
-            gt.invert_attention_kronecker(np.zeros((1600, 1600)), FLIP_H, grid, cap=1024)
+            gt.invert_attention_kronecker(np.zeros((1600, 1600)), FLIP_H, grid)
 
     def test_shape_validation(self):
         with pytest.raises(DimensionError):
@@ -247,25 +248,6 @@ def scalar_bilinear(field, th, tw):
     return out
 
 
-def resize_attention_chain(a_prime, source, target):
-    """Oracle for resize_attention: the bordered product P A P^T spelled
-    out block by block -- corner, class row, class column and patch block
-    sliced apart, interpolated by W = kron(Bh, Bw) and concatenated back,
-    the target row sums assembled the same way (17 tape nodes)."""
-    w = np.kron(gt.bilinear_matrix(source.h, target.h), gt.bilinear_matrix(source.w, target.w))
-    wq, wq_t = Tensor(w), Tensor(w.T)
-    corner = ad.index(a_prime, np.s_[..., 0:1, 0:1])
-    cls_row = ad.matmul(ad.index(a_prime, np.s_[..., 0:1, 1:]), wq_t)
-    cls_col = ad.matmul(wq, ad.index(a_prime, np.s_[..., 1:, 0:1]))
-    block = ad.matmul(ad.matmul(wq, ad.index(a_prime, np.s_[..., 1:, 1:])), wq_t)
-    assembled = ad.concat([ad.concat([corner, cls_row], axis=1),
-                           ad.concat([cls_col, block], axis=1)], axis=0)
-    src_sums = ad.sum_rows(a_prime)
-    patch_sums = ad.matmul(wq, ad.index(src_sums, np.s_[..., 1:, :]))
-    target_sums = ad.concat([ad.index(src_sums, np.s_[..., 0:1, :]), patch_sums], axis=0)
-    return ad.scale_rows_to_sums(assembled, target_sums)
-
-
 class TestResizeAttention:
     def test_same_grid_is_exact_copy(self):
         g = GridShape(3, 3)
@@ -281,7 +263,7 @@ class TestResizeAttention:
         a = rng.random(size=(src.n + 1, src.n + 1)) + 0.05
         weight = Tensor(rng.normal(size=(dst.n + 1, dst.n + 1)))
         outs = []
-        for resize in (gt.resize_attention, resize_attention_chain):
+        for resize in (gt.resize_attention, ref.resize_attention_chain):
             x = Tensor(a, requires_grad=True)
             with Tape() as tape:
                 out = resize(x, src, dst)
@@ -292,13 +274,45 @@ class TestResizeAttention:
         np.testing.assert_allclose(value, value_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(grad, grad_ref, rtol=0, atol=1e-12)
 
-    def test_records_five_nodes(self):
+    def test_records_one_node(self):
         src, dst = GridShape(3, 4), GridShape(4, 3)
         a = Tensor(np.random.default_rng(6).random(size=(13, 13)), requires_grad=True)
         with Tape() as tape:
             gt.resize_attention(a, src, dst)
-        assert [n.op for n in tape.nodes] == ["sum_rows", "matmul", "matmul", "matmul",
-                                              "scale_rows_to_sums"]
+        assert [n.op for n in tape.nodes] == ["resample"]
+
+    @pytest.mark.parametrize("lead,src,dst", [
+        ((), (10, 10), (8, 8)),
+        ((1,), (10, 10), (8, 8)),
+        ((4,), (6, 6), (8, 8)),
+        ((), (4, 3), (3, 4)),
+        ((2,), (3, 4), (3, 4)),
+    ], ids=["2d-10x10-to-8x8", "k1-10x10-to-8x8", "k4-6x6-to-8x8", "4x3-to-3x4", "same-grid"])
+    def test_bit_identical_to_five_node_chain(self, lead, src, dst):
+        """The one node evaluates the chain's expressions on the chain's
+        operand layouts: values and gradients are equal, not just close.
+        The two 10x10 -> 8x8 cases fail when P^T is a transposed view of P
+        instead of the chain's contiguous copy."""
+        src, dst = GridShape(*src), GridShape(*dst)
+        rng = np.random.default_rng(src.n * 31 + dst.n + len(lead))
+        a = rng.random(size=lead + (src.n + 1, src.n + 1)) + 0.05
+        seed = rng.normal(size=lead + (dst.n + 1, dst.n + 1))
+        outs = []
+        for resize in (gt.resize_attention, ref.resize_attention):
+            x = Tensor(a, requires_grad=True)
+            with Tape() as tape:
+                out = resize(x, src, dst)
+            tape.backward(out, seed=seed)
+            outs.append((out.data, x.grad))
+        (value, grad), (value_ref, grad_ref) = outs
+        assert np.array_equal(value, value_ref)
+        assert np.array_equal(grad, grad_ref)
+
+    def test_resample_contracts(self):
+        p = gt.bordered_interp_matrix(GridShape(2, 2), GridShape(3, 3))
+        for shape, matrix in (((5, 4), p), ((2, 5), p), ((4, 4), p), ((5, 5), p[0])):
+            with pytest.raises(DimensionError):
+                ad.resample(Tensor(np.ones(shape)), matrix)
 
     def test_constant_matrix_stays_constant(self):
         src, dst = GridShape(3, 3), GridShape(5, 4)

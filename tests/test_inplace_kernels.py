@@ -142,6 +142,7 @@ def every_op():
     r = lambda *shape: rng.normal(size=shape)  # noqa: E731
     probs = np.exp(r(2, 2, 3, 3))
     probs /= probs.sum(axis=-1, keepdims=True)
+    interp = np.abs(r(4, 3))
     return [
         ("add", [r(2, 3, 4), r(3, 4)], ad.add),
         ("mul", [r(2, 3, 4), r(3, 4)], ad.mul),
@@ -154,8 +155,7 @@ def every_op():
         ("gelu", [r(2, 3, 4)], ad.gelu),
         ("layer_norm", [r(2, 3, 4), r(1, 4), r(1, 4)], ad.layer_norm),
         ("softmax_rows", [r(2, 3, 4)], ad.softmax_rows),
-        ("sum_rows", [r(2, 3, 4)], ad.sum_rows),
-        ("scale_rows_to_sums", [r(2, 3, 4), r(2, 3, 1)], ad.scale_rows_to_sums),
+        ("resample", [r(2, 3, 3) ** 2 + 0.5], lambda t: ad.resample(t, interp)),
         ("mean", [r(2, 3, 4)], ad.mean),
         ("mean", [r(2, 3, 4)], lambda t: ad.mean(t, 0)),
         *(("mean_distance", [r(2, 3) * 3.0, r(2, 3)],

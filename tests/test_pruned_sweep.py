@@ -63,6 +63,22 @@ def unpruned(full):
         yield
 
 
+def sweeps(monkeypatch):
+    """The op of each node whose backward a sweep calls, in call order,
+    for every node recorded after this call."""
+    swept = []
+    real = ad._Node.__init__
+
+    def spy(self, op, inputs, output, backward):
+        def counted(g, _op=op):
+            swept.append(_op)
+            return backward(g)
+        real(self, op, inputs, output, counted)
+
+    monkeypatch.setattr(ad._Node, "__init__", spy)
+    return swept
+
+
 def retained(outputs):
     return [t for t in outputs if t._retain]
 
@@ -144,16 +160,7 @@ class TestWhereGradientsLand:
         parameters that is everything up to and including layer 0's softmax
         (the patch embedding, layer 0's projections), and the head averages,
         which the logits do not read."""
-        swept = []
-        real = ad._Node.__init__
-
-        def spy(self, op, inputs, output, backward):
-            def counted(g, _op=op):
-                swept.append(_op)
-                return backward(g)
-            real(self, op, inputs, output, counted)
-
-        monkeypatch.setattr(ad._Node, "__init__", spy)
+        swept = sweeps(monkeypatch)
         cfg = CONSISTENCY.vit
         params = {k: Tensor(p.data) for k, p in
                   vit.init_params(cfg, np.random.default_rng(4)).items()}
@@ -190,8 +197,6 @@ def _multi_input_cases():
                                        rng.normal(size=(1, 4))]),
         ("concat", lambda *parts: ad.concat(parts, axis=0),
          [rng.normal(size=(1, 4)), m, rng.normal(size=(2, 4))]),
-        ("scale_rows_to_sums", ad.scale_rows_to_sums, [rng.random(size=(3, 4)) + 0.1,
-                                                       rng.random(size=(3, 1))]),
         *((f"mean_distance_{d}", lambda a, b, _d=d: ad.mean_distance(a, b, _d),
            [m, rng.normal(size=(3, 4))]) for d in ad.DISTANCES),
         ("bce_with_logits", ad.bce_with_logits, [m, (rng.random(size=(3, 4)) > 0.5) * 1.0]),
@@ -217,6 +222,22 @@ class TestSkippedOperands:
             for i, (g, ref) in enumerate(zip(grads, everything)):
                 if i != const:
                     assert np.array_equal(g, ref), f"{name}: operand {i}"
+
+    def test_resample_of_a_constant_is_not_swept(self, monkeypatch):
+        """resample has one tensor operand (P is a constant array): when it
+        does not require grad, the node records no input and the sweep
+        never calls its backward."""
+        swept = sweeps(monkeypatch)
+        rng = np.random.default_rng(31)
+        a = Tensor(rng.random(size=(2, 3, 3)) + 0.1)
+        w = Tensor(rng.normal(size=(2, 4, 4)), requires_grad=True)
+        with Tape() as tape:
+            out = ad.resample(a, rng.random(size=(4, 3)) + 0.1)
+            loss = ad.mean(ad.mul(out, w))
+        assert [(n.op, n.inputs) for n in tape.nodes[:1]] == [("resample", (None,))]
+        tape.backward(loss)
+        assert swept == ["mean", "mul"]
+        assert a.grad is None and np.array_equal(w.grad, out.data / out.size)
 
 
 class TestRetainGrad:

@@ -222,15 +222,9 @@ def _batched_cases():
         ("permute_rc_per_entry", (2, 3, 4),
          lambda x: ad.mean(ad.mul(ad.permute_rc(x, [[2, 0, 1], [1, 2, 0]], [[3, 1], [0, 2]]),
                                   Tensor(other4[:, :, :2])))),
-        ("sum_rows_batched", (2, 3, 4),
-         lambda x: ad.mean(ad.mul(ad.sum_rows(ad.mul(x, x)), Tensor(other3[:, :, :1])))),
-        ("scale_rows_to_sums_batched_x", (2, 3, 4),
-         lambda x: ad.mean(ad.mul(ad.scale_rows_to_sums(ad.add(ad.mul(x, x), 0.5),
-                                                        Tensor(other3[:, :, :1])),
-                                  Tensor(other4)))),
-        ("scale_rows_to_sums_batched_target", (2, 3, 1),
-         lambda x: ad.mean(ad.mul(ad.scale_rows_to_sums(Tensor(np.abs(other4) + 0.5), x),
-                                  Tensor(other4)))),
+        ("resample_batched", (2, 3, 3),
+         lambda x: ad.mean(ad.mul(ad.resample(ad.add(ad.mul(x, x), 0.5), np.abs(other4[0].T)),
+                                  Tensor(batched[..., :4])))),
         ("resize_attention_batched", (2, 5, 5),
          lambda x: ad.mean(ad.mul(gt.resize_attention(ad.add(ad.mul(x, x), 0.1),
                                                       GridShape(2, 2), GridShape(3, 2)),

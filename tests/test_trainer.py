@@ -272,7 +272,5 @@ class TestAblationHarness:
 
     def test_augmentation_sweep_smallest(self):
         cfg = tiny_train_config(epochs=1)
-        rows = tr.run_augmentation_sweep(cfg, tiny_data(4),
-                                         choices=(("fliph", (FLIP_H,)),
-                                                  ("flipv", (FLIP_V,))))
-        assert [r["augmentation"] for r in rows] == ["fliph", "flipv"]
+        rows = tr.run_augmentation_sweep(cfg, tiny_data(4))
+        assert [r["augmentation"] for r in rows] == ["fliph", "flipv", "rot", "fliph+rot"]
