@@ -57,18 +57,16 @@ present = [k for k in range(cfg.vit.num_classes) if sample.labels[k]]
 print(f"\nimage 3 contains classes {present} "
       f"(labels vector {sample.labels.astype(int)})")
 
-# one forward on one tape, then one backward per present class seeded
-# with that class's one-hot logit adjoint; parameters are read through
-# no-grad views, so map extraction never touches their grads
+# one forward on one tape, then one sweep per present class seeded with
+# that class's one-hot logit adjoint; parameters are read through no-grad
+# views, so map extraction never touches their grads
 frozen = {name: Tensor(p.data) for name, p in result.params.items()}
 with Tape() as tape:
     res = vit.forward(sample.image, frozen, cfg.vit)
 maps = []
 for k in present:
-    for rec in res.attentions:  # each sweep's adjoints are its own
-        rec.heads.zero_grad()
-    tape.backward(res.logits, seed=np.eye(cfg.vit.num_classes)[k])
-    maps.append(lc.grad_localization(vit.attention_adjoints(res), cfg.vit.grid, k))
+    adjoints = vit.attention_adjoints(tape, res, np.eye(cfg.vit.num_classes)[k])
+    maps.append(lc.grad_localization(adjoints, cfg.vit.grid, k))
 attentions = [rec.matrix.data for rec in res.attentions]
 
 for m in maps:

@@ -10,8 +10,7 @@ every op is a plain forward computation, which is what inference uses.
 A tape records the graph, not the values. A node holds the op name; per
 input, where its adjoint goes (the index of the node that produced it on
 this tape, the leaf tensor, or None when the input did not require grad
-when the node was recorded); the output's shape; a weak reference to the
-output, through which a retained gradient is stored; and the backward
+when the node was recorded); the output's shape; and the backward
 closure, which captures the arrays its backward reads and no more. So an
 op's output lives only while the caller or some closure holds it: the
 pre-softmax scores, a block copy or a residual sum that no backward
@@ -60,12 +59,12 @@ Conventions:
   consumer was recorded: an op returns None for an operand that does
   not require grad, and a node none of whose inputs did is not swept;
 * backward stores ``.grad`` only in leaves (tensors no op on the tape
-  produced) that require grad, and in live tensors marked
-  ``retain_grad()``; every other intermediate keeps ``.grad is None``.
-  ``retain_grad()`` also sets ``requires_grad``, so ops recorded after
-  it carry its gradient even when no trainable leaf sits below it. A stored
-  ``.grad`` shares memory with no other stored ``.grad`` and not with
-  the caller's seed;
+  produced) that require grad; every intermediate keeps ``.grad is
+  None``. The adjoint of an intermediate is returned instead, for each
+  tensor named in ``wrt``: set ``requires_grad`` on it before it is
+  used, and ops recorded after carry its gradient even when no
+  trainable leaf sits below it. A stored ``.grad`` or returned adjoint
+  shares memory with no other and not with the caller's seed;
 * gradients accumulate: running backward twice (on two tapes) adds
   into ``.grad``; callers zero grads between optimizer steps;
 * a backward never writes into the adjoint it is given: one adjoint can
@@ -82,7 +81,6 @@ from __future__ import annotations
 
 import math
 import threading
-import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -101,7 +99,7 @@ _ZERO_ROW_SUM = 1e-12  # resample leaves a row whose sum is within this of zero 
 class Tensor:
     """A contiguous float64 array plus an optional accumulated gradient."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_retain", "_origin", "__weakref__")
+    __slots__ = ("data", "requires_grad", "grad", "_origin", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         # note: order="C" (not ascontiguousarray) so 0-d scalars stay 0-d
@@ -111,7 +109,6 @@ class Tensor:
         self.data: Array = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Array | None = None
-        self._retain = False
         # (recording token, node index) of the op that produced it on a
         # tape; None for a tensor no op produced while a tape was active
         self._origin: tuple[object, int] | None = None
@@ -127,18 +124,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def retain_grad(self) -> "Tensor":
-        """Ask backward() to store this tensor's gradient in .grad even though
-        it is an intermediate. Also sets requires_grad, so ops recorded after
-        this call carry the gradient back to it. Each node records its
-        inputs' requires_grad when it is recorded, so call it before the
-        tensor is used: a consumer recorded earlier sends it no gradient.
-        The gradient is stored only while the tensor is alive, that is,
-        while the caller or a backward closure holds it."""
-        self._retain = True
-        self.requires_grad = True
-        return self
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -157,17 +142,15 @@ class _Node:
     """One recorded op. ``inputs`` says, per input, where its adjoint
     goes: the index on this tape of the node that produced it, the leaf
     Tensor itself, or None when the input did not require grad at
-    recording. ``output`` is a weak reference to the output: the node
-    keeps its shape, not its values."""
+    recording. Of the output the node keeps the shape, not the values."""
 
-    __slots__ = ("op", "inputs", "shape", "output", "backward")
+    __slots__ = ("op", "inputs", "shape", "backward")
 
     def __init__(self, op: str, inputs: tuple[int | Tensor | None, ...], output: Tensor,
                  backward: Callable[[Array], tuple[Array | None, ...]]):
         self.op = op
         self.inputs = inputs
         self.shape = output.shape
-        self.output = weakref.ref(output)
         self.backward = backward
 
 
@@ -185,7 +168,7 @@ class Tape:
 
         with Tape() as tape:
             loss = ...            # ops executed here are recorded
-        tape.backward(loss)       # adjoints land in .grad buffers
+        tape.backward(loss)       # adjoints land in the leaves' .grad
 
     A tape is single-use: after backward() it refuses further work until
     reset(); only a seeded backward leaves it usable. Nodes are stored in
@@ -226,16 +209,22 @@ class Tape:
         out._origin = (self._token, len(self.nodes))
         self.nodes.append(_Node(op, inputs, out, backward))
 
-    def backward(self, loss: Tensor, seed: Array | None = None) -> None:
+    def backward(self, loss: Tensor, seed: Array | None = None,
+                 wrt: Sequence[Tensor] = ()) -> list[Array]:
         """Accumulate d(loss)/d(x) into x.grad for every leaf x that requires
-        grad and every live tensor x marked retain_grad(). No other tensor
-        gets a .grad, and no gradient is computed for an input that did
-        not require grad when its consumer was recorded.
+        grad, and return d(loss)/d(t) for each tensor t of ``wrt``, in its
+        order. No other tensor gets a .grad, and no gradient is computed
+        for an input that did not require grad when its consumer was
+        recorded.
 
-        With ``seed``, an adjoint shaped like ``loss`` (then not necessarily
-        a scalar), the sweep starts from it instead of ones and leaves the
-        tape usable: one recorded forward can be swept once per seed.
-        Without it, the sweep drops every node it has passed."""
+        A ``wrt`` tensor must have been produced by this recording; its
+        adjoint comes only through consumers recorded while it required
+        grad, and is zeros of its shape when the sweep does not reach it.
+
+        With ``seed``, a finite adjoint shaped like ``loss`` (then not
+        necessarily a scalar), the sweep starts from it instead of ones
+        and leaves the tape usable: one recorded forward can be swept once
+        per seed. Without it, the sweep drops every node it has passed."""
         if self._spent:
             raise StateError("tape already consumed by backward(); call reset() first")
         if seed is None and loss.size != 1:
@@ -248,30 +237,23 @@ class Tape:
         origin = loss._origin
         if origin is None or origin[0] is not self._token:
             raise ContractError("loss tensor was not produced on this tape")
+        start = (np.ones_like(loss.data) if seed is None
+                 else np.asarray(seed, dtype=np.float64))
+        if not np.isfinite(start).all():
+            raise NumericalError("backward seed contains NaN or Inf")
+        want = []  # the node index of each wrt tensor
+        for t in wrt:
+            at = getattr(t, "_origin", None)
+            if at is None or at[0] is not self._token:
+                raise ContractError("a wrt tensor was not produced on this tape")
+            want.append(at[1])
+        found: dict[int, Array | None] = dict.fromkeys(want)
         spend = seed is None
         self._spent = spend
 
-        start = (np.ones_like(loss.data) if seed is None
-                 else np.asarray(seed, dtype=np.float64))
         top = origin[1]
         # adjoints keyed by producer index on this tape, or by leaf tensor
         acc: dict[int | Tensor, Array] = {top: start}
-        # ids of the arrays already stored as some .grad; they stay alive
-        # (their tensors hold them), so an id here is not reused meanwhile
-        stored: set[int] = set()
-
-        def flush(t: Tensor, g: Array) -> None:
-            if t.grad is not None:
-                t.grad = t.grad + g
-                return
-            # copy only what may alias: the caller's seed, a view (mean's
-            # broadcast, a concat piece), or an array stored already (add
-            # hands one adjoint to both operands)
-            if (seed is not None and g is start) or g.base is not None or id(g) in stored:
-                g = g.copy()
-            stored.add(id(g))
-            t.grad = g
-
         if spend:  # nothing recorded after the loss reaches it
             del nodes[top + 1:]
         for i in range(top, -1, -1):
@@ -279,9 +261,8 @@ class Tape:
             g = acc.pop(i, None)
             if g is None:
                 continue
-            out = node.output()
-            if out is not None and out._retain:
-                flush(out, g)
+            if i in found:
+                found[i] = g
             refs = node.inputs
             if refs.count(None) == len(refs):  # no input required grad
                 continue
@@ -299,10 +280,25 @@ class Tape:
                 prev = acc.get(ref)
                 acc[ref] = gi if prev is None else prev + gi
 
+        # ids of the arrays already stored or returned; they stay alive
+        # (their tensors or the result hold them), so an id is not reused
+        stored: set[int] = set()
+
+        def own(g: Array) -> Array:
+            # copy only what may alias: the caller's seed, a view (mean's
+            # broadcast, a concat piece), or an array stored already (add
+            # hands one adjoint to both operands)
+            if (seed is not None and g is start) or g.base is not None or id(g) in stored:
+                g = g.copy()
+            stored.add(id(g))
+            return g
+
         # the sweep has taken every node index: what is left are the
         # leaves, those that required grad when their consumers were recorded
         for leaf, g in acc.items():
-            flush(leaf, g)
+            leaf.grad = own(g) if leaf.grad is None else leaf.grad + g
+        return [np.zeros(t.shape) if found[i] is None else own(found[i])
+                for t, i in zip(wrt, want)]
 
     def reset(self) -> None:
         if self._entered:
@@ -562,15 +558,16 @@ def resample(a, p) -> Tensor:
     summing to within 1e-12 of zero keeps factor 1. It resizes attention
     matrices between patch grids (gridtransform.resize_attention)."""
     a = _as_tensor(a)
-    p = np.asarray(p, dtype=np.float64)
+    p = np.asarray(p, dtype=np.float64, order="C")
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or p.ndim != 2 or p.shape[1] != a.shape[-1]:
         raise DimensionError(f"resample: expected a (..., m, m) and p (m', m), "
                              f"got {a.shape} and {p.shape}")
     m = a.shape[-1]
-    # P copied into every stack entry, and P^T, both contiguous: each
-    # product then rounds as in the chain this op replaces, whose matmul
-    # nodes read Tensor copies of P and P^T
-    left = np.ascontiguousarray(np.broadcast_to(p, a.shape[:-2] + p.shape))
+    # P as a broadcast view over the stack, and a contiguous P^T (a
+    # transposed view rounds differently): each product then rounds as
+    # in the chain this op replaces, whose matmul nodes read Tensor
+    # copies of P and P^T
+    left = np.broadcast_to(p, a.shape[:-2] + p.shape)
     pT = np.ascontiguousarray(p.T)
     # A's row sums reduce in the order of the rescale's own sums of x, so
     # P = I (source grid == target grid) is an exact identity

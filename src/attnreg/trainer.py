@@ -17,21 +17,21 @@ Determinism: all randomness flows from two seed-derived generators, one
 for init and one for the sampling loop.
 
 A training backward stores ``.grad`` in the parameters (the leaves that
-require grad) and in the retained per-head attention stacks, and in no
-other tensor of the two-view loss. A non-finite value aborts training
-with NumericalError naming the epoch and the batch steps of the failing
-chunk, after dumping each of its samples (see _dump_divergence).
+require grad) and in no other tensor of the two-view loss. A non-finite
+value aborts training with NumericalError naming the epoch and the batch
+steps of the failing chunk, after dumping each of its samples (see
+_dump_divergence).
 
 Seed maps come from one stack path: adjoint_rows (one forward of an
-image stack, one seeded reverse sweep per class rank, each layer's
-class-token adjoint row kept), then localization.build_maps. Evaluation
-runs it on stacks of images, the CLI's `seeds` on a one-image stack on
-the image's own grid. A stack of c-class images takes c sweeps, the
-per-image backward work of one sweep per present class. The parameters
-are read through no-grad views, so a sweep writes nothing shared and
-computes no parameter gradient: it stores only the retained heads'
-gradients and stops at the first layer's attention, below which nothing
-requires grad.
+image stack, one vit.attention_adjoints sweep per class rank, each
+layer's class-token adjoint row kept), then localization.build_maps.
+Evaluation runs it on stacks of images, the CLI's `seeds` on a one-image
+stack on the image's own grid. A stack of c-class images takes c
+sweeps, the per-image backward work of one sweep per present class. The
+parameters are read through no-grad views, so a sweep writes nothing
+shared and computes no parameter gradient: it stores no .grad, returns
+only the heads' adjoints and stops at the first layer's attention,
+below which nothing requires grad.
 
 Evaluation is one streaming pass over those stacks. Images are grouped
 by (image shape, mask shape, number of present classes) and each group
@@ -538,10 +538,9 @@ def _no_grad_views(params: dict[str, Tensor]) -> dict[str, Tensor]:
 
 def adjoint_rows(images: np.ndarray, classes, params: dict[str, Tensor], cfg: ViTConfig):
     """Localization inputs of an (S, C, H, W) image stack on any one grid:
-    one forward on one tape, then one reverse sweep per class rank r,
-    seeded on logits row v with the one-hot of image v's class
-    ``classes[v, r]`` after clearing the retained head grads, so each
-    sweep's adjoints are its own. Returns the class-token adjoint rows
+    one forward on one tape, then one vit.attention_adjoints sweep per
+    class rank r, seeded on logits row v with the one-hot of image v's
+    class ``classes[v, r]``. Returns the class-token adjoint rows
     (S, c, L, n), [v, r, l] of image v's r-th class at layer l, and the
     patch-to-patch attention blocks (S, L, n, n); the tape is dropped on
     return. Parameters that require grad are read through no-grad views:
@@ -555,12 +554,9 @@ def adjoint_rows(images: np.ndarray, classes, params: dict[str, Tensor], cfg: Vi
     views = np.arange(len(images))
     rows = np.empty(classes.shape + (cfg.num_layers, res.grid.n))
     for r in range(classes.shape[1]):
-        for rec in res.attentions:
-            rec.heads.zero_grad()
         seed = np.zeros(res.logits.shape)
         seed[views, classes[:, r]] = 1.0
-        tape.backward(res.logits, seed=seed)
-        for i, adjoint in enumerate(vit.attention_adjoints(res, row=0)):
+        for i, adjoint in enumerate(vit.attention_adjoints(tape, res, seed, row=0)):
             rows[:, r, i] = adjoint[:, 1:]
     blocks = np.stack([rec.matrix.data[:, 1:, 1:] for rec in res.attentions], axis=1)
     return rows, blocks

@@ -14,7 +14,7 @@ single image has neither axis.
 Each layer records 12 tape nodes, built from the engine's fused ops:
 
   layer_norm -> attention_scores (q/k projections, head split, scaled
-  q k^T) -> softmax_rows (the retained per-head stack) -> mean (the
+  q k^T) -> softmax_rows (the per-head stack) -> mean (the
   head average, the record's matrix) -> attend (v projection, per-head
   probs @ v, head merge) -> linear (wo) -> add (residual) ->
   layer_norm -> linear -> gelu -> linear -> add (residual).
@@ -36,12 +36,13 @@ matrix; the logits' adjoint is zero on its other query rows either way.
 
 The per-layer record holds the head-averaged post-softmax matrix as a
 live tape node, so consistency losses computed on it propagate exact
-gradients back into the heads. The record's ``adjoint`` is the sum over
-the head axis of the retained per-head gradient -- the sensitivity of
-the loss to a common additive shift of all heads, i.e. the total
-derivative with respect to the average when each head is written as
-average + offset. That is what the gradient-based localization maps
-consume (their max-normalization makes any constant factor irrelevant).
+gradients back into the heads. A layer's adjoint (attention_adjoints)
+is the sum over the head axis of the per-head gradient -- the
+sensitivity of the logit to a common additive shift of all heads, i.e.
+the total derivative with respect to the average when each head is
+written as average + offset. That is what the gradient-based
+localization maps consume (their max-normalization makes any constant
+factor irrelevant).
 
 Parameters live in a plain ordered dict name -> Tensor, which is also
 the checkpoint serialization unit.
@@ -61,7 +62,7 @@ import numpy as np
 from . import autodiff as ad
 from .atomicio import atomic_open
 from .autodiff import Tensor
-from .errors import ContractError, DimensionError, StateError
+from .errors import ContractError, DimensionError
 from .gridtransform import GridShape, bordered_interp_matrix
 
 CHECKPOINT_MAGIC = b"ATTNCKPT"
@@ -127,18 +128,12 @@ class AttentionRecord:
 
     ``matrix`` is a tape node (losses on it reach the parameters);
     ``heads`` is the per-head stack it averages, (..., H, n+1, n+1),
-    retained by backward. After a backward pass on this record's tape,
-    ``adjoint`` is its gradient summed over the head axis:
-    d(loss)/d(common shift of all heads)."""
+    which requires grad, so a sweep reaches it even when the parameters
+    do not require grad (see attention_adjoints)."""
 
     layer: int
     matrix: Tensor
     heads: Tensor
-
-    @property
-    def adjoint(self) -> np.ndarray | None:
-        grad = self.heads.grad
-        return None if grad is None else ad.axis_sum(grad, -3)
 
 
 @dataclass
@@ -260,7 +255,7 @@ def forward(images: np.ndarray, params: dict[str, Tensor], config: ViTConfig) ->
         scores = ad.attention_scores(h, params[p + "attn.wq"], params[p + "attn.bq"],
                                      params[p + "attn.wk"], params[p + "attn.bk"], heads, scale)
         per_head = ad.softmax_rows(scores)  # (..., H, n+1, n+1)
-        per_head.retain_grad()
+        per_head.requires_grad = True  # before its consumers are recorded
         records.append(AttentionRecord(layer=i, matrix=ad.mean(per_head, axis=-3),
                                        heads=per_head))
         last = i == config.num_layers - 1  # the logits read only its class row
@@ -286,24 +281,26 @@ def class_logit(result: ForwardResult, class_index: int) -> Tensor:
     return ad.index(result.logits, class_index)
 
 
-def attention_adjoints(result: ForwardResult, row: int | None = None) -> list[np.ndarray]:
-    """Each layer's ``adjoint``, (..., n+1, n+1) with the result's view
-    axis if it has one: the gradient of whatever the last backward on the
-    result's tape swept from -- a class logit, or the logits seeded with
-    one-hot rows (one class per view) -- summed over the head axis. With
-    ``row``, only that row of each, (..., n+1), and only it is summed:
-    row 0, the class token's, is all that localization reads. Each is a
-    fresh array, bit-identical to the same entries of the full sum.
-    Raises StateError before any backward."""
-    adjoints = []
-    for rec in result.attentions:
-        grad = rec.heads.grad
-        if grad is None:
-            raise StateError(f"layer {rec.layer} has no adjoint; run backward on the "
-                             "class logit before asking for adjoints")
-        # a head sum: computed once, and over the one row when asked
-        adjoints.append(rec.adjoint if row is None else ad.axis_sum(grad[..., row, :], -2))
-    return adjoints
+def attention_adjoints(tape: ad.Tape, result: ForwardResult, seed,
+                       row: int | None = None) -> list[np.ndarray]:
+    """One reverse sweep of ``tape``, on which ``result`` was recorded,
+    from its logits seeded with ``seed`` (shaped like the logits: a
+    class's one-hot, or one-hot rows, one class per view): each layer's
+    per-head adjoint summed over the head axis, (..., n+1, n+1) with the
+    result's view axis if it has one. With ``row``, only that row of
+    each, (..., n+1), and only it is summed: row 0, the class token's, is
+    all that localization reads; it is bit-identical to the same entries
+    of the full sum. Each call's arrays are its own, and the tape stays
+    usable for the next seed."""
+    m = result.attentions[0].heads.shape[-1]
+    if row is not None and not -m <= row < m:
+        raise DimensionError(f"row {row} outside the {m} rows of the attention matrices")
+    grads = tape.backward(result.logits, seed=seed,
+                          wrt=[rec.heads for rec in result.attentions])
+    # a head sum: computed once, and over the one row when asked
+    return [ad.axis_sum(g, -3) if row is None else ad.axis_sum(g[..., row, :], -2)
+            for g in grads]
+
 
 
 # ---------------------------------------------------------------------------

@@ -148,19 +148,12 @@ def resize_attention_chain(a_prime, source, target):
 
 @dataclass
 class Record:
-    """One layer's head average and the per-head matrices it averages."""
+    """One layer's head average and the per-head matrices it averages,
+    each of which requires grad (see adjoints)."""
 
     layer: int
     matrix: Tensor
     heads: tuple
-
-    @property
-    def adjoint(self):
-        """The retained per-head gradients, summed."""
-        total = self.heads[0].grad.copy()
-        for head in self.heads[1:]:
-            total += head.grad
-        return total
 
 
 def forward(image, params, config):
@@ -180,7 +173,9 @@ def forward(image, params, config):
         scores = head_scores(h, params[p + "attn.wq"], params[p + "attn.bq"],
                              params[p + "attn.wk"], params[p + "attn.bk"], heads,
                              1.0 / np.sqrt(config.head_dim))
-        probs = [ad.softmax_rows(s).retain_grad() for s in scores]
+        probs = [ad.softmax_rows(s) for s in scores]
+        for head in probs:
+            head.requires_grad = True
         total = probs[0]
         for head in probs[1:]:
             total = ad.add(total, head)
@@ -193,6 +188,27 @@ def forward(image, params, config):
     x = ad.layer_norm(x, params["final_ln.gain"], params["final_ln.bias"])
     logits = ad.index(affine(x, params["head.weight"], params["head.bias"]), 0)
     return vit.ForwardResult(logits=logits, attentions=records, grid=grid)
+
+
+def adjoints(tape, loss, result, seed=None):
+    """One sweep of `tape` from `loss` (a scalar unseeded, or seeded) with
+    wrt set to every head of `result`, a forward of this module's (a
+    tuple of 2-d heads per layer) or of vit's (one head stack): each
+    layer's head adjoints added one head at a time."""
+    per_layer = [rec.heads if isinstance(rec.heads, tuple) else (rec.heads,)
+                 for rec in result.attentions]
+    grads = iter(tape.backward(loss, seed=seed, wrt=[h for heads in per_layer for h in heads]))
+    out = []
+    for rec in result.attentions:
+        if isinstance(rec.heads, tuple):
+            g = np.stack([next(grads) for _ in rec.heads], axis=-3)
+        else:
+            g = next(grads)
+        total = g[..., 0, :, :].copy()
+        for k in range(1, g.shape[-3]):
+            total += g[..., k, :, :]
+        out.append(total)
+    return out
 
 
 def two_view_loss(sample, transform, params, config):
@@ -329,9 +345,10 @@ def sweep(maps_per_image, gt_masks, num_classes, thresholds=None):
 
 
 def localization_data(sample, params, cfg):
-    """A fresh forward of the sample's image alone and a backward from the
-    class logit, per present class: each present class's full per-layer
-    adjoints, and the attention matrices."""
+    """A fresh forward of the sample's image alone and an unseeded sweep
+    from the class logit with wrt set to the heads (see adjoints), per
+    present class: each present class's full per-layer adjoints, and the
+    attention matrices."""
     frozen = {name: Tensor(p.data, requires_grad=False) for name, p in params.items()}
     present = [k for k in range(cfg.num_classes) if sample.labels[k]]
     adjoints_by_class, attentions = {}, None
@@ -339,8 +356,7 @@ def localization_data(sample, params, cfg):
         with Tape() as tape:
             res = vit.forward(sample.image, frozen, cfg)
             y = vit.class_logit(res, k)
-        tape.backward(y)
-        adjoints_by_class[k] = vit.attention_adjoints(res)
+        adjoints_by_class[k] = adjoints(tape, y, res)
         if attentions is None:
             attentions = [rec.matrix.data.copy() for rec in res.attentions]
     return adjoints_by_class, attentions or []

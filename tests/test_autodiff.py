@@ -112,16 +112,6 @@ class TestTapeSemantics:
 
         np.testing.assert_allclose(run_joint(), run_split(), rtol=0, atol=1e-15)
 
-    def test_retain_grad_populates_intermediate(self):
-        x = Tensor([[0.0, 1.0]], requires_grad=True)
-        with Tape() as tape:
-            h = ad.softmax_rows(x)
-            h.retain_grad()
-            y = ad.mean(h)
-        tape.backward(y)
-        assert h.grad is not None and h.grad.shape == (1, 2)
-        np.testing.assert_allclose(h.grad, [[0.5, 0.5]])
-
     def test_backward_is_bit_deterministic(self):
         rng = RNG(11)
         a = rng.normal(size=(4, 5))

@@ -375,9 +375,8 @@ class TestSeeds:
         frozen = {name: Tensor(p.data) for name, p in params.items()}
         with Tape() as tape:
             res = vit.forward(pixels / 255.0, frozen, cfg)
-            y = vit.class_logit(res, 0)
-        tape.backward(y)
-        plain = lc.grad_localization(vit.attention_adjoints(res), GridShape(6, 5), 0, (0, 2))
+        adjoints = vit.attention_adjoints(tape, res, np.eye(cfg.num_classes)[0])
+        plain = lc.grad_localization(adjoints, GridShape(6, 5), 0, (0, 2))
         refined = lc.affinity_refine(plain, [rec.matrix.data for rec in res.attentions])
         for tag, m in (("unrefined", plain), ("refined", refined)):
             written = netpbm.read_netpbm(tmp_path / "maps" / f"wide_class0_{tag}.pgm")

@@ -3,11 +3,11 @@
 Oracle: the same forward recorded twice, the second time with every
 tensor made during the recording requiring grad, so that every input of
 every node does and its sweep computes every gradient of every node.
-Parameter gradients and retained attention gradients must be equal
-(``==``) between the two: pruning may only drop work whose result nobody
-reads. Beside the oracle: which tensors get ``.grad``, what each
-multi-input op returns for a constant operand, and retain_grad in a
-graph without a trainable leaf.
+Parameter gradients and the attention heads' returned adjoints must be
+equal (``==``) between the two: pruning may only drop work whose result
+nobody reads. Beside the oracle: which tensors get ``.grad``, what each
+multi-input op returns for a constant operand, and the adjoints that
+``backward(wrt=)`` returns.
 
 The tape keeps no op output, so the tests that read outputs after the
 sweep hold every one of them themselves (see kept_outputs).
@@ -24,6 +24,7 @@ from attnreg import autodiff as ad
 from attnreg import trainer as tr
 from attnreg import vit
 from attnreg.autodiff import Tape, Tensor
+from attnreg.errors import ContractError, NumericalError
 from attnreg.gridtransform import SpatialTransform
 from attnreg.vit import ViTConfig
 
@@ -79,39 +80,48 @@ def sweeps(monkeypatch):
     return swept
 
 
-def retained(outputs):
-    return [t for t in outputs if t._retain]
+@contextlib.contextmanager
+def recorded_heads():
+    """The per-head attention stack of every layer of every forward run in
+    the block, in recording order."""
+    heads = []
+    real = vit.forward
+
+    def forward(*args):
+        res = real(*args)
+        heads.extend(rec.heads for rec in res.attentions)
+        return res
+
+    with mock.patch.object(vit, "forward", forward):
+        yield heads
 
 
 def train_sweep(config, transform, full):
-    """One training chunk's sweep; returns every op output it recorded and
-    the parameters."""
+    """One training chunk's sweep with wrt set to its attention heads;
+    returns every op output it recorded, the parameters and the heads'
+    adjoints."""
     params = vit.init_params(config.vit, np.random.default_rng(3))
     sample = ref.sample_for(config.vit, 11)
-    with kept_outputs() as outputs, unpruned(full), Tape() as tape:
+    with kept_outputs() as outputs, recorded_heads() as heads, unpruned(full), \
+            Tape() as tape:
         chunk = [tr._two_views(0, sample, transform, config.vit)]
         loss = tr._chunk_loss(chunk, params, config).total
-    tape.backward(loss)
-    return outputs, params
+    return outputs, params, tape.backward(loss, wrt=heads)
 
 
 def eval_sweeps(full):
-    """One eval forward on no-grad parameter views, one seeded sweep per
-    class; returns every op output the forward recorded, the views and
-    the retained grads of every sweep."""
+    """One eval forward on no-grad parameter views, one attention_adjoints
+    sweep per class; returns every op output the forward recorded, the
+    views and the adjoints of every sweep."""
     cfg = CONSISTENCY.vit
     params = vit.init_params(cfg, np.random.default_rng(4))
     with kept_outputs() as outputs, unpruned(full):
         frozen = {k: Tensor(p.data) for k, p in params.items()}
         with Tape() as tape:
             res = vit.forward(ref.sample_for(cfg, 12).image, frozen, cfg)
-    grads = []
-    for k in range(cfg.num_classes):
-        for rec in res.attentions:
-            rec.heads.zero_grad()
-        tape.backward(res.logits, seed=np.eye(cfg.num_classes)[k])
-        grads.append([rec.heads.grad.copy() for rec in res.attentions])
-    return outputs, frozen, grads
+    adjoints = [vit.attention_adjoints(tape, res, np.eye(cfg.num_classes)[k])
+                for k in range(cfg.num_classes)]
+    return outputs, frozen, adjoints
 
 
 class TestNothingPrunedOracle:
@@ -124,15 +134,14 @@ class TestNothingPrunedOracle:
             "resize_wide-10x10"])
     def test_training_sweep(self, config, transform):
         transform = SpatialTransform.parse(transform)
-        pruned_outputs, pruned = train_sweep(config, transform, full=False)
-        full_outputs, full = train_sweep(config, transform, full=True)
+        _, pruned, heads = train_sweep(config, transform, full=False)
+        _, full, full_heads = train_sweep(config, transform, full=True)
         for name, p in pruned.items():
             assert p.grad is not None and np.array_equal(p.grad, full[name].grad), name
-        heads, full_heads = retained(pruned_outputs), retained(full_outputs)
         forwards = 2 if transform.kind.value == "resize" else 1
         assert len(heads) == forwards * config.vit.num_layers
         for h, fh in zip(heads, full_heads, strict=True):
-            assert np.array_equal(h.grad, fh.grad)
+            assert np.any(h != 0.0) and np.array_equal(h, fh)
 
     def test_seeded_eval_sweep_on_no_grad_parameters(self):
         _, frozen, grads = eval_sweeps(full=False)
@@ -145,15 +154,14 @@ class TestNothingPrunedOracle:
 
 class TestWhereGradientsLand:
     def test_training_intermediates_get_no_grad(self):
-        outputs, params = train_sweep(CONSISTENCY, SpatialTransform.parse("fliph"), full=False)
-        assert len(outputs) == 62 and any(t._retain for t in outputs)
-        assert all(t.grad is None for t in outputs if not t._retain)
+        outputs, params, _ = train_sweep(CONSISTENCY, SpatialTransform.parse("fliph"),
+                                         full=False)
+        assert len(outputs) == 62 and all(t.grad is None for t in outputs)
         assert all(p.grad is not None for p in params.values())
 
     def test_eval_intermediates_get_no_grad(self):
         outputs, _, _ = eval_sweeps(full=False)
-        assert any(t._retain for t in outputs)
-        assert all(t.grad is None for t in outputs if not t._retain)
+        assert outputs and all(t.grad is None for t in outputs)
 
     def test_eval_sweep_skips_layer_zero_below_its_attention(self, monkeypatch):
         """A node none of whose inputs requires grad is not swept: on no-grad
@@ -240,24 +248,65 @@ class TestSkippedOperands:
         assert a.grad is None and np.array_equal(w.grad, out.data / out.size)
 
 
-class TestRetainGrad:
-    def test_retained_intermediate_without_trainable_leaves(self):
+class TestWrt:
+    def test_an_intermediate_without_trainable_leaves(self):
+        """Marked requires_grad before its consumers are recorded, an
+        intermediate gets its adjoint although nothing below it trains."""
         x = Tensor([[0.0, 1.0]])
         with Tape() as tape:
             h = ad.softmax_rows(x)
-            h.retain_grad()
+            h.requires_grad = True
             y = ad.mean(ad.mul(h, 3.0))
-        tape.backward(y)
-        assert h.requires_grad and y.requires_grad
-        np.testing.assert_allclose(h.grad, [[1.5, 1.5]])
-        assert x.grad is None
+        [g] = tape.backward(y, wrt=[h])
+        np.testing.assert_allclose(g, [[1.5, 1.5]])
+        assert x.grad is None and h.grad is None
 
-    def test_retained_leaf_is_a_trainable_leaf(self):
-        x = Tensor([1.0, 2.0]).retain_grad()
+    def test_a_tensor_the_sweep_never_reaches_gives_zeros(self):
+        """Before the loss on the tape, but with no path to it; after the
+        loss; and one that did not require grad when it was used."""
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
         with Tape() as tape:
-            y = ad.mean(ad.mul(x, x))
-        tape.backward(y)
-        np.testing.assert_allclose(x.grad, [1.0, 2.0])
+            aside = ad.mul(x, 2.0)
+            const = ad.softmax_rows(Tensor(np.ones((2, 3))))
+            loss = ad.mean(ad.mul(x, const))
+            after = ad.mean(x)
+        grads = tape.backward(loss, wrt=[aside, after, const])
+        for g, t in zip(grads, (aside, after, const), strict=True):
+            assert g.shape == t.shape and not np.any(g)
+        assert_disjoint(grads)
+
+    @pytest.mark.parametrize("where", ["no tape", "before reset", "another tape"])
+    def test_a_tensor_from_elsewhere_is_refused(self, where):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        tape = Tape()
+        if where == "no tape":
+            elsewhere = ad.mul(x, 2.0)
+        else:
+            with Tape() if where == "another tape" else tape:
+                elsewhere = ad.mul(x, 2.0)
+            if where == "before reset":
+                tape.reset()
+        with tape:
+            loss = ad.mean(ad.mul(x, x))
+        with pytest.raises(ContractError, match="wrt tensor was not produced on this tape"):
+            tape.backward(loss, wrt=[elsewhere])
+        assert x.grad is None
+        tape.backward(loss)  # the refusal spent nothing
+        np.testing.assert_allclose(x.grad, x.data)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_seed_is_refused_before_the_sweep(self, bad):
+        cfg = CONSISTENCY.vit
+        params = tr._no_grad_views(vit.init_params(cfg, np.random.default_rng(4)))
+        with Tape() as tape:
+            res = vit.forward(ref.sample_for(cfg, 12).image, params, cfg)
+        count = len(tape.nodes)
+        with pytest.raises(NumericalError, match="seed"):
+            tape.backward(res.logits, seed=[bad, 0.0, 0.0])
+        with pytest.raises(NumericalError, match="seed"):
+            vit.attention_adjoints(tape, res, [0.0, bad, 0.0], row=0)
+        assert len(tape.nodes) == count
+        tape.backward(res.logits, seed=np.eye(cfg.num_classes)[0])  # still usable
 
 
 def assert_disjoint(arrays):
@@ -268,43 +317,59 @@ def assert_disjoint(arrays):
 
 class TestStoredGradsOwnTheirMemory:
     """Backward copies an adjoint only where it may alias: the caller's
-    seed, a view, or an array handed to two operands. No stored .grad may
-    share memory with another or with the seed."""
+    seed, a view, or an array handed to two operands. No stored .grad or
+    returned adjoint may share memory with another or with the seed."""
 
     def test_seed_handed_to_both_operands_and_retained(self):
         a, b = Tensor(np.ones((2, 3)), requires_grad=True), Tensor(np.ones((2, 3)),
                                                                   requires_grad=True)
         seed = np.arange(6.0).reshape(2, 3)
         with Tape() as tape:
-            out = ad.add(a, b).retain_grad()
-        tape.backward(out, seed=seed)
-        for t in (a, b, out):
-            assert np.array_equal(t.grad, seed)
-        assert_disjoint([a.grad, b.grad, out.grad, seed])
+            out = ad.add(a, b)
+        returned = tape.backward(out, seed=seed, wrt=[out, out])
+        for g in (a.grad, b.grad, *returned):
+            assert np.array_equal(g, seed)
+        assert_disjoint([a.grad, b.grad, *returned, seed])
+
+    def test_one_fresh_adjoint_handed_to_two_operands(self):
+        """add hands its adjoint, here a fresh array, to both operands: two
+        leaves, then a leaf and a wrt tensor."""
+        rng = np.random.default_rng(3)
+        a, b, c, d = (Tensor(rng.normal(size=(2, 3)), requires_grad=True) for _ in range(4))
+        with Tape() as tape:
+            u = ad.add(a, b)
+            v = ad.mul(d, 2.0)
+            w = ad.add(c, v)
+            loss = ad.mean(ad.add(ad.mul(u, u), ad.mul(w, w)))
+        gv, gw = tape.backward(loss, wrt=[v, w])
+        assert_disjoint([a.grad, b.grad, c.grad, d.grad, gv, gw])
+        np.testing.assert_allclose(gv, 2 * w.data / w.size, atol=1e-15)
+        np.testing.assert_allclose(a.grad, 2 * u.data / u.size, atol=1e-15)
 
     def test_views_and_shared_adjoints(self):
         x = Tensor(np.random.default_rng(0).normal(size=(2, 3)), requires_grad=True)
         y = Tensor(np.random.default_rng(1).normal(size=(1, 3)), requires_grad=True)
         z = Tensor(np.random.default_rng(2).normal(size=(2, 2, 3)), requires_grad=True)
         with Tape() as tape:
-            r = ad.mean(z, axis=0).retain_grad()          # backward: a broadcast view
-            s = ad.add(r, x).retain_grad()
-            c = ad.concat([y, s], axis=0).retain_grad()   # backward: views of c's adjoint
+            r = ad.mean(z, axis=0)          # backward: a broadcast view
+            s = ad.add(r, x)
+            c = ad.concat([y, s], axis=0)   # backward: views of c's adjoint
             loss = ad.mean(ad.mul(c, c))
-        tape.backward(loss)
-        grads = [x.grad, y.grad, z.grad, r.grad, s.grad, c.grad]
+        gr, gs, gc = tape.backward(loss, wrt=[r, s, c])
+        grads = [x.grad, y.grad, z.grad, gr, gs, gc]
         assert all(g is not None and g.flags.writeable for g in grads)
+        assert r.grad is None and s.grad is None and c.grad is None
         assert_disjoint(grads)
-        np.testing.assert_allclose(c.grad, 2 * c.data / c.size, atol=1e-15)
+        np.testing.assert_allclose(gc, 2 * c.data / c.size, atol=1e-15)
 
     def test_training_chunk(self):
         config = CONSISTENCY
         params = vit.init_params(config.vit, np.random.default_rng(3))
         chunk = [tr._two_views(j, ref.sample_for(config.vit, 11 + j), t, config.vit)
                  for j, t in enumerate(config.augmentations)]
-        with kept_outputs() as outputs, Tape() as tape:
+        with recorded_heads() as heads, Tape() as tape:
             loss = tr._chunk_loss(chunk, params, config).total
-        tape.backward(loss)
-        grads = [p.grad for p in params.values()] + [t.grad for t in retained(outputs)]
+        returned = tape.backward(loss, wrt=heads)
+        grads = [p.grad for p in params.values()] + returned
         assert all(g is not None for g in grads)
         assert_disjoint(grads)

@@ -77,8 +77,9 @@ class TestSweeps:
         assert tape.nodes == [] and x.grad is not None
 
     def test_seeded_backward_keeps_the_tape_and_repeats(self):
-        """One recorded forward of an image stack swept twice with one seed:
-        the nodes stay, and the second sweep's adjoints are == the first's."""
+        """One recorded forward of an image stack swept twice with one seed,
+        nothing zeroed in between: the nodes stay, and the second sweep's
+        adjoints are == the first's, in arrays of their own."""
         cfg = CONFIG.vit
         params = tr._no_grad_views(vit.init_params(cfg, np.random.default_rng(4)))
         images = np.stack([ref.sample_for(cfg, s).image for s in (12, 13)])
@@ -89,13 +90,11 @@ class TestSweeps:
         seed[[0, 1], [2, 0]] = 1.0
         sweeps = []
         for _ in range(2):
-            for rec in res.attentions:
-                rec.heads.zero_grad()
-            tape.backward(res.logits, seed=seed)
-            sweeps.append([rec.heads.grad for rec in res.attentions])
+            sweeps.append(vit.attention_adjoints(tape, res, seed))
             assert [node.op for node in tape.nodes] == recorded
         for first, second in zip(*sweeps, strict=True):
-            assert np.array_equal(first, second)
+            assert np.any(first) and np.array_equal(first, second)
+            assert not np.shares_memory(first, second)
 
 
 class TestEarlierRecordings:

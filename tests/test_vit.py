@@ -13,7 +13,7 @@ from attnreg import cli, netpbm
 from attnreg import gridtransform as gt
 from attnreg import vit
 from attnreg.autodiff import Tape, Tensor
-from attnreg.errors import ContractError, DimensionError, StateError
+from attnreg.errors import ContractError, DimensionError
 from attnreg.gridtransform import FLIP_H, FLIP_HV, FLIP_V, ROT90, ROT180, ROT270, GridShape
 
 
@@ -110,54 +110,62 @@ class TestForward:
             vit.class_logit(res, class_index)
 
 
-class TestAdjoints:
-    def test_adjoints_require_backward(self):
-        cfg = tiny_config()
-        params = vit.init_params(cfg, np.random.default_rng(0))
-        res = vit.forward(random_image(np.random.default_rng(1), cfg), params, cfg)
-        with pytest.raises(StateError):
-            vit.attention_adjoints(res)
+def recorded_stack(cfg, views=4):
+    """A no-grad forward of a stack of random views on one tape."""
+    params = {k: Tensor(p.data) for k, p in vit.init_params(cfg, np.random.default_rng(0)).items()}
+    rng = np.random.default_rng(1)
+    with Tape() as tape:
+        res = vit.forward(np.stack([random_image(rng, cfg) for _ in range(views)]), params, cfg)
+    return tape, res
 
+
+class TestAdjoints:
     def test_adjoints_populated_after_backward(self):
         cfg = tiny_config()
         params = vit.init_params(cfg, np.random.default_rng(0))
         with Tape() as tape:
             res = vit.forward(random_image(np.random.default_rng(1), cfg), params, cfg)
-            y = vit.class_logit(res, 1)
-        tape.backward(y)
-        adjoints = vit.attention_adjoints(res)
+        adjoints = vit.attention_adjoints(tape, res, np.eye(cfg.num_classes)[1])
         n = cfg.grid.n
         assert len(adjoints) == cfg.num_layers
         for adj in adjoints:
             assert adj.shape == (n + 1, n + 1)
             assert np.any(adj != 0.0)
+        assert all(rec.heads.grad is None for rec in res.attentions)
 
     def test_class_rows_are_row_0_of_the_full_adjoints(self):
         """The row form sums the heads of one row only; it must give the
         same bits as the full head sum, here on 3 heads and a stack of
         views seeded with one-hot rows, as evaluation seeds them."""
         cfg = tiny_config(embed_dim=12, num_heads=3, num_classes=3)
-        params = vit.init_params(cfg, np.random.default_rng(0))
-        rng = np.random.default_rng(1)
-        with Tape() as tape:
-            res = vit.forward(np.stack([random_image(rng, cfg) for _ in range(4)]), params, cfg)
+        tape, res = recorded_stack(cfg)
         seed = np.zeros(res.logits.shape)
         seed[np.arange(4), [0, 2, 1, 2]] = 1.0
-        tape.backward(res.logits, seed=seed)
-        full = vit.attention_adjoints(res)
-        rows = vit.attention_adjoints(res, row=0)
+        full = vit.attention_adjoints(tape, res, seed)
+        rows = vit.attention_adjoints(tape, res, seed, row=0)
         assert len(rows) == cfg.num_layers
         for whole, row in zip(full, rows):
             assert row.shape == (4, cfg.grid.n + 1)
             assert np.array_equal(row, whole[:, 0, :])
             assert np.any(row != 0.0)
 
-    def test_class_rows_require_backward(self):
+    @pytest.mark.parametrize("row", [10, -11, 99])
+    def test_row_outside_the_matrix_is_refused(self, row):
+        cfg = tiny_config()  # 3x3 grid: 10 rows
+        tape, res = recorded_stack(cfg)
+        count = len(tape.nodes)
+        with pytest.raises(DimensionError, match=f"row {row} outside"):
+            vit.attention_adjoints(tape, res, np.ones(res.logits.shape), row=row)
+        assert len(tape.nodes) == count
+        last = vit.attention_adjoints(tape, res, np.ones(res.logits.shape), row=-10)
+        first = vit.attention_adjoints(tape, res, np.ones(res.logits.shape), row=0)
+        assert all(np.array_equal(a, b) for a, b in zip(first, last))
+
+    def test_seed_shaped_unlike_the_logits_is_refused(self):
         cfg = tiny_config()
-        params = vit.init_params(cfg, np.random.default_rng(0))
-        res = vit.forward(random_image(np.random.default_rng(1), cfg), params, cfg)
-        with pytest.raises(StateError):
-            vit.attention_adjoints(res, row=0)
+        tape, res = recorded_stack(cfg)
+        with pytest.raises(DimensionError, match="seed shape"):
+            vit.attention_adjoints(tape, res, np.eye(cfg.num_classes)[0])
 
 
 class TestGradientFidelity:
