@@ -70,7 +70,19 @@ Conventions:
 * a backward never writes into the adjoint it is given: one adjoint can
   reach several operands (add hands the same array to both), and a
   gradient may be a read-only view (mean's broadcast). An op computes in
-  place only in arrays it allocated itself.
+  place only in arrays it allocated itself;
+* an adjoint that is zero outside its first r rows of the last two axes
+  may travel as a row block, holding only those r rows: attend's
+  gradient of its probabilities when it computes r < m query rows.
+  softmax_rows' backward maps a row block to a row block, running its
+  expressions on those rows only (they act row by row). The sweep
+  densifies a row block, into zeros plus the block, before any other
+  op's backward reads it, before it is added to another adjoint, and
+  before it is stored as ``.grad`` or returned for ``wrt``; so a row
+  block never leaves the sweep, and every value is bit-identical to the
+  dense path's. An evaluation sweep, whose seed reaches the last
+  layer's attention only through the class row, thus runs that layer's
+  softmax backward on one row per head.
 
 A tape and the tensors recorded on it are confined to one thread;
 the active-tape slot is thread-local, so a tape active on one thread
@@ -136,6 +148,28 @@ class Tensor:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
+
+
+class _RowBlock:
+    """An adjoint of the given full ``shape`` that is zero outside its
+    first r rows (second-to-last axis), held as those rows: ``rows`` is
+    (..., r, shape[-1]). Only the sweep and softmax_rows' backward ever
+    see one (see the module docstring)."""
+
+    __slots__ = ("rows", "shape")
+
+    def __init__(self, rows: Array, shape: tuple[int, ...]):
+        self.rows = rows
+        self.shape = shape
+
+    def dense(self) -> Array:
+        full = np.zeros(self.shape)
+        full[..., :self.rows.shape[-2], :] = self.rows
+        return full
+
+
+def _dense(g: "Array | _RowBlock") -> Array:
+    return g.dense() if type(g) is _RowBlock else g
 
 
 class _Node:
@@ -261,6 +295,8 @@ class Tape:
             g = acc.pop(i, None)
             if g is None:
                 continue
+            if type(g) is _RowBlock and node.op != "softmax_rows":  # the one op taking blocks
+                g = g.dense()
             if i in found:
                 found[i] = g
             refs = node.inputs
@@ -278,7 +314,7 @@ class Tape:
                     raise DimensionError(f"{node.op}: gradient shape {gi.shape} does not "
                                          f"match input shape {shape}")
                 prev = acc.get(ref)
-                acc[ref] = gi if prev is None else prev + gi
+                acc[ref] = gi if prev is None else _dense(prev) + _dense(gi)
 
         # ids of the arrays already stored or returned; they stay alive
         # (their tensors or the result hold them), so an id is not reused
@@ -296,8 +332,9 @@ class Tape:
         # the sweep has taken every node index: what is left are the
         # leaves, those that required grad when their consumers were recorded
         for leaf, g in acc.items():
+            g = _dense(g)
             leaf.grad = own(g) if leaf.grad is None else leaf.grad + g
-        return [np.zeros(t.shape) if found[i] is None else own(found[i])
+        return [np.zeros(t.shape) if found[i] is None else own(_dense(found[i]))
                 for t, i in zip(wrt, want)]
 
     def reset(self) -> None:
@@ -519,7 +556,7 @@ def attend(probs, h, wv, bv, rows: int | None = None) -> Tensor:
     probs (..., heads, m, m) and tokens h (..., m, d). Only the first r
     query rows are computed (default: all m); every value row is read, so
     h's gradient covers all m tokens, and probs' gradient is zero on the
-    query rows not computed."""
+    query rows not computed: with r < m it is a row block of r rows."""
     probs, h, wv, bv = (_as_tensor(t) for t in (probs, h, wv, bv))
     _check_affine("attend", h, wv, bv)
     m = h.shape[-2]
@@ -541,9 +578,7 @@ def attend(probs, h, wv, bv, rows: int | None = None) -> Tensor:
         if probs.requires_grad:
             gp = gpv @ np.swapaxes(v, -1, -2)
             if rows < m:  # the rows not computed had no effect
-                full = np.zeros(probs.shape)
-                full[..., :rows, :] = gp
-                gp = full
+                gp = _RowBlock(gp, probs.shape)
         if not (h.requires_grad or wv.requires_grad or bv.requires_grad):
             return gp, None, None, None
         return (gp, *_affine_grads(_merge_heads(np.swapaxes(pd, -1, -2) @ gpv), h, wv, bv))
@@ -631,6 +666,15 @@ def _stable_sigmoid(z: Array) -> Array:
 # row and reduction ops
 
 
+def _softmax_grad(g: Array, y: Array) -> Array:
+    """softmax_rows' input adjoint y * (g - rowsum(g * y)), row by row."""
+    gx = g * y
+    dot = gx.sum(axis=-1, keepdims=True)
+    np.subtract(g, dot, out=gx)
+    gx *= y
+    return gx
+
+
 def softmax_rows(x) -> Tensor:
     """Softmax over the last axis of a tensor of at least 2 dims,
     stabilized by the row max."""
@@ -641,12 +685,10 @@ def softmax_rows(x) -> Tensor:
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
 
-    def bw(g: Array):
-        gx = g * y
-        dot = gx.sum(axis=-1, keepdims=True)
-        np.subtract(g, dot, out=gx)
-        gx *= y
-        return (gx,)
+    def bw(g: "Array | _RowBlock"):
+        if type(g) is _RowBlock:  # zero outside its rows, and so is the result
+            return (_RowBlock(_softmax_grad(g.rows, y[..., :g.rows.shape[-2], :]), g.shape),)
+        return (_softmax_grad(g, y),)
 
     return _apply("softmax_rows", (x,), y, bw)
 

@@ -255,6 +255,9 @@ def _cmd_grad_check(args) -> int:
         "affinity_loss/blocks.0.attn.wq": with_param("blocks.0.attn.wq", affinity),
         "total_loss/blocks.0.mlp.w1": with_param("blocks.0.mlp.w1", total),
         f"class_logit/{last}attn.wv": with_param(last + "attn.wv", logit),
+        # reaches the query weights only through the class-row block of
+        # the last softmax's adjoint
+        f"class_logit/{last}attn.wq": with_param(last + "attn.wq", logit),
         f"total_loss/{last}mlp.w2": with_param(last + "mlp.w2", total),
     }
     worst = max(checks.values())

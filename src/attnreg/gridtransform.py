@@ -73,6 +73,21 @@ class GridShape:
         return f"{self.h}x{self.w}"
 
 
+# The most patch tokens of a grid that the package runs or inverts. A
+# forward holds (heads, n+1, n+1) attention per view and the Kronecker
+# oracle (n, n) factors; at 10,000 tokens one view's attention alone is
+# 1.6 GB.
+TOKEN_CAP = 1024
+
+
+def check_token_cap(grid: GridShape, what: str) -> None:
+    """Refuse a grid of more than TOKEN_CAP patch tokens with
+    ResourceError, before anything of its size is allocated."""
+    if grid.n > TOKEN_CAP:
+        raise ResourceError(f"{what}: grid {grid} has {grid.n} tokens, over the cap of "
+                            f"{TOKEN_CAP}")
+
+
 class TransformKind(enum.Enum):
     IDENTITY = "identity"
     FLIP_H = "fliph"
@@ -249,9 +264,6 @@ def _inverse_token_index(transform: SpatialTransform, grid: GridShape) -> np.nda
 # ---------------------------------------------------------------------------
 # dense oracle
 
-_ORACLE_CAP = 1024  # the most tokens invert_attention_kronecker takes
-
-
 def vec(x: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization."""
     return np.asarray(x).ravel(order="F")
@@ -312,13 +324,12 @@ def invert_attention_kronecker(a_prime_patch, transform: SpatialTransform,
     dense Kronecker algebra: conjugate by C^T (P_w kron P_h^T) in the
     column-major vec convention, converting row-major token order in and
     out with the grid's commutation matrix. Intended as an oracle for
-    invert_attention_fast; refuses grids beyond 1024 tokens, since its
-    dense factors are (n, n)."""
+    invert_attention_fast; refuses grids beyond TOKEN_CAP tokens, since
+    its dense factors are (n, n)."""
     if transform.kind is TransformKind.RESIZE:
         raise ContractError("resize inversions go through resize_attention")
+    check_token_cap(grid, "invert_attention_kronecker")
     n = grid.n
-    if n > _ORACLE_CAP:
-        raise ResourceError(f"oracle capped at {_ORACLE_CAP} tokens, grid {grid} has {n}")
     a = np.asarray(a_prime_patch.data if isinstance(a_prime_patch, Tensor) else a_prime_patch,
                    dtype=np.float64)
     if a.shape != (n, n):

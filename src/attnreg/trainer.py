@@ -65,7 +65,7 @@ from .atomicio import atomic_open, write_text_atomic
 from .autodiff import Tape, Tensor
 from .errors import ContractError, DimensionError, NumericalError
 from .gridtransform import (FLIP_H, FLIP_V, ROT90, ROT180, ROT270, GridShape, SpatialTransform,
-                            TransformKind)
+                            TransformKind, check_token_cap)
 from .regularizer import LossWeights
 from .vit import ViTConfig
 
@@ -107,6 +107,9 @@ class TrainConfig:
                                 f"got {self.clip_norm}")
         if not self.augmentations:
             raise ContractError("need at least one augmentation choice")
+        for t in self.augmentations:  # refused before any data is read
+            if t.kind is TransformKind.RESIZE:
+                check_token_cap(t.resize_target, f"augmentation {t}")
         if not 0.0 <= self.holdout_fraction < 1.0:
             raise ContractError("holdout_fraction must lie in [0, 1)")
         if self.eval_every < 0:

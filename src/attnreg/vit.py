@@ -33,6 +33,13 @@ attend's output reads attention row 0 against all value rows, which
 are still computed. The last block's scores, softmax and head average
 keep all n+1 rows, since the losses and the seed maps read that full
 matrix; the logits' adjoint is zero on its other query rows either way.
+So attend hands the per-head stack's adjoint back as a row block, its
+class row alone, and softmax_rows' backward runs on that row only (the
+row-block rule of the autodiff module). The sweep densifies the block
+before the scores' backward or any other adjoint meets it, and before
+it returns it: an evaluation sweep runs the last softmax backward on
+the class row only, and a training chunk does too when no loss reads
+the last layer's attention, with every value unchanged.
 
 The per-layer record holds the head-averaged post-softmax matrix as a
 live tape node, so consistency losses computed on it propagate exact
@@ -63,7 +70,7 @@ from . import autodiff as ad
 from .atomicio import atomic_open
 from .autodiff import Tensor
 from .errors import ContractError, DimensionError
-from .gridtransform import GridShape, bordered_interp_matrix
+from .gridtransform import GridShape, bordered_interp_matrix, check_token_cap
 
 CHECKPOINT_MAGIC = b"ATTNCKPT"
 CHECKPOINT_VERSION = 1
@@ -228,12 +235,14 @@ def forward(images: np.ndarray, params: dict[str, Tensor], config: ViTConfig) ->
 
     Every layer's attention is computed on all n+1 rows; the last block
     continues from its attention on the class row alone, the only row
-    the logits read (see the module docstring)."""
+    the logits read (see the module docstring). A grid of more than
+    gridtransform.TOKEN_CAP patch tokens raises ResourceError."""
     images = np.asarray(images, dtype=np.float64)
     if images.ndim not in (3, 4) or images.shape[-3] != config.in_channels:
         raise DimensionError(f"expected a ({config.in_channels}, H, W) image or a stack of "
                              f"them, got {images.shape}")
     grid = image_grid(images, config)
+    check_token_cap(grid, "forward")
     patches = Tensor(patchify(images, config.patch_size))
 
     def linear(x: Tensor, name: str, bias: str) -> Tensor:

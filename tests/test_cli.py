@@ -135,6 +135,20 @@ class TestTrain:
         assert by_flag == cli._train_config(parse(common + [str(with_line)]))
         assert by_flag != cli._train_config(parse(common + [str(config_file)]))
 
+    def test_resize_over_the_token_cap_exits_1_before_reading_data(self, config_file,
+                                                                    tmp_path, capsys):
+        """A 100x100 view, 10,000 tokens, is refused before the (missing)
+        dataset is read or the output directory is made."""
+        out = tmp_path / "o"
+        rc = cli.main(["train", "--config", str(config_file), "--data",
+                       str(tmp_path / "missing"), "--out", str(out),
+                       "--aug", "resize:100x100"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("attnreg: error: augmentation resize:100x100: grid 100x100 "
+                              "has 10000 tokens, over the cap of 1024")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag,value", [("epochs", "many"), ("alpha", "-1"),
                                             ("distance", "l3"), ("aug", "spin")])
     def test_bad_flag_value_exits_1(self, config_file, dataset_dir, tmp_path, capsys,
@@ -431,9 +445,9 @@ class TestGradCheck:
         assert rc == 0
         assert payload["passed"] is True
         assert payload["max_relative_error"] < 1e-4
-        assert len(payload["checks"]) == 7
-        assert {"class_logit/blocks.1.attn.wv", "total_loss/blocks.1.mlp.w2"} <= \
-            payload["checks"].keys()
+        assert len(payload["checks"]) == 8
+        assert {"class_logit/blocks.1.attn.wv", "class_logit/blocks.1.attn.wq",
+                "total_loss/blocks.1.mlp.w2"} <= payload["checks"].keys()
 
     @pytest.mark.parametrize("flag,value", [("--max-coords", "0"), ("--max-coords", "-1"),
                                             ("--step", "0")])

@@ -13,8 +13,8 @@ import pytest
 from attnreg import synthdata as sd
 from attnreg import trainer as tr
 from attnreg import vit
-from attnreg.errors import ContractError, NumericalError
-from attnreg.gridtransform import FLIP_H, FLIP_V, GridShape
+from attnreg.errors import ContractError, NumericalError, ResourceError
+from attnreg.gridtransform import FLIP_H, FLIP_V, GridShape, SpatialTransform
 from attnreg.regularizer import LossWeights
 
 
@@ -46,6 +46,14 @@ class TestTrainConfig:
             tiny_train_config(augmentations=())
         with pytest.raises(ContractError):
             tiny_train_config(holdout_fraction=1.0)
+
+    def test_resize_over_the_token_cap_refused(self):
+        """32x32 is the cap, 1024 tokens; one more row is over it."""
+        tiny_train_config(augmentations=(SpatialTransform.parse("resize:32x32"),))
+        with pytest.raises(ResourceError, match="1056 tokens"):
+            tiny_train_config(augmentations=(FLIP_H, SpatialTransform.parse("resize:33x32")))
+        with pytest.raises(ResourceError):
+            tr.parse_train_config("augmentations = resize:100x100\n")
 
     @pytest.mark.parametrize("knobs", [dict(holdout_fraction=0.25),
                                        dict(eval_every=1)], ids=["holdout_only", "eval_only"])

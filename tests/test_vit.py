@@ -13,7 +13,7 @@ from attnreg import cli, netpbm
 from attnreg import gridtransform as gt
 from attnreg import vit
 from attnreg.autodiff import Tape, Tensor
-from attnreg.errors import ContractError, DimensionError
+from attnreg.errors import ContractError, DimensionError, ResourceError
 from attnreg.gridtransform import FLIP_H, FLIP_HV, FLIP_V, ROT90, ROT180, ROT270, GridShape
 
 
@@ -98,6 +98,21 @@ class TestForward:
         cfg = tiny_config()
         with pytest.raises(DimensionError):
             vit.forward(np.zeros((1, 6, 6)), vit.init_params(cfg, np.random.default_rng(0)), cfg)
+
+    def test_grid_over_the_token_cap_refused_before_allocating(self):
+        """A 33x32 grid is 1056 tokens; its 4 layers of (2, 1057, 1057)
+        attention are never built."""
+        cfg = vit.ViTConfig()
+        params = vit.init_params(cfg, np.random.default_rng(0))
+        image = np.zeros((3, 33 * cfg.patch_size, 32 * cfg.patch_size))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError, match="1056 tokens"):
+                vit.forward(image, params, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize("class_index", [1, 6])
     def test_class_logit_of_a_stack_rejected(self, class_index):
