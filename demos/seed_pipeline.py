@@ -18,7 +18,6 @@ from attnreg import metrics as mt
 from attnreg import synthdata as sd
 from attnreg import trainer as tr
 from attnreg import vit
-from attnreg.autodiff import Tape, Tensor
 from attnreg.gridtransform import FLIP_H, FLIP_V, GridShape, ROT90, ROT180, ROT270
 from attnreg.regularizer import LossWeights
 
@@ -57,46 +56,49 @@ present = [k for k in range(cfg.vit.num_classes) if sample.labels[k]]
 print(f"\nimage 3 contains classes {present} "
       f"(labels vector {sample.labels.astype(int)})")
 
-# one forward on one tape, then one sweep per present class seeded with
-# that class's one-hot logit adjoint; parameters are read through no-grad
-# views, so map extraction never touches their grads
-frozen = {name: Tensor(p.data) for name, p in result.params.items()}
-with Tape() as tape:
-    res = vit.forward(sample.image, frozen, cfg.vit)
-maps = []
-for k in present:
-    adjoints = vit.attention_adjoints(tape, res, np.eye(cfg.vit.num_classes)[k])
-    maps.append(lc.grad_localization(adjoints, cfg.vit.grid, k))
-attentions = [rec.matrix.data for rec in res.attentions]
+# the path `attnreg eval` and `attnreg seeds` take, on a one-image stack:
+# one forward, then one sweep per present class seeded with that class's
+# one-hot logit adjoint, keeping each layer's class-token adjoint row and
+# patch-to-patch attention block (parameters are read through no-grad
+# views, so map extraction never touches their grads)
+rows, blocks = tr.adjoint_rows(sample.image[None], [present], result.params, cfg.vit)
+layers = lc.resolve_layers(None, cfg.vit.num_layers)  # the last two
+grid = cfg.vit.grid
+plain = lc.build_maps(rows, blocks, layers, refine=False)[0]  # (classes, patches)
+refined = lc.build_maps(rows, blocks, layers, refine=True)[0]
 
-for m in maps:
-    print(f"\nclass {m.class_index} map on the 8x8 patch grid "
-          f"(layers {m.layers_fused[0]}..{m.layers_fused[1] - 1} fused):")
-    print(heat(m.values))
+for k, values in zip(present, plain):
+    print(f"\nclass {k} map on the 8x8 patch grid "
+          f"(layers {layers[0]}..{layers[1] - 1} fused):")
+    print(heat(values.reshape(grid.h, grid.w)))
 
-refined = [lc.affinity_refine(m, attentions) for m in maps]
 print("\nsame maps after one hop along the attention affinities:")
-for m in refined:
-    print(heat(m.values))
+for values in refined:
+    print(heat(values.reshape(grid.h, grid.w)))
     print()
 
-seed = lc.seed_from_maps(refined, threshold=0.4)
-pred = lc.upsample_nearest(seed.labels, *sample.mask.shape)
+threshold = 0.4
+labels, peak = lc.argmax_seed(refined.reshape(-1, grid.h, grid.w), present)
+labels[peak < threshold] = 0
+pred = lc.upsample_nearest(labels, *sample.mask.shape)
 
 print("predicted seeds (left) vs pixel ground truth (right);")
 print("'.' = background, digit = class index + 1")
 for left, right in zip(label_art(pred), label_art(sample.mask)):
     print(f"  {left}   {right}")
 
-per_class, mean = mt.miou([pred], [sample.mask], cfg.vit.num_classes + 1)
-shown = [f"{v:.3f}" if v is not None else "absent" for v in per_class]
-print(f"\nper-class IoU {shown}, mIoU {mean:.3f} at threshold {seed.threshold}")
+acc = mt.ConfusionAccumulator(cfg.vit.num_classes + 1)
+acc.add(pred, sample.mask)
+shown = [f"{v:.3f}" if v is not None else "absent" for v in acc.per_class_iou()]
+print(f"\nper-class IoU {shown}, mIoU {acc.miou():.3f} at threshold {threshold}")
 print("(single-image numbers wobble; `attnreg eval` scores a whole dataset")
 print(" and picks the background threshold by grid search)")
 
 # the maps also ship as portable graymaps plus a JSON sidecar, here into
 # a temporary directory that is removed on exit
 with tempfile.TemporaryDirectory(prefix="seeds_") as tmp:
-    for m in refined:
-        pgm, meta = lc.export_map(Path(tmp) / f"class{m.class_index}", m)
+    for k, values in zip(present, refined):
+        m = lc.LocalizationMap(class_index=k, values=values.reshape(grid.h, grid.w),
+                               layers_fused=layers, refined=True)
+        pgm, meta = lc.export_map(Path(tmp) / f"class{k}", m)
         print(f"wrote {pgm} and {meta.name}")

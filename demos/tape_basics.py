@@ -28,10 +28,9 @@ eps = 1e-6
 def loss_at(delta):
     w2 = w.data.copy()
     w2[0, 0] += delta
-    with Tape() as t:
+    with Tape():  # recorded, never swept: only the value is read
         h = ad.gelu(ad.matmul(Tensor(x.data), Tensor(w2)))
         out = ad.mean(ad.mul(h, h))
-    t.reset()
     return float(out.data)
 
 numeric = (loss_at(eps) - loss_at(-eps)) / (2 * eps)
@@ -39,7 +38,7 @@ print("analytic  :", w.grad[0, 0])
 print("numeric   :", numeric)
 print("difference:", abs(w.grad[0, 0] - numeric))
 
-# tapes are single-use: after backward you reset (or open a new one).
+# tapes are single-use: after backward, a new recording opens a new Tape.
 # gradients ACCUMULATE across tapes until zeroed — handy for mini-batches:
 w.zero_grad(); x.zero_grad()
 for _ in range(4):

@@ -35,13 +35,12 @@ from .gridtransform import (
 from .localization import (
     LocalizationMap,
     SeedMask,
-    affinity_refine,
     export_map,
     grad_localization,
     seed_from_maps,
     upsample_nearest,
 )
-from .metrics import ConfusionAccumulator, best_threshold_miou, miou
+from .metrics import ConfusionAccumulator, best_threshold_miou
 from .regularizer import (
     LossWeights,
     classification_loss,
@@ -104,7 +103,6 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "ViTConfig",
-    "affinity_refine",
     "attention_adjoints",
     "augment",
     "best_threshold_miou",
@@ -124,7 +122,6 @@ __all__ = [
     "invert_layers",
     "load_checkpoint",
     "load_dataset",
-    "miou",
     "parse_train_config",
     "region_activation_loss",
     "region_affinity_loss",

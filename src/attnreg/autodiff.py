@@ -204,42 +204,40 @@ class Tape:
             loss = ...            # ops executed here are recorded
         tape.backward(loss)       # adjoints land in the leaves' .grad
 
-    A tape is single-use: after backward() it refuses further work until
-    reset(); only a seeded backward leaves it usable. Nodes are stored in
-    execution order, a topological order of the graph, so the reverse
-    sweep sees every consumer before its producer and each node once.
+    A tape is single-use: after backward() it refuses further work, and a
+    new recording opens a new Tape; only a seeded backward leaves it
+    usable. Nodes are stored in execution order, a topological order of
+    the graph, so the reverse sweep sees every consumer before its
+    producer and each node once.
 
     The tape records the graph, not its values (see _Node). An unseeded
     backward drops each node, closure and all, once the sweep has passed
     it, and leaves ``nodes`` empty; a seeded one keeps them for the next
     seed. Each produced tensor carries its (token, index) on the tape;
-    the token is a fresh object per tape and per reset(), so a tensor
-    from an earlier recording enters a new one as a leaf.
+    the token is a fresh object per tape, so a tensor from an earlier
+    recording enters a new one as a leaf.
     """
 
     def __init__(self):
         self.nodes: list[_Node] = []
         self._token = object()
         self._spent = False
-        self._entered = False
 
     def __enter__(self) -> "Tape":
         if _active_tape() is not None:
             raise StateError("another tape is already active on this thread; tapes do not nest")
         if self._spent:
-            raise StateError("tape already consumed by backward(); call reset() first")
+            raise StateError("tape already consumed by backward(); open a new Tape")
         _tls.tape = self
-        self._entered = True
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         _tls.tape = None
-        self._entered = False
 
     def _record(self, op: str, inputs: tuple[int | Tensor | None, ...], out: Tensor,
                 backward: Callable[[Array], tuple[Array | None, ...]]) -> None:
         if self._spent:
-            raise StateError("tape already consumed by backward(); call reset() first")
+            raise StateError("tape already consumed by backward(); open a new Tape")
         out._origin = (self._token, len(self.nodes))
         self.nodes.append(_Node(op, inputs, out, backward))
 
@@ -260,7 +258,7 @@ class Tape:
         and leaves the tape usable: one recorded forward can be swept once
         per seed. Without it, the sweep drops every node it has passed."""
         if self._spent:
-            raise StateError("tape already consumed by backward(); call reset() first")
+            raise StateError("tape already consumed by backward(); open a new Tape")
         if seed is None and loss.size != 1:
             raise ContractError(f"backward() needs a scalar loss, got shape {loss.shape}")
         if seed is not None and np.shape(seed) != loss.shape:
@@ -336,13 +334,6 @@ class Tape:
             leaf.grad = own(g) if leaf.grad is None else leaf.grad + g
         return [np.zeros(t.shape) if found[i] is None else own(_dense(found[i]))
                 for t, i in zip(wrt, want)]
-
-    def reset(self) -> None:
-        if self._entered:
-            raise StateError("cannot reset a tape that is still active")
-        self.nodes.clear()
-        self._token = object()
-        self._spent = False
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ JSON goes to stdout (indented when --pretty), logs to stderr (verbosity
 via the ACR_LOG environment variable: debug, info, warning, error).
 
 Exit codes: 0 success; 1 validation or contract error (bad flags, bad
-files, bad shapes); 2 numerical failure (non-finite values, an
-inversion-equivalence or finite-difference check exceeding tolerance).
+files, bad shapes) or a request too large for memory; 2 numerical
+failure (non-finite values, an inversion-equivalence or finite-difference
+check exceeding tolerance).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import AttnRegError, ContractError, NumericalError
 log = logging.getLogger("attnreg")
 
 _LAYERS_HELP = "layers fused into the maps: A:B or A..B, or 'default' (the last two)"
-_EXIT_CODE_DOC = ("exit codes: 0 success, 1 validation/contract error, "
+_EXIT_CODE_DOC = ("exit codes: 0 success, 1 validation/contract error or out of memory, "
                   "2 numerical failure (non-finite values or a failed "
                   "equivalence/gradient check)")
 
@@ -149,11 +150,18 @@ def _check_tolerance(tolerance: float) -> None:
         raise ContractError(f"--tolerance must be finite and positive, got {tolerance}")
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:  # np.random.default_rng would raise a ValueError
+        raise ContractError(f"--seed must be >= 0, got {seed}")
+
+
 def _cmd_check_inversion(args) -> int:
     if args.trials < 1:
         raise ContractError(f"--trials must be >= 1, got {args.trials}")
     _check_tolerance(args.tolerance)
+    _check_seed(args.seed)
     grid = gt.GridShape.parse(args.grid)
+    gt.check_token_cap(grid, "check-inversion")
     transform = gt.SpatialTransform.parse(args.transform)
     rng = np.random.default_rng(args.seed)
     n = grid.n
@@ -206,6 +214,7 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_grad_check(args) -> int:
     _check_tolerance(args.tolerance)
+    _check_seed(args.seed)
     config = _load_train_config(args.config)
     cfg = config.vit
     rng = np.random.default_rng(args.seed)
@@ -372,6 +381,9 @@ def main(argv=None) -> int:
         return 2
     except (AttnRegError, OSError) as exc:
         print(f"attnreg: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"attnreg: error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

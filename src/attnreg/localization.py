@@ -17,9 +17,10 @@ class-token adjoint rows and patch blocks of an image stack (see
 once. ``trainer.evaluate`` and the ``seeds`` command (a one-image
 stack) both go through it. Its kernels (``fuse_rows``, ``patch_affinity``,
 ``refine_maps``) and ``argmax_seed`` take any number of leading axes.
-``grad_localization`` and ``affinity_refine`` are the one-map case for a
-caller holding a single image's full adjoint and attention matrices;
-they only add validation and the ``LocalizationMap`` wrapper.
+``grad_localization`` is the one-map, unrefined case for a caller
+holding a single image's full adjoint matrices; it only adds validation
+and the ``LocalizationMap`` wrapper. Refined maps come only from
+``build_maps``.
 """
 
 from __future__ import annotations
@@ -145,30 +146,6 @@ def grad_localization(adjoints: Sequence[np.ndarray], grid: GridShape, class_ind
     return LocalizationMap(class_index=class_index,
                            values=fuse_rows(rows, (start, stop)).reshape(grid.h, grid.w),
                            layers_fused=(start, stop), refined=False)
-
-
-def affinity_refine(loc_map: LocalizationMap, attentions: Sequence[np.ndarray],
-                    layer_range: tuple[int, int] | None = None) -> LocalizationMap:
-    """Right-multiply the map by the layer-averaged patch-to-patch
-    attention block, then clamp-normalize. Refining twice is rejected."""
-    if loc_map.refined:
-        raise ContractError("map is already affinity-refined")
-    if len(attentions) == 0:
-        raise ContractError("no attention matrices given")
-    start, stop = resolve_layers(layer_range if layer_range is not None
-                                 else loc_map.layers_fused, len(attentions))
-    h, w = loc_map.values.shape
-    n = h * w
-    blocks = np.empty((len(attentions), n, n))
-    for i in range(start, stop):
-        a = np.asarray(attentions[i], dtype=np.float64)
-        if a.shape != (n + 1, n + 1):
-            raise DimensionError(f"layer {i}: attention shape {a.shape} does not "
-                                 f"match a {h}x{w} map")
-        blocks[i] = a[1:, 1:]
-    spread = refine_maps(loc_map.values.reshape(1, n), patch_affinity(blocks, (start, stop)))
-    return LocalizationMap(class_index=loc_map.class_index, values=spread.reshape(h, w),
-                           layers_fused=(start, stop), refined=True)
 
 
 def seed_from_maps(maps: Sequence[LocalizationMap], threshold: float) -> SeedMask:

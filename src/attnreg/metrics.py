@@ -30,7 +30,9 @@ import numpy as np
 from .errors import ContractError, DimensionError
 from .localization import seed_from_maps, upsample_nearest
 
-DEFAULT_THRESHOLDS = tuple(np.round(np.arange(0.05, 1.0, 0.05), 2))
+# the background thresholds of every sweep, ascending: 0.05 .. 0.95, step 0.05
+THRESHOLDS = np.round(np.arange(0.05, 1.0, 0.05), 2)
+THRESHOLDS.flags.writeable = False
 
 
 def scores(matrix: np.ndarray) -> dict:
@@ -101,44 +103,21 @@ class ConfusionAccumulator:
         return scores(self.matrix)
 
 
-def miou(pred_masks, gt_masks, num_classes: int) -> tuple[list[float | None], float | None]:
-    """Pooled per-class IoU and its mean over classes present anywhere."""
-    if len(pred_masks) != len(gt_masks):
-        raise DimensionError(f"{len(pred_masks)} predictions vs {len(gt_masks)} truths")
-    acc = ConfusionAccumulator(num_classes)
-    for p, g in zip(pred_masks, gt_masks):
-        acc.add(p, g)
-    return acc.per_class_iou(), acc.miou()
-
-
-def threshold_grid(thresholds=None) -> np.ndarray:
-    """The background thresholds, sorted (default 0.05 .. 0.95, step
-    0.05); an empty grid or one outside [0, 1] is a ContractError."""
-    if thresholds is None:
-        thresholds = DEFAULT_THRESHOLDS
-    thresholds = sorted(float(t) for t in thresholds)
-    if not thresholds:
-        raise ContractError("threshold grid is empty")
-    if any(not 0.0 <= t <= 1.0 for t in thresholds):
-        raise ContractError("thresholds must lie in [0, 1]")
-    return np.asarray(thresholds)
-
-
-def add_seeds(hist: ConfusionAccumulator, grid: np.ndarray, gt: np.ndarray,
+def add_seeds(hist: ConfusionAccumulator, gt: np.ndarray,
               labels: np.ndarray | None = None, peak: np.ndarray | None = None) -> None:
     """Bin one image, or a stack of them, into the leveled histogram of
-    the sorted threshold grid (``len(grid) + 1`` levels): each pixel by
+    THRESHOLDS (``len(THRESHOLDS) + 1`` levels): each pixel by
     (number of thresholds <= its peak, truth, argmax label). ``labels``
     and ``peak`` are (..., h, w) and are upsampled nearest-neighbor to
     gt's (..., H, W); without them every pixel is background."""
     if labels is None:
         hist.add(np.zeros_like(gt), gt)
         return
-    hist.add(labels, gt, np.searchsorted(grid, peak, side="right"), upsample=True)
+    hist.add(labels, gt, np.searchsorted(THRESHOLDS, peak, side="right"), upsample=True)
 
 
-def best_threshold(hist: ConfusionAccumulator, grid: np.ndarray) -> dict:
-    """The threshold of the grid with the best mIoU (ties go to the
+def best_threshold(hist: ConfusionAccumulator) -> dict:
+    """The threshold of THRESHOLDS with the best mIoU (ties go to the
     smaller threshold) and its miou, fp_rate, fn_rate and per_class_iou,
     read from a histogram filled by add_seeds. No pixels -> all None.
 
@@ -146,9 +125,9 @@ def best_threshold(hist: ConfusionAccumulator, grid: np.ndarray) -> dict:
     a (T, K, K) table, and so does its per-class IoU; its mIoU is the
     np.mean over its present classes that :func:`scores` takes, so the
     values are scores()'s bit for bit. scores() runs once, at the winner."""
-    below = np.cumsum(hist.counts, axis=0)   # [i]: background at grid[i]
-    matrices = below[-1] - below[:len(grid)]
-    matrices[:, :, 0] += below[:len(grid)].sum(axis=2)
+    below = np.cumsum(hist.counts, axis=0)   # [i]: background at THRESHOLDS[i]
+    matrices = below[-1] - below[:-1]
+    matrices[:, :, 0] += below[:-1].sum(axis=2)
     inter = np.diagonal(matrices, axis1=1, axis2=2)
     union = matrices.sum(axis=1) + matrices.sum(axis=2) - inter
     present = union > 0
@@ -159,26 +138,24 @@ def best_threshold(hist: ConfusionAccumulator, grid: np.ndarray) -> dict:
         if best is None or score > best:
             best_i, best = i, score
     at_best = scores(matrices[best_i]) if best_i is not None else {}
-    return {"threshold": None if best_i is None else float(grid[best_i]), "miou": best,
+    return {"threshold": None if best_i is None else float(THRESHOLDS[best_i]), "miou": best,
             **{key: at_best.get(key) for key in ("fp_rate", "fn_rate", "per_class_iou")}}
 
 
-def best_threshold_miou(maps_per_image, gt_masks, num_classes: int,
-                        thresholds=None) -> dict:
-    """Sweep the background threshold over a grid (default 0.05 .. 0.95,
-    step 0.05); return the best threshold and its miou, fp_rate, fn_rate
-    and per_class_iou. Ties go to the smaller threshold. Seeds are
-    upsampled nearest-neighbor to each ground-truth mask's size; an image
-    without maps is all background. Empty input -> all values None."""
-    grid = threshold_grid(thresholds)
+def best_threshold_miou(maps_per_image, gt_masks, num_classes: int) -> dict:
+    """Sweep the background threshold over THRESHOLDS; return the best
+    threshold and its miou, fp_rate, fn_rate and per_class_iou. Ties go
+    to the smaller threshold. Seeds are upsampled nearest-neighbor to
+    each ground-truth mask's size; an image without maps is all
+    background. Empty input -> all values None."""
     if len(maps_per_image) != len(gt_masks):
         raise DimensionError(f"{len(maps_per_image)} map sets vs {len(gt_masks)} truths")
-    hist = ConfusionAccumulator(num_classes, levels=len(grid) + 1)
+    hist = ConfusionAccumulator(num_classes, levels=len(THRESHOLDS) + 1)
     for maps, gt in zip(maps_per_image, gt_masks):
         if not maps:
-            add_seeds(hist, grid, gt)
+            add_seeds(hist, gt)
             continue
         # no map value lies below -inf, so this seed is the argmax label
         labels = seed_from_maps(maps, -np.inf).labels
-        add_seeds(hist, grid, gt, labels, np.max([m.values for m in maps], axis=0))
-    return best_threshold(hist, grid)
+        add_seeds(hist, gt, labels, np.max([m.values for m in maps], axis=0))
+    return best_threshold(hist)

@@ -580,7 +580,7 @@ def _stacks(samples: list[sd.SyntheticSample], cfg: ViTConfig):
 
 def evaluate(params: dict[str, Tensor], cfg: ViTConfig,
              samples: list[sd.SyntheticSample], map_layers=None,
-             thresholds=None, sweep_layers: bool = False) -> dict:
+             sweep_layers: bool = False) -> dict:
     """Seed quality of gradient maps against pixel ground truth: best
     background threshold, mIoU, FP/FN rates, for both unrefined and
     affinity-refined maps; optionally the start-layer sweep table, whose
@@ -596,12 +596,11 @@ def evaluate(params: dict[str, Tensor], cfg: ViTConfig,
     counts, so the summary, do not depend on how images are stacked."""
     if not samples:
         raise ContractError("evaluation needs a nonempty dataset")
-    grid = mt.threshold_grid(thresholds)
     layers = cfg.num_layers
     map_range = lc.resolve_layers(map_layers, layers)
     reported = {"unrefined": (map_range, False), "refined": (map_range, True)}
     sweep_rows = [((s, layers), True) for s in range(layers)] if sweep_layers else []
-    hists = {cell: mt.ConfusionAccumulator(cfg.num_classes + 1, levels=len(grid) + 1)
+    hists = {cell: mt.ConfusionAccumulator(cfg.num_classes + 1, levels=len(mt.THRESHOLDS) + 1)
              for cell in [*reported.values(), *sweep_rows]}
     # once per call; adjoint_rows passes no-grad views through as they are
     frozen = _no_grad_views(params)
@@ -610,7 +609,7 @@ def evaluate(params: dict[str, Tensor], cfg: ViTConfig,
         gt = np.stack([s.mask for s in stack])
         if classes.shape[1] == 0:
             for hist in hists.values():
-                mt.add_seeds(hist, grid, gt)
+                mt.add_seeds(hist, gt)
             continue
         images = np.stack([s.image for s in stack])
         if (image_grid := vit.image_grid(images, cfg)) != cfg.grid:
@@ -623,15 +622,15 @@ def evaluate(params: dict[str, Tensor], cfg: ViTConfig,
             if not refine:
                 fused[layer_range] = values
             labels, peak = lc.argmax_seed(values.reshape(classes.shape + (h, w)), classes)
-            mt.add_seeds(hist, grid, gt, labels, peak)
+            mt.add_seeds(hist, gt, labels, peak)
 
     result: dict = {"num_images": len(samples), "num_classes": cfg.num_classes}
     for key, cell in reported.items():
-        result[key] = mt.best_threshold(hists[cell], grid)
+        result[key] = mt.best_threshold(hists[cell])
     if sweep_layers:
         result["layer_sweep"] = []
         for cell in sweep_rows:
-            entry = mt.best_threshold(hists[cell], grid)
+            entry = mt.best_threshold(hists[cell])
             del entry["per_class_iou"]
             result["layer_sweep"].append({"start_layer": cell[0][0], **entry})
     return result

@@ -136,9 +136,9 @@ class AttentionRecord:
     ``matrix`` is a tape node (losses on it reach the parameters);
     ``heads`` is the per-head stack it averages, (..., H, n+1, n+1),
     which requires grad, so a sweep reaches it even when the parameters
-    do not require grad (see attention_adjoints)."""
+    do not require grad (see attention_adjoints). A record's index in
+    ForwardResult.attentions is its layer."""
 
-    layer: int
     matrix: Tensor
     heads: Tensor
 
@@ -265,8 +265,7 @@ def forward(images: np.ndarray, params: dict[str, Tensor], config: ViTConfig) ->
                                      params[p + "attn.wk"], params[p + "attn.bk"], heads, scale)
         per_head = ad.softmax_rows(scores)  # (..., H, n+1, n+1)
         per_head.requires_grad = True  # before its consumers are recorded
-        records.append(AttentionRecord(layer=i, matrix=ad.mean(per_head, axis=-3),
-                                       heads=per_head))
+        records.append(AttentionRecord(matrix=ad.mean(per_head, axis=-3), heads=per_head))
         last = i == config.num_layers - 1  # the logits read only its class row
         merged = ad.attend(per_head, h, params[p + "attn.wv"], params[p + "attn.bv"],
                            rows=1 if last else None)

@@ -149,9 +149,9 @@ def resize_attention_chain(a_prime, source, target):
 @dataclass
 class Record:
     """One layer's head average and the per-head matrices it averages,
-    each of which requires grad (see adjoints)."""
+    each of which requires grad (see adjoints); its index in the
+    forward's list is its layer."""
 
-    layer: int
     matrix: Tensor
     heads: tuple
 
@@ -179,7 +179,7 @@ def forward(image, params, config):
         total = probs[0]
         for head in probs[1:]:
             total = ad.add(total, head)
-        records.append(Record(layer=i, matrix=ad.mul(total, 1.0 / heads), heads=tuple(probs)))
+        records.append(Record(matrix=ad.mul(total, 1.0 / heads), heads=tuple(probs)))
         merged = head_attend(probs, h, params[p + "attn.wv"], params[p + "attn.bv"])
         x = ad.add(x, affine(merged, params[p + "attn.wo"], params[p + "attn.bo"]))
         h2 = ad.layer_norm(x, params[p + "ln2.gain"], params[p + "ln2.bias"])
@@ -323,11 +323,10 @@ def seed_mask(maps, theta, shape):
     return lc.upsample_nearest(labels, shape[0], shape[1])
 
 
-def sweep(maps_per_image, gt_masks, num_classes, thresholds=None):
+def sweep(maps_per_image, gt_masks, num_classes):
     """Threshold by threshold: the best entry, its rates re-counted at it."""
-    grid = mt.DEFAULT_THRESHOLDS if thresholds is None else thresholds
     best_theta, best = None, None
-    for theta in sorted(float(t) for t in grid):
+    for theta in mt.THRESHOLDS.tolist():
         acc = Counts(num_classes)
         for maps, gt in zip(maps_per_image, gt_masks):
             acc.add(seed_mask(maps, theta, gt.shape), gt)
@@ -362,30 +361,43 @@ def localization_data(sample, params, cfg):
     return adjoints_by_class, attentions or []
 
 
-def class_maps(adjoints_by_class, attentions, grid, layer_range, refine):
-    """One map per class through the one-map API."""
+def refine(values, attentions, layer_range):
+    """One (h, w) map spread along the affinities: as a row vector times
+    the mean over layers [start, stop) of the patch-to-patch blocks, then
+    clamped at zero and divided by its max (an all-zero map stays so)."""
+    start, stop = layer_range
+    block = np.mean([a[1:, 1:] for a in attentions[start:stop]], axis=0)
+    spread = np.maximum(values.reshape(1, -1) @ block, 0.0)
+    if spread.max() > 0.0:
+        spread = spread / spread.max()
+    return spread.reshape(values.shape)
+
+
+def class_maps(adjoints_by_class, attentions, grid, layer_range, refined):
+    """One map per class: the one-map API, then this module's refine."""
     out = []
     for k, adjoints in sorted(adjoints_by_class.items()):
         loc = lc.grad_localization(adjoints, grid, k, layer_range)
-        if refine:
-            loc = lc.affinity_refine(loc, attentions, layer_range)
+        if refined:
+            loc = lc.LocalizationMap(k, refine(loc.values, attentions, loc.layers_fused),
+                                     loc.layers_fused, refined=True)
         out.append(loc)
     return out
 
 
-def evaluate(params, cfg, samples, map_layers=None, thresholds=None, sweep_layers=False):
+def evaluate(params, cfg, samples, map_layers=None, sweep_layers=False):
     """trainer.evaluate's summary, image by image and class by class."""
     data = [localization_data(s, params, cfg) for s in samples]
     gt = [s.mask for s in samples]
     result = {"num_images": len(samples), "num_classes": cfg.num_classes}
-    for refine, key in ((False, "unrefined"), (True, "refined")):
-        per_image = [class_maps(*d, cfg.grid, map_layers, refine) for d in data]
-        result[key] = sweep(per_image, gt, cfg.num_classes + 1, thresholds)
+    for refined, key in ((False, "unrefined"), (True, "refined")):
+        per_image = [class_maps(*d, cfg.grid, map_layers, refined) for d in data]
+        result[key] = sweep(per_image, gt, cfg.num_classes + 1)
     if sweep_layers:
         rows = []
         for s in range(cfg.num_layers):
             per_image = [class_maps(*d, cfg.grid, (s, cfg.num_layers), True) for d in data]
-            entry = sweep(per_image, gt, cfg.num_classes + 1, thresholds)
+            entry = sweep(per_image, gt, cfg.num_classes + 1)
             entry.pop("per_class_iou")
             rows.append({"start_layer": s, **entry})
         result["layer_sweep"] = rows

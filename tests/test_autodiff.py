@@ -51,7 +51,7 @@ class TestTapeSemantics:
         tape.backward(y)
         np.testing.assert_allclose(x.grad, [1.0, 2.0])  # d/dx x_i^2 / 2
 
-    def test_tape_is_single_use_until_reset(self):
+    def test_tape_is_single_use(self):
         x = Tensor([2.0], requires_grad=True)
         tape = Tape()
         with tape:
@@ -59,8 +59,10 @@ class TestTapeSemantics:
         tape.backward(y)
         with pytest.raises(StateError):
             tape.backward(y)
-        tape.reset()
-        with tape:
+        with pytest.raises(StateError):
+            with tape:
+                pass
+        with Tape() as tape:  # a new recording opens a new tape
             y2 = ad.mean(ad.mul(x, x))
         tape.backward(y2)
         np.testing.assert_allclose(x.grad, [1.0 + 4.0])  # accumulated

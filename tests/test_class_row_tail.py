@@ -53,9 +53,10 @@ def test_logits_and_attention_match_the_full_rows(model, stack):
     for v, image in enumerate(images):
         expected = ref.forward(image, params, cfg)
         ref.assert_close(logits[v], expected.logits.data, f"view {v} logits")
-        for rec, ref_rec in zip(res.attentions, expected.attentions, strict=True):
+        for i, (rec, ref_rec) in enumerate(zip(res.attentions, expected.attentions,
+                                               strict=True)):
             ref.assert_close(rec.matrix.data.reshape(len(images), m, m)[v], ref_rec.matrix.data,
-                             f"view {v} attention {rec.layer}")
+                             f"view {v} attention {i}")
 
 
 @pytest.mark.parametrize("k", [1, 4])

@@ -8,6 +8,7 @@ import struct
 import numpy as np
 import pytest
 
+import reference as ref
 from attnreg import cli, netpbm, synthdata, vit
 from attnreg import gridtransform as gt
 from attnreg import localization as lc
@@ -385,17 +386,18 @@ class TestSeeds:
                                         "--image", str(tmp_path / "wide.ppm"), "--class", "0",
                                         "--layers", "0:2", "--out", str(tmp_path / "maps")])
         assert rc == 0
-        # the one-map API on a fresh forward of the same image
+        # the one-map API and the reference refine on a fresh forward of
+        # the same image
         frozen = {name: Tensor(p.data) for name, p in params.items()}
         with Tape() as tape:
             res = vit.forward(pixels / 255.0, frozen, cfg)
         adjoints = vit.attention_adjoints(tape, res, np.eye(cfg.num_classes)[0])
-        plain = lc.grad_localization(adjoints, GridShape(6, 5), 0, (0, 2))
-        refined = lc.affinity_refine(plain, [rec.matrix.data for rec in res.attentions])
-        for tag, m in (("unrefined", plain), ("refined", refined)):
+        plain = lc.grad_localization(adjoints, GridShape(6, 5), 0, (0, 2)).values
+        refined = ref.refine(plain, [rec.matrix.data for rec in res.attentions], (0, 2))
+        for tag, values in (("unrefined", plain), ("refined", refined)):
             written = netpbm.read_netpbm(tmp_path / "maps" / f"wide_class0_{tag}.pgm")
             assert written.shape == (6, 5)
-            assert np.array_equal(written, np.rint(m.values * 255.0))
+            assert np.array_equal(written, np.rint(values * 255.0))
 
 
 class TestCheckInversion:
@@ -437,6 +439,32 @@ class TestCheckInversion:
         assert rc == 1
         assert "unknown transform" in capsys.readouterr().err
 
+    def test_grid_over_the_token_cap_exits_1(self, capsys):
+        # refused by the command before any trial, with or without the
+        # oracle (whose own refusal names invert_attention_kronecker)
+        for oracle in ([], ["--oracle"]):
+            rc = cli.main(["check-inversion", "--grid", "33x32", "--transform", "fliph",
+                           "--trials", "1", *oracle])
+            out, err = capsys.readouterr()
+            assert rc == 1
+            assert out == ""
+            assert err == ("attnreg: error: check-inversion: grid 33x32 has 1056 tokens, "
+                           "over the cap of 1024\n")
+
+    def test_grid_at_the_token_cap_runs(self, capsys):
+        rc, payload = run_json(capsys, ["check-inversion", "--grid", "32x32",
+                                        "--transform", "fliph", "--trials", "1"])
+        assert rc == 0
+        assert payload["roundtrip_error"] == 0.0
+
+    def test_negative_seed_exits_1(self, capsys):
+        rc = cli.main(["check-inversion", "--grid", "2x2", "--transform", "fliph",
+                       "--seed", "-1"])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err == "attnreg: error: --seed must be >= 0, got -1\n"
+
 
 class TestGradCheck:
     def test_small_model_passes(self, config_file, capsys):
@@ -450,13 +478,14 @@ class TestGradCheck:
                 "total_loss/blocks.1.mlp.w2"} <= payload["checks"].keys()
 
     @pytest.mark.parametrize("flag,value", [("--max-coords", "0"), ("--max-coords", "-1"),
-                                            ("--step", "0")])
+                                            ("--step", "0"), ("--seed", "-1")])
     def test_check_of_nothing_exits_1(self, config_file, capsys, flag, value):
         rc = cli.main(["grad-check", "--config", str(config_file), flag, value])
         out, err = capsys.readouterr()
         assert rc == 1
         assert out == ""  # no "passed" report
-        assert err.startswith("attnreg: error: grad_check:") and "Traceback" not in err
+        refusal = "--seed must be >= 0" if flag == "--seed" else "grad_check:"
+        assert err.startswith(f"attnreg: error: {refusal}") and "Traceback" not in err
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
     def test_bad_tolerance_exits_1(self, config_file, tolerance, capsys):
@@ -541,6 +570,18 @@ class TestPlumbing:
     def test_help_exits_0_and_documents_exit_codes(self, capsys):
         assert cli.main(["--help"]) == 0
         assert "exit codes" in capsys.readouterr().out
+
+    def test_out_of_memory_is_one_line(self, tmp_path, monkeypatch, capsys):
+        def exhausted(config):
+            raise MemoryError("Unable to allocate 21.8 TiB")
+
+        monkeypatch.setattr(synthdata, "generate", exhausted)
+        rc = cli.main(["gen-data", "--out", str(tmp_path / "big"), "--samples", "1"])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err == "attnreg: error: out of memory: Unable to allocate 21.8 TiB\n"
+        assert not (tmp_path / "big").exists()
 
     def test_pretty_indents_json(self, capsys):
         rc = cli.main(["check-inversion", "--grid", "2x2",

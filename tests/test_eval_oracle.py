@@ -117,13 +117,11 @@ class TestEvaluateMatchesReference:
         fast = tr.evaluate(params, cfg, data, sweep_layers=True)
         ref.exact_same(fast, ref.evaluate(params, cfg, data, sweep_layers=True))
 
-    def test_unsorted_custom_grid(self):
+    def test_custom_layers(self):
         params, cfg, data = ref.trained(1)
-        grid = [0.6, 0.15, 0.45, 0.3, 0.15, 0.9]
-        fast = tr.evaluate(params, cfg, data, map_layers=(0, 3), thresholds=grid,
-                           sweep_layers=True)
+        fast = tr.evaluate(params, cfg, data, map_layers=(0, 3), sweep_layers=True)
         ref.exact_same(fast, ref.evaluate(params, cfg, data, map_layers=(0, 3),
-                                            thresholds=grid, sweep_layers=True))
+                                            sweep_layers=True))
 
     def test_background_only_image_is_all_background(self):
         params, cfg, data = ref.trained(2)
@@ -146,19 +144,19 @@ def random_maps(rng, grid, classes, levels=None):
 
 
 class TestSweepMatchesReference:
-    def check(self, maps, gts, num_classes, thresholds=None):
-        fast = mt.best_threshold_miou(maps, gts, num_classes, thresholds)
-        ref.exact_same(fast, ref.sweep(maps, gts, num_classes, thresholds))
+    def check(self, maps, gts, num_classes):
+        fast = mt.best_threshold_miou(maps, gts, num_classes)
+        ref.exact_same(fast, ref.sweep(maps, gts, num_classes))
 
     def test_maxima_exactly_on_thresholds(self):
         rng = np.random.default_rng(21)
         grid = GridShape(3, 3)
-        levels = np.array([0.0, 0.1, 0.25, 0.5, 0.75, 1.0])
-        for _ in range(20):
+        # 0.1, 0.25, 0.5, 0.75 and 0.95 are grid values, 0 and 1 lie outside
+        levels = np.concatenate(([0.0], mt.THRESHOLDS[[1, 4, 9, 14, 18]], [1.0]))
+        for _ in range(40):
             maps = [random_maps(rng, grid, rng.permutation(3)[:rng.integers(1, 4)], levels)
                     for _ in range(4)]
             gts = [rng.integers(0, 4, size=(3, 3)) for _ in range(4)]
-            self.check(maps, gts, 4, thresholds=[0.5, 0.1, 0.25, 0.75, 1.0])
             self.check(maps, gts, 4)
 
     def test_gt_sizes_differ_from_map_grid(self):

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import reference as ref
 from attnreg import localization as loc
 from attnreg import netpbm
 from attnreg.errors import ContractError, DimensionError
@@ -90,9 +91,20 @@ class TestGradLocalization:
 
 
 class TestAffinityRefine:
-    def make_map(self, grid, seed=5):
-        adjoints = random_adjoints(np.random.default_rng(seed), 2, grid.n + 1)
-        return loc.grad_localization(adjoints, grid, 0, (0, 2))
+    """build_maps with refine: each fused map, as a row vector, times the
+    layer mean of the patch-to-patch blocks, then clamp-normalized."""
+
+    def make_rows(self, grid, layers=2, seed=5):
+        """One image's one class: (1, 1, layers, n) class-token adjoint rows."""
+        adjoints = random_adjoints(np.random.default_rng(seed), layers, grid.n + 1)
+        return np.array([a[0, 1:] for a in adjoints])[None, None]
+
+    def maps(self, rows, attentions, layer_range):
+        """The (n,) unrefined and refined maps of rows over layer_range."""
+        blocks = np.array([a[1:, 1:] for a in attentions])[None]
+        plain = loc.build_maps(rows, blocks, layer_range, refine=False)
+        refined = loc.build_maps(rows, blocks, layer_range, refine=True)
+        return plain[0, 0], refined[0, 0]
 
     def attention_with_block(self, n, block):
         a = np.zeros((n + 1, n + 1))
@@ -102,48 +114,30 @@ class TestAffinityRefine:
 
     def test_identity_affinity_is_noop(self):
         grid = GridShape(2, 3)
-        m = self.make_map(grid)
         a = self.attention_with_block(grid.n, np.eye(grid.n))
-        refined = loc.affinity_refine(m, [a, a], (0, 2))
-        assert np.array_equal(refined.values, m.values)
-        assert refined.refined
+        plain, refined = self.maps(self.make_rows(grid), [a, a], (0, 2))
+        assert np.array_equal(refined, plain)
 
     def test_uniform_affinity_gives_constant_map(self):
         grid = GridShape(2, 2)
-        m = self.make_map(grid)
         a = self.attention_with_block(grid.n, np.full((grid.n, grid.n), 1.0 / grid.n))
-        refined = loc.affinity_refine(m, [a, a], (0, 2))
-        assert np.all(refined.values == refined.values[0, 0])
-        if m.values.any():
-            assert np.array_equal(refined.values, np.ones(m.values.shape))
+        plain, refined = self.maps(self.make_rows(grid), [a, a], (0, 2))
+        assert np.all(refined == refined[0])
+        if plain.any():
+            assert np.array_equal(refined, np.ones(grid.n))
 
     def test_matches_dense_matvec_oracle(self):
         grid = GridShape(2, 3)
         rng = np.random.default_rng(6)
-        m = self.make_map(grid)
         attns = [rng.random(size=(grid.n + 1, grid.n + 1)) for _ in range(3)]
-        refined = loc.affinity_refine(m, attns, (1, 3))
+        v, refined = self.maps(self.make_rows(grid, layers=3), attns, (1, 3))
         block = (attns[1][1:, 1:] + attns[2][1:, 1:]) / 2.0
-        v = m.values.reshape(-1)
         expected = np.array([sum(v[i] * block[i, j] for i in range(grid.n))
                              for j in range(grid.n)])
         expected = np.maximum(expected, 0.0)
         if expected.max() > 0:
             expected = expected / expected.max()
-        np.testing.assert_allclose(refined.values.reshape(-1), expected, rtol=0, atol=1e-12)
-
-    def test_double_refine_rejected(self):
-        grid = GridShape(2, 2)
-        m = self.make_map(grid)
-        a = self.attention_with_block(grid.n, np.eye(grid.n))
-        refined = loc.affinity_refine(m, [a, a])
-        with pytest.raises(ContractError):
-            loc.affinity_refine(refined, [a, a])
-
-    def test_shape_mismatch_rejected(self):
-        m = self.make_map(GridShape(2, 2))
-        with pytest.raises(DimensionError):
-            loc.affinity_refine(m, [np.zeros((3, 3)), np.zeros((3, 3))], (0, 2))
+        np.testing.assert_allclose(refined, expected, rtol=0, atol=1e-12)
 
 
 def flat_map(class_index, values, grid):
@@ -289,5 +283,5 @@ class TestLayerSweep:
             for c, adj in enumerate(per_image):
                 m = loc.grad_localization(adj, grid, c, layer_range)
                 assert np.array_equal(plain[v, c].reshape(grid.h, grid.w), m.values)
-                r = loc.affinity_refine(m, attentions)
-                assert np.array_equal(refined[v, c].reshape(grid.h, grid.w), r.values)
+                r = ref.refine(m.values, attentions, layer_range)
+                assert np.array_equal(refined[v, c].reshape(grid.h, grid.w), r)

@@ -36,11 +36,19 @@ def brute_force_counts(pairs, num_classes):
     return inter, union, fp, fn, over, under, total
 
 
+def pooled(preds, gts, num_classes):
+    """Per-class IoU and mIoU of the pairs pooled in one accumulator."""
+    acc = metrics.ConfusionAccumulator(num_classes)
+    for p, g in zip(preds, gts, strict=True):
+        acc.add(p, g)
+    return acc.per_class_iou(), acc.miou()
+
+
 class TestConfusionAccumulator:
     def test_perfect_prediction(self):
         rng = np.random.default_rng(0)
         gt = rng.integers(0, 3, size=(8, 8))
-        per_class, mean = metrics.miou([gt], [gt], 3)
+        per_class, mean = pooled([gt], [gt], 3)
         assert mean == 1.0
         for k in range(3):
             assert per_class[k] == (1.0 if np.any(gt == k) else None)
@@ -50,7 +58,7 @@ class TestConfusionAccumulator:
         gt = np.zeros((4, 4), dtype=np.int64)
         gt[:2, :] = 1
         pred = np.zeros((4, 4), dtype=np.int64)
-        per_class, mean = metrics.miou([pred], [gt], 2)
+        per_class, mean = pooled([pred], [gt], 2)
         assert per_class[0] == 0.5
         assert per_class[1] == 0.0
         assert mean == 0.25
@@ -95,12 +103,12 @@ class TestConfusionAccumulator:
     def test_absent_class_excluded_from_mean(self):
         pred = np.zeros((2, 2), dtype=np.int64)
         gt = np.zeros((2, 2), dtype=np.int64)
-        per_class, mean = metrics.miou([pred], [gt], 5)
+        per_class, mean = pooled([pred], [gt], 5)
         assert per_class == [1.0, None, None, None, None]
         assert mean == 1.0
 
     def test_empty_dataset(self):
-        per_class, mean = metrics.miou([], [], 3)
+        per_class, mean = pooled([], [], 3)
         assert per_class == [None, None, None]
         assert mean is None
         acc = metrics.ConfusionAccumulator(3)
@@ -117,8 +125,9 @@ class TestConfusionAccumulator:
         acc = metrics.ConfusionAccumulator(2)
         with pytest.raises(DimensionError):
             acc.add(np.zeros((2, 2), dtype=int), np.zeros((2, 3), dtype=int))
-        with pytest.raises(DimensionError):
-            metrics.miou([np.zeros((2, 2), dtype=int)], [], 2)
+
+
+LEVELS = len(metrics.THRESHOLDS) + 1  # a sweep histogram's levels
 
 
 def flat_map(class_index, values, grid):
@@ -138,8 +147,8 @@ class TestBestThreshold:
             gts.append(rng.integers(0, 3, size=(2, 2)))
         found = metrics.best_threshold_miou(maps_per_image, gts, 3)
         theta, best = found["threshold"], found["miou"]
-        assert theta in metrics.DEFAULT_THRESHOLDS
-        for t in metrics.DEFAULT_THRESHOLDS:
+        assert theta in metrics.THRESHOLDS
+        for t in metrics.THRESHOLDS:
             acc = metrics.ConfusionAccumulator(3)
             for maps, gt in zip(maps_per_image, gts):
                 seed = loc.seed_from_maps(maps, t)
@@ -154,7 +163,7 @@ class TestBestThreshold:
         found = metrics.best_threshold_miou(maps, gts, 2)
         theta, best = found["threshold"], found["miou"]
         assert best == 1.0
-        assert theta == metrics.DEFAULT_THRESHOLDS[0]
+        assert theta == metrics.THRESHOLDS[0]
 
     def test_upsamples_to_gt_size(self):
         grid = GridShape(1, 2)
@@ -168,18 +177,12 @@ class TestBestThreshold:
         assert metrics.best_threshold_miou([], [], 3) == dict.fromkeys(
             ("threshold", "miou", "fp_rate", "fn_rate", "per_class_iou"))
 
-    def test_bad_threshold_grid(self):
-        with pytest.raises(ContractError):
-            metrics.best_threshold_miou([], [], 3, thresholds=[])
-        with pytest.raises(ContractError):
-            metrics.best_threshold_miou([], [], 3, thresholds=[1.5])
-
     @staticmethod
-    def scored_one_by_one(hist, grid):
-        """best_threshold spelled out: at threshold grid[i] the levels
-        0..i are background, and metrics.scores scores each matrix."""
+    def scored_one_by_one(hist):
+        """best_threshold spelled out: at threshold THRESHOLDS[i] the
+        levels 0..i are background, and metrics.scores scores each matrix."""
         best = None
-        for i, theta in enumerate(grid.tolist()):
+        for i, theta in enumerate(metrics.THRESHOLDS.tolist()):
             matrix = hist.counts[i + 1:].sum(axis=0)
             matrix[:, 0] += hist.counts[:i + 1].sum(axis=(0, 2))
             found = metrics.scores(matrix)
@@ -188,12 +191,11 @@ class TestBestThreshold:
         keys = ("threshold", "miou", "fp_rate", "fn_rate", "per_class_iou")
         return dict.fromkeys(keys) if best is None else {key: best[key] for key in keys}
 
-    def check_one_by_one(self, counts, grid):
+    def check_one_by_one(self, counts):
         hist = metrics.ConfusionAccumulator(counts.shape[1], levels=len(counts))
         hist.counts += counts
-        grid = metrics.threshold_grid(grid)
-        found = metrics.best_threshold(hist, grid)
-        expected = self.scored_one_by_one(hist, grid)
+        found = metrics.best_threshold(hist)
+        expected = self.scored_one_by_one(hist)
         assert found == expected
         assert repr(found) == repr(expected)   # same types and bits, None for None
         return found
@@ -201,22 +203,20 @@ class TestBestThreshold:
     @pytest.mark.parametrize("k", [1, 2, 4, 12])
     def test_matches_scores_per_threshold(self, k):
         rng = np.random.default_rng(k)
-        for grid in (None, [0.5], [0.7, 0.1, 0.3]):
-            levels = len(metrics.threshold_grid(grid)) + 1
-            for _ in range(10):
-                counts = rng.integers(0, 6, size=(levels, k, k))
-                counts[rng.random(counts.shape) < 0.6] = 0
-                self.check_one_by_one(counts, grid)
+        for _ in range(30):
+            counts = rng.integers(0, 6, size=(LEVELS, k, k))
+            counts[rng.random(counts.shape) < 0.6] = 0
+            self.check_one_by_one(counts)
 
     def test_ties_go_to_the_smaller_threshold(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            counts = np.zeros((20, 3, 3), dtype=np.int64)
+            counts = np.zeros((LEVELS, 3, 3), dtype=np.int64)
             # pixels only on a few levels: the thresholds between them tie
-            counts[rng.choice(20, 3, replace=False)] = rng.integers(0, 4, size=(3, 3, 3))
-            found = self.check_one_by_one(counts, None)
+            counts[rng.choice(LEVELS, 3, replace=False)] = rng.integers(0, 4, size=(3, 3, 3))
+            found = self.check_one_by_one(counts)
             if found["miou"] is not None:
-                assert found["threshold"] in metrics.DEFAULT_THRESHOLDS
+                assert found["threshold"] in metrics.THRESHOLDS
 
     @pytest.mark.parametrize("k", [4, 12])
     def test_classes_absent_at_some_thresholds(self, k):
@@ -225,48 +225,42 @@ class TestBestThreshold:
         with zeros in their place."""
         rng = np.random.default_rng(k)
         for _ in range(30):
-            counts = rng.integers(0, 5, size=(20, k, k))
+            counts = rng.integers(0, 5, size=(LEVELS, k, k))
             gone = rng.random(k) < 0.3    # never true nor predicted
             counts[:, gone, :] = 0
             counts[:, :, gone] = 0
             late = rng.integers(1, k)     # never true, predicted at level 1 only
             counts[:, late, :] = 0
-            counts[np.arange(20) != 1, :, late] = 0
+            counts[np.arange(LEVELS) != 1, :, late] = 0
             counts[:, 0, :] = 0           # background is never true and, below
             counts[:rng.integers(0, 4)] = 0  # some threshold, never predicted
-            found = self.check_one_by_one(counts, None)
+            found = self.check_one_by_one(counts)
             if found["miou"] is not None:
                 assert all(found["per_class_iou"][c] is None for c in np.flatnonzero(gone))
 
     def test_empty_histogram(self):
-        for grid in (None, [0.4]):
-            levels = len(metrics.threshold_grid(grid)) + 1
-            found = self.check_one_by_one(np.zeros((levels, 3, 3), dtype=np.int64), grid)
-            assert found == dict.fromkeys(found)
-
-    def test_one_threshold_grid(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            found = self.check_one_by_one(rng.integers(0, 5, size=(2, 3, 3)), [0.25])
-            assert found["threshold"] == 0.25
+        found = self.check_one_by_one(np.zeros((LEVELS, 3, 3), dtype=np.int64))
+        assert found == dict.fromkeys(found)
 
     def test_add_seeds_refuses_labels_outside_the_classes(self):
-        grid = metrics.threshold_grid(None)
-        hist = metrics.ConfusionAccumulator(3, levels=len(grid) + 1)
+        hist = metrics.ConfusionAccumulator(3, levels=LEVELS)
         labels, peak = np.ones((2, 2), dtype=np.int64), np.full((2, 2), 0.5)
         for bad in (3, -1):
             gt = np.zeros((4, 4), dtype=np.int64)
             gt[1, 2] = bad
             with pytest.raises(ContractError, match="gt labels"):
-                metrics.add_seeds(hist, grid, gt, labels, peak)
+                metrics.add_seeds(hist, gt, labels, peak)
             with pytest.raises(ContractError, match="pred labels"):
-                metrics.add_seeds(hist, grid, np.zeros((4, 4)), labels + bad - 1, peak)
+                metrics.add_seeds(hist, np.zeros((4, 4)), labels + bad - 1, peak)
         with pytest.raises(DimensionError):
-            metrics.add_seeds(hist, grid, np.zeros((2, 4, 4)), np.ones((3, 2, 2)),
+            metrics.add_seeds(hist, np.zeros((2, 4, 4)), np.ones((3, 2, 2)),
                               np.full((3, 2, 2), 0.5))
         assert not hist.counts.any()
 
     def test_default_grid_shape(self):
-        grid_vals = metrics.DEFAULT_THRESHOLDS
+        grid_vals = metrics.THRESHOLDS
         assert grid_vals[0] == 0.05 and grid_vals[-1] == 0.95
         assert len(grid_vals) == 19
+        assert np.all(np.diff(grid_vals) > 0)  # ascending, as add_seeds bins by it
+        with pytest.raises(ValueError):  # read-only: no caller can shift the sweep
+            grid_vals[0] = 0.5

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import reference as ref
+from attnreg import metrics as mt
 from attnreg import synthdata as sd
 from attnreg import trainer as tr
 from attnreg import vit
@@ -69,11 +70,13 @@ class TestMixedStacks:
     def test_custom_layers_and_grid_match_reference(self, monkeypatch):
         params, cfg, data = mixed(2)
         monkeypatch.setattr(tr, "TAPE_BYTE_BUDGET", budget_for(cfg, 2))
-        grid = [0.6, 0.15, 0.45, 0.3, 0.9]
-        fast = tr.evaluate(params, cfg, data, map_layers=(0, 3), thresholds=grid,
-                           sweep_layers=True)
+        # both sides read the one grid, so no count of 19 hides anywhere
+        monkeypatch.setattr(mt, "THRESHOLDS", np.array([0.15, 0.3, 0.45, 0.6, 0.9]))
+        fast = tr.evaluate(params, cfg, data, map_layers=(0, 3), sweep_layers=True)
         ref.exact_same(fast, ref.evaluate(params, cfg, data, map_layers=(0, 3),
-                                            thresholds=grid, sweep_layers=True))
+                                            sweep_layers=True))
+        for row in (fast["unrefined"], fast["refined"], *fast["layer_sweep"]):
+            assert row["threshold"] in (0.15, 0.3, 0.45, 0.6, 0.9)
 
     def test_one_forward_per_stack(self, monkeypatch):
         params, cfg, data = mixed(0)

@@ -101,18 +101,6 @@ class TestEarlierRecordings:
     """A tensor produced on another recording enters this one as a leaf:
     it gets the gradient, and nothing below it does."""
 
-    def test_a_tensor_from_before_reset_is_a_leaf(self):
-        x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-        tape = Tape()
-        with tape:
-            y = ad.mul(x, 2.0)  # node 0 of the first recording
-        tape.reset()
-        with tape:
-            loss = ad.mean(ad.mul(y, y))  # node 0 of this one is the mul
-        tape.backward(loss)
-        np.testing.assert_allclose(y.grad, 2.0 * y.data / 3.0, rtol=0, atol=1e-15)
-        assert x.grad is None
-
     def test_a_tensor_from_another_tape_is_a_leaf(self):
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
         with Tape() as first:
@@ -126,16 +114,12 @@ class TestEarlierRecordings:
         first.backward(first_loss)
         np.testing.assert_allclose(x.grad, np.full(3, 2.0 / 3.0), rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("where", ["before reset", "another tape"])
+    @pytest.mark.parametrize("where", ["another tape"])
     def test_such_a_loss_is_refused(self, where):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        tape, other = Tape(), Tape()
-        with tape:
+        with Tape():
             old = ad.mean(x)
-        if where == "before reset":
-            tape.reset()
-        else:
-            tape = other
+        tape = Tape()
         with tape:
             ad.mean(ad.mul(x, x))
         with pytest.raises(ContractError, match="not produced on this tape"):

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from attnreg import metrics as mt
 from attnreg import synthdata as sd
 from attnreg import trainer as tr
 from attnreg import vit
@@ -247,7 +248,7 @@ class TestEvaluate:
         for key in ("unrefined", "refined"):
             entry = s[key]
             assert 0.0 <= entry["miou"] <= 1.0
-            assert entry["threshold"] in __import__("attnreg.metrics", fromlist=["x"]).DEFAULT_THRESHOLDS
+            assert entry["threshold"] in mt.THRESHOLDS
             assert len(entry["per_class_iou"]) == self.cfg.vit.num_classes + 1
         assert [r["start_layer"] for r in s["layer_sweep"]] == [0, 1]
         json.dumps(s)  # the whole summary is JSON-serializable
