@@ -3,7 +3,8 @@
 Each batch draws its samples and one augmentation per sample, in batch
 order, and runs them in chunks: the samples are grouped by the grid of
 their augmented view and each group is cut into chunks bounded by
-TAPE_BYTE_BUDGET (a sample is two images). A chunk of k samples runs on
+TAPE_BYTE_BUDGET (a sample is two images): on the criterion-07 model a
+batch of 8 same-grid samples is one chunk. A chunk of k samples runs on
 one fresh tape: views on the images' grid (flips, square rotations) as
 one (2k, C, H, W) forward, views on another grid (resize, rot90 of a
 non-square grid) as one forward of the k images and one of the k views;
@@ -37,7 +38,8 @@ Evaluation is one streaming pass over those stacks. Images are grouped
 by (image shape, mask shape, number of present classes) and each group
 is cut into stacks bounded by TAPE_BYTE_BUDGET, a fixed byte budget for
 the forward's tape, against the bytes a recorded forward of the model
-takes per image; the image grid must be the model's. Every reported cell
+takes per image (16 images of the criterion-07 model, 3 of the default
+model); the image grid must be the model's. Every reported cell
 -- unrefined, refined and each layer-sweep row -- builds the whole
 stack's maps in one build_maps call and bins them into its threshold
 histogram, and the stack is dropped, so memory does not grow with the
@@ -270,17 +272,21 @@ def format_train_config(config: TrainConfig) -> str:
 # holds: the tape keeps no output, and a chunk holds only what the
 # caller and the backward closures keep (softmax outputs, layer norm's
 # normalized input, GELU's derivative, a loss's differences), well under
-# the outputs' sum. Stacking buys speed up to a few images per stack
-# and only memory beyond, so the bound is a constant, not a knob: the
-# criterion-07 model (8x8 grid, embed 16, 2 layers) fits 8 images, so 4
-# training samples and a batch of 8 runs as 4+4; the default model
-# (embed 64, 4 layers) fits 2 images on its 8x8 grid, so evaluation
-# stacks 2 and training runs 1 sample per chunk. Measured on the
-# criterion-07 model: in the benchmark's train_consistency, 4 samples
-# per chunk trained 1.14x as fast as 3, for +1.7% peak RSS on
-# localize_eval; in a loop of 128-sample trainings, 8 samples trained
-# 0.90x as fast as 3 (cache misses and page faults on the larger arrays).
-TAPE_BYTE_BUDGET = 15 * 2**18  # 3.75 MiB
+# the outputs' sum. The bound is a constant, not a knob: 7 MiB is the
+# smallest whole MiB that holds 8 same-grid pairs of the criterion-07
+# model (8x8 grid, embed 16, 2 layers; 16 x 455,936 B), so its batch of
+# 8 trains as one chunk on one tape and evaluation stacks 16 images. The
+# default model (embed 64, 4 layers) fits 3 images on its 8x8 grid, so
+# evaluation stacks 3 and a same-grid pair trains alone; a pair with a
+# 6x6 resized view takes 2 per chunk. Each chunk pays a fixed cost of
+# about 1 ms (63 tape nodes forward and backward, and the loss glue), so
+# fewer chunks train faster. Measured on the criterion-07 model, CPU time
+# of one _chunk_backward: 2.42 ms for 1 pair, 6.17 ms for 4 and 11.56 ms
+# for 8 (1.45 ms per pair, against 1.54 for chunks of 4); traced peaks
+# 4.42 MB for 4 pairs and 8.8 MB for 8. In the benchmark's
+# train_consistency, batches as one chunk of 8 trained 1.11x as fast as
+# 4+4, for +4.6% peak RSS on localize_eval (16-image stacks).
+TAPE_BYTE_BUDGET = 28 * 2**18  # 7 MiB
 
 
 @functools.lru_cache(maxsize=None)
@@ -439,9 +445,12 @@ def _global_norm(grads: list[np.ndarray]) -> float:
 def train(config: TrainConfig, samples: list[sd.SyntheticSample],
           out_dir=None) -> TrainResult:
     """Run the Siamese loop; returns trained parameters and the per-epoch
-    log. With out_dir set, creates it before training and writes
-    checkpoint.ckpt, log.jsonl and train_config.txt there, each replaced
-    atomically."""
+    log. A log record holds the epoch's mean per-sample loss terms, its
+    last learning rate, the mean and max of its updates' pre-clip global
+    gradient norms (of the batch-mean gradient) and how many of those
+    updates were clipped. With out_dir set, creates it before training
+    and writes checkpoint.ckpt, log.jsonl and train_config.txt there,
+    each replaced atomically."""
     if not samples:
         raise ContractError("training needs a nonempty dataset")
     if any(s.labels.shape != (config.vit.num_classes,) for s in samples):
@@ -472,6 +481,8 @@ def train(config: TrainConfig, samples: list[sd.SyntheticSample],
     for epoch in range(config.epochs):
         order = loop_rng.permutation(n)
         sums = {"l_cls": 0.0, "l_act": 0.0, "l_aff": 0.0, "total": 0.0}
+        norms: list[float] = []  # each update's pre-clip global gradient norm
+        clipped = 0
         lr_this_epoch = config.learning_rate
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
@@ -501,10 +512,11 @@ def train(config: TrainConfig, samples: list[sd.SyntheticSample],
             lr_this_epoch = lr
             names = [name for name in params if params[name].grad is not None]
             grads = [params[name].grad / len(batch) for name in names]
-            if config.clip_norm is not None:
-                norm = _global_norm(grads)
-                if norm > config.clip_norm:
-                    grads = [g * (config.clip_norm / norm) for g in grads]
+            norm = _global_norm(grads)
+            norms.append(norm)
+            if config.clip_norm is not None and norm > config.clip_norm:
+                grads = [g * (config.clip_norm / norm) for g in grads]
+                clipped += 1
             for name, g in zip(names, grads):
                 v = velocity[name]
                 v *= config.momentum
@@ -513,7 +525,9 @@ def train(config: TrainConfig, samples: list[sd.SyntheticSample],
             update_index += 1
 
         record = {"epoch": epoch, "lr": lr_this_epoch,
-                  **{k: v / n for k, v in sums.items()}}
+                  **{k: v / n for k, v in sums.items()},
+                  "grad_norm_mean": math.fsum(norms) / len(norms),
+                  "grad_norm_max": max(norms), "clipped_steps": clipped}
         if holdout and (epoch + 1) % config.eval_every == 0:
             summary = evaluate(params, config.vit, holdout,
                                map_layers=config.map_layers)

@@ -253,16 +253,18 @@ def sample_sums(pairs, params, config):
 def train(config, samples):
     """The training loop with one sample per tape: the draws of
     trainer.train from the same generators, and its update (constant
-    learning rate, momentum, norm clipping). Returns the parameters and
-    each epoch's mean total loss."""
+    learning rate, momentum, norm clipping). Returns the parameters,
+    each epoch's mean total loss and each epoch's list of pre-clip
+    global gradient norms, one per update."""
     init_rng = np.random.default_rng([config.seed, 0])
     loop_rng = np.random.default_rng([config.seed, 1])
     params = vit.init_params(config.vit, init_rng)
     velocity = {name: np.zeros_like(p.data) for name, p in params.items()}
-    totals = []
+    totals, norms = [], []
     for _ in range(config.epochs):
         order = loop_rng.permutation(len(samples))
         total = 0.0
+        norms.append([])
         for start in range(0, len(samples), config.batch_size):
             batch = order[start:start + config.batch_size]
             for p in params.values():
@@ -275,6 +277,7 @@ def train(config, samples):
                 total += float(breakdown.total.data)
             grads = {name: p.grad / len(batch) for name, p in params.items()}
             norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+            norms[-1].append(norm)
             if config.clip_norm is not None and norm > config.clip_norm:
                 grads = {name: g * (config.clip_norm / norm) for name, g in grads.items()}
             for name, g in grads.items():
@@ -282,7 +285,7 @@ def train(config, samples):
                 velocity[name] += g
                 params[name].data -= config.learning_rate * velocity[name]
         totals.append(total / len(samples))
-    return params, totals
+    return params, totals, norms
 
 
 # -- evaluation ------------------------------------------------------------------

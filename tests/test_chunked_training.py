@@ -112,34 +112,56 @@ class TestTraining:
         monkeypatch.setattr(tr, "TAPE_BYTE_BUDGET", budget_for(config.vit, per_chunk))
         samples = [ref.sample_for(config.vit, 60 + j) for j in range(10)]
         result = tr.train(config, samples)
-        params, totals = ref.train(config, samples)
+        params, totals, norms = ref.train(config, samples)
         for name, p in params.items():
             ref.assert_close(result.params[name].data, p.data, name)
-        for record, total in zip(result.log, totals, strict=True):
+        for record, total, epoch_norms in zip(result.log, totals, norms, strict=True):
             assert abs(record["total"] - total) <= ref.TOL
+            assert abs(record["grad_norm_mean"] - np.mean(epoch_norms)) <= ref.TOL
+            assert abs(record["grad_norm_max"] - max(epoch_norms)) <= ref.TOL
+            assert record["clipped_steps"] == sum(n > config.clip_norm for n in epoch_norms)
 
-    def test_one_forward_and_one_backward_per_chunk(self, monkeypatch):
-        config = replace(CONSISTENCY, epochs=1, batch_size=8)
-        # budget_for also runs the measuring forward of the model's grid,
-        # the only grid here, before vit.forward is counted
-        monkeypatch.setattr(tr, "TAPE_BYTE_BUDGET", budget_for(config.vit, 3))
+    @staticmethod
+    def count_calls(monkeypatch, config, samples):
+        """Train `config` on `samples`; the images each vit.forward took and
+        the nodes each Tape.backward swept."""
         forwards, backwards = [], []
         real_forward, real_backward = vit.forward, Tape.backward
         monkeypatch.setattr(vit, "forward", lambda images, *a: forwards.append(
             np.shape(images)[0]) or real_forward(images, *a))
         monkeypatch.setattr(Tape, "backward", lambda self, loss, *a: backwards.append(
             len(self.nodes)) or real_backward(self, loss, *a))
-        tr.train(config, [ref.sample_for(config.vit, j) for j in range(8)])
+        tr.train(config, [ref.sample_for(config.vit, j) for j in range(samples)])
+        return forwards, backwards
+
+    def test_one_forward_and_one_backward_per_chunk(self, monkeypatch):
+        config = replace(CONSISTENCY, epochs=1, batch_size=8)
+        # budget_for also runs the measuring forward of the model's grid,
+        # the only grid here, before vit.forward is counted
+        monkeypatch.setattr(tr, "TAPE_BYTE_BUDGET", budget_for(config.vit, 3))
+        forwards, backwards = self.count_calls(monkeypatch, config, 8)
         assert forwards == [6, 6, 4]   # chunks of 3, 3 and 2 samples, two views each
         assert len(backwards) == 3
         # one recorded loss per chunk, whatever its size: 62 nodes and the x k
         assert backwards == [63, 63, 63]
 
+    def test_one_tape_per_criterion_07_batch(self, monkeypatch):
+        """At the package's own budget, a criterion-07 batch of 8 pairs
+        drawn from all five permutation transforms is one chunk: one
+        forward of its 16 views and one backward per batch."""
+        config = replace(CONSISTENCY, epochs=1, batch_size=8)
+        assert {str(t) for t in config.augmentations} == {"fliph", "flipv", "rot90",
+                                                          "rot180", "rot270"}
+        tr._tape_bytes_per_image(config.vit, config.vit.grid)  # the measuring forward
+        forwards, backwards = self.count_calls(monkeypatch, config, 16)
+        assert forwards == [16, 16]
+        assert backwards == [63, 63]
+
     def test_chunk_size_follows_the_budget(self):
-        """The criterion-07 model fits 4 samples, the default model 1."""
+        """The criterion-07 model fits 8 samples, the default model 1."""
         c07 = CONSISTENCY.vit
         default = ViTConfig()
-        for cfg, k in ((c07, 4), (default, 1)):
+        for cfg, k in ((c07, 8), (default, 1)):
             pairs = [tr._two_views(j, ref.sample_for(cfg, j), gt.FLIP_H, cfg) for j in range(8)]
             sizes = [len(c) for c in tr._chunks(pairs, cfg)]
             assert max(sizes) == k and sum(sizes) == 8

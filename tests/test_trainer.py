@@ -201,6 +201,30 @@ class TestTraining:
         reparsed = tr.parse_train_config((tmp_path / "run" / "train_config.txt").read_text())
         assert reparsed == cfg
 
+    def test_grad_norm_fields_are_byte_identical_across_runs(self, tmp_path):
+        cfg = tiny_train_config(epochs=3)
+        logs = [tr.train(cfg, tiny_data(10), out_dir=tmp_path / run).log_path.read_bytes()
+                for run in ("a", "b")]
+        assert logs[0] == logs[1]
+        records = [json.loads(line) for line in logs[0].splitlines()]
+        assert len(records) == 3
+        for record in records:
+            assert 0.0 < record["grad_norm_mean"] <= record["grad_norm_max"]
+            assert isinstance(record["clipped_steps"], int)
+
+    def test_clipped_steps_counts_clipped_updates(self):
+        """Under a tiny clip_norm every update is clipped; with none, no
+        update is, and the norms are still logged: the same as under a
+        clip_norm no update reaches."""
+        data = tiny_data(10)  # 3 updates per epoch at batch size 4
+        tiny = tr.train(tiny_train_config(clip_norm=1e-9), data)
+        assert [r["clipped_steps"] for r in tiny.log] == [3, 3]
+        off = tr.train(tiny_train_config(clip_norm=None), data)
+        assert [r["clipped_steps"] for r in off.log] == [0, 0]
+        high = tr.train(tiny_train_config(clip_norm=1e9), data)
+        assert off.log == high.log
+        assert all(r["grad_norm_max"] > 0.0 for r in off.log)
+
     def test_holdout_miou_logged(self):
         cfg = tiny_train_config(epochs=2, eval_every=1, holdout_fraction=0.34)
         result = tr.train(cfg, tiny_data(9))
