@@ -19,8 +19,9 @@ drops each node, closure and all, once the sweep has passed it.
 
 The 16 ops: add, mul; matmul and the fused linear, attention_scores,
 attend and resample; gelu, layer_norm, softmax_rows and mean; the losses
-mean_distance (l1, l2 or smooth-l1) and bce_with_logits; and concat,
-index (numpy basic indexing) and permute_rc.
+view_consistency (both two-view consistency terms of every loss layer,
+by l1, l2 or smooth-l1 distance) and bce_with_logits; and concat, index
+(numpy basic indexing) and permute_rc.
 
 Conventions:
 
@@ -51,7 +52,8 @@ Conventions:
 * binary elementwise ops broadcast a scalar, or an operand shaped like
   the other's trailing axes (a shared table over a batch); any other
   shape mismatch raises DimensionError. Fused ops (layer_norm, linear,
-  resample, ...) own their internal broadcasting;
+  resample, ...) own their internal broadcasting; view_consistency
+  takes one shape for every layer and both views (see its docstring);
 * every op output is checked for NaN/Inf and rejected with
   NumericalError;
 * an op output requires grad when any of its inputs does. The reverse
@@ -93,7 +95,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -776,28 +778,133 @@ _DISTANCE_TERMS = {
 }
 DISTANCES = tuple(_DISTANCE_TERMS)
 
+# the blocks view_consistency compares: the class token's row over the
+# patches (activation), and the patch-to-patch block (affinity)
+CONSISTENCY_BLOCKS = (np.s_[..., 0:1, 1:], np.s_[..., 1:, 1:])
 
-def mean_distance(a, b, distance: str) -> Tensor:
-    """Elementwise distance between a and b, averaged over elements: one
-    of DISTANCES, l1 (mean |a - b|), l2 (mean (a - b)^2) or smooth_l1
-    (Huber with delta 1). l1 is nondifferentiable where a == b; see
-    grad_check."""
+
+class Consistency(NamedTuple):
+    """view_consistency's result: ``loss``, the (2,) tensor [l_act, l_aff],
+    and ``layers``, the (2, L) array of each layer's mean distance per
+    term, which is not differentiated."""
+
+    loss: Tensor
+    layers: Array
+
+
+def view_consistency(plain, augmented, distance: str, index=None) -> Consistency:
+    """Both consistency terms between the attention of two views, over L
+    layers, as one node: per layer, the mean distance (one of DISTANCES)
+    between the plain view's blocks CONSISTENCY_BLOCKS and the same
+    blocks of the augmented view, averaged over layers.
+
+    ``plain`` holds L tensors (..., m, m). With ``augmented`` None each is
+    a (2k, ...) stack whose first k entries are the plain view's and
+    last k the augmented view's; otherwise ``augmented`` holds L tensors
+    shaped like ``plain``'s. ``index``, an int array shaped like an
+    augmented entry's leading axes plus (m,), gathers each augmented
+    matrix first: entry e reads rows and columns index[e] of its own
+    matrix, as permute_rc(x, index, index) does.
+
+    Values and adjoints are bit-identical to the chain this replaces:
+    per layer and term a block ``index`` of each view, a permute_rc of
+    the augmented half, the mean distance, then the layer sum times 1/L.
+    Each input's adjoint is one fresh array, zeros plus its blocks,
+    accumulated as that chain's sweep adds them; a term whose adjoint is
+    zero, such as one weighted 0, takes no backward work."""
     if distance not in _DISTANCE_TERMS:
         raise ContractError(f"distance must be one of {DISTANCES}, got {distance!r}")
     elements, slope = _DISTANCE_TERMS[distance]
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_pair("mean_distance", a, b)
-    d = a.data - b.data
-    n = float(d.size)
-    shape_a, shape_b = a.shape, b.shape
-    need_a, need_b = a.requires_grad, b.requires_grad
+    plain = [_as_tensor(t) for t in plain]
+    stacked = augmented is None
+    augmented = plain if stacked else [_as_tensor(t) for t in augmented]
+    if not plain or len(augmented) != len(plain):
+        raise DimensionError(f"view_consistency: need equal nonzero layer counts, got "
+                             f"{len(plain)} and {len(augmented)}")
+    shape = plain[0].shape
+    if len(shape) < 2 or shape[-1] != shape[-2] or shape[-1] < 2 \
+            or (stacked and (len(shape) < 3 or shape[0] % 2)):
+        raise DimensionError(f"view_consistency: expected square attention (..., m, m), m >= 2"
+                             f"{', stacked on an even leading axis' if stacked else ''}, "
+                             f"got {shape}")
+    for i, (a, b) in enumerate(zip(plain, augmented)):
+        if a.shape != shape or b.shape != shape:
+            raise DimensionError(f"view_consistency: layer {i}: expected {shape} in both "
+                                 f"views, got {a.shape} and {b.shape}")
+    half = shape[0] // 2 if stacked else None
+    view_shape = shape[:-2] if not stacked else (half,) + shape[1:-2]
+    flat = None
+    if index is not None:
+        index = np.asarray(index, dtype=np.intp)
+        if index.shape[-1:] != shape[-1:]:
+            raise DimensionError(f"view_consistency: index {index.shape} does not gather "
+                                 f"{shape[-1]} tokens")
+        flat = _gather_index("view_consistency", view_shape + shape[-2:], index, index)
+
+    def views(a: Tensor, b: Tensor) -> tuple[Array, Array]:
+        return (a.data[:half], b.data[half:]) if stacked else (a.data, b.data)
+
+    layers = len(plain)
+    per_layer = np.empty((2, layers))
+    diffs = []  # per layer, each term's d = a - b
+    for i, (a, b) in enumerate(zip(plain, augmented)):
+        pa, pb = views(a, b)
+        ds = []
+        for t, key in enumerate(CONSISTENCY_BLOCKS):
+            block = pb[key] if flat is None else pb.take(flat[key]).reshape(pa[key].shape)
+            d = pa[key] - block
+            per_layer[t, i] = elements(d).mean()
+            ds.append(d)
+        diffs.append(ds)
+    out = np.empty(2)
+    for t in range(2):  # the chain's adds in layer order, then one scale
+        total = per_layer[t, 0]
+        for i in range(1, layers):
+            total = total + per_layer[t, i]
+        out[t] = total if layers == 1 else total * (1.0 / layers)
+    need = [t.requires_grad for t in plain] + ([] if stacked else
+                                               [t.requires_grad for t in augmented])
 
     def bw(g: Array):
-        ga = float(g) / n * slope(d)
-        return (_reduce_to(ga, shape_a) if need_a else None,
-                _reduce_to(-ga, shape_b) if need_b else None)
+        live = [t for t in range(2) if g[t] != 0.0]
+        if not live:
+            return (None,) * len(need)
+        # a stack's halves, or both terms of a separate view, reach an
+        # input as full arrays the chain adds: 0 + x, which makes -0 +0
+        accumulate = stacked or len(live) == 2
+        grads_a, grads_b = [], []
+        for i, ds in enumerate(diffs):
+            ga = np.zeros(shape) if need[i] else None
+            gb = (ga if stacked else
+                  np.zeros(shape) if need[layers + i] else None)
+            for t in live:
+                gl = g[t] if layers == 1 else g[t] * (1.0 / layers)
+                step = float(gl) / ds[t].size * slope(ds[t])
+                key = CONSISTENCY_BLOCKS[t]
+                if ga is not None:
+                    _place(ga[:half] if stacked else ga, key, step, accumulate)
+                if gb is not None:
+                    target = gb[half:] if stacked else gb
+                    if flat is None:
+                        _place(target, key, -step, accumulate)
+                    else:
+                        at = flat[key]
+                        _place(target.reshape(-1), at, (-step).reshape(at.shape), accumulate)
+            grads_a.append(ga)
+            grads_b.append(gb)
+        return tuple(grads_a) if stacked else (*grads_a, *grads_b)
 
-    return _apply("mean_distance", (a, b), np.asarray(elements(d).mean()), bw)
+    inputs = tuple(plain) if stacked else (*plain, *augmented)
+    return Consistency(_apply("view_consistency", inputs, out, bw), per_layer)
+
+
+def _place(target: Array, key, values: Array, accumulate: bool) -> None:
+    """Write `values` into the zeros of `target` at `key`: added (0 + x),
+    or assigned, keeping the sign of a zero."""
+    if accumulate:
+        target[key] += values
+    else:
+        target[key] = values
 
 
 def bce_with_logits(logits, targets) -> Tensor:
@@ -892,24 +999,8 @@ def permute_rc(x, row_index, col_index) -> Tensor:
     x = _as_tensor(x)
     if x.ndim < 2:
         raise DimensionError(f"permute_rc: needs at least 2 dims, got shape {x.shape}")
-    lead, (m, k) = x.shape[:-2], x.shape[-2:]
-    ri = np.asarray(row_index, dtype=np.intp)
-    ci = np.asarray(col_index, dtype=np.intp)
-    if ri.shape[:-1] != lead or ci.shape[:-1] != lead or ri.ndim != x.ndim - 1 \
-            or ci.ndim != x.ndim - 1:
-        raise DimensionError(f"permute_rc: indices {ri.shape} and {ci.shape} do not match "
-                             f"the leading axes of {x.shape}")
-    for idx, bound, what in ((ri, m, "row"), (ci, k, "column")):
-        if idx.size and (idx.min() < 0 or idx.max() >= bound):
-            raise ContractError(f"permute_rc: {what} indices out of range for {x.shape}")
-        if (np.diff(np.sort(idx, axis=-1), axis=-1) == 0).any():
-            raise ContractError(f"permute_rc: {what} indices repeat")
-    # one flat index into x's buffer: entry e, row ri[e, i], column ci[e, j]
-    entries = math.prod(lead)
-    rows = ri.reshape(entries, -1, 1)
-    cols = ci.reshape(entries, 1, -1)
-    flat = (np.arange(entries)[:, None, None] * m + rows) * k + cols
-    out_shape = lead + flat.shape[1:]
+    flat = _gather_index("permute_rc", x.shape, row_index, col_index)
+    out_shape = x.shape[:-2] + flat.shape[1:]
     shape = x.shape
 
     def bw(g: Array):
@@ -918,6 +1009,32 @@ def permute_rc(x, row_index, col_index) -> Tensor:
         return (gx.reshape(shape),)
 
     return _apply("permute_rc", (x,), x.data.take(flat).reshape(out_shape), bw)
+
+
+def _gather_index(op: str, shape: tuple[int, ...], row_index, col_index) -> Array:
+    """The flat index into a C-ordered (..., m, k) buffer of `shape` that
+    gathers, per entry e of its leading axes, rows row_index[e] and
+    columns col_index[e] of that entry's matrix: (entries, rows, columns),
+    flat[e, i, j] = (e * m + row_index[e, i]) * k + col_index[e, j]. The
+    indices must match the leading axes, lie in range and not repeat
+    within an entry (a re-indexing), so that a backward scatter into
+    them is an assignment."""
+    lead, (m, k) = shape[:-2], shape[-2:]
+    ri = np.asarray(row_index, dtype=np.intp)
+    ci = np.asarray(col_index, dtype=np.intp)
+    if ri.shape[:-1] != lead or ci.shape[:-1] != lead or ri.ndim != len(shape) - 1 \
+            or ci.ndim != len(shape) - 1:
+        raise DimensionError(f"{op}: indices {ri.shape} and {ci.shape} do not match "
+                             f"the leading axes of {shape}")
+    for idx, bound, what in ((ri, m, "row"), (ci, k, "column")):
+        if idx.size and (idx.min() < 0 or idx.max() >= bound):
+            raise ContractError(f"{op}: {what} indices out of range for {shape}")
+        if (np.diff(np.sort(idx, axis=-1), axis=-1) == 0).any():
+            raise ContractError(f"{op}: {what} indices repeat")
+    entries = math.prod(lead)
+    rows = ri.reshape(entries, -1, 1)
+    cols = ci.reshape(entries, 1, -1)
+    return (np.arange(entries)[:, None, None] * m + rows) * k + cols
 
 
 # ---------------------------------------------------------------------------
@@ -934,7 +1051,7 @@ def grad_check(f, x: Tensor, step: float = 1e-5, max_coords: int | None = None,
     by absolute finite-difference noise instead of blowing up the ratio.
 
     f must be deterministic and smooth at x; coordinates sitting on kinks
-    (mean_distance's l1 where a == b) should be excluded by the caller via
+    (view_consistency's l1 where the views agree) should be excluded by the caller via
     the boolean mask `exclude` or by sampling x away from them. `max_coords`
     limits the check to a random coordinate subset (seeded through `rng`)
     for big tensors. A `step` that is not finite and positive, or a

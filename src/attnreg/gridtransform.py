@@ -243,8 +243,16 @@ def invert_attention_fast(a_prime, transform, grid: GridShape) -> Tensor:
         if a_prime.shape[:-2] != (len(transform),):
             raise DimensionError(f"{len(transform)} transforms for an attention stack "
                                  f"of shape {a_prime.shape}")
-        idx = np.stack([_inverse_token_index(t, grid) for t in transform])
+        idx = inverse_token_indices(transform, grid)
     return ad.permute_rc(a_prime, idx, idx)
+
+
+def inverse_token_indices(transforms, grid: GridShape) -> np.ndarray:
+    """(k, n+1): row e the row and column gather index that inverts
+    transforms[e] on `grid` (see _inverse_token_index), as
+    invert_attention_fast gathers a stack with one transform per entry
+    and autodiff.view_consistency its augmented view."""
+    return np.stack([_inverse_token_index(t, grid) for t in transforms])
 
 
 @functools.lru_cache(maxsize=256)

@@ -1,25 +1,29 @@
 """Consistency losses between the attention maps of two augmented views.
 
 Given per-layer attention matrices A (plain view) and A' (transformed
-view), the method takes two steps:
-
-  1. invert: `invert_layers` maps each layer's A' back into the plain
-     view's token order (`invert_attention`, once per layer);
-  2. compare: the region losses take A and that InvertedLayers and
-     compare them block-wise --
-       * activation loss  -- class-to-patch rows  A[0, 1:]
-       * affinity loss    -- patch-to-patch block A[1:, 1:]
+view), the method maps A' back into the plain view's token order and
+compares the two block-wise:
+  * activation loss  -- class-to-patch rows  A[0, 1:]
+  * affinity loss    -- patch-to-patch block A[1:, 1:]
 
 Distances reduce by mean over block elements so the weights are
-resolution-independent, and layers are averaged. Everything is built
-from tape ops, so gradients reach both branches' parameters, including
-through the inversion's re-indexing.
+resolution-independent, and layers are averaged. One tape node,
+autodiff.view_consistency, computes both terms of every layer, so
+gradients reach both branches' parameters, including through the
+inversion's re-indexing:
+
+* training calls it through `consistency_terms`, whose permutations
+  are inverted by the node's own gather, and whose resize is one
+  resample node per layer before it;
+* the public two-step form -- `invert_layers`, then
+  `region_activation_loss` or `region_affinity_loss` -- is the same
+  node on the inverted layers, with no gather, plus one index of its
+  result.
 
 Every loss also takes a stack of k samples: (k, n+1, n+1) attention per
-layer and (k, classes) logits and targets; invert_layers then takes a
-transform per sample. A stack's loss is the mean of the k per-sample
-losses (every sample has the same block size and class count), so k
-times it is their sum.
+layer and (k, classes) logits and targets, with a transform per sample.
+A stack's loss is the mean of the k per-sample losses (every sample has
+the same block size and class count), so k times it is their sum.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DISTANCES, Tensor
 from .errors import ContractError, DimensionError
-from .gridtransform import GridShape, SpatialTransform, invert_attention
+from .gridtransform import (GridShape, SpatialTransform, TransformKind, invert_attention,
+                            inverse_token_indices)
 
 
 @dataclass(frozen=True)
@@ -57,12 +62,16 @@ class LossWeights:
 
 @dataclass
 class LossBreakdown:
-    """Scalar tape tensors; backward on .total trains the model."""
+    """Scalar tape tensors; backward on .total trains the model.
+    ``residuals``, when the loss computed them, is the (2, L) array of
+    each loss layer's activation and affinity distance (see
+    consistency_terms), whatever the weights."""
 
     l_cls: Tensor
     l_act: Tensor
     l_aff: Tensor
     total: Tensor
+    residuals: np.ndarray | None = None
 
     def to_floats(self) -> dict[str, float]:
         return {"l_cls": float(self.l_cls.data), "l_act": float(self.l_act.data),
@@ -88,29 +97,34 @@ def invert_layers(a_prime_layers: Sequence[Tensor],
     return InvertedLayers(tuple(invert_attention(ap, transform, grid) for ap in a_prime_layers))
 
 
-def _check_layers(a_layers: Sequence[Tensor], back_layers: Sequence[Tensor]) -> int:
-    if len(a_layers) == 0 or len(a_layers) != len(back_layers):
-        raise DimensionError(f"need equal nonzero layer counts, got {len(a_layers)} "
-                             f"and {len(back_layers)}")
-    for i, (a, back) in enumerate(zip(a_layers, back_layers)):
-        if a.ndim < 2 or a.shape[-1] != a.shape[-2] or back.shape != a.shape:
-            raise DimensionError(f"layer {i}: expected square attention of one shape in "
-                                 f"both views, got {a.shape} and {back.shape}")
-    return len(a_layers)
+def consistency_terms(a_layers: Sequence[Tensor], ap_layers: Sequence[Tensor] | None,
+                      transforms: Sequence[SpatialTransform], grid: GridShape,
+                      distance: str) -> ad.Consistency:
+    """Both consistency terms of k samples, over the loss layers, as one
+    autodiff.view_consistency node. Per loss layer, `a_layers` holds the
+    plain views' (k, n+1, n+1) stack and `ap_layers` the augmented
+    views'; with `ap_layers` None, `a_layers` holds (2k, n+1, n+1)
+    stacks of both views, plain first. `transforms` holds each sample's
+    transform: the node's gather inverts permutations, and a resize,
+    which must be every sample's and on a stack of its own, is inverted
+    first by one invert_attention (a resample node) per layer."""
+    transforms = tuple(transforms)
+    if any(t.kind is TransformKind.RESIZE for t in transforms):
+        if ap_layers is None:
+            raise ContractError("a resized view has a grid of its own: pass its stacks apart")
+        back = [invert_attention(ap, transforms, grid) for ap in ap_layers]
+        return ad.view_consistency(a_layers, back, distance)
+    return ad.view_consistency(a_layers, ap_layers, distance,
+                               inverse_token_indices(transforms, grid))
 
 
 def _block_loss(a_layers: Sequence[Tensor], back: InvertedLayers, distance: str,
-                key: tuple) -> Tensor:
-    """Mean distance between the block `key` of A and the same block of
-    inv(A'), averaged over layers."""
+                term: int) -> Tensor:
+    """Term `term` (0 activation, 1 affinity) of view_consistency between
+    A and inv(A')."""
     if not isinstance(back, InvertedLayers):
         raise ContractError("invert A′ with invert_layers first")
-    layers = _check_layers(a_layers, back.layers)
-    total = None
-    for a, b in zip(a_layers, back.layers):
-        term = ad.mean_distance(ad.index(a, key), ad.index(b, key), distance)
-        total = term if total is None else ad.add(total, term)
-    return total if layers == 1 else ad.mul(total, 1.0 / layers)
+    return ad.index(ad.view_consistency(a_layers, back.layers, distance).loss, term)
 
 
 def region_activation_loss(a_layers: Sequence[Tensor], back: InvertedLayers,
@@ -118,7 +132,7 @@ def region_activation_loss(a_layers: Sequence[Tensor], back: InvertedLayers,
     """Consistency of the class token's attention over patches: compares
     A[0, 1:] against inv(A')[0, 1:] per layer. For stacks the loss is the
     mean over samples."""
-    return _block_loss(a_layers, back, distance, np.s_[..., 0:1, 1:])
+    return _block_loss(a_layers, back, distance, 0)
 
 
 def region_affinity_loss(a_layers: Sequence[Tensor], back: InvertedLayers,
@@ -126,7 +140,7 @@ def region_affinity_loss(a_layers: Sequence[Tensor], back: InvertedLayers,
     """Consistency of patch-to-patch affinities: compares A[1:, 1:]
     against inv(A')[1:, 1:] per layer. For stacks the loss is the mean
     over samples."""
-    return _block_loss(a_layers, back, distance, np.s_[..., 1:, 1:])
+    return _block_loss(a_layers, back, distance, 1)
 
 
 def classification_loss(logits: Tensor, logits_prime: Tensor, targets) -> Tensor:

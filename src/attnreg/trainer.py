@@ -8,10 +8,12 @@ batch of 8 same-grid samples is one chunk. A chunk of k samples runs on
 one fresh tape: views on the images' grid (flips, square rotations) as
 one (2k, C, H, W) forward, views on another grid (resize, rot90 of a
 non-square grid) as one forward of the k images and one of the k views;
-each loss layer inverts the k transformed attention matrices in one op,
-and the losses take the (k, n+1, n+1) stacks. One backward of k times
-the chunk's mean loss adds the sum of the k per-sample gradients into
-the parameters, as a per-sample loop would; after the batch one
+one node computes both consistency terms of every loss layer from the
+attention stacks, inverting each transformed matrix by its sample's
+transform (a resize by one resample node per layer before it). One
+backward of k times the chunk's mean loss adds the sum of the k
+per-sample gradients into the parameters, as a per-sample loop would;
+after the batch one
 (optionally momentum / polynomial-decay / norm-clipped) SGD update
 applies their mean. Chunking changes only the order of summation.
 Determinism: all randomness flows from two seed-derived generators, one
@@ -279,11 +281,12 @@ def format_train_config(config: TrainConfig) -> str:
 # default model (embed 64, 4 layers) fits 3 images on its 8x8 grid, so
 # evaluation stacks 3 and a same-grid pair trains alone; a pair with a
 # 6x6 resized view takes 2 per chunk. Each chunk pays a fixed cost of
-# about 1 ms (63 tape nodes forward and backward, and the loss glue), so
-# fewer chunks train faster. Measured on the criterion-07 model, CPU time
-# of one _chunk_backward: 2.42 ms for 1 pair, 6.17 ms for 4 and 11.56 ms
-# for 8 (1.45 ms per pair, against 1.54 for chunks of 4); traced peaks
-# 4.42 MB for 4 pairs and 8.8 MB for 8. In the benchmark's
+# about 1 ms (44 tape nodes forward and backward, and the loss glue), so
+# fewer chunks train faster. Measured on the criterion-07 model, with 63
+# tape nodes per chunk before both consistency terms became one node, CPU
+# time of one _chunk_backward: 2.42 ms for 1 pair, 6.17 ms for 4 and
+# 11.56 ms for 8 (1.45 ms per pair, against 1.54 for chunks of 4); traced
+# peaks now 4.24 MB for 4 pairs and 8.4 MB for 8. In the benchmark's
 # train_consistency, batches as one chunk of 8 trained 1.11x as fast as
 # 4+4, for +4.6% peak RSS on localize_eval (16-image stacks).
 TAPE_BYTE_BUDGET = 28 * 2**18  # 7 MiB
@@ -367,10 +370,13 @@ def _chunk_loss(chunk: list[_TwoViews], params: dict[str, Tensor], config: Train
 
     Views on the images' grid run as one (2k, C, H, W) forward, plain
     images first; views on another grid as one forward of the k images
-    and one of the k views. Each loss layer inverts the k transformed
-    attention matrices in one op, and the losses take the (k, n+1, n+1)
-    stacks. With `snapshot`, the (k, ...) stacks of the images ("view_a"),
-    of the views ("view_b") and, once the forward ran, of every layer's
+    and one of the k views. One node (reg.consistency_terms) computes
+    both consistency terms of every loss layer from the (2k, n+1, n+1)
+    stacks, or the two (k, n+1, n+1) stacks, inverting each sample's view
+    by its own transform. It runs in every cell, for the residuals in the
+    breakdown; a term weighted 0 does not enter the total. With
+    `snapshot`, the (k, ...) stacks of the images ("view_a"), of the
+    views ("view_b") and, once the forward ran, of every layer's
     attention in either view are put in it."""
     cfg = config.vit
     k = len(chunk)
@@ -379,31 +385,29 @@ def _chunk_loss(chunk: list[_TwoViews], params: dict[str, Tensor], config: Train
     if snapshot is not None:
         snapshot["view_a"], snapshot["view_b"] = images, views
     lo, hi = _loss_layer_slice(config)
-    consistency = config.weights.alpha != 0.0 or config.weights.beta != 0.0
-    # per view: logits, loss-layer attention tensors, every layer's attention values
+    weights = config.weights
+    # per view: logits and every layer's attention values
     if views.shape == images.shape:
         res = vit.forward(np.concatenate([images, views]), params, cfg)
-        sides = [(ad.index(res.logits, half),
-                  [ad.index(r.matrix, half) for r in res.attentions[lo:hi]] if consistency else [],
-                  [r.matrix.data[half] for r in res.attentions])
+        a, ap = [r.matrix for r in res.attentions[lo:hi]], None  # both views per stack
+        sides = [(ad.index(res.logits, half), [r.matrix.data[half] for r in res.attentions])
                  for half in (slice(0, k), slice(k, 2 * k))]
     else:
         res, res_b = (vit.forward(stack, params, cfg) for stack in (images, views))
-        sides = [(r.logits, [rec.matrix for rec in r.attentions[lo:hi]],
-                  [rec.matrix.data for rec in r.attentions]) for r in (res, res_b)]
+        a, ap = ([rec.matrix for rec in r.attentions[lo:hi]] for r in (res, res_b))
+        sides = [(r.logits, [rec.matrix.data for rec in r.attentions]) for r in (res, res_b)]
     if snapshot is not None:
-        for tag, (_, _, matrices) in zip("ab", sides):
+        for tag, (_, matrices) in zip("ab", sides):
             snapshot.update({f"attention_{tag}_{i}": m for i, m in enumerate(matrices)})
-    (logits_a, a, _), (logits_b, ap, _) = sides
-    act = aff = Tensor(0.0)
-    if consistency:  # one inversion per layer, shared by both terms
-        back = reg.invert_layers(ap, [p.transform for p in chunk], res.grid)
-        if config.weights.alpha != 0.0:
-            act = reg.region_activation_loss(a, back, config.weights.distance)
-        if config.weights.beta != 0.0:
-            aff = reg.region_affinity_loss(a, back, config.weights.distance)
+    (logits_a, _), (logits_b, _) = sides
+    terms = reg.consistency_terms(a, ap, [p.transform for p in chunk], res.grid,
+                                  weights.distance)
+    act = ad.index(terms.loss, 0) if weights.alpha != 0.0 else Tensor(0.0)
+    aff = ad.index(terms.loss, 1) if weights.beta != 0.0 else Tensor(0.0)
     targets = np.stack([p.sample.labels for p in chunk])
-    return reg.total_loss(logits_a, logits_b, targets, act, aff, config.weights)
+    breakdown = reg.total_loss(logits_a, logits_b, targets, act, aff, weights)
+    breakdown.residuals = terms.layers
+    return breakdown
 
 
 def _chunk_backward(chunk: list[_TwoViews], params: dict[str, Tensor], config: TrainConfig,

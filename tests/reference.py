@@ -8,6 +8,11 @@ one piece at a time:
 * the primitive chains each fused op replaces: ``affine`` (matmul, then
   the bias row added), ``head_scores`` and ``head_attend`` (one chain
   per head), with ``transpose``, a tape op only these chains need;
+* the two-view consistency chain that ``autodiff.view_consistency``
+  replaces: ``consistency_chain``, per loss layer an ``index`` of each
+  half of a stacked record, a ``permute_rc`` of the augmented half (or a
+  resampled view), a block ``index`` of each view and this module's own
+  copy of the retired ``mean_distance`` op, then the layer sums;
 * the resize of an attention matrix between patch grids as chains:
   ``resize_attention``, the five nodes ``autodiff.resample`` replaces,
   on ``sum_rows`` and ``scale_rows_to_sums``, tape ops only the chains
@@ -83,6 +88,61 @@ def head_attend(probs, h, wv, bv):
     v = affine(h, wv, bv)
     return ad.concat([ad.matmul(p, head_cols(v, j, len(probs))) for j, p in enumerate(probs)],
                      axis=1)
+
+
+# -- the two-view consistency chain -------------------------------------------------
+
+# (elements, slope) of each distance in d = a - b, as mean_distance had them
+DISTANCE_TERMS = {
+    "l1": (np.abs, np.sign),
+    "l2": (lambda d: d * d, lambda d: 2.0 * d),
+    "smooth_l1": (lambda d: np.where(np.abs(d) <= 1.0, 0.5 * d * d, np.abs(d) - 0.5),
+                  lambda d: np.where(np.abs(d) <= 1.0, d, np.sign(d))),
+}
+# the class token's row over the patches, and the patch-to-patch block
+BLOCKS = (np.s_[..., 0:1, 1:], np.s_[..., 1:, 1:])
+
+
+def mean_distance(a, b, distance):
+    """The elementwise distance between a and b averaged over elements, as
+    one tape node: the op view_consistency replaced, as it was."""
+    elements, slope = DISTANCE_TERMS[distance]
+    a, b = ad._as_tensor(a), ad._as_tensor(b)
+    ad._check_pair("mean_distance", a, b)
+    d = a.data - b.data
+    n = float(d.size)
+    shape_a, shape_b = a.shape, b.shape
+    need_a, need_b = a.requires_grad, b.requires_grad
+
+    def bw(g):
+        ga = float(g) / n * slope(d)
+        return (ad._reduce_to(ga, shape_a) if need_a else None,
+                ad._reduce_to(-ga, shape_b) if need_b else None)
+
+    return ad._apply("mean_distance", (a, b), np.asarray(elements(d).mean()), bw)
+
+
+def consistency_chain(a_layers, ap_layers, distance, index=None, terms=(True, True)):
+    """view_consistency's (l_act, l_aff) as the chain it replaced, None for
+    a term not in `terms`: with `ap_layers` None each of `a_layers` is a
+    stack of both views, split by two index nodes; `index` gathers the
+    augmented views by permute_rc; then per term and layer a block index
+    of each view and mean_distance, the layers added in order and scaled
+    by 1/L."""
+    if ap_layers is None:
+        k = a_layers[0].shape[0] // 2
+        a_layers, ap_layers = ([ad.index(s, half) for s in a_layers]
+                               for half in (slice(0, k), slice(k, 2 * k)))
+    back = ap_layers if index is None else [ad.permute_rc(ap, index, index) for ap in ap_layers]
+    out = []
+    for on, key in zip(terms, BLOCKS):
+        total = None
+        for a, b in zip(a_layers, back) if on else ():
+            term = mean_distance(ad.index(a, key), ad.index(b, key), distance)
+            total = term if total is None else ad.add(total, term)
+        out.append(total if total is None or len(a_layers) == 1
+                   else ad.mul(total, 1.0 / len(a_layers)))
+    return tuple(out)
 
 
 # -- the resize chains ------------------------------------------------------------
@@ -224,10 +284,8 @@ def two_view_loss(sample, transform, params, config):
         a = [rec.matrix for rec in res_a.attentions[lo:hi]]
         back = reg.invert_layers([rec.matrix for rec in res_b.attentions[lo:hi]], transform,
                                  res_a.grid)
-        if w.alpha != 0.0:
-            act = reg.region_activation_loss(a, back, w.distance)
-        if w.beta != 0.0:
-            aff = reg.region_affinity_loss(a, back, w.distance)
+        act, aff = (t or Tensor(0.0) for t in consistency_chain(
+            a, back.layers, w.distance, terms=(w.alpha != 0.0, w.beta != 0.0)))
     return reg.total_loss(res_a.logits, res_b.logits, sample.labels, act, aff, w)
 
 

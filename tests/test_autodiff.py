@@ -97,7 +97,7 @@ class TestTapeSemantics:
             w = Tensor(base, requires_grad=True)
             with Tape() as tape:
                 l1 = ad.mean(ad.mul(w, w))
-                l2 = ad.mean_distance(w, ad.mul(w, 0.0), "l1")
+                l2 = l1_distance(w, ad.mul(w, 0.0))
                 total = ad.add(l1, l2)
             tape.backward(total)
             return w.grad
@@ -108,7 +108,7 @@ class TestTapeSemantics:
                 l1 = ad.mean(ad.mul(w, w))
             t1.backward(l1)
             with Tape() as t2:
-                l2 = ad.mean_distance(w, ad.mul(w, 0.0), "l1")
+                l2 = l1_distance(w, ad.mul(w, 0.0))
             t2.backward(l2)
             return w.grad
 
@@ -168,8 +168,11 @@ class TestFrozenForwardValues:
         np.testing.assert_allclose(y.data, [0.8413447460685429], atol=1e-15)
 
     def test_abs_mean_hand_value(self):
-        y = ad.mean_distance(Tensor([1.0, -2.0]), Tensor([-1.0, 2.0]), "l1")
-        assert y.item() == 3.0
+        # the class rows [1, -2] and [-1, 2]: mean |d| = 3; equal patch blocks
+        a, b = np.zeros((3, 3)), np.zeros((3, 3))
+        a[0, 1:], b[0, 1:] = [1.0, -2.0], [-1.0, 2.0]
+        y = ad.view_consistency([Tensor(a)], [Tensor(b)], "l1").loss
+        assert y.data.tolist() == [3.0, 0.0]
 
     def test_layer_norm_normalizes_rows(self):
         rng = RNG(5)
@@ -226,6 +229,16 @@ class TestShapeContracts:
 
 # the fixed second operand of the binary cases below; the l1 case has its
 # kinks where a probe equals it
+def l1_distance(a, b):
+    """The mean |a - b| over the patch block of two (m, m) matrices."""
+    return ad.index(ad.view_consistency([a], [b], "l1").loss, 1)
+
+
+def l1_to_zero(t):
+    """Both l1 terms of a (2, 2) matrix against zeros, added."""
+    return ad.mean(ad.view_consistency([t], [Tensor(np.zeros((2, 2)))], "l1").loss)
+
+
 FD_OTHER = RNG(21).normal(size=(2, 3)) * 0.7 + 0.1
 
 
@@ -260,6 +273,21 @@ def _fd_cases():
     interp = rng.random(size=(4, 3)) + 0.1
     resampled_out = rng.normal(size=(4, 4))
 
+    def square(t):
+        # a (2, 3) tensor and its first row again: a (3, 3) attention-shaped matrix
+        return ad.concat([t, ad.index(t, np.s_[0:1])], axis=0)
+
+    def consistency(x, b, distance, stacked=False):
+        # both terms, weighted 0.7 and 1.3, against b re-indexed by a flip
+        # of a 1x2 grid; stacked, the augmented half is x's matrix scaled
+        a = square(x)
+        if stacked:
+            scale = Tensor(np.stack([np.ones((3, 3)), 1.5 + square(Tensor(b)).data]))
+            out = ad.view_consistency([ad.mul(a, scale)], None, distance, [[0, 2, 1]])
+        else:
+            out = ad.view_consistency([a], [square(Tensor(b))], distance, [0, 2, 1])
+        return ad.mean(ad.mul(out.loss, Tensor([0.7, 1.3])))
+
     def resampled(x):
         # entries of at least 0.5 keep every row sum of P A P^T far from
         # zero; the first row again makes A square
@@ -277,12 +305,13 @@ def _fd_cases():
         ("softmax_rows", lambda x: ad.mean(ad.mul(ad.softmax_rows(x), Tensor(other)))),
         ("layer_norm_x", lambda x: ad.mean(ad.mul(ad.layer_norm(x, Tensor(g1), Tensor(b1)), Tensor(other)))),
         ("mean", lambda x: ad.mean(x)),
-        ("mean_distance_l1", lambda x: ad.mean_distance(x, Tensor(other), "l1")),
-        ("mean_distance_l2", lambda x: ad.mean_distance(x, Tensor(other), "l2")),
+        # the three mean distances, through view_consistency's two layouts
+        ("mean_distance_l1", lambda x: consistency(x, other, "l1")),
+        ("mean_distance_l2", lambda x: consistency(x, other, "l2", stacked=True)),
         ("mean_distance_smooth_l1_inside",
-         lambda x: ad.mean_distance(ad.mul(x, 0.05), Tensor(other * 0.05), "smooth_l1")),
+         lambda x: consistency(ad.mul(x, 0.05), other * 0.05, "smooth_l1")),
         ("mean_distance_smooth_l1_outside",
-         lambda x: ad.mean_distance(ad.mul(x, 40.0), Tensor(other), "smooth_l1")),
+         lambda x: consistency(ad.mul(x, 40.0), other, "smooth_l1", stacked=True)),
         ("bce_with_logits", lambda x: ad.bce_with_logits(x, Tensor(tgt))),
         ("linear", lambda x: ad.mean(ad.mul(ad.linear(x, Tensor(w34), Tensor(b4)), Tensor(attend_out)))),
         ("attention_scores", lambda x: ad.mean(ad.mul(ad.attention_scores(
@@ -339,13 +368,13 @@ class TestGradCheckContract:
         assert err <= 1e-7
 
     def test_abs_away_from_kink(self):
-        err = ad.grad_check(lambda x: ad.mean_distance(x, 0, "l1"), Tensor([-1.0, 2.0]))
+        err = ad.grad_check(l1_to_zero, Tensor([[0.5, -1.0], [4.0, 2.0]]))
         assert err < 1e-10
 
     def test_exclude_mask_skips_kink_coordinates(self):
-        x = Tensor([0.0, 1.0])  # coordinate 0 sits exactly on the |.| kink
-        mask = np.array([True, False])
-        err = ad.grad_check(lambda t: ad.mean_distance(t, 0, "l1"), x, exclude=mask)
+        x = Tensor([[0.5, 0.0], [4.0, 1.0]])  # coordinate (0, 1) sits exactly on the |.| kink
+        mask = np.array([[False, True], [False, False]])
+        err = ad.grad_check(l1_to_zero, x, exclude=mask)
         assert err < 1e-9
 
     def test_max_coords_subsampling_runs(self):

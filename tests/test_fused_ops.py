@@ -182,18 +182,20 @@ class TestNodeMix:
     def test_stacked_training_sample(self):
         cfg = C07.vit
         ops = self.chunk_loss_ops(C07)
-        assert len(ops) == 62
-        for gone in ("matmul", "add_bias", "split_heads", "merge_heads", "transpose"):
+        assert len(ops) == 43
+        for gone in ("matmul", "add_bias", "split_heads", "merge_heads", "transpose",
+                     "permute_rc", "mean_distance"):
             assert gone not in ops
-        assert ops.count("permute_rc") == 2  # one inversion per loss layer
+        # both consistency terms of every loss layer, inversions included
+        assert ops.count("view_consistency") == 1
         assert ops.count("attention_scores") == ops.count("attend") == cfg.num_layers
 
     @pytest.mark.parametrize("distance", ad.DISTANCES)
     def test_every_distance_is_one_node_per_block(self, distance):
         ops = self.chunk_loss_ops(replace(C07, weights=replace(C07.weights, distance=distance)))
-        assert len(ops) == 62
-        # an activation and an affinity block per loss layer
-        assert ops.count("mean_distance") == 2 * C07.vit.num_layers
+        assert len(ops) == 43
+        # the activation and affinity blocks of every loss layer: one node
+        assert ops.count("view_consistency") == 1
 
     def test_eval_forward(self):
         cfg = C07.vit

@@ -158,9 +158,12 @@ def every_op():
         ("resample", [r(2, 3, 3) ** 2 + 0.5], lambda t: ad.resample(t, interp)),
         ("mean", [r(2, 3, 4)], ad.mean),
         ("mean", [r(2, 3, 4)], lambda t: ad.mean(t, 0)),
-        *(("mean_distance", [r(2, 3) * 3.0, r(2, 3)],
-           lambda a, b, _d=d: ad.mean_distance(a, b, _d)) for d in ad.DISTANCES),
-        ("mean_distance", [r(2, 3, 4), r(1)], lambda a, b: ad.mean_distance(a, b, "l2")),
+        # two stacks gathered, with each distance; two layers' stacks of both views
+        *(("view_consistency", [r(2, 3, 3) * 3.0, r(2, 3, 3)],
+           lambda a, b, _d=d: ad.view_consistency([a], [b], _d, [[0, 2, 1], [0, 1, 2]]).loss)
+          for d in ad.DISTANCES),
+        ("view_consistency", [r(2, 3, 3), r(2, 3, 3)],
+         lambda a, b: ad.view_consistency([a, b], None, "l2").loss),
         ("bce_with_logits", [r(2, 3), r(2, 3)], ad.bce_with_logits),
         ("concat", [r(1, 4), r(2, 3, 4)], lambda *t: ad.concat(t, axis=0)),
         ("concat", [r(2, 3, 2), r(2, 3, 4)], lambda *t: ad.concat(t, axis=1)),

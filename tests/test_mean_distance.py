@@ -1,10 +1,12 @@
-"""mean_distance, the one op behind the l1, l2 and smooth-l1 consistency
-distances, against copies of the three forms it replaced: abs_mean,
-smooth_l1_mean (delta 1) and the sub -> mul -> mean chain for l2.
+"""The l1, l2 and smooth-l1 distances of view_consistency, the one node
+for both consistency terms, against copies of the three forms that
+preceded its distances: abs_mean, smooth_l1_mean (delta 1) and the
+sub -> mul -> mean chain for l2, each applied to the blocks of the two
+views (an index of each, then the old form, per term).
 
-Value and both operand gradients must agree with np.array_equal: the
-fused op evaluates the same expressions, and for l2 its c * (2 d) equals
-the chain's accumulated c * d + c * d because doubling is exact.
+Values and both views' gradients must agree with np.array_equal: the op
+evaluates the same expressions, and for l2 its c * (2 d) equals the
+chain's accumulated c * d + c * d because doubling is exact.
 """
 
 import numpy as np
@@ -68,17 +70,31 @@ def old_l2_chain(a, b):
 
 OLD = {"l1": old_abs_mean, "l2": old_l2_chain, "smooth_l1": old_smooth_l1_mean}
 
-# a (k, n+1, n+1) stack of k samples' attention blocks, a single block, and
-# a scalar second operand
+# one view per operand: a single (9, 9) matrix, a (4, 9, 9) stack of k
+# samples' attention, and a stack against a view holding one value
+# everywhere (view_consistency takes equal shapes: the scalar is spread)
 SHAPES = {"2d": ((9, 9), (9, 9)), "stacked": ((4, 9, 9), (4, 9, 9)),
           "scalar": ((4, 9, 9), ())}
 
 
-def run(op, a, b, seed):
-    """Value and both gradients of op(a, b) swept from the adjoint `seed`."""
+def old_run(a, b, distance, seed):
+    """[l_act, l_aff] of one layer through the old form -- per block an
+    index of each view and the form -- and both views' gradients of
+    seed[0] l_act + seed[1] l_aff."""
     ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
     with Tape() as tape:
-        out = op(ta, tb)
+        terms = [OLD[distance](ad.index(ta, key), ad.index(tb, key))
+                 for key in ad.CONSISTENCY_BLOCKS]
+        total = ad.add(*(ad.mul(t, s) for t, s in zip(terms, seed)))
+    tape.backward(total)
+    return np.array([t.data for t in terms]), ta.grad, tb.grad
+
+
+def new_run(a, b, distance, seed):
+    """The same through view_consistency, swept from `seed`."""
+    ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+    with Tape() as tape:
+        out = ad.view_consistency([ta], [tb], distance).loss
     tape.backward(out, seed=seed)
     return out.data, ta.grad, tb.grad
 
@@ -89,10 +105,10 @@ def run(op, a, b, seed):
 def test_value_and_both_gradients_equal_the_old_ops(distance, shape, scale):
     rng = np.random.default_rng(7)
     a = rng.normal(size=shape[0]) * scale
-    b = rng.normal(size=shape[1]) * scale
-    seed = np.asarray(rng.normal())
-    new = run(lambda x, y: ad.mean_distance(x, y, distance), a, b, seed)
-    old = run(OLD[distance], a, b, seed)
+    b = np.broadcast_to(rng.normal(size=shape[1]) * scale, shape[0]).copy()
+    seed = rng.normal(size=2)
+    new = new_run(a, b, distance, seed)
+    old = old_run(a, b, distance, seed)
     for got, expected in zip(new, old):
         assert got.shape == expected.shape
         assert np.array_equal(got, expected)
@@ -100,4 +116,4 @@ def test_value_and_both_gradients_equal_the_old_ops(distance, shape, scale):
 
 def test_unknown_distance_is_a_contract_error():
     with pytest.raises(ContractError):
-        ad.mean_distance(Tensor(np.ones(2)), Tensor(np.zeros(2)), "l3")
+        ad.view_consistency([Tensor(np.ones((2, 2)))], [Tensor(np.zeros((2, 2)))], "l3")

@@ -156,7 +156,7 @@ class TestWhereGradientsLand:
     def test_training_intermediates_get_no_grad(self):
         outputs, params, _ = train_sweep(CONSISTENCY, SpatialTransform.parse("fliph"),
                                          full=False)
-        assert len(outputs) == 62 and all(t.grad is None for t in outputs)
+        assert len(outputs) == 43 and all(t.grad is None for t in outputs)
         assert all(p.grad is not None for p in params.values())
 
     def test_eval_intermediates_get_no_grad(self):
@@ -205,8 +205,9 @@ def _multi_input_cases():
                                        rng.normal(size=(1, 4))]),
         ("concat", lambda *parts: ad.concat(parts, axis=0),
          [rng.normal(size=(1, 4)), m, rng.normal(size=(2, 4))]),
-        *((f"mean_distance_{d}", lambda a, b, _d=d: ad.mean_distance(a, b, _d),
-           [m, rng.normal(size=(3, 4))]) for d in ad.DISTANCES),
+        # the three distances of view_consistency between two (3, 3) views
+        *((f"mean_distance_{d}", lambda a, b, _d=d: ad.view_consistency([a], [b], _d).loss,
+           [m[:, :3], rng.normal(size=(3, 4))[:, :3]]) for d in ad.DISTANCES),
         ("bce_with_logits", ad.bce_with_logits, [m, (rng.random(size=(3, 4)) > 0.5) * 1.0]),
     ]
 

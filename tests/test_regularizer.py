@@ -219,12 +219,18 @@ class TestSharedInversion:
 
     def test_inverts_each_layer_once(self, monkeypatch):
         """A training chunk inverts each loss layer's A' stack once, shared
-        by both terms: with its views on the images' grid (flips) and on
-        another grid (resize), and not at all without consistency terms."""
-        calls = []
-        real = reg.invert_attention
+        by both terms, in its one view_consistency node: a permutation by
+        the node's gather, with no invert_attention call (views on the
+        images' grid, flips); a resize by one invert_attention per layer
+        before it (views on another grid). Without consistency terms the
+        node still runs, for the logged residuals."""
+        calls, nodes = [], []
+        real, real_op = reg.invert_attention, ad.view_consistency
         monkeypatch.setattr(reg, "invert_attention",
                             lambda *args: calls.append(1) or real(*args))
+        monkeypatch.setattr(ad, "view_consistency",
+                            lambda a, ap, distance, index=None: nodes.append(index is not None)
+                            or real_op(a, ap, distance, index))
         cfg = vit.ViTConfig(patch_size=2, grid=GridShape(2, 3), embed_dim=8, num_layers=3,
                             num_heads=2, num_classes=2)
         config = tr.TrainConfig(vit=cfg, weights=reg.LossWeights(alpha=2.0, beta=0.5),
@@ -236,15 +242,17 @@ class TestSharedInversion:
                                       mask=np.zeros((4, 6), dtype=np.int64), seed=(i, 0))
                    for i in range(2)]
         off = replace(config, weights=reg.LossWeights(alpha=0.0, beta=0.0))
-        for train_config, transforms, expected in (
-                (config, (FLIP_H, gt.FLIP_V), 2),
-                (config, (gt.SpatialTransform.parse("resize:3x3"),) * 2, 2),
-                (off, (FLIP_H, gt.FLIP_V), 0)):
+        for train_config, transforms, expected, gathers in (
+                (config, (FLIP_H, gt.FLIP_V), 0, True),
+                (config, (gt.SpatialTransform.parse("resize:3x3"),) * 2, 2, False),
+                (off, (FLIP_H, gt.FLIP_V), 0, True)):
             chunk = [tr._two_views(i, sample, t, cfg)
                      for i, (sample, t) in enumerate(zip(samples, transforms))]
             calls.clear()
+            nodes.clear()
             with Tape():
                 tr._chunk_loss(chunk, params, train_config)
+            assert nodes == [gathers], transforms
             assert len(calls) == expected, (transforms, train_config.weights)
 
 

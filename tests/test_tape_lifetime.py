@@ -26,14 +26,14 @@ CONFIG = ref.CONSISTENCY
 CHUNK_TRANSFORMS = ref.transforms("fliph,rot90,flipv,rot270")
 
 # The traced peak of one 4-pair criterion-07 _chunk_backward, measured
-# with numpy 2.4.6 on Python 3.11.7 when the tape stopped holding op
-# outputs: 4,778,700 bytes. With the tape holding every output, node
-# inputs and closures until the sweep ended, it was 8,531,200 bytes.
-CHUNK_PEAK_BYTES = 4_778_700
+# with numpy 2.4.6 on Python 3.11.7 once both consistency terms became
+# one view_consistency node: 4,239,459 bytes (4,421,395 with the chain of
+# 22 nodes it replaced; 8,531,200 when the tape held every output, node
+# inputs and closures until the sweep ended).
+CHUNK_PEAK_BYTES = 4_239_459
 # The same for one 8-pair chunk, the size a criterion-07 batch trains as
-# at the package's budget: 8,791,011 bytes, measured with numpy 2.4.6 on
-# Python 3.11.7.
-CHUNK8_PEAK_BYTES = 8_791_011
+# at the package's budget: 8,367,643 bytes (8,791,007 with the chain).
+CHUNK8_PEAK_BYTES = 8_367_643
 
 
 def pairs(k):
@@ -45,8 +45,7 @@ def pairs(k):
 def test_dropped_intermediates_die_with_the_forward():
     """After the forward of a 4-pair chunk, with no gc.collect(), every
     large output no backward reads is gone: the pre-softmax scores, the
-    head averages, the view halves and loss blocks, the inversions, the
-    residual sums. The gradients still reach the parameters and equal
+    head averages, the residual sums. The gradients still reach the parameters and equal
     the reference's per-sample sums."""
     params = vit.init_params(CONFIG.vit, np.random.default_rng(3))
     chunk = pairs(4)
@@ -60,10 +59,10 @@ def test_dropped_intermediates_die_with_the_forward():
 
     with mock.patch.object(ad, "_apply", apply), Tape() as tape:
         loss = ad.mul(tr._chunk_loss(chunk, params, CONFIG).total, float(len(chunk)))
-    assert len(tape.nodes) == len(outputs) == 63
+    assert len(tape.nodes) == len(outputs) == 44
     alive = {op for op, out, nbytes in outputs if out() is not None and nbytes > 1024}
     assert alive == {"softmax_rows", "layer_norm", "gelu", "attend"}
-    for op in ("attention_scores", "mean", "permute_rc", "concat"):
+    for op in ("attention_scores", "mean", "view_consistency", "concat"):
         assert all(out() is None for name, out, _ in outputs if name == op), op
 
     tape.backward(loss)
@@ -150,7 +149,7 @@ def traced_chunk_peak(chunk):
 def test_chunk_backward_peak_is_pinned():
     """The traced peak of one 4-pair criterion-07 chunk backward: at most
     10% above the value measured at the change (CHUNK_PEAK_BYTES), which
-    is 56% of what the chunk took when the tape kept every output."""
+    is 50% of what the chunk took when the tape kept every output."""
     peak = traced_chunk_peak(pairs(4))
     assert peak <= 1.1 * CHUNK_PEAK_BYTES, peak
 
