@@ -8,12 +8,10 @@ batch of 8 same-grid samples is one chunk. A chunk of k samples runs on
 one fresh tape: views on the images' grid (flips, square rotations) as
 one (2k, C, H, W) forward, views on another grid (resize, rot90 of a
 non-square grid) as one forward of the k images and one of the k views;
-one node computes both consistency terms of every loss layer from the
-attention stacks, inverting each transformed matrix by its sample's
-transform (a resize by one resample node per layer before it). One
-backward of k times the chunk's mean loss adds the sum of the k
-per-sample gradients into the parameters, as a per-sample loop would;
-after the batch one
+each loss layer inverts the k transformed attention matrices in one op,
+and the losses take the (k, n+1, n+1) stacks. One backward of k times
+the chunk's mean loss adds the sum of the k per-sample gradients into
+the parameters, as a per-sample loop would; after the batch one
 (optionally momentum / polynomial-decay / norm-clipped) SGD update
 applies their mean. Chunking changes only the order of summation.
 Determinism: all randomness flows from two seed-derived generators, one
@@ -281,12 +279,11 @@ def format_train_config(config: TrainConfig) -> str:
 # default model (embed 64, 4 layers) fits 3 images on its 8x8 grid, so
 # evaluation stacks 3 and a same-grid pair trains alone; a pair with a
 # 6x6 resized view takes 2 per chunk. Each chunk pays a fixed cost of
-# about 1 ms (44 tape nodes forward and backward, and the loss glue), so
-# fewer chunks train faster. Measured on the criterion-07 model, with 63
-# tape nodes per chunk before both consistency terms became one node, CPU
-# time of one _chunk_backward: 2.42 ms for 1 pair, 6.17 ms for 4 and
-# 11.56 ms for 8 (1.45 ms per pair, against 1.54 for chunks of 4); traced
-# peaks now 4.24 MB for 4 pairs and 8.4 MB for 8. In the benchmark's
+# about 1 ms (63 tape nodes forward and backward, and the loss glue), so
+# fewer chunks train faster. Measured on the criterion-07 model, CPU time
+# of one _chunk_backward: 2.42 ms for 1 pair, 6.17 ms for 4 and 11.56 ms
+# for 8 (1.45 ms per pair, against 1.54 for chunks of 4); traced peaks
+# 4.42 MB for 4 pairs and 8.8 MB for 8. In the benchmark's
 # train_consistency, batches as one chunk of 8 trained 1.11x as fast as
 # 4+4, for +4.6% peak RSS on localize_eval (16-image stacks).
 TAPE_BYTE_BUDGET = 28 * 2**18  # 7 MiB
@@ -414,7 +411,9 @@ def _chunk_backward(chunk: list[_TwoViews], params: dict[str, Tensor], config: T
                     snapshot: dict | None = None) -> dict[str, float]:
     """Record k times the chunk's mean loss on a fresh tape and
     backpropagate it, so the parameters' .grad gain the sum of the k
-    per-sample gradients. Returns the chunk's sums of the loss terms."""
+    per-sample gradients. Returns the chunk's sums of the loss terms and
+    of each loss layer's residuals, act_residual_{layer} and
+    aff_residual_{layer}."""
     with Tape() as tape:
         breakdown = _chunk_loss(chunk, params, config, snapshot)
         total = ad.mul(breakdown.total, float(len(chunk)))
@@ -424,7 +423,12 @@ def _chunk_backward(chunk: list[_TwoViews], params: dict[str, Tensor], config: T
     if snapshot is not None:
         snapshot.clear()
     tape.backward(total)
-    return {key: len(chunk) * value for key, value in breakdown.to_floats().items()}
+    k = len(chunk)
+    sums = {key: k * value for key, value in breakdown.to_floats().items()}
+    lo, _ = _loss_layer_slice(config)
+    for term, row in zip(("act", "aff"), breakdown.residuals):
+        sums.update({f"{term}_residual_{lo + i}": k * float(r) for i, r in enumerate(row)})
+    return sums
 
 
 def _dump_divergence(out_dir: Path | None, epoch: int, steps: list[int],
@@ -449,8 +453,10 @@ def _global_norm(grads: list[np.ndarray]) -> float:
 def train(config: TrainConfig, samples: list[sd.SyntheticSample],
           out_dir=None) -> TrainResult:
     """Run the Siamese loop; returns trained parameters and the per-epoch
-    log. A log record holds the epoch's mean per-sample loss terms, its
-    last learning rate, the mean and max of its updates' pre-clip global
+    log. A log record holds the epoch's mean per-sample loss terms and,
+    per loss layer, consistency residuals (act_residual_{layer},
+    aff_residual_{layer}: the unweighted distances of either term, logged
+    whatever the weights), its last learning rate, the mean and max of its updates' pre-clip global
     gradient norms (of the batch-mean gradient) and how many of those
     updates were clipped. With out_dir set, creates it before training
     and writes checkpoint.ckpt, log.jsonl and train_config.txt there,
@@ -484,7 +490,7 @@ def train(config: TrainConfig, samples: list[sd.SyntheticSample],
 
     for epoch in range(config.epochs):
         order = loop_rng.permutation(n)
-        sums = {"l_cls": 0.0, "l_act": 0.0, "l_aff": 0.0, "total": 0.0}
+        sums: dict[str, float] = {}  # each loss term and residual, over the epoch
         norms: list[float] = []  # each update's pre-clip global gradient norm
         clipped = 0
         lr_this_epoch = config.learning_rate
@@ -508,7 +514,7 @@ def train(config: TrainConfig, samples: list[sd.SyntheticSample],
                                          f"batch steps {', '.join(map(str, steps))}: {exc} "
                                          f"(diagnostics: {where})") from exc
                 for key, value in terms.items():
-                    sums[key] += value
+                    sums[key] = sums.get(key, 0.0) + value
             # mean-gradient SGD update over the batch
             lr = config.learning_rate
             if config.poly_power is not None:

@@ -289,6 +289,25 @@ def two_view_loss(sample, transform, params, config):
     return reg.total_loss(res_a.logits, res_b.logits, sample.labels, act, aff, w)
 
 
+def layer_residuals(sample, transform, params, config):
+    """One sample's consistency residuals, whatever the weights: per loss
+    layer and term, the chain's mean_distance between A's block and the
+    same block of inv(A'), keyed as trainer.train logs them."""
+    cfg = config.vit
+    view = sd.augment(sample.image, transform, cell_pixels=cfg.patch_size)
+    res_a, res_b = (forward(image, params, cfg) for image in (sample.image, view))
+    lo, hi = tr._loss_layer_slice(config)
+    out = {}
+    for layer in range(lo, hi):
+        a = Tensor(res_a.attentions[layer].matrix.data)
+        back = gt.invert_attention(Tensor(res_b.attentions[layer].matrix.data), transform,
+                                   res_a.grid)
+        for term, key in zip(("act", "aff"), BLOCKS):
+            out[f"{term}_residual_{layer}"] = float(mean_distance(
+                ad.index(a, key), ad.index(back, key), config.weights.distance).data)
+    return out
+
+
 def fresh(params):
     """Trainable copies of `params`, with no gradient yet."""
     return {k: Tensor(p.data.copy(), requires_grad=True) for k, p in params.items()}
@@ -312,25 +331,30 @@ def train(config, samples):
     """The training loop with one sample per tape: the draws of
     trainer.train from the same generators, and its update (constant
     learning rate, momentum, norm clipping). Returns the parameters,
-    each epoch's mean total loss and each epoch's list of pre-clip
-    global gradient norms, one per update."""
+    each epoch's mean total loss, each epoch's list of pre-clip global
+    gradient norms, one per update, and each epoch's mean consistency
+    residuals (see layer_residuals)."""
     init_rng = np.random.default_rng([config.seed, 0])
     loop_rng = np.random.default_rng([config.seed, 1])
     params = vit.init_params(config.vit, init_rng)
     velocity = {name: np.zeros_like(p.data) for name, p in params.items()}
-    totals, norms = [], []
+    totals, norms, residuals = [], [], []
     for _ in range(config.epochs):
         order = loop_rng.permutation(len(samples))
         total = 0.0
         norms.append([])
+        residual_sums = {}
         for start in range(0, len(samples), config.batch_size):
             batch = order[start:start + config.batch_size]
             for p in params.values():
                 p.zero_grad()
             for idx in batch:
                 transform = config.augmentations[int(loop_rng.integers(len(config.augmentations)))]
+                sample = samples[int(idx)]
+                for key, value in layer_residuals(sample, transform, params, config).items():
+                    residual_sums[key] = residual_sums.get(key, 0.0) + value
                 with Tape() as tape:
-                    breakdown = two_view_loss(samples[int(idx)], transform, params, config)
+                    breakdown = two_view_loss(sample, transform, params, config)
                 tape.backward(breakdown.total)
                 total += float(breakdown.total.data)
             grads = {name: p.grad / len(batch) for name, p in params.items()}
@@ -343,7 +367,8 @@ def train(config, samples):
                 velocity[name] += g
                 params[name].data -= config.learning_rate * velocity[name]
         totals.append(total / len(samples))
-    return params, totals, norms
+        residuals.append({key: value / len(samples) for key, value in residual_sums.items()})
+    return params, totals, norms, residuals
 
 
 # -- evaluation ------------------------------------------------------------------

@@ -57,7 +57,7 @@ def chunk_sums(pairs, params, config):
     views = [tr._two_views(step, s, t, config.vit) for step, (s, t) in enumerate(pairs)]
     for chunk in tr._chunks(views, config.vit):
         for key, value in tr._chunk_backward(chunk, params, config).items():
-            sums[key] += value
+            sums[key] = sums.get(key, 0.0) + value
     return sums, {k: p.grad for k, p in params.items()}
 
 
@@ -112,11 +112,15 @@ class TestTraining:
         monkeypatch.setattr(tr, "TAPE_BYTE_BUDGET", budget_for(config.vit, per_chunk))
         samples = [ref.sample_for(config.vit, 60 + j) for j in range(10)]
         result = tr.train(config, samples)
-        params, totals, norms = ref.train(config, samples)
+        params, totals, norms, residuals = ref.train(config, samples)
         for name, p in params.items():
             ref.assert_close(result.params[name].data, p.data, name)
-        for record, total, epoch_norms in zip(result.log, totals, norms, strict=True):
+        for record, total, epoch_norms, epoch_residuals in zip(result.log, totals, norms,
+                                                               residuals, strict=True):
             assert abs(record["total"] - total) <= ref.TOL
+            assert {k for k in record if "residual" in k} == epoch_residuals.keys()
+            for key, value in epoch_residuals.items():
+                assert abs(record[key] - value) <= ref.TOL, key
             assert abs(record["grad_norm_mean"] - np.mean(epoch_norms)) <= ref.TOL
             assert abs(record["grad_norm_max"] - max(epoch_norms)) <= ref.TOL
             assert record["clipped_steps"] == sum(n > config.clip_norm for n in epoch_norms)

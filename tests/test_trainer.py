@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from attnreg import autodiff as ad
 from attnreg import metrics as mt
 from attnreg import synthdata as sd
 from attnreg import trainer as tr
@@ -211,6 +212,43 @@ class TestTraining:
         for record in records:
             assert 0.0 < record["grad_norm_mean"] <= record["grad_norm_max"]
             assert isinstance(record["clipped_steps"], int)
+
+    def test_residual_fields_are_byte_identical_across_runs(self, tmp_path):
+        cfg = tiny_train_config(epochs=2, loss_layers=(1, 2))
+        logs = [tr.train(cfg, tiny_data(10), out_dir=tmp_path / run).log_path.read_bytes()
+                for run in ("a", "b")]
+        assert logs[0] == logs[1]
+        for line in logs[0].splitlines():
+            record = json.loads(line)
+            residuals = {k: v for k, v in record.items() if "residual" in k}
+            # one field per term and loss layer, named by the model's layer
+            assert residuals.keys() == {"act_residual_1", "aff_residual_1"}
+            assert all(v > 0.0 for v in residuals.values())
+
+    @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (10.0, 0.0), (0.0, 10.0)],
+                             ids=["baseline", "act_only", "aff_only"])
+    def test_residuals_of_a_term_weighted_zero_cost_no_gradient_work(self, monkeypatch,
+                                                                     alpha, beta):
+        """Every cell logs both terms' residuals, the same at the first
+        epoch whatever the weights (the parameters are the same until the
+        first update); a term weighted 0 stays out of the loss, and its
+        distance's slope, the backward's work, is never computed."""
+        slopes = []
+        elements, slope = ad._DISTANCE_TERMS["l1"]
+        monkeypatch.setitem(ad._DISTANCE_TERMS, "l1",
+                            (elements, lambda d: slopes.append(d.shape[-2]) or slope(d)))
+        cfg = tiny_train_config(epochs=1, batch_size=6)
+        full = tr.train(cfg, tiny_data(6)).log[0]
+        slopes.clear()
+        cell = tr.train(dataclasses.replace(cfg, weights=LossWeights(alpha=alpha, beta=beta)),
+                        tiny_data(6)).log[0]
+        for key in ("act_residual_0", "aff_residual_1"):
+            assert cell[key] == full[key] > 0.0
+        assert (cell["l_act"] == 0.0) == (alpha == 0.0)
+        assert (cell["l_aff"] == 0.0) == (beta == 0.0)
+        rows = {1} if alpha else set()  # the class row's block has one row
+        rows |= {16} if beta else set()  # the patch block of a 4x4 grid
+        assert set(slopes) == rows
 
     def test_clipped_steps_counts_clipped_updates(self):
         """Under a tiny clip_norm every update is clipped; with none, no
