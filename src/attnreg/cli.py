@@ -212,6 +212,10 @@ def _cmd_ablate(args) -> int:
     return 0
 
 
+# the resize whose training chunk grad-check audits beside FLIP_H's
+_RESIZE_CHECKED = gt.SpatialTransform.parse("resize:6x6")
+
+
 def _cmd_grad_check(args) -> int:
     _check_tolerance(args.tolerance)
     _check_seed(args.seed)
@@ -238,37 +242,39 @@ def _cmd_grad_check(args) -> int:
                             rng=np.random.default_rng(args.seed + 1))
         return float(err)
 
-    # a one-sample chunk: its mean loss is the sample's loss
-    chunk = [tr._two_views(0, sample, gt.FLIP_H, cfg)]
-
-    def training_loss(patched, train_config):
-        return tr._chunk_loss(chunk, patched, train_config)
-
     def logit(patched):
         return vit.class_logit(vit.forward(image, patched, cfg), 0)
 
-    def activation(patched):
-        return training_loss(patched, both_terms).l_act
-
-    def affinity(patched):
-        return training_loss(patched, both_terms).l_aff
-
-    def total(patched):
-        return training_loss(patched, config).total
+    def chunk_term(transform, train_config, term):
+        # a one-sample chunk: its mean loss is the sample's loss
+        chunk = [tr._two_views(0, sample, transform, cfg)]
+        return lambda patched: getattr(tr._chunk_loss(chunk, patched, train_config), term)
 
     last = f"blocks.{cfg.num_layers - 1}."  # runs on the class row after its attention
     checks = {
         "class_logit/patch_embed.weight": with_param("patch_embed.weight", logit),
         "class_logit/blocks.0.attn.wq": with_param("blocks.0.attn.wq", logit),
-        "activation_loss/blocks.0.attn.wk": with_param("blocks.0.attn.wk", activation),
-        "affinity_loss/blocks.0.attn.wq": with_param("blocks.0.attn.wq", affinity),
-        "total_loss/blocks.0.mlp.w1": with_param("blocks.0.mlp.w1", total),
+    }
+    # FLIP_H keeps the grid: one forward of both views, inverted by the
+    # consistency node's gather; a resize to 6x6 runs a forward per view,
+    # its view resampled back before the node
+    for transform, tag in ((gt.FLIP_H, ""), (_RESIZE_CHECKED, f"@{_RESIZE_CHECKED}")):
+        checks.update({
+            f"activation_loss{tag}/blocks.0.attn.wk":
+                with_param("blocks.0.attn.wk", chunk_term(transform, both_terms, "l_act")),
+            f"affinity_loss{tag}/blocks.0.attn.wq":
+                with_param("blocks.0.attn.wq", chunk_term(transform, both_terms, "l_aff")),
+            f"total_loss{tag}/blocks.0.mlp.w1":
+                with_param("blocks.0.mlp.w1", chunk_term(transform, config, "total")),
+        })
+    checks.update({
         f"class_logit/{last}attn.wv": with_param(last + "attn.wv", logit),
         # reaches the query weights only through the class-row block of
         # the last softmax's adjoint
         f"class_logit/{last}attn.wq": with_param(last + "attn.wq", logit),
-        f"total_loss/{last}mlp.w2": with_param(last + "mlp.w2", total),
-    }
+        f"total_loss/{last}mlp.w2":
+            with_param(last + "mlp.w2", chunk_term(gt.FLIP_H, config, "total")),
+    })
     worst = max(checks.values())
     _emit({"checks": checks, "max_relative_error": worst,
            "tolerance": args.tolerance, "passed": worst < args.tolerance}, args.pretty)

@@ -473,9 +473,14 @@ class TestGradCheck:
         assert rc == 0
         assert payload["passed"] is True
         assert payload["max_relative_error"] < 1e-4
-        assert len(payload["checks"]) == 8
+        assert len(payload["checks"]) == 11
         assert {"class_logit/blocks.1.attn.wv", "class_logit/blocks.1.attn.wq",
                 "total_loss/blocks.1.mlp.w2"} <= payload["checks"].keys()
+        # the consistency terms of a FLIP_H chunk and of a resize:6x6 one
+        for tag in ("", "@resize:6x6"):
+            assert {f"activation_loss{tag}/blocks.0.attn.wk",
+                    f"affinity_loss{tag}/blocks.0.attn.wq",
+                    f"total_loss{tag}/blocks.0.mlp.w1"} <= payload["checks"].keys()
 
     @pytest.mark.parametrize("flag,value", [("--max-coords", "0"), ("--max-coords", "-1"),
                                             ("--step", "0"), ("--seed", "-1")])
