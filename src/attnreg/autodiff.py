@@ -831,27 +831,27 @@ def view_consistency(plain, augmented, distance: str, index=None) -> Consistency
         if a.shape != shape or b.shape != shape:
             raise DimensionError(f"view_consistency: layer {i}: expected {shape} in both "
                                  f"views, got {a.shape} and {b.shape}")
+    # an input's plain and augmented part: [:half] and [half:], a stack's
+    # halves, or (half None) all of each separate view
     half = shape[0] // 2 if stacked else None
-    view_shape = shape[:-2] if not stacked else (half,) + shape[1:-2]
-    flat = None
+    gathers = None  # per block, the flat index of the augmented matrix's entries
     if index is not None:
         index = np.asarray(index, dtype=np.intp)
         if index.shape[-1:] != shape[-1:]:
             raise DimensionError(f"view_consistency: index {index.shape} does not gather "
                                  f"{shape[-1]} tokens")
-        flat = _gather_index("view_consistency", view_shape + shape[-2:], index, index)
-
-    def views(a: Tensor, b: Tensor) -> tuple[Array, Array]:
-        return (a.data[:half], b.data[half:]) if stacked else (a.data, b.data)
+        lead = shape[:-2] if half is None else (half,) + shape[1:-2]
+        flat = _gather_index("view_consistency", lead + shape[-2:], index, index)
+        gathers = [np.ascontiguousarray(flat[key]) for key in CONSISTENCY_BLOCKS]
 
     layers = len(plain)
     per_layer = np.empty((2, layers))
     diffs = []  # per layer, each term's d = a - b
     for i, (a, b) in enumerate(zip(plain, augmented)):
-        pa, pb = views(a, b)
+        pa, pb = a.data[:half], b.data[half:]
         ds = []
         for t, key in enumerate(CONSISTENCY_BLOCKS):
-            block = pb[key] if flat is None else pb.take(flat[key]).reshape(pa[key].shape)
+            block = pb[key] if gathers is None else pb.take(gathers[t]).reshape(pa[key].shape)
             d = pa[key] - block
             per_layer[t, i] = elements(d).mean()
             ds.append(d)
@@ -862,49 +862,42 @@ def view_consistency(plain, augmented, distance: str, index=None) -> Consistency
         for i in range(1, layers):
             total = total + per_layer[t, i]
         out[t] = total if layers == 1 else total * (1.0 / layers)
-    need = [t.requires_grad for t in plain] + ([] if stacked else
-                                               [t.requires_grad for t in augmented])
+    inputs = tuple(plain) if stacked else (*plain, *augmented)
+    need = [t.requires_grad for t in inputs]
 
     def bw(g: Array):
         live = [t for t in range(2) if g[t] != 0.0]
         if not live:
             return (None,) * len(need)
         # a stack's halves, or both terms of a separate view, reach an
-        # input as full arrays the chain adds: 0 + x, which makes -0 +0
+        # input as full arrays that the chain adds: 0 + x, which makes -0 +0
         accumulate = stacked or len(live) == 2
         grads_a, grads_b = [], []
         for i, ds in enumerate(diffs):
             ga = np.zeros(shape) if need[i] else None
-            gb = (ga if stacked else
-                  np.zeros(shape) if need[layers + i] else None)
+            gb = ga if stacked else np.zeros(shape) if need[layers + i] else None
             for t in live:
                 gl = g[t] if layers == 1 else g[t] * (1.0 / layers)
                 step = float(gl) / ds[t].size * slope(ds[t])
                 key = CONSISTENCY_BLOCKS[t]
                 if ga is not None:
-                    _place(ga[:half] if stacked else ga, key, step, accumulate)
-                if gb is not None:
-                    target = gb[half:] if stacked else gb
-                    if flat is None:
-                        _place(target, key, -step, accumulate)
-                    else:
-                        at = flat[key]
-                        _place(target.reshape(-1), at, (-step).reshape(at.shape), accumulate)
+                    _place(ga[:half], key, step, accumulate)
+                if gb is not None and gathers is None:
+                    _place(gb[half:], key, -step, accumulate)
+                elif gb is not None:
+                    at = gathers[t]
+                    _place(gb[half:].reshape(-1), at, (-step).reshape(at.shape), accumulate)
             grads_a.append(ga)
             grads_b.append(gb)
         return tuple(grads_a) if stacked else (*grads_a, *grads_b)
 
-    inputs = tuple(plain) if stacked else (*plain, *augmented)
     return Consistency(_apply("view_consistency", inputs, out, bw), per_layer)
 
 
 def _place(target: Array, key, values: Array, accumulate: bool) -> None:
-    """Write `values` into the zeros of `target` at `key`: added (0 + x),
-    or assigned, keeping the sign of a zero."""
-    if accumulate:
-        target[key] += values
-    else:
-        target[key] = values
+    """Write `values` into the zeros of `target` at `key`: as 0 + x, which
+    makes -0 +0, or as they are."""
+    target[key] = values + 0.0 if accumulate else values
 
 
 def bce_with_logits(logits, targets) -> Tensor:
