@@ -40,8 +40,9 @@ def attention(rng, lead, m):
 
 def make_case(feed, k, layers, seed):
     """Per layer the plain stack a (k, M, M) and the augmented view's
-    stack on its own grid, with a inv(a') on a third of the entries, so
-    the distance has exact zeros (l1 kinks, signed-zero adjoints)."""
+    stack a' on its own grid, with a equal to inv(a') on a third of the
+    entries, so the distance has exact zeros (l1 kinks, signed-zero
+    adjoints)."""
     rng = np.random.default_rng(seed)
     transforms = transforms_of(feed, k)
     target = transforms[0].target_grid(GRID)
