@@ -30,8 +30,9 @@ Conventions:
 * matrix ops (matmul, layer_norm, softmax_rows, concat, resample,
   permute_rc) act on the last two axes and accept leading batch axes,
   e.g. (views, tokens, dim) or (views, heads, tokens, tokens);
-  permute_rc takes one row and one column index per batch entry, and
-  resample one constant matrix for every entry. A parameter without
+  permute_rc takes one index per batch entry, for the rows and the
+  columns of a square matrix, and resample one constant matrix for
+  every entry. A parameter without
   those axes (a weight, a bias, the class token) is shared across them,
   and its gradient sums over all leading axes. mean(x, axis) averages
   over one axis (the head axis);
@@ -581,8 +582,8 @@ def attend(probs, h, wv, bv, rows: int | None = None) -> Tensor:
 
 def resample(a, p) -> Tensor:
     """P A P^T with each row rescaled to sum to P times A's row sums, as
-    one node: a (..., m, m) and a constant 2-d p (m', m), taken as
-    permute_rc takes its indices, give (..., m', m'). A row of P A P^T
+    one node: a (..., m, m) and a constant 2-d p (m', m), the same for
+    every matrix of the stack, give (..., m', m'). A row of P A P^T
     summing to within 1e-12 of zero keeps factor 1. It resizes attention
     matrices between patch grids (gridtransform.resize_attention)."""
     a = _as_tensor(a)
@@ -804,11 +805,11 @@ def view_consistency(plain, augmented, distance: str, index=None) -> Consistency
     shaped like ``plain``'s. ``index``, an int array shaped like an
     augmented entry's leading axes plus (m,), gathers each augmented
     matrix first: entry e reads rows and columns index[e] of its own
-    matrix, as permute_rc(x, index, index) does.
+    matrix, and a bad index is refused as permute_rc refuses it.
 
     Values and adjoints are bit-identical to the chain this replaces:
-    per layer and term a block ``index`` of each view, a permute_rc of
-    the augmented half, the mean distance, then the layer sum times 1/L.
+    per layer the augmented half gathered, per term a block ``index`` of
+    each view and the mean distance, then the layer sum times 1/L.
     Each input's adjoint is one fresh array, zeros plus its blocks,
     accumulated as that chain's sweep adds them; a term whose adjoint is
     zero, such as one weighted 0, takes no backward work."""
@@ -841,7 +842,7 @@ def view_consistency(plain, augmented, distance: str, index=None) -> Consistency
             raise DimensionError(f"view_consistency: index {index.shape} does not gather "
                                  f"{shape[-1]} tokens")
         lead = shape[:-2] if half is None else (half,) + shape[1:-2]
-        flat = _gather_index("view_consistency", lead + shape[-2:], index, index)
+        flat = _gather_index("view_consistency", lead + shape[-2:], index)
         gathers = [np.ascontiguousarray(flat[key]) for key in CONSISTENCY_BLOCKS]
 
     layers = len(plain)
@@ -982,17 +983,18 @@ def index(x, key) -> Tensor:
     return _apply("index", (x,), np.asarray(out), bw)
 
 
-def permute_rc(x, row_index, col_index) -> Tensor:
-    """Differentiable batched gather out[..., i, j] = x[..., row_index[..., i],
-    col_index[..., j]]: each matrix of a (..., m, k) stack re-indexed by its
-    own row and column index, shaped like x's leading axes plus one (a 2-d
-    x takes two 1-d indices). Within an entry the rows and the columns are
-    distinct (a re-indexing, such as a token permutation), so the
+def permute_rc(x, index) -> Tensor:
+    """Differentiable batched gather out[..., i, j] = x[..., index[..., i],
+    index[..., j]]: each square matrix of a (..., m, m) stack re-indexed,
+    rows and columns alike, by its own index, shaped like x's leading
+    axes plus one (a 2-d x takes a 1-d index). Within an entry the index
+    is distinct (a re-indexing, such as a token permutation), so the
     backward scatter is an assignment."""
     x = _as_tensor(x)
-    if x.ndim < 2:
-        raise DimensionError(f"permute_rc: needs at least 2 dims, got shape {x.shape}")
-    flat = _gather_index("permute_rc", x.shape, row_index, col_index)
+    if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
+        raise DimensionError(f"permute_rc: expected square matrices (..., m, m), "
+                             f"got shape {x.shape}")
+    flat = _gather_index("permute_rc", x.shape, index)
     out_shape = x.shape[:-2] + flat.shape[1:]
     shape = x.shape
 
@@ -1004,30 +1006,25 @@ def permute_rc(x, row_index, col_index) -> Tensor:
     return _apply("permute_rc", (x,), x.data.take(flat).reshape(out_shape), bw)
 
 
-def _gather_index(op: str, shape: tuple[int, ...], row_index, col_index) -> Array:
-    """The flat index into a C-ordered (..., m, k) buffer of `shape` that
-    gathers, per entry e of its leading axes, rows row_index[e] and
-    columns col_index[e] of that entry's matrix: (entries, rows, columns),
-    flat[e, i, j] = (e * m + row_index[e, i]) * k + col_index[e, j]. The
-    indices must match the leading axes, lie in range and not repeat
-    within an entry (a re-indexing), so that a backward scatter into
-    them is an assignment."""
-    lead, (m, k) = shape[:-2], shape[-2:]
-    ri = np.asarray(row_index, dtype=np.intp)
-    ci = np.asarray(col_index, dtype=np.intp)
-    if ri.shape[:-1] != lead or ci.shape[:-1] != lead or ri.ndim != len(shape) - 1 \
-            or ci.ndim != len(shape) - 1:
-        raise DimensionError(f"{op}: indices {ri.shape} and {ci.shape} do not match "
-                             f"the leading axes of {shape}")
-    for idx, bound, what in ((ri, m, "row"), (ci, k, "column")):
-        if idx.size and (idx.min() < 0 or idx.max() >= bound):
-            raise ContractError(f"{op}: {what} indices out of range for {shape}")
-        if (np.diff(np.sort(idx, axis=-1), axis=-1) == 0).any():
-            raise ContractError(f"{op}: {what} indices repeat")
+def _gather_index(op: str, shape: tuple[int, ...], index) -> Array:
+    """The flat index into a C-ordered (..., m, m) buffer of `shape` that
+    gathers, per entry e of its leading axes, rows and columns index[e]
+    of that entry's matrix: (entries, r, r), flat[e, i, j] =
+    (e * m + index[e, i]) * m + index[e, j]. The index must match the
+    leading axes, lie in range and not repeat within an entry (a
+    re-indexing), so that a backward scatter into it is an assignment."""
+    lead, m = shape[:-2], shape[-1]
+    idx = np.asarray(index, dtype=np.intp)
+    if idx.shape[:-1] != lead or idx.ndim != len(shape) - 1:
+        raise DimensionError(f"{op}: index {idx.shape} does not match the leading axes "
+                             f"of {shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= m):
+        raise ContractError(f"{op}: indices out of range for {shape}")
+    if (np.diff(np.sort(idx, axis=-1), axis=-1) == 0).any():
+        raise ContractError(f"{op}: indices repeat")
     entries = math.prod(lead)
-    rows = ri.reshape(entries, -1, 1)
-    cols = ci.reshape(entries, 1, -1)
-    return (np.arange(entries)[:, None, None] * m + rows) * k + cols
+    rows = idx.reshape(entries, -1, 1)
+    return (np.arange(entries)[:, None, None] * m + rows) * m + idx.reshape(entries, 1, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -1035,7 +1032,7 @@ def _gather_index(op: str, shape: tuple[int, ...], row_index, col_index) -> Arra
 
 
 def grad_check(f, x: Tensor, step: float = 1e-5, max_coords: int | None = None,
-               rng: np.random.Generator | None = None, exclude=None) -> float:
+               rng: np.random.Generator | None = None) -> float:
     """Compare reverse-mode gradients of scalar-valued f against central
     finite differences at x.
 
@@ -1043,9 +1040,8 @@ def grad_check(f, x: Tensor, step: float = 1e-5, max_coords: int | None = None,
     relative error with a unit floor, so exactly-zero gradients are judged
     by absolute finite-difference noise instead of blowing up the ratio.
 
-    f must be deterministic and smooth at x; coordinates sitting on kinks
-    (view_consistency's l1 where the views agree) should be excluded by the caller via
-    the boolean mask `exclude` or by sampling x away from them. `max_coords`
+    f must be deterministic and smooth at x: sample x away from kinks
+    (view_consistency's l1 where the views agree). `max_coords`
     limits the check to a random coordinate subset (seeded through `rng`)
     for big tensors. A `step` that is not finite and positive, or a
     `max_coords` below 1, would check nothing and raises ContractError.
@@ -1064,11 +1060,6 @@ def grad_check(f, x: Tensor, step: float = 1e-5, max_coords: int | None = None,
     analytic = probe.grad if probe.grad is not None else np.zeros_like(base)
 
     coords = [tuple(idx) for idx in np.ndindex(base.shape)] if base.shape else [()]
-    if exclude is not None:
-        mask = np.asarray(exclude, dtype=bool)
-        if mask.shape != base.shape:
-            raise DimensionError("grad_check: exclude mask shape must match x")
-        coords = [c for c in coords if not mask[c]]
     if max_coords is not None and len(coords) > max_coords:
         gen = rng if rng is not None else np.random.default_rng(0)
         chosen = gen.choice(len(coords), size=max_coords, replace=False)

@@ -244,7 +244,7 @@ def invert_attention_fast(a_prime, transform, grid: GridShape) -> Tensor:
             raise DimensionError(f"{len(transform)} transforms for an attention stack "
                                  f"of shape {a_prime.shape}")
         idx = inverse_token_indices(transform, grid)
-    return ad.permute_rc(a_prime, idx, idx)
+    return ad.permute_rc(a_prime, idx)
 
 
 def inverse_token_indices(transforms, grid: GridShape) -> np.ndarray:

@@ -7,13 +7,15 @@ TAPE_BYTE_BUDGET (a sample is two images): on the criterion-07 model a
 batch of 8 same-grid samples is one chunk. A chunk of k samples runs on
 one fresh tape: views on the images' grid (flips, square rotations) as
 one (2k, C, H, W) forward, views on another grid (resize, rot90 of a
-non-square grid) as one forward of the k images and one of the k views;
-each loss layer inverts the k transformed attention matrices in one op,
-and the losses take the (k, n+1, n+1) stacks. One backward of k times
-the chunk's mean loss adds the sum of the k per-sample gradients into
-the parameters, as a per-sample loop would; after the batch one
-(optionally momentum / polynomial-decay / norm-clipped) SGD update
-applies their mean. Chunking changes only the order of summation.
+non-square grid) as one forward of the k images and one of the k views.
+One consistency node computes both consistency terms of every loss
+layer from the two views' attention stacks; its gather inverts each
+sample's view by the sample's own transform (a resized view is resampled
+back first). One backward of k times the chunk's mean loss adds the sum
+of the k per-sample gradients into the parameters, as a per-sample loop
+would; after the batch one (optionally momentum / polynomial-decay /
+norm-clipped) SGD update applies their mean. Chunking changes only the
+order of summation.
 Determinism: all randomness flows from two seed-derived generators, one
 for init and one for the sampling loop.
 
@@ -279,11 +281,12 @@ def format_train_config(config: TrainConfig) -> str:
 # default model (embed 64, 4 layers) fits 3 images on its 8x8 grid, so
 # evaluation stacks 3 and a same-grid pair trains alone; a pair with a
 # 6x6 resized view takes 2 per chunk. Each chunk pays a fixed cost of
-# about 1 ms (63 tape nodes forward and backward, and the loss glue), so
-# fewer chunks train faster. Measured on the criterion-07 model, CPU time
-# of one _chunk_backward: 2.42 ms for 1 pair, 6.17 ms for 4 and 11.56 ms
-# for 8 (1.45 ms per pair, against 1.54 for chunks of 4); traced peaks
-# 4.42 MB for 4 pairs and 8.8 MB for 8. In the benchmark's
+# about 1 ms (its tape nodes forward and backward, and the loss glue), so
+# fewer chunks train faster. Measured on the criterion-07 model when a
+# chunk recorded 63 nodes (44 since both consistency terms became one
+# node), CPU time of one _chunk_backward: 2.42 ms for 1 pair, 6.17 ms for
+# 4 and 11.56 ms for 8 (1.45 ms per pair, against 1.54 for chunks of 4);
+# traced peaks 4.42 MB for 4 pairs and 8.8 MB for 8. In the benchmark's
 # train_consistency, batches as one chunk of 8 trained 1.11x as fast as
 # 4+4, for +4.6% peak RSS on localize_eval (16-image stacks).
 TAPE_BYTE_BUDGET = 28 * 2**18  # 7 MiB

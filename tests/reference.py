@@ -27,14 +27,20 @@ one piece at a time:
   class, and a threshold-by-threshold sweep that counts pixels with
   per-class boolean masks.
 
-Also here: the models and sample data the oracle tests share, and
-their comparisons (``assert_close`` to TOL, ``exact_same``).
+Also here: the plain numpy expressions of the kernels that compute in
+arrays they own, and of index (``*_kernel``, one bit-equal oracle per
+op); the node counts a forward and a training chunk record, stated once;
+the models and sample data the oracle tests share, and their
+comparisons (``assert_close`` to TOL, ``exact_same``, ``bit_equal``,
+``assert_kernel``).
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erf
 
 from attnreg import autodiff as ad
 from attnreg import gridtransform as gt
@@ -133,7 +139,7 @@ def consistency_chain(a_layers, ap_layers, distance, index=None, terms=(True, Tr
         k = a_layers[0].shape[0] // 2
         a_layers, ap_layers = ([ad.index(s, half) for s in a_layers]
                                for half in (slice(0, k), slice(k, 2 * k)))
-    back = ap_layers if index is None else [ad.permute_rc(ap, index, index) for ap in ap_layers]
+    back = ap_layers if index is None else [ad.permute_rc(ap, index) for ap in ap_layers]
     out = []
     for on, key in zip(terms, BLOCKS):
         total = None
@@ -488,6 +494,105 @@ def evaluate(params, cfg, samples, map_layers=None, sweep_layers=False):
             rows.append({"start_layer": s, **entry})
         result["layer_sweep"] = rows
     return result
+
+
+# -- the kernels' plain expressions: value and input gradients for adjoint g --------
+#
+# The engine's in-place kernels (softmax_rows, layer_norm, gelu, mean over
+# an axis, permute_rc) keep each of these expressions' operation order, and
+# index is x[key] with a zeros-then-assign backward: each must equal its
+# kernel here bit for bit (assert_kernel).
+
+def softmax_rows_kernel(x, g):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=-1, keepdims=True)
+    dot = (g * y).sum(axis=-1, keepdims=True)
+    return y, [y * (g - dot)]
+
+
+def layer_norm_kernel(x, gain, bias, g, eps=1e-5):
+    d = x.shape[-1]
+    centered = x - x.sum(axis=-1, keepdims=True) / d
+    var = (centered * centered).sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    gg = g * gain
+    gx = inv * (gg - gg.sum(axis=-1, keepdims=True) / d
+                - xhat * (gg * xhat).sum(axis=-1, keepdims=True) / d)
+    return xhat * gain + bias, [gx, (g * xhat).reshape(-1, d).sum(axis=0, keepdims=True),
+                                g.reshape(-1, d).sum(axis=0, keepdims=True)]
+
+
+def gelu_kernel(x, g):
+    phi = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+    pdf = np.exp(-0.5 * x * x) * (1.0 / np.sqrt(2.0 * np.pi))
+    return x * phi, [g * (phi + x * pdf)]
+
+
+def mean_kernel(x, g, axis):
+    k = x.shape[axis]
+    return x.mean(axis=axis), [np.broadcast_to(np.expand_dims(g / k, axis), x.shape)]
+
+
+def permute_rc_kernel(x, g, index):
+    """Rows and columns index[e] of each square matrix e of x, by numpy's
+    advanced indexing, and the adjoint assigned back to them."""
+    *lead, m, _ = x.shape
+    entries = math.prod(lead)
+    entry = np.arange(entries)[:, None, None]
+    rows, cols = index.reshape(entries, -1, 1), index.reshape(entries, 1, -1)
+    out = x.reshape(entries, m, m)[entry, rows, cols].reshape(g.shape)
+    gx = np.zeros((entries, m, m))
+    gx[entry, rows, cols] = g.reshape(entries, rows.shape[1], cols.shape[2])
+    return out, [gx.reshape(x.shape)]
+
+
+def index_kernel(x, g, key):
+    gx = np.zeros(x.shape)
+    gx[key] = g
+    return np.asarray(x[key]), [gx]
+
+
+def bit_equal(x, y) -> bool:
+    """Same shape, dtype and bytes: signed zeros differ, as == would not
+    tell."""
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def assert_kernel(op, arrays, kernel):
+    """op's value and the gradient of every input, for a random adjoint,
+    equal kernel(*arrays, adjoint)'s bit for bit, shapes included (an int
+    key of a 1-d tensor keeps its value 0-d)."""
+    inputs = [Tensor(a, requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        out = op(*inputs)
+    g = np.random.default_rng(1).normal(size=out.shape)
+    tape.backward(out, seed=g)
+    value, grads = kernel(*arrays, g)
+    assert bit_equal(out.data, value)
+    for t, expected in zip(inputs, grads, strict=True):
+        assert bit_equal(t.grad, expected)
+
+
+# -- node counts, each stated here once --------------------------------------------
+
+def forward_nodes(cfg):
+    """The nodes one vit.forward of an image or a stack records: patch
+    embedding, class token, the positional rows' add, 12 per block, the
+    class row, final layer norm, head and logits. The last block's
+    class-row tail records no extra node."""
+    return 12 * cfg.num_layers + 6 + cfg.use_positional_embedding
+
+
+def chunk_nodes(cfg, scaled=True):
+    """The nodes of a training chunk whose views share the images' grid,
+    whatever its size: one forward of the stacked views, then 13 for the
+    loss (the logits' two halves, the consistency node and its two terms,
+    a classification loss per view, and the weighted sum's three muls
+    and three adds) and, `scaled`, _chunk_backward's x k."""
+    return forward_nodes(cfg) + 13 + scaled
 
 
 # -- shared models, data and comparisons ----------------------------------------------

@@ -146,8 +146,8 @@ class TestTraining:
         forwards, backwards = self.count_calls(monkeypatch, config, 8)
         assert forwards == [6, 6, 4]   # chunks of 3, 3 and 2 samples, two views each
         assert len(backwards) == 3
-        # one recorded loss per chunk, whatever its size: 43 nodes and the x k
-        assert backwards == [44, 44, 44]
+        # one recorded loss per chunk, whatever its size
+        assert backwards == [ref.chunk_nodes(config.vit)] * 3
 
     def test_one_tape_per_criterion_07_batch(self, monkeypatch):
         """At the package's own budget, a criterion-07 batch of 8 pairs
@@ -159,7 +159,7 @@ class TestTraining:
         tr._tape_bytes_per_image(config.vit, config.vit.grid)  # the measuring forward
         forwards, backwards = self.count_calls(monkeypatch, config, 16)
         assert forwards == [16, 16]
-        assert backwards == [44, 44]
+        assert backwards == [ref.chunk_nodes(config.vit)] * 2
 
     def test_chunk_size_follows_the_budget(self):
         """The criterion-07 model fits 8 samples, the default model 1."""
@@ -275,16 +275,17 @@ class TestBatchedInversion:
 
     def test_batched_gather_reindexes_each_entry(self):
         rng = np.random.default_rng(11)
-        rows = np.stack([rng.permutation(5) for _ in range(3)])
-        cols = np.stack([rng.permutation(4)[:3] for _ in range(3)])
-        x = rng.normal(size=(3, 5, 4))
-        out = ad.permute_rc(Tensor(x), rows, cols).data
+        index = np.stack([rng.permutation(5)[:4] for _ in range(3)])
+        x = rng.normal(size=(3, 5, 5))
+        out = ad.permute_rc(Tensor(x), index).data
         for j in range(3):
-            assert np.array_equal(out[j], x[j][np.ix_(rows[j], cols[j])])
+            assert np.array_equal(out[j], x[j][np.ix_(index[j], index[j])])
 
     def test_batched_gather_contracts(self):
         x = Tensor(np.ones((2, 3, 3)))
         with pytest.raises(DimensionError):  # one index for the whole stack
-            ad.permute_rc(x, [0, 1, 2], [0, 1, 2])
+            ad.permute_rc(x, [0, 1, 2])
         with pytest.raises(ContractError):  # a repeat in the second entry only
-            ad.permute_rc(x, [[0, 1, 2], [0, 2, 2]], [[0, 1, 2], [0, 1, 2]])
+            ad.permute_rc(x, [[0, 1, 2], [0, 2, 2]])
+        with pytest.raises(DimensionError):  # not square
+            ad.permute_rc(Tensor(np.ones((2, 3, 4))), [[0, 1, 2], [0, 1, 2]])

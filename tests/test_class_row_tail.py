@@ -43,10 +43,7 @@ def test_logits_and_attention_match_the_full_rows(model, stack):
     images = images_for(cfg, stack or 1, seed=2)
     with Tape() as tape:
         res = vit.forward(images if stack else images[0], params, cfg)
-    # the full-row forward's count: patch embedding, class token, the
-    # positional rows' add, 12 per block, the class row, final layer norm,
-    # head and logits; the class-row tail records no extra node
-    assert len(tape.nodes) == 12 * cfg.num_layers + 6 + cfg.use_positional_embedding
+    assert len(tape.nodes) == ref.forward_nodes(cfg)
     m = cfg.grid.n + 1
     assert res.logits.shape == ((stack,) if stack else ()) + (cfg.num_classes,)
     logits = res.logits.data.reshape(len(images), cfg.num_classes)

@@ -1,10 +1,11 @@
-"""One-pass evaluation against reference.evaluate.
-
-The reference is the earlier evaluation path: a fresh forward + backward
-per present class, a per-threshold sweep that re-seeds, re-upsamples and
-re-counts every image with per-class boolean masks, and a second
-counting pass at the best threshold for the FP/FN rates. The fast path
-must reproduce it exactly (``==``, no tolerance).
+"""Evaluation's pieces against reference.py, exactly (``==``, no
+tolerance): the class-token adjoint rows and attention blocks of one
+stacked forward against a fresh forward + backward per image and present
+class (reference.localization_data), and metrics.best_threshold_miou
+against reference.sweep, which re-seeds, re-upsamples and re-counts every
+image at each threshold with per-class boolean masks, then counts once
+more at the best one for the FP/FN rates. The whole summary of
+trainer.evaluate against reference.evaluate is test_stacked_eval's.
 """
 
 import numpy as np
@@ -15,7 +16,6 @@ from attnreg import localization as lc
 from attnreg import metrics as mt
 from attnreg import synthdata as sd
 from attnreg import trainer as tr
-from attnreg import vit
 from attnreg.errors import ContractError, DimensionError
 from attnreg.gridtransform import GridShape
 
@@ -89,49 +89,6 @@ class TestLocalizationData:
         sample.mask[0, 0] = cfg.num_classes + 1 if bad == "above" else -1
         with pytest.raises(ContractError, match="gt labels outside"):
             tr.evaluate(params, cfg, data)
-
-    def test_one_forward_per_stack(self, monkeypatch):
-        params, cfg, data = ref.trained(0)
-        # the first stack-size query runs a measuring forward: run it
-        # before vit.forward is counted
-        size = tr.TAPE_BYTE_BUDGET // tr._tape_bytes_per_image(cfg, cfg.grid)
-        calls = []
-        real = vit.forward
-        monkeypatch.setattr(vit, "forward", lambda *a: calls.append(1) or real(*a))
-        tr.evaluate(params, cfg, data)
-        # at this size every group (image shape, mask shape, class count)
-        # fits one stack, and images without a present class take no forward
-        groups = {}
-        for s in data:
-            key = (s.image.shape, s.mask.shape, int(np.count_nonzero(s.labels)))
-            groups[key] = groups.get(key, 0) + 1
-        assert max(groups.values()) <= size
-        assert len(calls) == sum(1 for key in groups if key[2] > 0)
-        assert len(calls) < len(data)
-
-
-class TestEvaluateMatchesReference:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_whole_summary(self, seed):
-        params, cfg, data = ref.trained(seed)
-        fast = tr.evaluate(params, cfg, data, sweep_layers=True)
-        ref.exact_same(fast, ref.evaluate(params, cfg, data, sweep_layers=True))
-
-    def test_custom_layers(self):
-        params, cfg, data = ref.trained(1)
-        fast = tr.evaluate(params, cfg, data, map_layers=(0, 3), sweep_layers=True)
-        ref.exact_same(fast, ref.evaluate(params, cfg, data, map_layers=(0, 3),
-                                            sweep_layers=True))
-
-    def test_background_only_image_is_all_background(self):
-        params, cfg, data = ref.trained(2)
-        data[3].labels = np.zeros_like(data[3].labels)
-        fast = tr.evaluate(params, cfg, data, sweep_layers=True)
-        ref.exact_same(fast, ref.evaluate(params, cfg, data, sweep_layers=True))
-        alone = tr.evaluate(params, cfg, [data[3]])
-        truth = data[3].mask
-        assert alone["refined"]["fn_rate"] == float(np.mean(truth != 0))
-        assert alone["refined"]["fp_rate"] == 0.0
 
 
 def random_maps(rng, grid, classes, levels=None):

@@ -182,7 +182,7 @@ class TestNodeMix:
     def test_stacked_training_sample(self):
         cfg = C07.vit
         ops = self.chunk_loss_ops(C07)
-        assert len(ops) == 43
+        assert len(ops) == ref.chunk_nodes(cfg, scaled=False)
         for gone in ("matmul", "add_bias", "split_heads", "merge_heads", "transpose",
                      "permute_rc", "mean_distance"):
             assert gone not in ops
@@ -193,7 +193,7 @@ class TestNodeMix:
     @pytest.mark.parametrize("distance", ad.DISTANCES)
     def test_every_distance_is_one_node_per_block(self, distance):
         ops = self.chunk_loss_ops(replace(C07, weights=replace(C07.weights, distance=distance)))
-        assert len(ops) == 43
+        assert len(ops) == ref.chunk_nodes(C07.vit, scaled=False)
         # the activation and affinity blocks of every loss layer: one node
         assert ops.count("view_consistency") == 1
 
@@ -203,4 +203,4 @@ class TestNodeMix:
                   vit.init_params(cfg, np.random.default_rng(0)).items()}
         with Tape() as tape:
             vit.forward(np.random.default_rng(2).random((3, 32, 32)), params, cfg)
-        assert len(tape.nodes) == 30
+        assert len(tape.nodes) == ref.forward_nodes(cfg)

@@ -91,6 +91,14 @@ class TestMixedStacks:
         _, expected = stacks_expected(data, 3)
         assert len(calls) == expected < len(data)
         assert max(calls) == 3
+        # an image without a present class takes none, and alone it is
+        # all background: every foreground pixel missed, none invented
+        calls.clear()
+        background = next(s for s in data if not np.count_nonzero(s.labels))
+        alone = tr.evaluate(params, cfg, [background])
+        assert not calls
+        assert alone["refined"]["fn_rate"] == float(np.mean(background.mask != 0)) > 0.0
+        assert alone["refined"]["fp_rate"] == 0.0
 
     def test_image_order_does_not_matter(self, monkeypatch):
         params, cfg, data = mixed(1)

@@ -7,7 +7,6 @@ terms and every parameter gradient must agree with reference.forward
 built from two such forwards, to 1e-12.
 """
 
-import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +14,6 @@ import pytest
 
 import reference as ref
 from attnreg import autodiff as ad
-from attnreg import gridtransform as gt
 from attnreg import trainer as tr
 from attnreg import vit
 from attnreg.autodiff import Tape, Tensor
@@ -176,69 +174,10 @@ class TestGradCheckThroughTwoViewLoss:
             assert err < 1e-6, f"{transform} {name}: {err:.3e}"
 
 
-def _batched_cases():
-    """(name, input shape, builder) for the ops that take leading axes."""
-    rng = np.random.default_rng(30)
-    w = rng.normal(size=(4, 3))
-    other3 = rng.normal(size=(2, 3, 3))
-    other4 = rng.normal(size=(2, 3, 4))
-    table = rng.normal(size=(3, 4))
-    row = rng.normal(size=(1, 4))
-    cls = rng.normal(size=(1, 4))
-    batched = rng.normal(size=(2, 4, 5))
-    resized = rng.normal(size=(2, 7, 7))
-    return [
-        ("matmul_batched_left", (2, 3, 4), lambda x: ad.mean(ad.matmul(x, Tensor(w)))),
-        ("matmul_shared_weight", (4, 3),
-         lambda x: ad.mean(ad.mul(ad.matmul(Tensor(other4), x), Tensor(other3)))),
-        ("matmul_batched_both", (2, 3, 4),
-         lambda x: ad.mean(ad.mul(ad.matmul(x, Tensor(batched)), ad.matmul(x, Tensor(batched))))),
-        ("matmul_batched_right", (2, 4, 5),
-         lambda x: ad.mean(ad.mul(ad.matmul(Tensor(other4), x), ad.matmul(Tensor(other4), x)))),
-        ("layer_norm_batched_x", (2, 3, 4),
-         lambda x: ad.mean(ad.mul(ad.layer_norm(x, Tensor(row), Tensor(cls)), Tensor(other4)))),
-        ("layer_norm_shared_gain", (1, 4),
-         lambda x: ad.mean(ad.mul(ad.layer_norm(Tensor(other4), x, Tensor(cls)), Tensor(other4)))),
-        ("layer_norm_shared_bias", (1, 4),
-         lambda x: ad.mean(ad.mul(ad.layer_norm(Tensor(other4), Tensor(row), x), Tensor(other4)))),
-        ("softmax_rows_batched", (2, 3, 4),
-         lambda x: ad.mean(ad.mul(ad.softmax_rows(x), Tensor(other4)))),
-        ("add_shared_table", (3, 4),
-         lambda x: ad.mean(ad.mul(ad.add(Tensor(other4), x), Tensor(other4)))),
-        ("mul_shared_table", (3, 4),
-         lambda x: ad.mean(ad.mul(ad.mul(x, Tensor(other4)), Tensor(other4)))),
-        ("concat_broadcast_row", (1, 4),
-         lambda x: ad.mean(ad.mul(ad.concat([x, Tensor(other4)], axis=0),
-                                  ad.concat([x, Tensor(other4)], axis=0)))),
-        ("concat_batched", (2, 3, 4),
-         lambda x: ad.mean(ad.mul(ad.concat([Tensor(np.ones((1, 4))), x], axis=0),
-                                  ad.concat([Tensor(cls), ad.mul(x, x)], axis=0)))),
-        ("slice2d_batched", (2, 3, 4),
-         lambda x: ad.mean(ad.mul(ad.index(x, np.s_[..., 0:1, 1:]), ad.index(x, np.s_[..., 2:3, 0:3])))),
-        ("pick_view", (2, 3, 4),
-         lambda x: ad.mean(ad.mul(ad.index(x, 1), Tensor(table)))),
-        ("mean_head_axis", (2, 3, 3, 4),
-         lambda x: ad.mean(ad.mul(ad.mean(x, axis=-3), Tensor(other4)))),
-        ("permute_rc_per_entry", (2, 3, 4),
-         lambda x: ad.mean(ad.mul(ad.permute_rc(x, [[2, 0, 1], [1, 2, 0]], [[3, 1], [0, 2]]),
-                                  Tensor(other4[:, :, :2])))),
-        ("resample_batched", (2, 3, 3),
-         lambda x: ad.mean(ad.mul(ad.resample(ad.add(ad.mul(x, x), 0.5), np.abs(other4[0].T)),
-                                  Tensor(batched[..., :4])))),
-        ("resize_attention_batched", (2, 5, 5),
-         lambda x: ad.mean(ad.mul(gt.resize_attention(ad.add(ad.mul(x, x), 0.1),
-                                                      GridShape(2, 2), GridShape(3, 2)),
-                                  Tensor(resized)))),
-    ]
-
-
 class TestBatchedOpGradients:
-    @pytest.mark.parametrize("name,shape,builder", _batched_cases(),
-                             ids=[n for n, _, _ in _batched_cases()])
-    def test_op_gradient(self, name, shape, builder):
-        x = np.random.default_rng(zlib.crc32(name.encode())).normal(size=shape)
-        err = ad.grad_check(builder, Tensor(x), step=1e-5)
-        assert err < 1e-6, f"{name}: finite-difference mismatch {err:.3e}"
+    """The head split and the shape contracts of the ops that take
+    leading axes; their finite-difference cases are in test_autodiff's
+    catalog (_fd_catalog)."""
 
     def test_split_then_merge_is_identity(self):
         x = np.random.default_rng(0).normal(size=(2, 5, 6))

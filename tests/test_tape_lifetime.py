@@ -59,7 +59,7 @@ def test_dropped_intermediates_die_with_the_forward():
 
     with mock.patch.object(ad, "_apply", apply), Tape() as tape:
         loss = ad.mul(tr._chunk_loss(chunk, params, CONFIG).total, float(len(chunk)))
-    assert len(tape.nodes) == len(outputs) == 44
+    assert len(tape.nodes) == len(outputs) == ref.chunk_nodes(CONFIG.vit)
     alive = {op for op, out, nbytes in outputs if out() is not None and nbytes > 1024}
     assert alive == {"softmax_rows", "layer_norm", "gelu", "attend"}
     for op in ("attention_scores", "mean", "view_consistency", "concat"):

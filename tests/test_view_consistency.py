@@ -8,7 +8,9 @@ Values, each layer's distances and every input adjoint must be equal
 bit for bit, signed zeros included, for each distance, every
 permutation transform, mixed per-entry transforms and resized feeds,
 stacks of 1, 3 and 8 samples, one loss layer and three, and both input
-layouts: one (2k, m, m) stack per layer or two (k, m, m) stacks.
+layouts: one (2k, m, m) stack per layer or two (k, m, m) stacks; and on
+signed (m, m) matrices and stacks whose differences reach past smooth-l1's
+|d| <= 1.
 """
 
 import numpy as np
@@ -58,11 +60,6 @@ def make_case(feed, k, layers, seed):
 
 def invert(ap, transforms):
     return gt.invert_attention(ap, transforms, GRID)
-
-
-def bit_equal(x, y) -> bool:
-    x, y = np.asarray(x), np.asarray(y)
-    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 def leaves(plain, augmented, stacked, requires_grad=True):
@@ -134,10 +131,37 @@ def test_values_and_adjoints_equal_the_chain(distance, feed, stacked, k, layers)
     seeds = (-0.7, 1.3)  # a negative seed makes -0 adjoints at the l1 kinks
     value, per_layer, grads = fused(plain, augmented, transforms, distance, stacked, seeds)
     ref_value, ref_grads = chain(plain, augmented, transforms, distance, stacked, seeds)
-    assert bit_equal(value, ref_value)
-    assert bit_equal(per_layer, chain_layers(plain, augmented, transforms, distance))
+    assert ref.bit_equal(value, ref_value)
+    assert ref.bit_equal(per_layer, chain_layers(plain, augmented, transforms, distance))
     for g, rg in zip(grads, ref_grads, strict=True):
-        assert bit_equal(g, rg)
+        assert ref.bit_equal(g, rg)
+
+
+@pytest.mark.parametrize("scale", [0.3, 3.0], ids=["small", "large"])
+@pytest.mark.parametrize("gathered", [False, True], ids=["as_is", "gathered"])
+@pytest.mark.parametrize("lead", [(), (4,)], ids=["2d", "stacked"])
+@pytest.mark.parametrize("distance", ad.DISTANCES)
+def test_signed_matrices_equal_the_chain(distance, lead, gathered, scale):
+    """Matrices that are not attention: (m, m) ones with no leading axis
+    as well as stacks, entries of either sign and, at scale 3, most
+    differences beyond 1, on smooth-l1's outer branch."""
+    rng = np.random.default_rng(12)
+    arrays = [rng.normal(size=lead + (M, M)) * scale for _ in range(2)]
+    index = (np.broadcast_to(gt.inverse_token_indices([gt.FLIP_H], GRID)[0], lead + (M,))
+             if gathered else None)
+    seeds = (-0.7, 1.3)
+    inputs = [Tensor(x, requires_grad=True) for x in arrays]
+    with Tape() as tape:
+        result = ad.view_consistency(inputs[:1], inputs[1:], distance, index)
+    tape.backward(result.loss, seed=np.asarray(seeds))
+    ref_inputs = [Tensor(x, requires_grad=True) for x in arrays]
+    with Tape() as tape:
+        terms = ref.consistency_chain(ref_inputs[:1], ref_inputs[1:], distance, index)
+        total = ad.add(*(ad.mul(t, s) for t, s in zip(terms, seeds)))
+    tape.backward(total)
+    assert ref.bit_equal(result.loss.data, np.array([t.data for t in terms]))
+    for t, rt in zip(inputs, ref_inputs, strict=True):
+        assert ref.bit_equal(t.grad, rt.grad)
 
 
 @pytest.mark.parametrize("seeds", [(-0.7, 0.0), (0.0, -1.3), (2.0, 0.0), (0.0, 0.0)],
@@ -156,7 +180,7 @@ def test_a_term_weighted_zero_is_left_out(feed, stacked, seeds):
         return
     _, ref_grads = chain(plain, augmented, transforms, "l1", stacked, seeds)
     for g, rg in zip(grads, ref_grads, strict=True):
-        assert bit_equal(g, rg)
+        assert ref.bit_equal(g, rg)
 
 
 def test_a_term_weighted_zero_does_no_backward_work(monkeypatch):
@@ -194,7 +218,7 @@ def test_works_without_a_tape():
     index = gt.inverse_token_indices(transforms, GRID)
     result = ad.view_consistency([Tensor(plain[0])], [Tensor(augmented[0])], "l1", index)
     assert result.loss.shape == (2,) and not result.loss.requires_grad
-    assert bit_equal(result.loss.data, result.layers[:, 0])
+    assert ref.bit_equal(result.loss.data, result.layers[:, 0])
 
 
 class TestRefusals:
@@ -207,17 +231,17 @@ class TestRefusals:
                 gt.inverse_token_indices(transforms, GRID))
 
     @pytest.mark.parametrize("bad,error", [
-        (lambda idx: np.concatenate([idx[:, :1], idx[:, :-1]], axis=1), "row indices repeat"),
-        (lambda idx: idx + 1, "row indices out of range"),
-        (lambda idx: idx - 1, "row indices out of range"),
-        (lambda idx: idx[:1], "do not match the leading axes"),
+        (lambda idx: np.concatenate([idx[:, :1], idx[:, :-1]], axis=1), "indices repeat"),
+        (lambda idx: idx + 1, "indices out of range"),
+        (lambda idx: idx - 1, "indices out of range"),
+        (lambda idx: idx[:1], "does not match the leading axes"),
     ], ids=["repeat", "too_high", "negative", "wrong_entries"])
     def test_bad_index_is_refused_as_permute_rc_refuses_it(self, bad, error):
         a, b, idx = self.args()
         with pytest.raises((ContractError, DimensionError)) as got:
             ad.view_consistency(a, b, "l1", bad(idx))
         with pytest.raises(got.type) as expected:
-            ad.permute_rc(b[0], bad(idx), bad(idx))
+            ad.permute_rc(b[0], bad(idx))
         assert str(got.value) == str(expected.value).replace("permute_rc", "view_consistency")
         assert error in str(got.value)
 
