@@ -209,8 +209,11 @@ class TokenPermutation:
         return self.source == self.target and np.array_equal(self.sigma, np.arange(self.sigma.size))
 
 
+@functools.lru_cache(maxsize=256)
 def token_permutation(transform: SpatialTransform, grid: GridShape) -> TokenPermutation:
-    """Patch-level permutation realizing `transform` on `grid`."""
+    """Patch-level permutation realizing `transform` on `grid`. Built, with
+    its validation, once per (transform, grid): every caller shares the
+    instance, and its sigma is read-only."""
     if transform.kind is TransformKind.RESIZE:
         raise ContractError("resize is not a token permutation; use resize_attention")
     h, w = grid.h, grid.w
@@ -220,38 +223,36 @@ def token_permutation(transform: SpatialTransform, grid: GridShape) -> TokenPerm
     ti, tj = coord(ii, jj, h, w)
     sigma = np.empty(grid.n, dtype=np.intp)
     sigma[(ti * target.w + tj).ravel()] = (ii * w + jj).ravel()
+    sigma.flags.writeable = False
     return TokenPermutation(sigma, grid, target)
 
 
-def invert_attention_fast(a_prime, transform, grid: GridShape) -> Tensor:
+def invert_attention_fast(a_prime, transform: SpatialTransform, grid: GridShape) -> Tensor:
     """Map an augmented view's attention matrix back into the source view's
     token order by pure re-indexing (differentiable; class row/column are
     re-indexed along their patch axis only, the (0,0) entry is untouched).
 
     `a_prime` is the (n+1) x (n+1) attention of the transformed view, or a
-    (..., n+1, n+1) stack of them, and `grid` the source grid. `transform`
-    is one transform for every matrix, or a sequence with one per entry
-    of a (k, n+1, n+1) stack; either way the inversion is one gather."""
+    (..., n+1, n+1) stack of views that `transform` made alike, and `grid`
+    the source grid; the inversion is one gather. To invert each entry of
+    a stack by a transform of its own, gather by inverse_token_indices."""
+    if not isinstance(transform, SpatialTransform):
+        raise ContractError(f"invert one SpatialTransform per call, got a "
+                            f"{type(transform).__name__}")
     a_prime = a_prime if isinstance(a_prime, Tensor) else Tensor(a_prime)
     n = grid.n
     if a_prime.ndim < 2 or a_prime.shape[-2:] != (n + 1, n + 1):
         raise DimensionError(f"attention must be {(n + 1, n + 1)} for grid {grid}, "
                              f"got {a_prime.shape}")
-    if isinstance(transform, SpatialTransform):
-        idx = np.broadcast_to(_inverse_token_index(transform, grid), a_prime.shape[:-1])
-    else:
-        if a_prime.shape[:-2] != (len(transform),):
-            raise DimensionError(f"{len(transform)} transforms for an attention stack "
-                                 f"of shape {a_prime.shape}")
-        idx = inverse_token_indices(transform, grid)
+    idx = np.broadcast_to(_inverse_token_index(transform, grid), a_prime.shape[:-1])
     return ad.permute_rc(a_prime, idx)
 
 
 def inverse_token_indices(transforms, grid: GridShape) -> np.ndarray:
     """(k, n+1): row e the row and column gather index that inverts
     transforms[e] on `grid` (see _inverse_token_index), as
-    invert_attention_fast gathers a stack with one transform per entry
-    and autodiff.view_consistency its augmented view."""
+    autodiff.view_consistency gathers a stack of augmented views, each
+    by its own sample's transform."""
     return np.stack([_inverse_token_index(t, grid) for t in transforms])
 
 
@@ -261,8 +262,6 @@ def _inverse_token_index(transform: SpatialTransform, grid: GridShape) -> np.nda
     token stays at 0 and source token s reads target token inv[s] + 1.
     Built, with the permutation's validation, once per (transform, grid);
     the cached array is read-only."""
-    if transform.kind is TransformKind.RESIZE:
-        raise ContractError("resize inversions go through resize_attention")
     inv = token_permutation(transform, grid).inverse().sigma  # inv[source_token] = target_token
     idx = np.concatenate(([0], inv + 1))
     idx.flags.writeable = False
@@ -423,21 +422,11 @@ def resize_attention(a_prime, source: GridShape, target: GridShape) -> Tensor:
     return ad.resample(a_prime, bordered_interp_matrix(source, target))
 
 
-def invert_attention(a_prime, transform, grid: GridShape) -> Tensor:
-    """Undo a transform's action on an attention matrix, or on a stack of
-    them: permutation kinds re-index, resize interpolates back to `grid`.
-    `transform` may be a sequence with one transform per stack entry (see
-    invert_attention_fast). The entries of a stack share one grid, so a
-    resize in the sequence must be every entry's transform."""
-    if not isinstance(transform, SpatialTransform):
-        transform = tuple(transform)
-        if a_prime.shape[:-2] != (len(transform),):
-            raise DimensionError(f"{len(transform)} transforms for an attention stack "
-                                 f"of shape {a_prime.shape}")
-        if len(set(transform)) == 1:
-            transform = transform[0]
-        elif any(t.kind is TransformKind.RESIZE for t in transform):
-            raise ContractError("a resize must be the transform of every stack entry")
+def invert_attention(a_prime, transform: SpatialTransform, grid: GridShape) -> Tensor:
+    """Undo `transform`'s action on an attention matrix, or on a stack of
+    views that `transform` made alike: a permutation re-indexes
+    (invert_attention_fast), a resize interpolates back to `grid`
+    (resize_attention)."""
     if isinstance(transform, SpatialTransform) and transform.kind is TransformKind.RESIZE:
         return resize_attention(a_prime, transform.resize_target, grid)
     return invert_attention_fast(a_prime, transform, grid)

@@ -12,18 +12,19 @@ autodiff.view_consistency, computes both terms of every layer, so
 gradients reach both branches' parameters, including through the
 inversion's re-indexing:
 
-* training calls it through `consistency_terms`, whose permutations
-  are inverted by the node's own gather, and whose resize is one
-  resample node per layer before it;
+* training calls it through `consistency_terms`, the one place that
+  turns a chunk's transforms into an inversion: permutations, one per
+  sample, are inverted by the node's own gather; a resize, which must be
+  every sample's, by one resample node per layer before it;
 * the public two-step form -- `invert_layers`, then
   `region_activation_loss` or `region_affinity_loss` -- is the same
-  node on the inverted layers, with no gather, plus one index of its
-  result.
+  node on layers inverted by one transform, with no gather, plus one
+  index of its result.
 
 Every loss also takes a stack of k samples: (k, n+1, n+1) attention per
-layer and (k, classes) logits and targets, with a transform per sample.
-A stack's loss is the mean of the k per-sample losses (every sample has
-the same block size and class count), so k times it is their sum.
+layer and (k, classes) logits and targets. A stack's loss is the mean of
+the k per-sample losses (every sample has the same block size and class
+count), so k times it is their sum.
 """
 
 from __future__ import annotations
@@ -88,12 +89,11 @@ class InvertedLayers:
     layers: tuple[Tensor, ...]
 
 
-def invert_layers(a_prime_layers: Sequence[Tensor],
-                  transform: SpatialTransform | Sequence[SpatialTransform],
+def invert_layers(a_prime_layers: Sequence[Tensor], transform: SpatialTransform,
                   grid: GridShape) -> InvertedLayers:
-    """Invert every layer's A' once: a matrix, or a (k, n'+1, n'+1) stack
-    with one transform per sample, back onto `grid`. One op per layer for
-    a permutation stack."""
+    """Invert every layer's A' once, back onto `grid`: a matrix, or a
+    (k, n'+1, n'+1) stack of views that `transform` made alike. One op
+    per layer."""
     return InvertedLayers(tuple(invert_attention(ap, transform, grid) for ap in a_prime_layers))
 
 
@@ -105,14 +105,16 @@ def consistency_terms(a_layers: Sequence[Tensor], ap_layers: Sequence[Tensor] | 
     plain views' (k, n+1, n+1) stack and `ap_layers` the augmented
     views'; with `ap_layers` None, `a_layers` holds (2k, n+1, n+1)
     stacks of both views, plain first. `transforms` holds each sample's
-    transform: the node's gather inverts permutations, and a resize,
-    which must be every sample's and on a stack of its own, is inverted
-    first by one invert_attention (a resample node) per layer."""
+    transform: the node's gather inverts permutations, one per sample. A
+    resize has a grid of its own, even when it is `grid`: it must be
+    every sample's transform, its stacks are passed apart, and one
+    invert_attention (a resample node) per layer inverts it first."""
     transforms = tuple(transforms)
     if any(t.kind is TransformKind.RESIZE for t in transforms):
-        if ap_layers is None:
-            raise ContractError("a resized view has a grid of its own: pass its stacks apart")
-        back = [invert_attention(ap, transforms, grid) for ap in ap_layers]
+        if ap_layers is None or len(set(transforms)) > 1:
+            raise ContractError("a resize must be every sample's transform, its views' "
+                                "stacks passed apart")
+        back = [invert_attention(ap, transforms[0], grid) for ap in ap_layers]
         return ad.view_consistency(a_layers, back, distance)
     return ad.view_consistency(a_layers, ap_layers, distance,
                                inverse_token_indices(transforms, grid))

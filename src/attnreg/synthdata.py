@@ -178,16 +178,6 @@ def generate(config: DatasetConfig) -> list[SyntheticSample]:
 
 # -- the two-view augmentation pipeline ---------------------------------------
 
-@functools.lru_cache(maxsize=256)
-def _gather_index(transform: SpatialTransform, grid: GridShape) -> np.ndarray:
-    """Pixel gather of a flip or rotation: the token permutation of the
-    pixel grid, each pixel a token. Built once per (transform, grid); the
-    cached array is read-only."""
-    sigma = token_permutation(transform, grid).sigma
-    sigma.flags.writeable = False
-    return sigma
-
-
 def augment(image: np.ndarray, transform: SpatialTransform,
             cell_pixels: int = 1) -> np.ndarray:
     """Apply a spatial transform to a (C, H, W) image. Flips/rotations are
@@ -205,7 +195,8 @@ def augment(image: np.ndarray, transform: SpatialTransform,
                 @ bilinear_matrix(w, target.w * cell_pixels).T)
     grid = GridShape(h, w)
     out = transform.target_grid(grid)
-    gathered = np.take(image.reshape(c, grid.n), _gather_index(transform, grid), axis=1)
+    gathered = np.take(image.reshape(c, grid.n), token_permutation(transform, grid).sigma,
+                       axis=1)
     return gathered.reshape(c, out.h, out.w)
 
 

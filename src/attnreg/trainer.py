@@ -5,15 +5,17 @@ order, and runs them in chunks: the samples are grouped by the grid of
 their augmented view and each group is cut into chunks bounded by
 TAPE_BYTE_BUDGET (a sample is two images): on the criterion-07 model a
 batch of 8 same-grid samples is one chunk. A chunk of k samples runs on
-one fresh tape: views on the images' grid (flips, square rotations) as
-one (2k, C, H, W) forward, views on another grid (resize, rot90 of a
-non-square grid) as one forward of the k images and one of the k views.
-One consistency node computes both consistency terms of every loss
-layer from the two views' attention stacks; its gather inverts each
-sample's view by the sample's own transform (a resized view is resampled
-back first). One backward of k times the chunk's mean loss adds the sum
-of the k per-sample gradients into the parameters, as a per-sample loop
-would; after the batch one (optionally momentum / polynomial-decay /
+one fresh tape. A view that is no resize and keeps its image's shape
+(flips, square rotations) runs in its image's forward: one (2k, C, H, W)
+forward. Other views (every resize, also onto the image's own grid, and
+rot90 of a non-square grid) run as one forward of the k images and one
+of the k views. One consistency node computes both consistency terms of
+every loss layer from the two views' attention stacks;
+reg.consistency_terms inverts each sample's view by its own transform
+in the node's gather, or resamples a resized view back first. One
+backward of k times the chunk's mean loss adds the sum of the k
+per-sample gradients into the parameters, as a per-sample loop would;
+after the batch one (optionally momentum / polynomial-decay /
 norm-clipped) SGD update applies their mean. Chunking changes only the
 order of summation.
 Determinism: all randomness flows from two seed-derived generators, one
@@ -346,11 +348,20 @@ def _two_views(step: int, sample: sd.SyntheticSample, transform: SpatialTransfor
                     sd.augment(sample.image, transform, cell_pixels=cfg.patch_size))
 
 
+def _in_image_forward(p: _TwoViews) -> bool:
+    """Whether p's view runs in one forward with its image: iff its
+    transform is no resize and the view has the image's shape. A resize
+    onto the image's own grid runs apart too, as every resize does."""
+    return p.transform.kind is not TransformKind.RESIZE and p.view.shape == p.sample.image.shape
+
+
 def _chunks(pairs: list[_TwoViews], cfg: ViTConfig):
     """Yield the batch's pairs grouped by (image shape, mask shape, view
     shape, resize or not), in order of first appearance, and each group
     cut into chunks bounded by TAPE_BYTE_BUDGET: a pair records the
-    forward of its image and of its view."""
+    forward of its image and of its view. The key fixes
+    _in_image_forward; the resize flag also parts rot90 of a non-square
+    grid from a resize onto the rotated grid, which invert differently."""
     def key(p: _TwoViews) -> tuple:
         return (p.sample.image.shape, p.sample.mask.shape, p.view.shape,
                 p.transform.kind is TransformKind.RESIZE)
@@ -368,16 +379,16 @@ def _chunk_loss(chunk: list[_TwoViews], params: dict[str, Tensor], config: Train
     (see _chunks), as the mean over its samples: k times it is the sum of
     the k per-sample losses, and its gradient the sum of theirs.
 
-    Views on the images' grid run as one (2k, C, H, W) forward, plain
-    images first; views on another grid as one forward of the k images
-    and one of the k views. One node (reg.consistency_terms) computes
-    both consistency terms of every loss layer from the (2k, n+1, n+1)
-    stacks, or the two (k, n+1, n+1) stacks, inverting each sample's view
-    by its own transform. It runs in every cell, for the residuals in the
-    breakdown; a term weighted 0 does not enter the total. With
-    `snapshot`, the (k, ...) stacks of the images ("view_a"), of the
-    views ("view_b") and, once the forward ran, of every layer's
-    attention in either view are put in it."""
+    Views that run in their images' forward (_in_image_forward) run as
+    one (2k, C, H, W) forward, plain images first; other views as one
+    forward of the k images and one of the k views. One node
+    (reg.consistency_terms) computes both consistency terms of every loss
+    layer from the (2k, n+1, n+1) stacks, or the two (k, n+1, n+1)
+    stacks, inverting each sample's view by its own transform. It runs in
+    every cell, for the residuals in the breakdown; a term weighted 0
+    does not enter the total. With `snapshot`, the (k, ...) stacks of the
+    images ("view_a"), of the views ("view_b") and, once the forward ran,
+    of every layer's attention in either view are put in it."""
     cfg = config.vit
     k = len(chunk)
     images = np.stack([p.sample.image for p in chunk])
@@ -387,7 +398,7 @@ def _chunk_loss(chunk: list[_TwoViews], params: dict[str, Tensor], config: Train
     lo, hi = _loss_layer_slice(config)
     weights = config.weights
     # per view: logits and every layer's attention values
-    if views.shape == images.shape:
+    if _in_image_forward(chunk[0]):
         res = vit.forward(np.concatenate([images, views]), params, cfg)
         a, ap = [r.matrix for r in res.attentions[lo:hi]], None  # both views per stack
         sides = [(ad.index(res.logits, half), [r.matrix.data[half] for r in res.attentions])

@@ -37,6 +37,7 @@ CASES = {
     "same_grid_with_pos": (NON_SQUARE, "flipv,fliph,rot180"),
     "resize": (NON_SQUARE, "resize:2x2"),
     "resize_up": (NON_SQUARE, "resize:4x5"),
+    "resize_same_grid": (NON_SQUARE, "resize:3x4"),
     "loss_layers": (replace(NON_SQUARE, loss_layers=(1, 3)), "rot90,rot270"),
     "loss_layer_1": (replace(CONSISTENCY, loss_layers=(1, 2)), "rot90,fliph"),
     "l2": (replace(NON_SQUARE, weights=LossWeights(alpha=1.0, beta=3.0, distance="l2")),
@@ -241,37 +242,44 @@ class TestBatchedInversion:
         rng = np.random.default_rng(7)
         chosen = ref.transforms("fliph,rot90,identity,rot270")
         a = rng.random((len(chosen), grid.n + 1, grid.n + 1))
-        stacked = gt.invert_attention(a, chosen, grid).data
+        stacked = ad.permute_rc(Tensor(a), gt.inverse_token_indices(chosen, grid)).data
         for j, t in enumerate(chosen):
             assert np.array_equal(stacked[j], gt.invert_attention(a[j], t, grid).data)
             oracle = gt.invert_attention_kronecker(a[j, 1:, 1:], t, grid)
             np.testing.assert_allclose(stacked[j, 1:, 1:], oracle, rtol=0, atol=1e-12)
 
     def test_one_gather_per_stack(self):
+        """A stack inverts in one gather: by one transform for every entry,
+        or by an index row per entry."""
         grid = GridShape(2, 3)
         a = Tensor(np.random.default_rng(8).random((3, 7, 7)), requires_grad=True)
         with Tape() as tape:
-            gt.invert_attention(a, ref.transforms("fliph,flipv,rot180"), grid)
-        assert [n.op for n in tape.nodes] == ["permute_rc"]
+            gt.invert_attention(a, gt.ROT180, grid)
+            ad.permute_rc(a, gt.inverse_token_indices(ref.transforms("fliph,flipv,rot180"), grid))
+        assert [n.op for n in tape.nodes] == ["permute_rc"] * 2
 
     def test_resize_stack_matches_each_entry(self):
         src, dst = GridShape(2, 3), GridShape(3, 3)
         a = np.random.default_rng(9).random((3, src.n + 1, src.n + 1)) + 0.05
         resize = SpatialTransform.parse("resize:2x3")
-        stacked = gt.invert_attention(a, [resize] * 3, dst).data
+        stacked = gt.invert_attention(a, resize, dst).data
         for j in range(3):
             np.testing.assert_allclose(stacked[j], gt.resize_attention(a[j], src, dst).data,
                                        rtol=0, atol=1e-15)
 
     def test_stack_contracts(self):
+        """An inversion takes one transform; consistency_terms refuses a
+        resize mixed with another transform, or in one stacked layout."""
         grid = GridShape(2, 2)
-        a = np.random.default_rng(10).random((2, 5, 5))
-        with pytest.raises(DimensionError):
-            gt.invert_attention(a, ref.transforms("fliph,flipv,rot90"), grid)
-        with pytest.raises(ContractError):
-            gt.invert_attention(a, ref.transforms("fliph,resize:2x2"), grid)
-        with pytest.raises(ContractError):
-            gt.invert_attention_fast(a, ref.transforms("fliph,resize:2x2"), grid)
+        a = Tensor(np.random.default_rng(10).random((2, 5, 5)))
+        for invert in (gt.invert_attention, gt.invert_attention_fast):
+            with pytest.raises(ContractError, match="one SpatialTransform"):
+                invert(a, ref.transforms("fliph,flipv"), grid)
+        for text in ("fliph,resize:2x2", "resize:2x2,fliph"):
+            with pytest.raises(ContractError, match="every sample's transform"):
+                reg.consistency_terms([a], [a], ref.transforms(text), grid, "l1")
+        with pytest.raises(ContractError, match="every sample's transform"):
+            reg.consistency_terms([a], None, ref.transforms("resize:2x2"), grid, "l1")
 
     def test_batched_gather_reindexes_each_entry(self):
         rng = np.random.default_rng(11)

@@ -151,14 +151,16 @@ class TestAugment:
         out = sd.augment(img, SpatialTransform.parse("resize:3x2"), cell_pixels=4)
         assert np.array_equal(out, img)
 
-    def test_gather_index_cached_read_only(self, sample):
-        sd._gather_index.cache_clear()
-        index = sd._gather_index(ROT90, GridShape(24, 32))
+    def test_token_permutation_cached_read_only(self, sample):
+        """A flip or rotation gathers pixels by the one cached permutation
+        of the pixel grid, whose sigma no caller can write."""
+        gt.token_permutation.cache_clear()
+        perm = gt.token_permutation(ROT90, GridShape(24, 32))
         sd.augment(sample.image, ROT90)
-        assert sd._gather_index(ROT90, GridShape(24, 32)) is index
-        assert sd._gather_index.cache_info().misses == 1
+        assert gt.token_permutation(ROT90, GridShape(24, 32)) is perm
+        assert gt.token_permutation.cache_info().misses == 1
         with pytest.raises(ValueError):
-            index[0] = 0
+            perm.sigma[0] = 0
 
     def test_resize_matrices_built_once_per_pair(self):
         """A resize augment reads its per-axis interpolation matrices from a

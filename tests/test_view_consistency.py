@@ -59,7 +59,11 @@ def make_case(feed, k, layers, seed):
 
 
 def invert(ap, transforms):
-    return gt.invert_attention(ap, transforms, GRID)
+    """Each entry of `ap` back onto GRID: a resize, every entry's, by its
+    resample node, permutations by one gather of their own rows."""
+    if transforms[0].kind is gt.TransformKind.RESIZE:
+        return gt.invert_attention(ap, transforms[0], GRID)
+    return ad.permute_rc(ap, gt.inverse_token_indices(transforms, GRID))
 
 
 def leaves(plain, augmented, stacked, requires_grad=True):
