@@ -53,10 +53,11 @@ h = rng.normal(size=(2, 3))
 k = gt.commutation_matrix(2, 3)
 print("\nC vec(H) == vec(H^T):", np.array_equal(k @ gt.vec(h), gt.vec(h.T)))
 
-# resizes are different: interpolation is lossy, so there is no exact
-# inverse — asking for one is a contract error.
+# resizes are different: interpolation is lossy, so a resize permutes no
+# tokens and has no exact inverse — asking for its permutation is a
+# contract error.
 resize = gt.SpatialTransform.parse("resize:3x3")
 try:
-    resize.inverse()
+    gt.token_permutation(resize, grid)
 except Exception as exc:
-    print(f"\nresize has no inverse: {type(exc).__name__}: {exc}")
+    print(f"\nresize is no permutation: {type(exc).__name__}: {exc}")

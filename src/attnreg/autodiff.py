@@ -143,11 +143,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def item(self) -> float:
-        if self.size != 1:
-            raise ContractError(f"item() needs a one-element tensor, got shape {self.shape}")
-        return float(self.data.reshape(()))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -728,8 +723,8 @@ def layer_norm(x, gain, bias) -> Tensor:
 
 def mean(x, axis: int | None = None) -> Tensor:
     """Mean of all elements (a scalar), or over one axis, which is dropped
-    (the head average of a (..., heads, m, m) attention stack): the
-    axis_sum of its slices, then one divide."""
+    (the head average of a (..., heads, m, m) attention stack): numpy's
+    sum over the axis, then one divide."""
     x = _as_tensor(x)
     shape = x.shape
     if axis is None:
@@ -748,23 +743,9 @@ def mean(x, axis: int | None = None) -> Tensor:
     def bw_axis(g: Array):
         return (np.broadcast_to(np.expand_dims(g / k, axis), shape),)
 
-    out = axis_sum(x.data, axis)
+    out = x.data.sum(axis=axis)
     out /= k
     return _apply("mean", (x,), out, bw_axis)
-
-
-def axis_sum(a: Array, axis: int) -> Array:
-    """A fresh array: ``a`` summed over one nonempty axis by adding its
-    slices in index order, in place after the first sum. That is the
-    order of numpy's reduce over an axis other than the innermost, so
-    there the result is bit-identical to ``a.sum(axis)``, without the
-    strided reduce's cost on a small head axis."""
-    lead = (slice(None),) * (axis % a.ndim)
-    parts = [a[lead + (i,)] for i in range(a.shape[axis])]
-    total = parts[0] + parts[1] if len(parts) > 1 else parts[0].copy()
-    for part in parts[2:]:
-        total += part
-    return total
 
 
 # (elements, slope) of each distance as functions of d = a - b: the
@@ -862,7 +843,7 @@ def view_consistency(plain, augmented, distance: str, index=None) -> Consistency
         total = per_layer[t, 0]
         for i in range(1, layers):
             total = total + per_layer[t, i]
-        out[t] = total if layers == 1 else total * (1.0 / layers)
+        out[t] = total * (1.0 / layers)
     inputs = tuple(plain) if stacked else (*plain, *augmented)
     need = [t.requires_grad for t in inputs]
 
@@ -878,8 +859,7 @@ def view_consistency(plain, augmented, distance: str, index=None) -> Consistency
             ga = np.zeros(shape) if need[i] else None
             gb = ga if stacked else np.zeros(shape) if need[layers + i] else None
             for t in live:
-                gl = g[t] if layers == 1 else g[t] * (1.0 / layers)
-                step = float(gl) / ds[t].size * slope(ds[t])
+                step = float(g[t] * (1.0 / layers)) / ds[t].size * slope(ds[t])
                 key = CONSISTENCY_BLOCKS[t]
                 if ga is not None:
                     _place(ga[:half], key, step, accumulate)

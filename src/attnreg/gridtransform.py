@@ -46,7 +46,7 @@ from .autodiff import Tensor
 from .errors import ContractError, DimensionError, ResourceError
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class GridShape:
     """Patch-grid extent: h rows by w columns."""
 
@@ -124,19 +124,6 @@ class SpatialTransform:
             return GridShape(grid.w, grid.h)
         return grid
 
-    def inverse(self) -> "SpatialTransform":
-        """The transform that undoes this one. Flips and 180-degree
-        rotation are involutions; rot90/rot270 swap. A resize has no
-        exact inverse (interpolation loses information), so it is
-        rejected rather than silently approximated."""
-        if self.kind is TransformKind.RESIZE:
-            raise ContractError("resize has no exact inverse transform")
-        if self.kind is TransformKind.ROT90:
-            return ROT270
-        if self.kind is TransformKind.ROT270:
-            return ROT90
-        return self
-
     @classmethod
     def parse(cls, text: str) -> "SpatialTransform":
         text = text.strip().lower()
@@ -193,11 +180,6 @@ class TokenPermutation:
             raise DimensionError("permutation length must match both grids")
         if not np.array_equal(np.sort(sig), np.arange(n)):
             raise ContractError("sigma is not a permutation of token indices")
-
-    def inverse(self) -> "TokenPermutation":
-        inv = np.empty_like(self.sigma)
-        inv[self.sigma] = np.arange(self.sigma.size)
-        return TokenPermutation(inv, self.target, self.source)
 
     def compose(self, then: "TokenPermutation") -> "TokenPermutation":
         """Permutation of `self` followed by `then`."""
@@ -256,15 +238,13 @@ def inverse_token_indices(transforms, grid: GridShape) -> np.ndarray:
     return np.stack([_inverse_token_index(t, grid) for t in transforms])
 
 
-@functools.lru_cache(maxsize=256)
 def _inverse_token_index(transform: SpatialTransform, grid: GridShape) -> np.ndarray:
     """Row and column gather index of invert_attention_fast: the class
-    token stays at 0 and source token s reads target token inv[s] + 1.
-    Built, with the permutation's validation, once per (transform, grid);
-    the cached array is read-only."""
-    inv = token_permutation(transform, grid).inverse().sigma  # inv[source_token] = target_token
-    idx = np.concatenate(([0], inv + 1))
-    idx.flags.writeable = False
+    token stays at 0 and source token s reads target token inv[s] + 1,
+    where inv[sigma[t]] = t: one scatter from the cached permutation."""
+    sigma = token_permutation(transform, grid).sigma
+    idx = np.zeros(grid.n + 1, dtype=np.intp)
+    idx[sigma + 1] = np.arange(1, grid.n + 1)
     return idx
 
 

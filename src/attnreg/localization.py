@@ -34,7 +34,6 @@ import numpy as np
 
 from . import netpbm
 from .atomicio import write_text_atomic
-from .autodiff import axis_sum
 from .errors import ContractError, DimensionError
 from .gridtransform import GridShape, nearest_index
 
@@ -70,27 +69,18 @@ def _clamp_normalize(values: np.ndarray) -> np.ndarray:
     return values / np.where(peak > 0.0, peak, 1.0)
 
 
-def _layer_mean(layers: np.ndarray, axis: int) -> np.ndarray:
-    """The mean over the layer axis as ndarray.mean computes it, the sum
-    then one divide, with axis_sum's sum instead of the strided reduce:
-    bit-identical, and cheaper on a few layers."""
-    total = axis_sum(layers, axis)
-    total /= layers.shape[axis]
-    return total
-
-
 def fuse_rows(rows: np.ndarray, layer_range: tuple[int, int]) -> np.ndarray:
     """Class maps from class-token adjoint rows: (..., L, n) rows -> their
     clamp-normalized mean over layers [start, stop), (..., n)."""
     start, stop = layer_range
-    return _clamp_normalize(_layer_mean(rows[..., start:stop, :], -2))
+    return _clamp_normalize(rows[..., start:stop, :].mean(axis=-2))
 
 
 def patch_affinity(blocks: np.ndarray, layer_range: tuple[int, int]) -> np.ndarray:
     """(..., L, n, n) patch-to-patch attention blocks -> their mean over
     layers [start, stop), (..., n, n)."""
     start, stop = layer_range
-    return _layer_mean(blocks[..., start:stop, :, :], -3)
+    return blocks[..., start:stop, :, :].mean(axis=-3)
 
 
 def refine_maps(values: np.ndarray, affinity: np.ndarray) -> np.ndarray:
@@ -102,13 +92,11 @@ def refine_maps(values: np.ndarray, affinity: np.ndarray) -> np.ndarray:
 
 
 def build_maps(rows: np.ndarray, blocks: np.ndarray, layer_range: tuple[int, int],
-               refine: bool, fused: np.ndarray | None = None) -> np.ndarray:
+               refine: bool) -> np.ndarray:
     """The (..., c, n) class maps of a stack: (..., c, L, n) class-token
     adjoint rows fused over layers [start, stop), then, with `refine`,
-    spread along the same layers' mean of the (..., L, n, n) patch blocks.
-    A caller that built the unrefined maps of the same rows and range
-    passes them as `fused`, and the rows are not fused again."""
-    values = fuse_rows(rows, layer_range) if fused is None else fused
+    spread along the same layers' mean of the (..., L, n, n) patch blocks."""
+    values = fuse_rows(rows, layer_range)
     if refine:
         values = refine_maps(values, patch_affinity(blocks, layer_range))
     return values

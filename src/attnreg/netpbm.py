@@ -45,19 +45,19 @@ def write_ppm(path: os.PathLike | str, rgb: np.ndarray) -> None:
         fh.write(np.ascontiguousarray(rgb.transpose(1, 2, 0)).tobytes())
 
 
-def _read_tokens(data: bytes, count: int) -> tuple[list[int], int]:
+def _read_tokens(data: bytes, count: int, path: os.PathLike | str) -> tuple[list[int], int]:
     """First `count` whitespace/comment-delimited integer tokens after the
-    magic, and the offset where the raster starts."""
+    magic of the file at `path`, and the offset where the raster starts."""
     tokens: list[int] = []
     i = 2  # past the magic
     while len(tokens) < count:
         if i >= len(data):
-            raise ContractError("truncated netpbm header")
+            raise ContractError(f"{path}: truncated netpbm header")
         ch = data[i:i + 1]
         if ch == b"#":
             i = data.find(b"\n", i)
             if i < 0:
-                raise ContractError("unterminated comment in netpbm header")
+                raise ContractError(f"{path}: unterminated comment in netpbm header")
             i += 1
         elif ch.isspace():
             i += 1
@@ -67,27 +67,28 @@ def _read_tokens(data: bytes, count: int) -> tuple[list[int], int]:
                 j += 1
             tok = data[i:j]
             if not tok.isdigit():
-                raise ContractError(f"bad netpbm header token {tok!r}")
+                raise ContractError(f"{path}: bad netpbm header token {tok!r}")
             tokens.append(int(tok))
             i = j
     return tokens, i + 1  # single whitespace byte separates maxval from raster
 
 
 def read_netpbm(path: os.PathLike | str) -> np.ndarray:
-    """Read P5 -> (H, W) uint8 or P6 -> (3, H, W) uint8."""
+    """Read P5 -> (H, W) uint8 or P6 -> (3, H, W) uint8. A malformed file
+    raises ContractError naming its path."""
     with open(path, "rb") as fh:
         data = fh.read()
     magic = data[:2]
     if magic not in (b"P5", b"P6"):
-        raise ContractError(f"unsupported netpbm magic {magic!r}")
-    (w, h, maxval), start = _read_tokens(data, 3)
+        raise ContractError(f"{path}: unsupported netpbm magic {magic!r}")
+    (w, h, maxval), start = _read_tokens(data, 3, path)
     if maxval != 255:
-        raise ContractError(f"only maxval 255 is supported, got {maxval}")
+        raise ContractError(f"{path}: only maxval 255 is supported, got {maxval}")
     channels = 3 if magic == b"P6" else 1
     need = w * h * channels
     raster = data[start:start + need]
     if len(raster) != need:
-        raise ContractError(f"raster has {len(raster)} bytes, expected {need}")
+        raise ContractError(f"{path}: raster has {len(raster)} bytes, expected {need}")
     flat = np.frombuffer(raster, dtype=np.uint8)
     if magic == b"P5":
         return flat.reshape(h, w).copy()

@@ -235,9 +235,9 @@ def save_dataset(directory: os.PathLike | str, samples: list[SyntheticSample],
 def load_dataset(directory: os.PathLike | str) -> tuple[list[SyntheticSample], DatasetConfig]:
     """Read a saved dataset; images come back uint8-quantized to [0, 1].
     A malformed meta.json or index line -- bad JSON, a missing key, labels
-    not a 0/1 list of the dataset's num_classes, a mask whose shape is not
-    its image's (H, W) or whose value exceeds num_classes -- raises
-    ContractError."""
+    not a 0/1 list of the dataset's num_classes, an image or mask that is
+    no netpbm file, a mask whose shape is not its image's (H, W) or whose
+    value exceeds num_classes -- raises ContractError naming the line."""
     root = Path(directory)
     meta = root / "meta.json"
     index = root / "index.jsonl"
@@ -271,6 +271,8 @@ def load_dataset(directory: os.PathLike | str) -> tuple[list[SyntheticSample], D
             raise ContractError(f"{where}: {exc.filename} is a directory, not an image") from exc
         except FileNotFoundError as exc:
             raise ContractError(f"{where}: no image at {exc.filename}") from exc
+        except ContractError as exc:
+            raise ContractError(f"{where}: {exc}") from exc
         if raw.ndim == 2:
             raw = raw[None, :, :]
         image = raw.astype(np.float64) / 255.0

@@ -654,11 +654,8 @@ def evaluate(params: dict[str, Tensor], cfg: ViTConfig,
             raise DimensionError(f"image grid {image_grid} does not match the model's "
                                  f"grid {cfg.grid}")
         rows, blocks = adjoint_rows(images, classes, frozen, cfg)
-        fused: dict = {}  # unrefined maps per layer range, which refining starts from
         for (layer_range, refine), hist in hists.items():
-            values = lc.build_maps(rows, blocks, layer_range, refine, fused.get(layer_range))
-            if not refine:
-                fused[layer_range] = values
+            values = lc.build_maps(rows, blocks, layer_range, refine)
             labels, peak = lc.argmax_seed(values.reshape(classes.shape + (h, w)), classes)
             mt.add_seeds(hist, gt, labels, peak)
 

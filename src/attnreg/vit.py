@@ -306,8 +306,7 @@ def attention_adjoints(tape: ad.Tape, result: ForwardResult, seed,
     grads = tape.backward(result.logits, seed=seed,
                           wrt=[rec.heads for rec in result.attentions])
     # a head sum: computed once, and over the one row when asked
-    return [ad.axis_sum(g, -3) if row is None else ad.axis_sum(g[..., row, :], -2)
-            for g in grads]
+    return [g.sum(axis=-3) if row is None else g[..., row, :].sum(axis=-2) for g in grads]
 
 
 

@@ -4,6 +4,7 @@ main() with argv lists, JSON captured from stdout, exit codes asserted."""
 import json
 import shutil
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from attnreg import localization as lc
 from attnreg import trainer as tr
 from attnreg.autodiff import Tape, Tensor
 from attnreg.gridtransform import GridShape
+from test_synthdata import HEADER_REFUSALS
 
 TINY_CONFIG = """\
 # small model so the whole CLI suite stays fast
@@ -376,6 +378,38 @@ class TestSeeds:
         assert rc == 1
         assert capsys.readouterr().err == "attnreg: error: classes [7] outside 0..1\n"
 
+    def test_grayscale_image_needs_a_one_channel_model(self, trained_dir, dataset_dir,
+                                                        tmp_path, capsys):
+        mask = dataset_dir / "masks" / "00000.pgm"  # a P5 image, 16x16
+        rc = cli.main(["seeds", "--checkpoint", str(trained_dir / "checkpoint.ckpt"),
+                       "--image", str(mask), "--class", "0", "--out", str(tmp_path / "rgb")])
+        assert rc == 1
+        assert capsys.readouterr().err == "attnreg: error: image has 1 channels, model wants 3\n"
+        assert not (tmp_path / "rgb").exists()
+        _, cfg = vit.load_checkpoint(trained_dir / "checkpoint.ckpt")
+        gray = replace(cfg, in_channels=1)
+        vit.save_checkpoint(tmp_path / "gray.ckpt",
+                            vit.init_params(gray, np.random.default_rng(0)), gray)
+        rc, payload = run_json(capsys, ["seeds", "--checkpoint", str(tmp_path / "gray.ckpt"),
+                                        "--image", str(mask), "--class", "0",
+                                        "--out", str(tmp_path / "gray")])
+        assert rc == 0
+        for tag in ("unrefined", "refined"):
+            assert netpbm.read_netpbm(tmp_path / "gray" / f"00000_class0_{tag}.pgm").shape \
+                == (4, 4)
+
+    @pytest.mark.parametrize("header,refusal", HEADER_REFUSALS.values(),
+                             ids=HEADER_REFUSALS.keys())
+    def test_image_with_a_bad_header_exits_1(self, trained_dir, tmp_path, capsys, header,
+                                             refusal):
+        image = tmp_path / "bad.ppm"
+        image.write_bytes(header)
+        rc = cli.main(["seeds", "--checkpoint", str(trained_dir / "checkpoint.ckpt"),
+                       "--image", str(image), "--class", "0", "--out", str(tmp_path / "m")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"attnreg: error: {image}: {refusal}\n"
+        assert not (tmp_path / "m").exists()
+
     def test_off_grid_image_gives_maps_on_its_grid(self, trained_dir, tmp_path, capsys):
         checkpoint = trained_dir / "checkpoint.ckpt"
         params, cfg = vit.load_checkpoint(checkpoint)
@@ -491,6 +525,12 @@ class TestGradCheck:
         assert out == ""  # no "passed" report
         refusal = "--seed must be >= 0" if flag == "--seed" else "grad_check:"
         assert err.startswith(f"attnreg: error: {refusal}") and "Traceback" not in err
+
+    def test_impossible_tolerance_exits_2(self, config_file, capsys):
+        rc, payload = run_json(capsys, ["grad-check", "--config", str(config_file),
+                                        "--max-coords", "2", "--tolerance", "1e-300"])
+        assert rc == 2
+        assert payload["passed"] is False and payload["tolerance"] == 1e-300
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
     def test_bad_tolerance_exits_1(self, config_file, tolerance, capsys):

@@ -1,5 +1,5 @@
 """The kernels that compute in arrays they own: softmax_rows, layer_norm,
-gelu, mean over an axis (and axis_sum, its head sum) and permute_rc.
+gelu, mean over an axis and permute_rc.
 
 Their value and every input gradient are checked by
 reference.assert_kernel against the plain expressions they replaced
@@ -62,16 +62,6 @@ def test_mean_over_each_head_count_matches_the_reference(heads):
     """mean adds the head slices in order; numpy's reduce over that axis
     does the same, whatever the count (1 head is a copy)."""
     ref.assert_kernel(*case("mean", (2, heads)))
-
-
-@pytest.mark.parametrize("heads", range(1, 9))
-@pytest.mark.parametrize("views", [1, 4])
-def test_axis_sum_of_a_head_stack_is_numpys_reduce(views, heads):
-    """At the size of an evaluation stack's (views, heads, n+1, n+1)
-    adjoints, and over the heads of one row, as attention_adjoints sums."""
-    x = np.random.default_rng(heads).normal(size=(views, heads, 65, 65))
-    assert np.array_equal(ad.axis_sum(x, -3), x.sum(axis=-3))
-    assert np.array_equal(ad.axis_sum(x[..., 0, :], -2), x.sum(axis=-3)[..., 0, :])
 
 
 # -- no backward writes into its adjoint ----------------------------------------

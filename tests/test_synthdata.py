@@ -46,12 +46,16 @@ class TestGeneration:
         assert not np.array_equal(a.image, b.image)
 
     def test_label_mask_consistency(self):
-        cfg = sd.DatasetConfig(num_samples=50, seed=3)
-        for s in sd.generate(cfg):
-            for k in range(1, cfg.num_classes + 1):
-                assert s.labels[k - 1] == (1.0 if np.any(s.mask == k) else 0.0)
-            assert s.labels.sum() >= 1  # at least one shape survives
-            assert set(np.unique(s.mask)) <= set(range(cfg.num_classes + 1))
+        # five classes draw every footprint, the ring and the cross too
+        for cfg in (sd.DatasetConfig(num_samples=50, seed=3),
+                    sd.DatasetConfig(num_samples=60, num_classes=5, seed=0)):
+            seen = set()
+            for s in sd.generate(cfg):
+                for k in range(1, cfg.num_classes + 1):
+                    assert s.labels[k - 1] == (1.0 if np.any(s.mask == k) else 0.0)
+                assert s.labels.sum() >= 1  # at least one shape survives
+                seen |= set(np.unique(s.mask).tolist())
+            assert seen - {0} == set(range(1, cfg.num_classes + 1))
 
     def test_image_range_and_shape(self):
         cfg = sd.DatasetConfig(num_samples=8, seed=4, height=24, width=40)
@@ -261,6 +265,15 @@ class TestPersistence:
             sd.load_dataset(tmp_path)
 
 
+# netpbm headers that read_netpbm refuses, and the refusal after its path
+HEADER_REFUSALS = {
+    "truncated": (b"P6\n16 16", "truncated netpbm header"),
+    "unterminated_comment": (b"P6\n16 # no newline", "unterminated comment in netpbm header"),
+    "non_numeric": (b"P6\n16 x16\n255\n", "bad netpbm header token b'x16'"),
+    "maxval": (b"P6\n16 16\n65535\n", "only maxval 255 is supported, got 65535"),
+}
+
+
 class TestMalformedIndex:
     """Every malformed index record or metadata file is a ContractError."""
 
@@ -330,6 +343,15 @@ class TestMalformedIndex:
                            .replace('"SEED"', seed))
         with pytest.raises(ContractError, match="line 1"):
             sd.load_dataset(saved)
+
+    @pytest.mark.parametrize("header,refusal", HEADER_REFUSALS.values(),
+                             ids=HEADER_REFUSALS.keys())
+    def test_image_with_a_bad_header(self, saved, header, refusal):
+        image = saved / "images" / "00001.ppm"
+        image.write_bytes(header)
+        with pytest.raises(ContractError) as err:
+            sd.load_dataset(saved)
+        assert str(err.value) == f"{saved / 'index.jsonl'} line 2: {image}: {refusal}"
 
     def test_bad_meta(self, saved):
         (saved / "meta.json").write_text('{"num_samples": 3, "colour": 1}')

@@ -287,6 +287,13 @@ class TestTraining:
         payload = np.load(dumps[0])
         assert {"view_a", "view_b", "labels", "mask"} <= set(payload.files)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    def test_divergence_without_out_dir_says_nothing_was_dumped(self):
+        cfg = tiny_train_config(learning_rate=1e200, clip_norm=None, epochs=1,
+                                batch_size=1)
+        with pytest.raises(NumericalError, match="no output directory, nothing dumped"):
+            tr.train(cfg, tiny_data(4))
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ContractError):
             tr.train(tiny_train_config(), [])

@@ -292,6 +292,12 @@ class TestCheckpoint:
             with pytest.raises(ContractError):
                 vit.load_checkpoint(cut)
 
+    def test_trailing_bytes_are_a_contract_error(self, tmp_path):
+        path, _, _ = self.small_checkpoint(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ContractError, match="trailing bytes after last tensor"):
+            vit.load_checkpoint(path)
+
     @pytest.mark.parametrize("change", ["missing", "extra", "misshaped"])
     def test_tensor_layout_checked_at_load(self, tmp_path, change):
         path, params, cfg = self.small_checkpoint(tmp_path)
