@@ -214,8 +214,13 @@ def init_params(config: ViTConfig, rng: np.random.Generator) -> dict[str, Tensor
 
 
 def image_grid(image: np.ndarray, config: ViTConfig) -> GridShape:
-    """Patch grid of a (..., C, H, W) image: whole patches along each side."""
-    return GridShape(*(d // config.patch_size for d in image.shape[-2:]))
+    """Patch grid of a (..., C, H, W) image: whole patches along each side.
+    An image with a side shorter than one patch raises DimensionError."""
+    h, w = image.shape[-2:]
+    if min(h, w) < config.patch_size:
+        raise DimensionError(f"image of {h}x{w} pixels has a side shorter than the patch "
+                             f"size {config.patch_size}")
+    return GridShape(h // config.patch_size, w // config.patch_size)
 
 
 def _positional_rows(params: dict[str, Tensor], config: ViTConfig, grid: GridShape) -> Tensor:

@@ -3,7 +3,13 @@
 Every fast path of the package -- the fused ops, stacked views, the last
 block's class-row tail, chunked training and stacked evaluation -- is
 checked against the slow code here, which computes the same quantities
-one piece at a time:
+one piece at a time. Each stage of the pipeline has one oracle test:
+the forward with its attention and adjoints, ``test_vit``'s
+TestForwardOracle against ``forward`` and ``adjoints``; the chunked
+two-view loss with its gradients, ``test_chunked_training``'s
+TestChunkAgainstPerSampleLoop against ``sample_sums``; and the
+class-token-gradient maps, ``test_eval_oracle`` and ``test_stacked_eval``
+against ``localization_data`` and ``evaluate``. The slow code:
 
 * the primitive chains each fused op replaces: ``affine`` (matmul, then
   the bias row added), ``head_scores`` and ``head_attend`` (one chain
@@ -30,14 +36,17 @@ one piece at a time:
 Also here: the plain numpy expressions of the kernels that compute in
 arrays they own, and of index (``*_kernel``, one bit-equal oracle per
 op); the node counts a forward and a training chunk record, stated once;
-the models and sample data the oracle tests share, and their
+and the fixtures several test files share: ``C07``, ``SMALL`` with
+``ONE_HEAD`` and ``FOUR_HEADS``, ``MODELS``, ``CONSISTENCY``,
+``NON_SQUARE``, ``RESIZE_WIDE``, ``sample_for``, ``images_for``,
+``trained``, ``flat_map``, ``fresh``, ``frozen``, ``budget_for`` and the
 comparisons (``assert_close`` to TOL, ``exact_same``, ``bit_equal``,
 ``assert_kernel``).
 """
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import erf
@@ -319,6 +328,12 @@ def fresh(params):
     return {k: Tensor(p.data.copy(), requires_grad=True) for k, p in params.items()}
 
 
+def frozen(params):
+    """No-grad views of `params`: a sweep through them computes no
+    parameter gradient and writes nothing to them."""
+    return {k: Tensor(p.data) for k, p in params.items()}
+
+
 def sample_sums(pairs, params, config):
     """Each (sample, transform) of `pairs` on its own tape: the loss terms
     and the parameter gradients summed over the samples."""
@@ -440,12 +455,12 @@ def localization_data(sample, params, cfg):
     from the class logit with wrt set to the heads (see adjoints), per
     present class: each present class's full per-layer adjoints, and the
     attention matrices."""
-    frozen = {name: Tensor(p.data, requires_grad=False) for name, p in params.items()}
+    views = frozen(params)
     present = [k for k in range(cfg.num_classes) if sample.labels[k]]
     adjoints_by_class, attentions = {}, None
     for k in present:
         with Tape() as tape:
-            res = vit.forward(sample.image, frozen, cfg)
+            res = vit.forward(sample.image, views, cfg)
             y = vit.class_logit(res, k)
         adjoints_by_class[k] = adjoints(tape, y, res)
         if attentions is None:
@@ -610,10 +625,20 @@ C07 = ViTConfig(patch_size=4, grid=GridShape(8, 8), embed_dim=16, num_layers=2, 
 # a non-square grid with positional rows and three layers
 SMALL = ViTConfig(patch_size=2, grid=GridShape(3, 4), embed_dim=8, num_layers=3, num_heads=2,
                   num_classes=2, use_positional_embedding=True)
+ONE_HEAD, FOUR_HEADS = (replace(SMALL, num_heads=h) for h in (1, 4))
+# the models of the benchmark workloads
+MODELS = {"c07": C07, "default": ViTConfig()}
 CONSISTENCY = tr.TrainConfig(vit=C07, weights=WEIGHTS,
                              augmentations=transforms("fliph,flipv,rot90,rot180,rot270"))
 NON_SQUARE = tr.TrainConfig(vit=SMALL, weights=WEIGHTS,
                             augmentations=transforms("rot90,rot270,flipv,resize:2x2"))
+RESIZE_WIDE = tr.TrainConfig(vit=MODELS["default"], weights=WEIGHTS,
+                             augmentations=transforms("fliph,resize:6x6,resize:10x10"))
+
+
+def budget_for(cfg, images):
+    """A tape-byte budget that fits `images` images on the model's grid."""
+    return images * tr._tape_bytes_per_image(cfg, cfg.grid)
 
 
 def sample_for(cfg, seed):
@@ -624,6 +649,19 @@ def sample_for(cfg, seed):
     labels = (rng.random(cfg.num_classes) < 0.5).astype(np.float64)
     mask = rng.integers(0, cfg.num_classes + 1, size=image.shape[1:])
     return sd.SyntheticSample(image=image, labels=labels, mask=mask, seed=(seed, 0))
+
+
+def images_for(cfg, count, seed=0):
+    """A (count, C, H, W) stack of random images on the model's grid."""
+    return np.random.default_rng(seed).random(
+        (count, cfg.in_channels, cfg.grid.h * cfg.patch_size, cfg.grid.w * cfg.patch_size))
+
+
+def flat_map(class_index, values, grid):
+    """An unrefined map of `values` on `grid`, from layers 0..1."""
+    return lc.LocalizationMap(class_index=class_index,
+                              values=np.asarray(values, dtype=np.float64).reshape(grid.h, grid.w),
+                              layers_fused=(0, 1))
 
 
 def trained(seed):

@@ -201,21 +201,29 @@ class TestFrozenForwardValues:
 
 class TestShapeContracts:
     def test_matmul_inner_mismatch(self):
-        with pytest.raises(DimensionError):
-            ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+        # 2-d; stacks whose stack axes disagree; a stack and a 2-d operand
+        for a, b in (((2, 3), (2, 3)), ((2, 3, 4), (3, 4, 5)), ((3, 4), (2, 4, 5))):
+            with pytest.raises(DimensionError):
+                ad.matmul(Tensor(np.ones(a)), Tensor(np.ones(b)))
 
     def test_elementwise_rejects_row_broadcast(self):
         # only identical shapes or scalar-vs-tensor are allowed
+        for a, b in (((4, 3), (1, 3)), ((2, 3, 4), (2, 4))):
+            with pytest.raises(DimensionError):
+                ad.add(Tensor(np.ones(a)), Tensor(np.ones(b)))
+
+    def test_mean_over_an_axis_it_lacks(self):
         with pytest.raises(DimensionError):
-            ad.add(Tensor(np.ones((4, 3))), Tensor(np.ones((1, 3))))
+            ad.mean(Tensor(np.ones((2, 3))), axis=2)
 
     def test_scalar_broadcast_allowed(self):
         y = ad.add(Tensor(np.ones((2, 2))), 3.0)
         np.testing.assert_array_equal(y.data, np.full((2, 2), 4.0))
 
     def test_concat_mismatch(self):
-        with pytest.raises(DimensionError):
-            ad.concat([Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4)))], axis=0)
+        for a, b in (((2, 3), (2, 4)), ((2, 1, 4), (3, 2, 4))):
+            with pytest.raises(DimensionError):
+                ad.concat([Tensor(np.ones(a)), Tensor(np.ones(b))], axis=0)
 
     def test_permute_rc_rejects_repeated_indices(self):
         x = Tensor(np.ones((3, 3)))

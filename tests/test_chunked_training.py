@@ -7,7 +7,8 @@ the loss terms and gradients added up over the samples. A chunk of k
 samples records one forward of its 2k views (or one per view grid) and
 one backward; k times its mean loss terms must match the per-sample
 sums, and its parameter gradients the summed per-sample gradients, to
-1e-12.
+1e-12, on the models of all three benchmark workloads among others.
+Central differences check the chunk loss's gradients as well.
 """
 
 from dataclasses import replace
@@ -25,7 +26,6 @@ from attnreg.autodiff import Tape, Tensor
 from attnreg.errors import ContractError, DimensionError, NumericalError
 from attnreg.gridtransform import GridShape, SpatialTransform
 from attnreg.regularizer import LossWeights
-from attnreg.vit import ViTConfig
 
 # the criterion-07 model, and a small non-square model with positional rows
 CONSISTENCY, NON_SQUARE = ref.CONSISTENCY, ref.NON_SQUARE
@@ -38,6 +38,7 @@ CASES = {
     "resize": (NON_SQUARE, "resize:2x2"),
     "resize_up": (NON_SQUARE, "resize:4x5"),
     "resize_same_grid": (NON_SQUARE, "resize:3x4"),
+    "resize_c07": (CONSISTENCY, "resize:6x6"),
     "loss_layers": (replace(NON_SQUARE, loss_layers=(1, 3)), "rot90,rot270"),
     "loss_layer_1": (replace(CONSISTENCY, loss_layers=(1, 2)), "rot90,fliph"),
     "l2": (replace(NON_SQUARE, weights=LossWeights(alpha=1.0, beta=3.0, distance="l2")),
@@ -48,7 +49,22 @@ CASES = {
     "act_only": (replace(NON_SQUARE, weights=LossWeights(alpha=2.0, beta=0.0)), "resize:2x2"),
     "classification_only": (replace(NON_SQUARE, weights=LossWeights(alpha=0.0, beta=0.0)),
                             "rot90,rot270"),
+    # the train_resize_wide workload's model and transforms
+    "default_fliph": (ref.RESIZE_WIDE, "fliph"),
+    "default_resize_down": (ref.RESIZE_WIDE, "resize:6x6"),
+    "default_resize_up": (ref.RESIZE_WIDE, "resize:10x10"),
+    "one_head": (replace(NON_SQUARE, vit=ref.ONE_HEAD), "flipv,fliph,rot180"),
+    "four_heads": (replace(NON_SQUARE, vit=ref.FOUR_HEADS), "rot90,rot270"),
+    "l2_no_pos": (replace(CONSISTENCY, vit=replace(ref.C07, grid=GridShape(4, 4)),
+                          weights=LossWeights(alpha=1.0, beta=0.0, distance="l2")),
+                  "fliph,flipv,rot90,rot180,rot270"),
 }
+
+
+def one_sample_loss(sample, transform, params, config, snapshot=None):
+    """The training loss of a one-sample chunk: its mean is the sample's loss."""
+    chunk = [tr._two_views(0, sample, transform, config.vit)]
+    return tr._chunk_loss(chunk, params, config, snapshot)
 
 
 def chunk_sums(pairs, params, config):
@@ -72,17 +88,12 @@ def assert_sums_match(got, expected):
         ref.assert_close(grads[name], g, f"d/d{name}")
 
 
-def budget_for(cfg, pairs):
-    """A budget that fits `pairs` same-grid pairs of the model's images."""
-    return pairs * 2 * tr._tape_bytes_per_image(cfg, cfg.grid)
-
-
 class TestChunkAgainstPerSampleLoop:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("name", list(CASES))
     def test_one_chunk(self, monkeypatch, name, k):
         config, text = CASES[name]
-        monkeypatch.setattr(tr, "TAPE_BYTE_BUDGET", 10 * budget_for(config.vit, k))
+        monkeypatch.setattr(tr, "TAPE_BYTE_BUDGET", 10 * ref.budget_for(config.vit, 2 * k))
         params = vit.init_params(config.vit, np.random.default_rng(3))
         cycle = ref.transforms(text)
         pairs = [(ref.sample_for(config.vit, 20 + j), cycle[j % len(cycle)]) for j in range(k)]
@@ -96,7 +107,7 @@ class TestChunkAgainstPerSampleLoop:
     def test_batch_of_chunks(self, monkeypatch, config, per_chunk):
         """A batch whose groups are cut into several chunks, with chunk
         boundaries between samples of one group."""
-        monkeypatch.setattr(tr, "TAPE_BYTE_BUDGET", budget_for(config.vit, per_chunk))
+        monkeypatch.setattr(tr, "TAPE_BYTE_BUDGET", ref.budget_for(config.vit, 2 * per_chunk))
         params = vit.init_params(config.vit, np.random.default_rng(4))
         rng = np.random.default_rng(5)
         augs = config.augmentations
@@ -105,12 +116,26 @@ class TestChunkAgainstPerSampleLoop:
         assert_sums_match(chunk_sums(pairs, params, config),
                           ref.sample_sums(pairs, params, config))
 
+    @pytest.mark.parametrize("transform", ["flipv", "rot90", "resize:2x2"])
+    def test_loss_gradient_against_finite_differences(self, transform):
+        config = replace(NON_SQUARE, weights=LossWeights(alpha=2.0, beta=1.0, distance="l2"))
+        params = vit.init_params(config.vit, np.random.default_rng(8))
+        sample = ref.sample_for(config.vit, 9)
+        transform = SpatialTransform.parse(transform)
+        for name in ("blocks.0.attn.wq", "blocks.2.mlp.w1", "cls_token"):
+            def f(probe, _name=name):
+                return one_sample_loss(sample, transform, {**params, _name: probe}, config).total
+
+            err = ad.grad_check(f, Tensor(params[name].data.copy()), step=1e-5,
+                                max_coords=12, rng=np.random.default_rng(0))
+            assert err < 1e-6, f"{transform} {name}: {err:.3e}"
+
 
 class TestTraining:
     @pytest.mark.parametrize("per_chunk", [1, 3, 4])
     def test_train_matches_per_sample_loop(self, monkeypatch, per_chunk):
         config = replace(NON_SQUARE, epochs=2, batch_size=5, learning_rate=0.05, momentum=0.5)
-        monkeypatch.setattr(tr, "TAPE_BYTE_BUDGET", budget_for(config.vit, per_chunk))
+        monkeypatch.setattr(tr, "TAPE_BYTE_BUDGET", ref.budget_for(config.vit, 2 * per_chunk))
         samples = [ref.sample_for(config.vit, 60 + j) for j in range(10)]
         result = tr.train(config, samples)
         params, totals, norms, residuals = ref.train(config, samples)
@@ -139,11 +164,24 @@ class TestTraining:
         tr.train(config, [ref.sample_for(config.vit, j) for j in range(samples)])
         return forwards, backwards
 
+    def test_same_grid_views_share_one_forward(self, monkeypatch):
+        """A view on its image's grid runs in one forward with the image; a
+        rotated view of a non-square grid or a resized one in its own."""
+        config, forwards, real = NON_SQUARE, [], vit.forward
+        monkeypatch.setattr(vit, "forward", lambda images, *a: forwards.append(
+            np.shape(images)[0]) or real(images, *a))
+        params = vit.init_params(config.vit, np.random.default_rng(0))
+        for transform, expected in zip(config.augmentations, ([1, 1], [1, 1], [2], [1, 1])):
+            forwards.clear()
+            with Tape():
+                one_sample_loss(ref.sample_for(config.vit, 0), transform, params, config)
+            assert forwards == expected, transform
+
     def test_one_forward_and_one_backward_per_chunk(self, monkeypatch):
         config = replace(CONSISTENCY, epochs=1, batch_size=8)
-        # budget_for also runs the measuring forward of the model's grid,
+        # ref.budget_for also runs the measuring forward of the model's grid,
         # the only grid here, before vit.forward is counted
-        monkeypatch.setattr(tr, "TAPE_BYTE_BUDGET", budget_for(config.vit, 3))
+        monkeypatch.setattr(tr, "TAPE_BYTE_BUDGET", ref.budget_for(config.vit, 6))
         forwards, backwards = self.count_calls(monkeypatch, config, 8)
         assert forwards == [6, 6, 4]   # chunks of 3, 3 and 2 samples, two views each
         assert len(backwards) == 3
@@ -165,7 +203,7 @@ class TestTraining:
     def test_chunk_size_follows_the_budget(self):
         """The criterion-07 model fits 8 samples, the default model 1."""
         c07 = CONSISTENCY.vit
-        default = ViTConfig()
+        default = ref.MODELS["default"]
         for cfg, k in ((c07, 8), (default, 1)):
             pairs = [tr._two_views(j, ref.sample_for(cfg, j), gt.FLIP_H, cfg) for j in range(8)]
             sizes = [len(c) for c in tr._chunks(pairs, cfg)]
@@ -190,10 +228,21 @@ class TestTraining:
 
 
 class TestDivergence:
+    def test_snapshot_keys(self):
+        config = NON_SQUARE
+        params = vit.init_params(config.vit, np.random.default_rng(0))
+        layers = range(config.vit.num_layers)
+        for transform in ref.transforms("flipv,rot90"):
+            snapshot = {}
+            with Tape():
+                one_sample_loss(ref.sample_for(config.vit, 1), transform, params, config, snapshot)
+            assert set(snapshot) == {"view_a", "view_b",
+                                     *(f"attention_{t}_{i}" for t in "ab" for i in layers)}
+
     def test_failing_chunk_dumps_every_sample(self, tmp_path, monkeypatch):
         config = replace(CONSISTENCY, augmentations=ref.transforms("fliph,rot90"), epochs=1,
                          batch_size=6)
-        monkeypatch.setattr(tr, "TAPE_BYTE_BUDGET", budget_for(config.vit, 3))
+        monkeypatch.setattr(tr, "TAPE_BYTE_BUDGET", ref.budget_for(config.vit, 6))
         samples = [ref.sample_for(config.vit, j) for j in range(6)]
         calls = []
         real = reg.total_loss

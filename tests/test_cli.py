@@ -371,12 +371,21 @@ class TestSeeds:
         assert "bad layer range" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
-    def test_out_of_range_class_exits_1(self, trained_dir, dataset_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("size,label,refusal", [
+        (None, "7", "classes [7] outside 0..1"),
+        ((3, 5), "0", "image of 3x5 pixels has a side shorter than the patch size 4"),
+    ], ids=["class_out_of_range", "smaller_than_a_patch"])
+    def test_refused_input_exits_1(self, trained_dir, dataset_dir, tmp_path, capsys, size,
+                                   label, refusal):
+        image = dataset_dir / "images" / "00000.ppm"
+        if size:
+            image = tmp_path / "small.ppm"
+            netpbm.write_ppm(image, np.zeros((3, *size), dtype=np.uint8))
         rc = cli.main(["seeds", "--checkpoint", str(trained_dir / "checkpoint.ckpt"),
-                       "--image", str(dataset_dir / "images" / "00000.ppm"),
-                       "--class", "7", "--out", str(tmp_path)])
+                       "--image", str(image), "--class", label, "--out", str(tmp_path / "m")])
         assert rc == 1
-        assert capsys.readouterr().err == "attnreg: error: classes [7] outside 0..1\n"
+        assert capsys.readouterr().err == f"attnreg: error: {refusal}\n"
+        assert not (tmp_path / "m").exists()
 
     def test_grayscale_image_needs_a_one_channel_model(self, trained_dir, dataset_dir,
                                                         tmp_path, capsys):
@@ -422,9 +431,8 @@ class TestSeeds:
         assert rc == 0
         # the one-map API and the reference refine on a fresh forward of
         # the same image
-        frozen = {name: Tensor(p.data) for name, p in params.items()}
         with Tape() as tape:
-            res = vit.forward(pixels / 255.0, frozen, cfg)
+            res = vit.forward(pixels / 255.0, ref.frozen(params), cfg)
         adjoints = vit.attention_adjoints(tape, res, np.eye(cfg.num_classes)[0])
         plain = lc.grad_localization(adjoints, GridShape(6, 5), 0, (0, 2)).values
         refined = ref.refine(plain, [rec.matrix.data for rec in res.attentions], (0, 2))

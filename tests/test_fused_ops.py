@@ -4,8 +4,11 @@ Each op is checked three ways: central differences with respect to every
 input, on a single (m, d) token matrix and on a (V, m, d) stack, with one
 and with two heads; its value and every input gradient against the chain
 of primitive ops it fuses (reference.affine, head_scores and
-head_attend), to 1e-12; and its shape contract. A pin on the node mix of the
-forward built from them closes the file.
+head_attend), to 1e-12; and its shape contract. attend is also checked
+with a query-row count r, against its chain's first r rows: the
+gradients are the full chain's swept from an adjoint that is zero on the
+other rows. A pin on the node mix of the forward built from them closes
+the file.
 """
 
 from dataclasses import replace
@@ -43,45 +46,53 @@ def operands(op, lead, heads, seed=0):
     return [probs, h, w(), b()]
 
 
-def fused(op, heads):
+def fused(op, heads, rows=None):
     if op == "linear":
         return ad.linear
     if op == "attention_scores":
         return lambda h, wq, bq, wk, bk: ad.attention_scores(h, wq, bq, wk, bk, heads, SCALE)
-    return ad.attend
+    return lambda probs, h, wv, bv: ad.attend(probs, h, wv, bv, rows=rows)
 
 
-def chained(op, heads):
+def chained(op, heads, rows=None):
     """The primitive chain each fused op replaces. attention_scores' chain
     returns its per-head matrices one below the other, (..., heads * m, m),
-    the fused op's (..., heads, m, m) in row-major order."""
+    the fused op's (..., heads, m, m) in row-major order; attend's chain
+    with `rows` is the index of its first rows."""
     if op == "linear":
         return ref.affine
     if op == "attention_scores":
         return lambda h, wq, bq, wk, bk: ad.concat(
             ref.head_scores(h, wq, bq, wk, bk, heads, SCALE), axis=0)
-    return lambda probs, h, wv, bv: ref.head_attend(
-        [ad.index(probs, np.s_[..., j, :, :]) for j in range(heads)], h, wv, bv)
+
+    def attend(probs, h, wv, bv):
+        out = ref.head_attend([ad.index(probs, np.s_[..., j, :, :]) for j in range(heads)],
+                              h, wv, bv)
+        return out if rows is None else ad.index(out, np.s_[..., :rows, :])
+
+    return attend
 
 
-CASES = [(op, lead, heads, i)
+# (op, lead, heads, attend's query rows, input); two heads on r of the M rows
+CASES = [(op, lead, heads, None, i)
          for op, arity in (("linear", 3), ("attention_scores", 5), ("attend", 4))
          for lead in LEADS
          for heads in ((1,) if op == "linear" else (1, 2))
-         for i in range(arity)]
+         for i in range(arity)] + [("attend", lead, 2, rows, i) for lead in LEADS
+                                   for rows in (1, 2) for i in range(4)]
 
 
 def case_id(case):
-    op, lead, heads, i = case
-    return f"{op}-{lead}-{heads}h-input{i}"
+    op, lead, heads, rows, i = case
+    return f"{op}-{lead}-{heads}h-{'' if rows is None else f'rows{rows}-'}input{i}"
 
 
 class TestGradCheck:
     @pytest.mark.parametrize("case", CASES, ids=[case_id(c) for c in CASES])
     def test_input_gradient(self, case):
-        op, lead, heads, i = case
+        op, lead, heads, rows, i = case
         arrays = operands(op, LEADS[lead], heads)
-        fn = fused(op, heads)
+        fn = fused(op, heads, rows)
         out_shape = fn(*map(Tensor, arrays)).shape
         weight = Tensor(np.random.default_rng(1).normal(size=out_shape))
 
@@ -93,17 +104,19 @@ class TestGradCheck:
         assert err < 1e-6, f"{case_id(case)}: finite-difference mismatch {err:.3e}"
 
 
-ORACLE_CASES = [(op, lead, heads) for op in ("linear", "attention_scores", "attend")
-                for lead in LEADS for heads in ((1,) if op == "linear" else (1, 2, 4))]
+ORACLE_CASES = [(op, lead, heads, None) for op in ("linear", "attention_scores", "attend")
+                for lead in LEADS for heads in ((1,) if op == "linear" else (1, 2, 4))
+                ] + [("attend", lead, 2, rows) for lead in LEADS for rows in (1, 2)]
 
 
 class TestMatchesPrimitiveChain:
-    @pytest.mark.parametrize("op,lead,heads", ORACLE_CASES,
-                             ids=[f"{o}-{lead}-{h}h" for o, lead, h in ORACLE_CASES])
-    def test_value_and_every_gradient(self, op, lead, heads):
+    @pytest.mark.parametrize("op,lead,heads,rows", ORACLE_CASES,
+                             ids=[f"{o}-{lead}-{h}h" + ("" if r is None else f"-rows{r}")
+                                  for o, lead, h, r in ORACLE_CASES])
+    def test_value_and_every_gradient(self, op, lead, heads, rows):
         arrays = operands(op, LEADS[lead], heads, seed=2)
         results = []
-        for build in (fused(op, heads), chained(op, heads)):
+        for build in (fused(op, heads, rows), chained(op, heads, rows)):
             inputs = [Tensor(a, requires_grad=True) for a in arrays]
             with Tape() as tape:
                 out = build(*inputs)
@@ -116,8 +129,10 @@ class TestMatchesPrimitiveChain:
             ref_value = ref_value.reshape(value.shape)
         assert value.shape == ref_value.shape
         assert np.max(np.abs(value - ref_value)) <= 1e-12
-        for i, (g, ref) in enumerate(zip(grads, ref_grads, strict=True)):
-            assert g.shape == ref.shape and np.max(np.abs(g - ref)) <= 1e-12, f"input {i}"
+        for i, (g, rg) in enumerate(zip(grads, ref_grads, strict=True)):
+            assert g.shape == rg.shape and np.max(np.abs(g - rg)) <= 1e-12, f"input {i}"
+        if rows is not None:  # no adjoint on the query rows not computed
+            assert not grads[0][..., rows:, :].any()
 
 
 class TestShapeContracts:
@@ -158,6 +173,16 @@ class TestShapeContracts:
             ad.attend(Tensor(np.ones((2, 2, M + 1, M + 1))), h, wv, bv)
         with pytest.raises(DimensionError):  # no head axis
             ad.attend(Tensor(np.ones((2, M, M))), h, wv, bv)
+        for rows in (0, M + 1):
+            with pytest.raises(DimensionError, match="query rows"):
+                ad.attend(probs, h, wv, bv, rows=rows)
+
+    def test_split_then_merge_is_identity(self):
+        x = np.random.default_rng(0).normal(size=(2, 5, 6))
+        split = ad._split_heads(x, 3)
+        assert split.shape == (2, 3, 5, 2) and split.flags["C_CONTIGUOUS"]
+        assert np.array_equal(split[1, 2], x[1, :, 4:6])
+        assert np.array_equal(ad._merge_heads(split), x)
 
 
 # the criterion-07 model
@@ -199,8 +224,7 @@ class TestNodeMix:
 
     def test_eval_forward(self):
         cfg = C07.vit
-        params = {k: Tensor(p.data) for k, p in
-                  vit.init_params(cfg, np.random.default_rng(0)).items()}
+        params = ref.frozen(vit.init_params(cfg, np.random.default_rng(0)))
         with Tape() as tape:
             vit.forward(np.random.default_rng(2).random((3, 32, 32)), params, cfg)
         assert len(tape.nodes) == ref.forward_nodes(cfg)

@@ -140,17 +140,11 @@ class TestAffinityRefine:
         np.testing.assert_allclose(refined, expected, rtol=0, atol=1e-12)
 
 
-def flat_map(class_index, values, grid):
-    return loc.LocalizationMap(class_index=class_index,
-                               values=np.asarray(values, dtype=np.float64).reshape(grid.h, grid.w),
-                               layers_fused=(0, 1))
-
-
 class TestSeedFromMaps:
     def test_threshold_and_argmax(self):
         grid = GridShape(1, 3)
-        m0 = flat_map(0, [0.9, 0.2, 0.05], grid)
-        m1 = flat_map(1, [0.1, 0.6, 0.04], grid)
+        m0 = ref.flat_map(0, [0.9, 0.2, 0.05], grid)
+        m1 = ref.flat_map(1, [0.1, 0.6, 0.04], grid)
         seed = loc.seed_from_maps([m0, m1], 0.3)
         # pixel 0: class 0 wins; pixel 1: class 1 wins; pixel 2: both below theta
         assert seed.labels.tolist() == [[1, 2, 0]]
@@ -158,34 +152,34 @@ class TestSeedFromMaps:
 
     def test_tie_breaks_to_lowest_class(self):
         grid = GridShape(1, 1)
-        m0 = flat_map(2, [0.8], grid)
-        m1 = flat_map(1, [0.8], grid)
+        m0 = ref.flat_map(2, [0.8], grid)
+        m1 = ref.flat_map(1, [0.8], grid)
         seed = loc.seed_from_maps([m0, m1], 0.1)
         assert seed.labels[0, 0] == 2  # class index 1 -> label 2
 
     def test_background_needs_all_below(self):
         grid = GridShape(1, 2)
-        m0 = flat_map(0, [0.29, 0.31], grid)
+        m0 = ref.flat_map(0, [0.29, 0.31], grid)
         seed = loc.seed_from_maps([m0], 0.3)
         assert seed.labels.tolist() == [[0, 1]]
 
     def test_theta_zero_never_background_on_positive_maps(self):
         grid = GridShape(2, 2)
         rng = np.random.default_rng(7)
-        m0 = flat_map(0, rng.uniform(0.01, 1.0, size=4), grid)
+        m0 = ref.flat_map(0, rng.uniform(0.01, 1.0, size=4), grid)
         seed = loc.seed_from_maps([m0], 0.0)
         assert not np.any(seed.labels == 0)
 
     def test_theta_above_one_all_background(self):
         grid = GridShape(2, 2)
-        m0 = flat_map(0, np.ones(4), grid)
+        m0 = ref.flat_map(0, np.ones(4), grid)
         seed = loc.seed_from_maps([m0], 1.5)
         assert np.all(seed.labels == 0)
 
     def test_duplicate_class_rejected(self):
         grid = GridShape(1, 1)
         with pytest.raises(ContractError):
-            loc.seed_from_maps([flat_map(0, [1.0], grid), flat_map(0, [0.5], grid)], 0.5)
+            loc.seed_from_maps([ref.flat_map(0, [1.0], grid), ref.flat_map(0, [0.5], grid)], 0.5)
 
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
@@ -236,7 +230,7 @@ class TestUpsampleNearest:
 class TestExport:
     def test_map_pgm_and_sidecar(self, tmp_path):
         grid = GridShape(2, 2)
-        m = flat_map(1, [0.0, 0.5, 0.25, 1.0], grid)
+        m = ref.flat_map(1, [0.0, 0.5, 0.25, 1.0], grid)
         m.layers_fused = (2, 4)
         pgm, meta = loc.export_map(tmp_path / "map_c1", m)
         img = netpbm.read_netpbm(pgm)

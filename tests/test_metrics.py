@@ -4,6 +4,7 @@
 import numpy as np
 import pytest
 
+import reference as ref
 from attnreg import localization as loc
 from attnreg import metrics
 from attnreg.errors import ContractError, DimensionError
@@ -130,20 +131,14 @@ class TestConfusionAccumulator:
 LEVELS = len(metrics.THRESHOLDS) + 1  # a sweep histogram's levels
 
 
-def flat_map(class_index, values, grid):
-    return loc.LocalizationMap(class_index=class_index,
-                               values=np.asarray(values, dtype=np.float64).reshape(grid.h, grid.w),
-                               layers_fused=(0, 1))
-
-
 class TestBestThreshold:
     def test_beats_every_fixed_threshold(self):
         grid = GridShape(2, 2)
         rng = np.random.default_rng(4)
         maps_per_image, gts = [], []
         for _ in range(5):
-            maps_per_image.append([flat_map(0, rng.random(4), grid),
-                                   flat_map(1, rng.random(4), grid)])
+            maps_per_image.append([ref.flat_map(0, rng.random(4), grid),
+                                   ref.flat_map(1, rng.random(4), grid)])
             gts.append(rng.integers(0, 3, size=(2, 2)))
         found = metrics.best_threshold_miou(maps_per_image, gts, 3)
         theta, best = found["threshold"], found["miou"]
@@ -158,7 +153,7 @@ class TestBestThreshold:
     def test_tie_takes_smaller_threshold(self):
         grid = GridShape(2, 2)
         # 0/1-valued map: every threshold in (0, 1] yields the same seed
-        maps = [[flat_map(0, [1.0, 0.0, 0.0, 1.0], grid)]]
+        maps = [[ref.flat_map(0, [1.0, 0.0, 0.0, 1.0], grid)]]
         gts = [np.array([[1, 0], [0, 1]])]
         found = metrics.best_threshold_miou(maps, gts, 2)
         theta, best = found["threshold"], found["miou"]
@@ -167,7 +162,7 @@ class TestBestThreshold:
 
     def test_upsamples_to_gt_size(self):
         grid = GridShape(1, 2)
-        maps = [[flat_map(0, [1.0, 0.0], grid)]]
+        maps = [[ref.flat_map(0, [1.0, 0.0], grid)]]
         gts = [np.array([[1, 1, 0, 0], [1, 1, 0, 0]])]
         found = metrics.best_threshold_miou(maps, gts, 2)
         theta, best = found["threshold"], found["miou"]

@@ -26,13 +26,10 @@ from attnreg import vit
 from attnreg.autodiff import Tape, Tensor
 from attnreg.errors import ContractError, NumericalError
 from attnreg.gridtransform import SpatialTransform
-from attnreg.vit import ViTConfig
 
-# the benchmark's two training configurations
+# the criterion-07 model on two of its five transforms
 CONSISTENCY = tr.TrainConfig(vit=ref.C07, weights=ref.WEIGHTS,
                              augmentations=ref.transforms("fliph,rot90"))
-RESIZE_WIDE = tr.TrainConfig(vit=ViTConfig(), weights=ref.WEIGHTS,
-                             augmentations=ref.transforms("resize:6x6,resize:10x10"))
 
 
 @contextlib.contextmanager
@@ -116,7 +113,7 @@ def eval_sweeps(full):
     cfg = CONSISTENCY.vit
     params = vit.init_params(cfg, np.random.default_rng(4))
     with kept_outputs() as outputs, unpruned(full):
-        frozen = {k: Tensor(p.data) for k, p in params.items()}
+        frozen = ref.frozen(params)
         with Tape() as tape:
             res = vit.forward(ref.sample_for(cfg, 12).image, frozen, cfg)
     adjoints = [vit.attention_adjoints(tape, res, np.eye(cfg.num_classes)[k])
@@ -128,8 +125,8 @@ class TestNothingPrunedOracle:
     @pytest.mark.parametrize("config,transform", [
         (CONSISTENCY, "fliph"),          # stacked views
         (CONSISTENCY, "rot90"),          # stacked views, permuted back
-        (RESIZE_WIDE, "resize:6x6"),     # a view of its own, interpolated back
-        (RESIZE_WIDE, "resize:10x10"),
+        (ref.RESIZE_WIDE, "resize:6x6"),     # a view of its own, interpolated back
+        (ref.RESIZE_WIDE, "resize:10x10"),
     ], ids=["consistency-fliph", "consistency-rot90", "resize_wide-6x6",
             "resize_wide-10x10"])
     def test_training_sweep(self, config, transform):
@@ -171,8 +168,7 @@ class TestWhereGradientsLand:
         which the logits do not read."""
         swept = sweeps(monkeypatch)
         cfg = CONSISTENCY.vit
-        params = {k: Tensor(p.data) for k, p in
-                  vit.init_params(cfg, np.random.default_rng(4)).items()}
+        params = ref.frozen(vit.init_params(cfg, np.random.default_rng(4)))
         with Tape() as tape:
             res = vit.forward(ref.sample_for(cfg, 12).image, params, cfg)
         recorded = [n.op for n in tape.nodes]
@@ -297,7 +293,7 @@ class TestWrt:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_a_non_finite_seed_is_refused_before_the_sweep(self, bad):
         cfg = CONSISTENCY.vit
-        params = tr._no_grad_views(vit.init_params(cfg, np.random.default_rng(4)))
+        params = ref.frozen(vit.init_params(cfg, np.random.default_rng(4)))
         with Tape() as tape:
             res = vit.forward(ref.sample_for(cfg, 12).image, params, cfg)
         count = len(tape.nodes)

@@ -22,9 +22,6 @@ from attnreg import trainer as tr
 from attnreg import vit
 from attnreg.autodiff import Tape, Tensor
 from attnreg.regularizer import LossWeights
-from attnreg.vit import ViTConfig
-
-MODELS = {"c07": ref.C07, "default": ViTConfig()}
 
 
 def dense_attend(probs, h, wv, bv, rows=None):
@@ -92,15 +89,6 @@ def assert_bits_equal(got, expected, what):
     assert got.tobytes() == expected.tobytes(), what
 
 
-def images_for(cfg, count, seed=0):
-    return np.random.default_rng(seed).random(
-        (count, cfg.in_channels, cfg.grid.h * cfg.patch_size, cfg.grid.w * cfg.patch_size))
-
-
-def no_grad_params(cfg, seed=1):
-    return {k: Tensor(p.data) for k, p in vit.init_params(cfg, np.random.default_rng(seed)).items()}
-
-
 class TestSoftmaxBlock:
     M = 6  # n + 1 rows
 
@@ -141,11 +129,11 @@ class TestSoftmaxBlock:
 
 
 class TestSweepsMatchTheDensePath:
-    @pytest.mark.parametrize("model", list(MODELS))
+    @pytest.mark.parametrize("model", list(ref.MODELS))
     def test_attention_adjoints(self, monkeypatch, block_rows, model):
-        cfg = MODELS[model]
-        params = no_grad_params(cfg)
-        images = images_for(cfg, 3)
+        cfg = ref.MODELS[model]
+        params = ref.frozen(vit.init_params(cfg, np.random.default_rng(1)))
+        images = ref.images_for(cfg, 3)
         seed = np.zeros((3, cfg.num_classes))
         seed[np.arange(3), [0, 2, 1]] = 1.0
 
@@ -163,11 +151,11 @@ class TestSweepsMatchTheDensePath:
             for layer, (g, e) in enumerate(zip(got, expected, strict=True)):
                 assert_bits_equal(g, e, f"layer {layer}")
 
-    @pytest.mark.parametrize("model", list(MODELS))
+    @pytest.mark.parametrize("model", list(ref.MODELS))
     def test_adjoint_rows(self, monkeypatch, model):
-        cfg = MODELS[model]
+        cfg = ref.MODELS[model]
         params = vit.init_params(cfg, np.random.default_rng(2))
-        images = images_for(cfg, 2, seed=3)
+        images = ref.images_for(cfg, 2, seed=3)
         classes = np.array([[0, 2], [1, 2]])
         fast, dense = both_paths(
             monkeypatch, lambda: tr.adjoint_rows(images, classes, params, cfg))
@@ -206,9 +194,9 @@ class TestChunksMatchTheDensePath:
 class TestNoBlockEscapes:
     def test_wrt_returns_are_dense(self):
         cfg = ref.C07
-        params = no_grad_params(cfg)
+        params = ref.frozen(vit.init_params(cfg, np.random.default_rng(1)))
         with Tape() as tape:
-            res = vit.forward(images_for(cfg, 2), params, cfg)
+            res = vit.forward(ref.images_for(cfg, 2), params, cfg)
         seed = np.zeros(res.logits.shape)
         seed[:, 1] = 1.0
         heads = [rec.heads for rec in res.attentions]

@@ -21,7 +21,6 @@ from attnreg import synthdata as sd
 from attnreg import trainer as tr
 from attnreg import vit
 from attnreg.gridtransform import GridShape
-from attnreg.vit import ViTConfig
 
 MASK_SHAPES = [(16, 16), (8, 8), (20, 12)]
 
@@ -49,16 +48,12 @@ def stacks_expected(data, size):
     return groups, sum(math.ceil(g / size) for key, g in groups.items() if key[2] > 0)
 
 
-def budget_for(cfg, images):
-    return images * tr._tape_bytes_per_image(cfg, cfg.grid)
-
-
 class TestMixedStacks:
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("per_stack", [1, 3, 100])
     def test_matches_reference(self, monkeypatch, seed, per_stack):
         params, cfg, data = mixed(seed)
-        monkeypatch.setattr(tr, "TAPE_BYTE_BUDGET", budget_for(cfg, per_stack))
+        monkeypatch.setattr(tr, "TAPE_BYTE_BUDGET", ref.budget_for(cfg, per_stack))
         groups, _ = stacks_expected(data, per_stack)
         assert {key[2] for key in groups} == {0, 1, 2, 3}
         assert {key[1] for key in groups} == set(MASK_SHAPES)
@@ -69,7 +64,7 @@ class TestMixedStacks:
 
     def test_custom_layers_and_grid_match_reference(self, monkeypatch):
         params, cfg, data = mixed(2)
-        monkeypatch.setattr(tr, "TAPE_BYTE_BUDGET", budget_for(cfg, 2))
+        monkeypatch.setattr(tr, "TAPE_BYTE_BUDGET", ref.budget_for(cfg, 2))
         # both sides read the one grid, so no count of 19 hides anywhere
         monkeypatch.setattr(mt, "THRESHOLDS", np.array([0.15, 0.3, 0.45, 0.6, 0.9]))
         fast = tr.evaluate(params, cfg, data, map_layers=(0, 3), sweep_layers=True)
@@ -80,9 +75,9 @@ class TestMixedStacks:
 
     def test_one_forward_per_stack(self, monkeypatch):
         params, cfg, data = mixed(0)
-        # budget_for also runs the measuring forward of the model's grid,
+        # ref.budget_for also runs the measuring forward of the model's grid,
         # the only grid here, before vit.forward is counted
-        monkeypatch.setattr(tr, "TAPE_BYTE_BUDGET", budget_for(cfg, 3))
+        monkeypatch.setattr(tr, "TAPE_BYTE_BUDGET", ref.budget_for(cfg, 3))
         calls = []
         real = vit.forward
         monkeypatch.setattr(vit, "forward",
@@ -102,7 +97,7 @@ class TestMixedStacks:
 
     def test_image_order_does_not_matter(self, monkeypatch):
         params, cfg, data = mixed(1)
-        monkeypatch.setattr(tr, "TAPE_BYTE_BUDGET", budget_for(cfg, 2))
+        monkeypatch.setattr(tr, "TAPE_BYTE_BUDGET", ref.budget_for(cfg, 2))
         forward = tr.evaluate(params, cfg, data, sweep_layers=True)
         ref.exact_same(forward, tr.evaluate(params, cfg, data[::-1], sweep_layers=True))
 
@@ -114,7 +109,7 @@ def per_stack(cfg, grid):
 
 class TestStackBound:
     def test_budget_fits_several_small_images_and_few_large(self):
-        for cfg, lo, hi in ((ref.C07, 4, 16), (ViTConfig(), 1, 3)):
+        for cfg, lo, hi in ((ref.C07, 4, 16), (ref.MODELS["default"], 1, 3)):
             assert lo <= per_stack(cfg, cfg.grid) <= hi, cfg
 
     def test_stack_and_chunk_sizes_on_the_benchmark_models(self):
@@ -122,7 +117,7 @@ class TestStackBound:
         default model stacks 3 images on its 8x8 grid, 7 on 6x6 and 2 on
         10x10; of the views train_resize_wide draws, a fliph or resize:10x10
         pair trains alone and resize:6x6 pairs train two to a chunk."""
-        c07, default = ref.C07, ViTConfig()
+        c07, default = ref.MODELS.values()
         assert per_stack(c07, c07.grid) == 16
         assert [per_stack(default, GridShape(g, g)) for g in (8, 6, 10)] == [3, 7, 2]
         for cfg, text, k in ((c07, "fliph", 8), (default, "fliph", 1),

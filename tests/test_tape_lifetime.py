@@ -85,7 +85,7 @@ class TestSweeps:
         nothing zeroed in between: the nodes stay, and the second sweep's
         adjoints are == the first's, in arrays of their own."""
         cfg = CONFIG.vit
-        params = tr._no_grad_views(vit.init_params(cfg, np.random.default_rng(4)))
+        params = ref.frozen(vit.init_params(cfg, np.random.default_rng(4)))
         images = np.stack([ref.sample_for(cfg, s).image for s in (12, 13)])
         with Tape() as tape:
             res = vit.forward(images, params, cfg)

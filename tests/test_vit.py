@@ -8,9 +8,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import reference as ref
 from attnreg import autodiff as ad
 from attnreg import cli, netpbm
 from attnreg import gridtransform as gt
+from attnreg import trainer as tr
 from attnreg import vit
 from attnreg.autodiff import Tape, Tensor
 from attnreg.errors import ContractError, DimensionError, ResourceError
@@ -94,10 +96,15 @@ class TestForward:
         assert res.grid == GridShape(2, 2)
         assert res.attentions[0].matrix.shape == (5, 5)
 
-    def test_wrong_channels_rejected(self):
+    @pytest.mark.parametrize("shape,refusal", [
+        ((1, 6, 6), r"expected a \(3, H, W\) image"),
+        ((2, 2, 3, 6, 6), r"or a stack of them, got \(2, 2, 3, 6, 6\)"),  # two view axes
+        ((3, 1, 6), "image of 1x6 pixels has a side shorter than the patch size 2"),
+    ], ids=["wrong_channels", "deeper_stack", "smaller_than_a_patch"])
+    def test_malformed_input_rejected(self, shape, refusal):
         cfg = tiny_config()
-        with pytest.raises(DimensionError):
-            vit.forward(np.zeros((1, 6, 6)), vit.init_params(cfg, np.random.default_rng(0)), cfg)
+        with pytest.raises(DimensionError, match=refusal):
+            vit.forward(np.zeros(shape), vit.init_params(cfg, np.random.default_rng(0)), cfg)
 
     def test_grid_over_the_token_cap_refused_before_allocating(self):
         """A 33x32 grid is 1056 tokens; its 4 layers of (2, 1057, 1057)
@@ -119,18 +126,66 @@ class TestForward:
         """A stacked result has a logits row per view, not one logit."""
         cfg = tiny_config()
         params = vit.init_params(cfg, np.random.default_rng(0))
-        rng = np.random.default_rng(1)
-        res = vit.forward(np.stack([random_image(rng, cfg) for _ in range(5)]), params, cfg)
+        res = vit.forward(ref.images_for(cfg, 5, seed=1), params, cfg)
         with pytest.raises(DimensionError, match="1-d logits"):
             vit.class_logit(res, class_index)
 
 
+# the forward oracle's models: the benchmark workloads' two, and a small
+# non-square one with positional rows on one, two and four heads
+ORACLE_MODELS = {**ref.MODELS, "non_square_pos": ref.SMALL, "one_head": ref.ONE_HEAD,
+                 "four_heads": ref.FOUR_HEADS}
+
+
+class TestForwardOracle:
+    @pytest.mark.parametrize("stack", [None, 3], ids=["single", "stack"])
+    @pytest.mark.parametrize("model", list(ORACLE_MODELS))
+    def test_logits_attention_and_adjoints(self, model, stack):
+        """Per image, against reference.forward and reference.adjoints to
+        TOL (the last block's class-row tail rounds unlike the full rows):
+        logits, attention matrices and the full adjoints of a random seed,
+        and adjoint_rows' class-token rows and patch blocks for two
+        classes; the row form of the adjoints is the full one's row 0."""
+        cfg = ORACLE_MODELS[model]
+        params = ref.frozen(vit.init_params(cfg, np.random.default_rng(1)))
+        images = ref.images_for(cfg, stack or 1, seed=2)
+        lead, m, c = ((stack,) if stack else ()), cfg.grid.n + 1, cfg.num_classes
+        seed = np.random.default_rng(3).normal(size=lead + (c,))
+        with Tape() as tape:
+            res = vit.forward(images if stack else images[0], params, cfg)
+        assert len(tape.nodes) == ref.forward_nodes(cfg)
+        assert res.logits.shape == lead + (c,)
+        adjoints = vit.attention_adjoints(tape, res, seed)
+        for rec, adj, row in zip(res.attentions, adjoints,
+                                 vit.attention_adjoints(tape, res, seed, row=0), strict=True):
+            assert rec.heads.shape == lead + (cfg.num_heads, m, m)
+            assert rec.matrix.shape == adj.shape == lead + (m, m)
+            assert ref.bit_equal(row, adj[..., 0, :])
+        classes = np.array([[0, c - 1], [1, 0], [1, 1]])[:len(images)]
+        rows, blocks = tr.adjoint_rows(images, classes, params, cfg)
+        per_view = len(images), m, m
+        for v, image in enumerate(images):
+            with Tape() as tape:
+                expected = ref.forward(image, params, cfg)
+            ref.assert_close(res.logits.data.reshape(-1, c)[v], expected.logits.data, f"logits {v}")
+            ref_adjoints = ref.adjoints(tape, expected.logits, expected, seed.reshape(-1, c)[v])
+            for i, (rec, ref_rec, adj, ref_adj) in enumerate(zip(
+                    res.attentions, expected.attentions, adjoints, ref_adjoints, strict=True)):
+                ref.assert_close(rec.matrix.data.reshape(per_view)[v], ref_rec.matrix.data,
+                                 f"view {v} attention {i}")
+                ref.assert_close(adj.reshape(per_view)[v], ref_adj, f"view {v} adjoint {i}")
+                ref.assert_close(blocks[v, i], ref_rec.matrix.data[1:, 1:], f"view {v} block {i}")
+            for r, k in enumerate(classes[v]):
+                one_hot = ref.adjoints(tape, expected.logits, expected, np.eye(c)[k])
+                for i, ref_adj in enumerate(one_hot):
+                    ref.assert_close(rows[v, r, i], ref_adj[0, 1:], f"view {v} class {k} row {i}")
+
+
 def recorded_stack(cfg, views=4):
     """A no-grad forward of a stack of random views on one tape."""
-    params = {k: Tensor(p.data) for k, p in vit.init_params(cfg, np.random.default_rng(0)).items()}
-    rng = np.random.default_rng(1)
+    params = ref.frozen(vit.init_params(cfg, np.random.default_rng(0)))
     with Tape() as tape:
-        res = vit.forward(np.stack([random_image(rng, cfg) for _ in range(views)]), params, cfg)
+        res = vit.forward(ref.images_for(cfg, views, seed=1), params, cfg)
     return tape, res
 
 
@@ -147,22 +202,6 @@ class TestAdjoints:
             assert adj.shape == (n + 1, n + 1)
             assert np.any(adj != 0.0)
         assert all(rec.heads.grad is None for rec in res.attentions)
-
-    def test_class_rows_are_row_0_of_the_full_adjoints(self):
-        """The row form sums the heads of one row only; it must give the
-        same bits as the full head sum, here on 3 heads and a stack of
-        views seeded with one-hot rows, as evaluation seeds them."""
-        cfg = tiny_config(embed_dim=12, num_heads=3, num_classes=3)
-        tape, res = recorded_stack(cfg)
-        seed = np.zeros(res.logits.shape)
-        seed[np.arange(4), [0, 2, 1, 2]] = 1.0
-        full = vit.attention_adjoints(tape, res, seed)
-        rows = vit.attention_adjoints(tape, res, seed, row=0)
-        assert len(rows) == cfg.num_layers
-        for whole, row in zip(full, rows):
-            assert row.shape == (4, cfg.grid.n + 1)
-            assert np.array_equal(row, whole[:, 0, :])
-            assert np.any(row != 0.0)
 
     @pytest.mark.parametrize("row", [10, -11, 99])
     def test_row_outside_the_matrix_is_refused(self, row):
